@@ -21,6 +21,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from sphertet.angles import frac_obj  # noqa: E402
 from sphertet.geometry import (  # noqa: E402
     PythagoreanQuadruple,
     edge_lengths,
@@ -113,10 +114,6 @@ COXETER = [
     (10, "I2(k)xA1x2", None, "1/(4k)"),
     (11, "A1x4", "1/8", None),
 ]
-
-
-def frac_obj(f: Fraction) -> dict:
-    return {"num": f.numerator, "den": f.denominator}
 
 
 def parse_fracs(text: str) -> list[Fraction]:

@@ -4,19 +4,19 @@
 Stages, in order:
 
   1. grid search for sporadic solutions of cos a + cos b + cos c + cos d = 0
-     (prefilter, exact confirmation, realizability, family filtering),
-     compared row by row against the golden table;
+     (exact cosine-sum join, realizability, family filtering), compared
+     row by row against the golden table;
   2. verification of all 42 continuous families (defining identity,
      closed-form volume, certified parameter domain);
   3. search for Lambert cubes with rational volume plus their companion
-     tetrahedra;
+     tetrahedra, compared against the golden table;
   4. the unique nontrivial three-cosine solution;
   5. a non-decomposability certificate for the reference tetrahedron,
      serialized and independently rechecked;
   6. suspension lifts: the tetrahedron against its Coxeter-cell twin.
 
-Every equality above is decided in exact arithmetic; floats only steer
-search order and candidate pruning.  Outputs land in --out as one
+Every equality above is decided in exact arithmetic; no float decides
+which grid points are solutions.  Outputs land in --out as one
 canonical JSON record per line plus a CSV mirror of the sporadic table.
 """
 
@@ -51,6 +51,7 @@ from sphertet.lambert import (  # noqa: E402
 )
 from sphertet.records import (  # noqa: E402
     certificate_record,
+    lambert_comparison,
     lambert_records,
     make_provenance,
     sporadic_comparison,
@@ -70,16 +71,16 @@ def stage(title: str):
     print(f"\n== {title} " + "=" * max(0, 66 - len(title)))
 
 
-def run(out_dir: Path, workers: int) -> int:
+def run(out_dir: Path) -> int:
     t_start = time.monotonic()
-    cfg = SearchConfig(workers=workers)
+    cfg = SearchConfig()
     prov = make_provenance(cfg)
     failures = 0
 
     stage("sporadic quadruples")
     report = run_sporadic_search(cfg)
     print(f"candidates {report.candidates_scanned}, "
-          f"prefilter hits {report.prefilter_hits}, "
+          f"zero-sum tuples {report.prefilter_hits}, "
           f"exact solutions {report.raw_solution_count}, "
           f"realizable {report.realizable_count}, "
           f"family members {report.family_member_count}, "
@@ -96,27 +97,33 @@ def run(out_dir: Path, workers: int) -> int:
         sporadic_csv(sporadic_records(report, prov)))
 
     stage("continuous families")
+    families = builtin_families()
     bad = []
-    for fam in builtin_families():
+    for fam in families:
         cert = verify_domain(fam)
         if not (verify_identity(fam) and verify_volume_form(fam) and cert.valid):
             bad.append(fam.family_id)
-    print(f"{42 - len(bad)}/42 families verified"
+    print(f"{len(families) - len(bad)}/{len(families)} families verified"
           + (f", failures: {bad}" if bad else ""))
     failures += len(bad)
 
     stage("Lambert cubes")
-    lam = search_rational_lambert_cubes()
+    lam = search_rational_lambert_cubes(cfg)
     for cube, vol in zip(lam.cubes, lam.volumes):
         a, b, c = (x.frac for x in cube.angles)
         print(f"cube ({a}, {b}, {c})*pi  volume {vol.value} * pi^2")
     print(f"scanned {lam.candidates_scanned} triples; "
           f"continuous family excluded: {lam.no_continuous_family}")
-    for comp in companion_tetrahedra():
+    companions = companion_tetrahedra()
+    for comp in companions:
         quad = ", ".join(str(x.frac) for x in comp.quadruple.angles)
         print(f"companion ({quad})*pi  volume {comp.vol.value} * pi^2 "
               f"via {comp.volume_route}")
-    failures += 0 if len(lam.cubes) == 2 and lam.no_continuous_family else 1
+    lam_cmp = lambert_comparison(lam, companions)
+    print("golden table match:", "exact" if lam_cmp["match"] else
+          "MISMATCH " + ", ".join(k for k in ("cubes", "volumes", "companions")
+                                  if not lam_cmp[k]))
+    failures += 0 if lam_cmp["match"] and lam.no_continuous_family else 1
     write_records(lambert_records(lam.cubes, lam.volumes, prov),
                   out_dir / "lambert.jsonl")
 
@@ -168,11 +175,9 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", type=Path, default=Path("results"),
                         help="directory for the result artifacts")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="parallel workers for the grid search")
     args = parser.parse_args()
     args.out.mkdir(parents=True, exist_ok=True)
-    return run(args.out, args.workers)
+    return run(args.out)
 
 
 if __name__ == "__main__":

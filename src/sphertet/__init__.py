@@ -78,8 +78,6 @@ from .search import (
     SporadicRow,
     TripleReport,
     candidate_count,
-    confirm_zero,
-    enumerate_candidates,
     grid_angles,
     rational_length,
     run_sporadic_search,

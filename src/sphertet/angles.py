@@ -96,3 +96,9 @@ ZERO = RationalAngle(0)
 def angle(num: int, den: int = 1) -> RationalAngle:
     """Shorthand constructor used all over the test-suite."""
     return RationalAngle(num, den)
+
+
+def frac_obj(f: _Scalar) -> dict:
+    """The JSON form {"num": int, "den": int} of an exact fraction."""
+    f = Fraction(f)
+    return {"num": f.numerator, "den": f.denominator}

@@ -29,16 +29,20 @@ from __future__ import annotations
 
 import json
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
-from typing import Iterator, Optional
+from typing import Optional
 
 from mpmath import iv
 
-from .angles import RationalAngle
-from .cyclotomic import CyclotomicNumber, SignedInterval, _iv_to_signed_interval
+from .angles import RationalAngle, frac_obj
+from .cyclotomic import (
+    CyclotomicNumber,
+    SignedInterval,
+    _iv_to_signed_interval,
+    iv_precision,
+)
 from .geometry import (
     GramMatrix,
     PreconditionError,
@@ -136,16 +140,6 @@ class LinkTriangle:
         return sum(x.frac for x in self.angles) - 1
 
 
-@contextmanager
-def _iv_precision(bits: int) -> Iterator[None]:
-    old = iv.prec
-    iv.prec = bits
-    try:
-        yield
-    finally:
-        iv.prec = old
-
-
 def _iv_angle(x: RationalAngle):
     return iv.pi * iv.mpf(x.num) / iv.mpf(x.den)
 
@@ -189,7 +183,7 @@ def link_triangle_sides(t: LinkTriangle, precision: int = 64
     rational-multiple-of-pi thresholds can be done through the strictly
     decreasing cosine instead.
     """
-    with _iv_precision(precision):
+    with iv_precision(precision):
         return tuple(
             _iv_to_signed_interval(c, precision) for c in _side_cosines_iv(t)
         )
@@ -203,7 +197,7 @@ def sides_within(t: LinkTriangle, lo: RationalAngle, hi: RationalAngle,
     enclosures; False here means "not certified at this precision",
     not a proof of the negation.
     """
-    with _iv_precision(precision):
+    with iv_precision(precision):
         cos_lo = iv.cos(_iv_angle(lo))
         cos_hi = iv.cos(_iv_angle(hi))
         for c in _side_cosines_iv(t):
@@ -271,7 +265,7 @@ def diameter_certificate(t: LinkTriangle, center: RationalAngle,
     """
     bits = start_bits
     while True:
-        with _iv_precision(bits):
+        with iv_precision(bits):
             verts = _vertices_iv(t)
             cl = iv.cos(_iv_angle(center))
             sl = iv.sin(_iv_angle(center))
@@ -375,21 +369,18 @@ class ObstructionCertificate:
     weights: tuple[int, int, int]
 
     def to_payload(self) -> dict:
-        def frac(f: Fraction) -> dict:
-            return {"num": f.numerator, "den": f.denominator}
-
         return {
             "kind": "nondecomposability-obstruction",
-            "quadruple": [frac(a.frac) for a in self.quadruple.angles],
+            "quadruple": [frac_obj(a.frac) for a in self.quadruple.angles],
             "vertex_index": self.vertex_index,
-            "triangle": [frac(a.frac) for a in self.triangle.angles],
-            "center": frac(self.center.frac),
-            "radius": frac(self.radius.frac),
+            "triangle": [frac_obj(a.frac) for a in self.triangle.angles],
+            "center": frac_obj(self.center.frac),
+            "radius": frac_obj(self.radius.frac),
             "margins": [
-                {"lo": frac(m.lo), "hi": frac(m.hi)} for m in self.margins
+                {"lo": frac_obj(m.lo), "hi": frac_obj(m.hi)} for m in self.margins
             ],
             "precision": self.precision,
-            "area_target": frac(self.area_target),
+            "area_target": frac_obj(self.area_target),
             "weights": list(self.weights),
         }
 

@@ -8,12 +8,16 @@ Subcommands map one-to-one onto the library stages:
     certify             non-decomposability certificate and suspension lifts
     catalog             export the family and Coxeter catalogs
 
-Configuration precedence is flags > config file (--config, JSON) >
-defaults.  The default output directory comes from SPHERTET_OUT_DIR;
-without it no files are written and results go to stdout only.
+Configuration precedence is flags > config file (--config, a JSON
+object with the keys "out" and "format") > defaults.  The default output
+directory comes from SPHERTET_OUT_DIR; without it no files are written
+and results go to stdout only.  The searches have no settings: each
+decides every grid point exactly.
 
 Exit codes: 0 success, 2 verification mismatch against the golden
-fixtures, 3 internal invariant violation, 4 IO failure.
+fixtures, 3 internal invariant violation, 4 IO failure, 5 usage error
+(a config file that is not a JSON object or has an unknown key or a bad
+value, an unknown family id).
 """
 
 from __future__ import annotations
@@ -38,17 +42,34 @@ EXIT_OK = 0
 EXIT_MISMATCH = 2
 EXIT_INVARIANT = 3
 EXIT_IO = 4
+EXIT_USAGE = 5
 
 OUT_DIR_ENV = "SPHERTET_OUT_DIR"
+CONFIG_KEYS = ("format", "out")
+
+
+class UsageError(Exception):
+    """A command line or config file the program cannot act on."""
 
 
 def _load_config_file(path: Optional[str]) -> dict:
     if not path:
         return {}
     with open(path) as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise UsageError(f"config file {path} is not valid JSON: {exc}")
     if not isinstance(data, dict):
-        raise ValueError("config file must hold a JSON object")
+        raise UsageError(f"config file {path} must hold a JSON object")
+    for key in data:
+        if key not in CONFIG_KEYS:
+            raise UsageError(f"config file {path}: unknown key {key!r} "
+                             f"(allowed: {', '.join(CONFIG_KEYS)})")
+    if not isinstance(data.get("out", ""), str):
+        raise UsageError(f"config file {path}: 'out' must be a string")
+    if data.get("format", "json") not in ("json", "csv"):
+        raise UsageError(f"config file {path}: 'format' must be json or csv")
     return data
 
 
@@ -58,14 +79,6 @@ def _merge_setting(flag, file_cfg: dict, key: str, default):
     if key in file_cfg:
         return file_cfg[key]
     return default
-
-
-def _search_config(args, file_cfg: dict) -> SearchConfig:
-    return SearchConfig(
-        tolerance=float(_merge_setting(args.tolerance, file_cfg,
-                                       "tolerance", 1e-8)),
-        workers=int(_merge_setting(args.workers, file_cfg, "workers", 1)),
-    )
 
 
 def _out_dir(args, file_cfg: dict) -> Optional[Path]:
@@ -95,7 +108,7 @@ def _write(records, out: Optional[Path], name: str, fmt: str) -> None:
 
 def cmd_search_quadruples(args) -> int:
     file_cfg = _load_config_file(args.config)
-    cfg = _search_config(args, file_cfg)
+    cfg = SearchConfig()
     out = _out_dir(args, file_cfg)
     fmt = _fmt(args, file_cfg)
 
@@ -115,7 +128,7 @@ def cmd_search_quadruples(args) -> int:
     stage = args.stage
     recs = records_mod.stage_records(report, stage, prov)
     print(f"candidates scanned : {report.candidates_scanned}")
-    print(f"prefilter hits     : {report.prefilter_hits}")
+    print(f"zero-sum tuples    : {report.prefilter_hits}")
     print(f"exact solutions    : {report.raw_solution_count}")
     print(f"realizable         : {report.realizable_count}")
     print(f"family members     : {report.family_member_count}")
@@ -141,7 +154,11 @@ def cmd_verify_families(args) -> int:
     out = _out_dir(args, file_cfg)
     fams = families_mod.builtin_families()
     if args.family is not None:
-        fams = (families_mod.family_by_id(args.family),)
+        try:
+            fams = (families_mod.family_by_id(args.family),)
+        except KeyError:
+            raise UsageError(f"--family {args.family}: no such family "
+                             f"(ids run from 1 to {len(fams)})") from None
     results = []
     failed = []
     for fam in fams:
@@ -183,28 +200,22 @@ def cmd_verify_families(args) -> int:
 
 def cmd_search_lambert(args) -> int:
     file_cfg = _load_config_file(args.config)
-    cfg = _search_config(args, file_cfg)
+    cfg = SearchConfig()
     out = _out_dir(args, file_cfg)
     report = lambert_mod.search_rational_lambert_cubes(cfg)
     for cube, vol in zip(report.cubes, report.volumes):
         print(f"{cube}  volume {vol.value} * pi^2")
     print(f"scanned {report.candidates_scanned} triples, "
-          f"{report.prefilter_hits} prefilter hits, "
+          f"{report.prefilter_hits} with a zero cosine sum, "
           f"continuous family excluded: {report.no_continuous_family}")
-    t1, t2 = lambert_mod.companion_tetrahedra()
-    for t in (t1, t2):
+    companions = lambert_mod.companion_tetrahedra()
+    for t in companions:
         print(f"companion {t.quadruple}  volume {t.vol.value} * pi^2 "
               f"via {t.volume_route} (k = {t.coxeter_parameter})")
     prov = records_mod.make_provenance(cfg)
     _write(records_mod.lambert_records(report.cubes, report.volumes, prov),
            out, "lambert", "json")
-    golden = records_mod.load_lambert_fixture()
-    ours = {tuple(x.frac for x in c.angles) for c in report.cubes}
-    theirs = {g["angles"] for g in golden}
-    vols_ok = {v.value for v in report.volumes} == {g["vol"] for g in golden}
-    comp_ok = {tuple(a.frac for a in t.quadruple.angles) for t in (t1, t2)} \
-        == {g["companion"] for g in golden}
-    if not (ours == theirs and vols_ok and comp_ok):
+    if not records_mod.lambert_comparison(report, companions)["match"]:
         print("lambert results disagree with the golden fixture",
               file=sys.stderr)
         return EXIT_MISMATCH
@@ -307,19 +318,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_search=False):
+    def common(p):
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--out", help="output directory "
                                      f"(default ${OUT_DIR_ENV})")
-        if with_search:
-            p.add_argument("--tolerance", type=float, default=None,
-                           help="float prefilter tolerance (default 1e-8)")
-            p.add_argument("--workers", type=int, default=None,
-                           help="worker processes (default 1)")
 
     p = sub.add_parser("search-quadruples",
                        help="enumerate rational-volume tetrahedra")
-    common(p, with_search=True)
+    common(p)
     p.add_argument("--stage", choices=("raw", "realizable", "sporadic"),
                    default="sporadic")
     p.add_argument("--format", choices=("json", "csv"), default=None)
@@ -335,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify_families)
 
     p = sub.add_parser("search-lambert", help="find rational Lambert cubes")
-    common(p, with_search=True)
+    common(p)
     p.set_defaults(func=cmd_search_lambert)
 
     p = sub.add_parser("certify",
@@ -358,6 +364,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -20,10 +20,11 @@ otherwise), then reduces with precomputed tables of x^k mod Phi_N.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 import mpmath
 import numpy as np
@@ -156,13 +157,9 @@ class _OrderData:
         table = self._cos_tables.get(prec)
         if table is None:
             ctx = mpmath.iv
-            old = ctx.prec
-            try:
-                ctx.prec = prec
+            with iv_precision(prec):
                 two_pi = 2 * ctx.pi
                 table = [ctx.cos(two_pi * j / self.order) for j in range(self.phi)]
-            finally:
-                ctx.prec = old
             self._cos_tables[prec] = table
         return table
 
@@ -187,6 +184,21 @@ def common_order(*orders: int) -> int:
                 f"combined order {n} exceeds the supported maximum {MAX_ORDER}"
             )
     return n
+
+
+@contextmanager
+def iv_precision(bits: int) -> Iterator[None]:
+    """Run a block with mpmath's interval context at the given precision.
+
+    iv.prec is global state; this is the one place that sets and
+    restores it.
+    """
+    old = mpmath.iv.prec
+    mpmath.iv.prec = bits
+    try:
+        yield
+    finally:
+        mpmath.iv.prec = old
 
 
 def _fraction_to_iv(f: Fraction, ctx):
@@ -409,16 +421,12 @@ class CyclotomicNumber:
             raise ValueError("interval evaluation needs a real element")
         od = _order_data(self.order)
         ctx = mpmath.iv
-        old = ctx.prec
-        try:
-            ctx.prec = bits
+        with iv_precision(bits):
             table = od.cos_table(bits)
             total = ctx.mpf(0)
             for c, cosv in zip(self.coeffs, table):
                 if c:
                     total += _fraction_to_iv(c, ctx) * cosv
-        finally:
-            ctx.prec = old
         return _iv_to_signed_interval(total, bits)
 
     def __float__(self) -> float:

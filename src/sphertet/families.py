@@ -34,7 +34,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence, Union
 
-from .angles import RationalAngle
+from .angles import RationalAngle, frac_obj
 from .geometry import PythagoreanQuadruple, VolumeCoefficient, volume
 from .trigpoly import (
     AngleForm,
@@ -282,12 +282,10 @@ def builtin_families() -> tuple[FamilySpec, ...]:
 
 
 def family_by_id(family_id: int) -> FamilySpec:
-    families = builtin_families()
-    if not 1 <= family_id <= len(families):
-        raise KeyError(f"no family {family_id}")
-    fam = families[family_id - 1]
-    assert fam.family_id == family_id
-    return fam
+    for fam in builtin_families():
+        if fam.family_id == family_id:
+            return fam
+    raise KeyError(f"no family {family_id}")
 
 
 # -- exact verification -------------------------------------------------
@@ -575,13 +573,9 @@ def instantiate(fam: FamilySpec, tau: Rat, mu: Rat = 0) -> FamilyInstance:
 # -- catalog export ---------------------------------------------------------
 
 
-def _frac_obj(f: Fraction) -> dict:
-    return {"num": f.numerator, "den": f.denominator}
-
-
 def _form_obj(f: AngleForm) -> dict:
-    return {"pi": _frac_obj(f.pi_part), "t": _frac_obj(f.t_part),
-            "u": _frac_obj(f.u_part)}
+    return {"pi": frac_obj(f.pi_part), "t": frac_obj(f.t_part),
+            "u": frac_obj(f.u_part)}
 
 
 def export_catalog() -> dict:
@@ -595,21 +589,21 @@ def export_catalog() -> dict:
             "r": _form_obj(fam.r),
             "s": _form_obj(fam.s),
             "volume": {
-                "tt": _frac_obj(fam.vol.c_tt),
-                "tu": _frac_obj(fam.vol.c_tu),
-                "uu": _frac_obj(fam.vol.c_uu),
-                "t": _frac_obj(fam.vol.c_t),
-                "u": _frac_obj(fam.vol.c_u),
-                "const": _frac_obj(fam.vol.c_1),
+                "tt": frac_obj(fam.vol.c_tt),
+                "tu": frac_obj(fam.vol.c_tu),
+                "uu": frac_obj(fam.vol.c_uu),
+                "t": frac_obj(fam.vol.c_t),
+                "u": frac_obj(fam.vol.c_u),
+                "const": frac_obj(fam.vol.c_1),
             },
             "domain": fam.domain,
             "twin": fam.twin_id,
         })
     return {
         "families": rows,
-        "segment_end": _frac_obj(SEGMENT_END),
+        "segment_end": frac_obj(SEGMENT_END),
         "regions": {
-            name: [[_frac_obj(t), _frac_obj(u)] for t, u in verts]
+            name: [[frac_obj(t), frac_obj(u)] for t, u in verts]
             for name, verts in _REGION_VERTICES.items()
         },
     }

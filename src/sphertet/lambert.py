@@ -13,24 +13,32 @@ Squaring doubles the angles:  cos^2 x = (1 + cos 2x)/2 turns the
 constraint into the three-cosine equation cos 2a + cos 2b + cos 2c = -1
 with rational target, which the vanishing-sums classification makes
 finite: substituting y = 2*pi - 2x maps the window x in (pi/2, pi) onto
-y in (0, pi), so the standard denominator grid applies.  The search
-returns exactly two cubes.  No continuous family exists: the only
-parameter-bearing sub-sum available to a target of -1 with unit
-coefficients is the pair cos t + cos(pi - t) = 0, which would force a
-third cosine equal to -1 and hence an angle outside the open window.
+y in (0, pi), so the standard denominator grid applies, and the exact
+cosine join of the four-cosine search decides cos y1 + cos y2 =
+-(cos y3 + 1) on it.  The search returns exactly two cubes.  No
+continuous family exists: the only parameter-bearing sub-sum available
+to a target of -1 with unit coefficients is the pair
+cos t + cos(pi - t) = 0, which would force a third cosine equal to -1
+and hence an angle outside the open window.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .angles import RationalAngle
+from .angles import ZERO, RationalAngle
 from .cyclotomic import CyclotomicNumber, cos_as_cyclotomic, sign
 from .geometry import PreconditionError, PythagoreanQuadruple, VolumeCoefficient
-from .search import SearchConfig, grid_angles
+from .search import (
+    SearchConfig,
+    cosine_join,
+    field_order,
+    grid_angles,
+    pair_terms,
+    unordered_pairs,
+)
 
 
 @dataclass(frozen=True)
@@ -93,7 +101,9 @@ def lambert_volume(cube: LambertCube) -> VolumeCoefficient:
 class LambertSearchReport:
     cubes: tuple[LambertCube, ...]
     candidates_scanned: int
+    """Size of the grid the join covers: unordered triples (y1, y2, y3)."""
     prefilter_hits: int
+    """Grid tuples whose exact cosine sum is zero."""
     no_continuous_family: bool
     volumes: tuple[VolumeCoefficient, ...]
 
@@ -103,44 +113,35 @@ def search_rational_lambert_cubes(
 ) -> LambertSearchReport:
     """Exhaustive search for rational Lambert cubes; returns both found.
 
-    Scans unordered triples from the folded grid y = 2*pi - 2x in
-    (0, pi) for cos y1 + cos y2 + cos y3 = -1 (float prefilter, exact
-    confirmation), then maps back to essential angles.
+    Joins the pair sums cos y1 + cos y2 with -(cos y3 + 1) exactly over
+    the folded grid y = 2*pi - 2x in (0, pi), keeping y1 >= y2 >= y3 so
+    each unordered triple counts once, then maps back to essential
+    angles.
     """
     cfg = cfg or SearchConfig()
-    ys = grid_angles(cfg.profile.union_denominators(), Fraction(0), Fraction(1))
-    cos_f = [math.cos(float(y)) for y in ys]
-    cubes = []
-    candidates = 0
-    hits = 0
-    n = len(ys)
-    for i in range(n):
-        for j in range(i, n):
-            partial = cos_f[i] + cos_f[j]
-            for k in range(j, n):
-                candidates += 1
-                if abs(partial + cos_f[k] + 1.0) >= cfg.tolerance:
-                    continue
-                hits += 1
-                total = (cos_as_cyclotomic(ys[i]) + cos_as_cyclotomic(ys[j])
-                         + cos_as_cyclotomic(ys[k]) + Fraction(1))
-                if not total.is_zero():
-                    continue
-                essential = tuple(
-                    RationalAngle.from_fraction(1 - y.frac / 2)
-                    for y in (ys[i], ys[j], ys[k])
-                )
-                cubes.append(LambertCube(*essential))
+    dens = cfg.profile.union_denominators()
+    ys = grid_angles(dens, Fraction(0), Fraction(1))
+    matches = cosine_join(
+        pair_terms(unordered_pairs(ys)),
+        [(y3, ((-1, y3), (-1, ZERO))) for y3 in ys],  # cos 0 = 1
+        field_order(dens),
+    )
+    cubes = [
+        LambertCube(*(RationalAngle.from_fraction(1 - y.frac / 2)
+                      for y in (y1, y2, y3)))
+        for (y1, y2), y3 in matches if y3 <= y2
+    ]
     cubes.sort(key=lambda cu: tuple(x.frac for x in cu.angles), reverse=True)
     # the would-be parametric pattern needs a third angle with cosine -1,
     # i.e. y = pi, excluded by the open window; verified exactly:
     no_family = not any(y.frac == 1 for y in ys) and sign(
         cos_as_cyclotomic(RationalAngle(1, 1)) + Fraction(1)
     ) == 0
+    n = len(ys)
     return LambertSearchReport(
         cubes=tuple(cubes),
-        candidates_scanned=candidates,
-        prefilter_hits=hits,
+        candidates_scanned=n * (n + 1) * (n + 2) // 6,
+        prefilter_hits=len(cubes),
         no_continuous_family=no_family,
         volumes=tuple(lambert_volume(cu) for cu in cubes),
     )

@@ -22,8 +22,9 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable, Optional
 
-from .angles import RationalAngle
+from .angles import frac_obj
 from .geometry import PythagoreanQuadruple
+from .lambert import CompanionTetrahedron, LambertSearchReport
 from .search import SearchConfig, SearchReport, SporadicRow, TripleReport
 
 RECORD_KINDS = (
@@ -36,11 +37,6 @@ RECORD_KINDS = (
 )
 
 _JSON_KW = dict(sort_keys=True, separators=(",", ":"))
-
-
-def frac_obj(f) -> dict:
-    f = Fraction(f)
-    return {"num": f.numerator, "den": f.denominator}
 
 
 def obj_frac(d: dict) -> Fraction:
@@ -306,3 +302,21 @@ def sporadic_comparison(report: SearchReport) -> dict:
         "missing": sorted(golden - ours),
         "extra": sorted(ours - golden),
     }
+
+
+def lambert_comparison(report: LambertSearchReport,
+                       companions: Iterable[CompanionTetrahedron]) -> dict:
+    """Exact comparison of the Lambert cubes, their volumes and the
+    companion tetrahedra against the golden rows.
+
+    Returns a dict with `match` plus one flag per compared part.
+    """
+    golden = load_lambert_fixture()
+    cubes = ({tuple(x.frac for x in c.angles) for c in report.cubes}
+             == {g["angles"] for g in golden})
+    volumes = {v.value for v in report.volumes} == {g["vol"] for g in golden}
+    comps = ({(tuple(a.frac for a in t.quadruple.angles), t.vol.value)
+              for t in companions}
+             == {(g["companion"], g["vol"]) for g in golden})
+    return {"match": cubes and volumes and comps, "cubes": cubes,
+            "volumes": volumes, "companions": comps}

@@ -9,7 +9,7 @@ to reduced denominators in {1, 2, 3, 5, 7, 15} (the union of the lists
 attached to each rational length; length-4 relations never vanish, which
 the search re-verifies at startup from the four known denominator-21
 relations).  That makes the solution set finite up to the continuous
-families, and a grid scan over
+families, and a grid search over
 
     a in (0, 2pi), b in {0} union (0, pi), c >= d in (0, pi),
     a > b, a + b < 2pi
@@ -18,25 +18,29 @@ families, and a grid scan over
 "infinite denominator" case p = q) reaches every canonical quadruple
 p = (a+b)/2, q = (a-b)/2, r = c, s = d with p >= q, r >= s.
 
-Candidates pass a fast float prefilter (|S| < tolerance) and are then
-confirmed exactly in Q(zeta_420).  Survivors are deduplicated, filtered
-through the exact Gram positive-definiteness test, and matched against
-the continuous-family catalog; what remains is the sporadic list.
+Every grid cosine lies in Q(zeta_N), N = lcm(2*den) over the grid's
+denominators (420 for the default grid), and twice a cosine is an
+integer vector in that field's canonical power basis, so equal vectors
+mean equal numbers.  The equation is therefore decided by an exact hash
+join (cosine_join): the vectors of cos a + cos b are looked up among
+those of -(cos c + cos d), and no float test decides anything.  The
+exact solutions are deduplicated, filtered through the exact Gram
+positive-definiteness test, and matched against the continuous-family
+catalog; what remains is the sporadic list.  The three-cosine search
+below and the Lambert search use the same join.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
-
-import numpy as np
+from functools import lru_cache
+from typing import Iterable, Optional, Sequence
 
 from .angles import RationalAngle
-from .cyclotomic import CyclotomicNumber, cos_as_cyclotomic
+from .cyclotomic import common_order, cos_as_cyclotomic, totient
 from .geometry import (
     EdgeLengths,
     PythagoreanQuadruple,
@@ -87,14 +91,17 @@ class DenominatorProfile:
 
 @dataclass(frozen=True)
 class SearchConfig:
-    tolerance: float = 1e-8
-    workers: int = 1
     profile: DenominatorProfile = field(default_factory=DenominatorProfile)
+    # not stored: perfbench/workloads.py still passes workers=1
+    workers: InitVar[int] = 1
+
+    def __post_init__(self, workers: int) -> None:
+        if workers != 1:
+            raise ValueError(
+                f"the search runs in one process; got workers={workers}")
 
     def describe(self) -> dict:
         return {
-            "tolerance": self.tolerance,
-            "workers": self.workers,
             "denominators": list(self.profile.union_denominators()),
             "include_zero": self.profile.include_zero,
         }
@@ -112,42 +119,60 @@ def grid_angles(dens: Sequence[int], lo: Fraction, hi: Fraction) -> list[Rationa
     return sorted(out, key=lambda x: x.frac)
 
 
-def enumerate_candidates(profile: DenominatorProfile) -> Iterator[RawQuadruple]:
-    """Ordered tuples (a, b, c, d), each in (0, pi), from the profile grid.
+# -- exact cosine sums -------------------------------------------------------
 
-    This is the textbook candidate stream; the sporadic pipeline scans
-    the wider complement-extended stream (see _pair_candidates).
+CosineTerms = Iterable[tuple[int, RationalAngle]]
+
+
+def field_order(dens: Iterable[int]) -> int:
+    """N such that Q(zeta_N) holds cos(nu/den*pi) for every den in dens."""
+    return common_order(*(2 * den for den in dens))
+
+
+@lru_cache(maxsize=None)
+def _twice_cos(x: RationalAngle, order: int) -> tuple[int, ...]:
+    twice = [2 * c for c in cos_as_cyclotomic(x).embed(order).coeffs]
+    if any(c.denominator != 1 for c in twice):
+        raise ArithmeticError(f"2 cos({x}) is not integral in Q(zeta_{order})")
+    return tuple(int(c) for c in twice)
+
+
+def twice_cosine_sum(terms: CosineTerms, order: int) -> tuple[int, ...]:
+    """2 * sum(k * cos x) over the (k, x) terms, as an integer vector.
+
+    The vector holds the coordinates in the power basis of Q(zeta_order),
+    which is canonical: two sums are equal exactly when their vectors
+    are, and a sum is rational exactly when all coordinates after the
+    first are zero (the first is then twice its value).
     """
-    angles = grid_angles(profile.union_denominators(), Fraction(0), Fraction(1))
-    for a in angles:
-        for b in angles:
-            for c in angles:
-                for d in angles:
-                    yield RawQuadruple(a, b, c, d)
+    total = [0] * totient(order)
+    for k, x in terms:
+        for i, v in enumerate(_twice_cos(x, order)):
+            if v:
+                total[i] += k * v
+    return tuple(total)
 
 
-def confirm_zero(raw_angles: Sequence[RationalAngle], cfg: SearchConfig) -> bool:
-    """Two-stage zero test for sum(cos x_i).
+def cosine_join(left: Sequence[tuple[object, CosineTerms]],
+                right: Sequence[tuple[object, CosineTerms]],
+                order: int) -> list[tuple]:
+    """All (l, r) whose cosine sums are exactly equal.
 
-    A float evaluation rejects when |S| >= tolerance; only near-zeros
-    reach the exact cyclotomic test, which has the final word.
+    left and right hold (item, terms) entries, the terms as for
+    twice_cosine_sum.  The matches come in left order, each left item's
+    matches in right order, so the result does not depend on hashing.
     """
-    approx = sum(math.cos(float(x)) for x in raw_angles)
-    if abs(approx) >= cfg.tolerance:
-        return False
-    total: Optional[CyclotomicNumber] = None
-    for x in raw_angles:
-        c = cos_as_cyclotomic(x)
-        total = c if total is None else total + c
-    return total.is_zero()
+    index: dict[tuple[int, ...], list] = {}
+    for item, terms in right:
+        index.setdefault(twice_cosine_sum(terms, order), []).append(item)
+    return [(item, match) for item, terms in left
+            for match in index.get(twice_cosine_sum(terms, order), ())]
 
 
-def _exact_cosine_sum_is_zero(angles: Sequence[RationalAngle]) -> bool:
-    total: Optional[CyclotomicNumber] = None
-    for x in angles:
-        c = cos_as_cyclotomic(x)
-        total = c if total is None else total + c
-    return total.is_zero()
+def pair_terms(pairs: Iterable[tuple[RationalAngle, RationalAngle]],
+               k: int = 1) -> list:
+    """Join entries for k * (cos x + cos y), one per pair (x, y)."""
+    return [((x, y), ((k, x), (k, y))) for x, y in pairs]
 
 
 # -- rational length -------------------------------------------------------
@@ -161,14 +186,11 @@ def rational_length(raw: RawQuadruple) -> Optional[int]:
     rational.  (Values 1..4 are possible for arbitrary inputs; vanishing
     sums never have length 4.)
     """
-    cosines = [cos_as_cyclotomic(x) for x in raw.angles]
+    order = field_order(x.den for x in raw.angles)
     rational_mask = []
     for mask in range(1, 16):
-        total: Optional[CyclotomicNumber] = None
-        for i in range(4):
-            if mask & (1 << i):
-                total = cosines[i] if total is None else total + cosines[i]
-        if total.is_rational():
+        terms = [(1, x) for i, x in enumerate(raw.angles) if mask & (1 << i)]
+        if not any(twice_cosine_sum(terms, order)[1:]):
             rational_mask.append(mask)
     rational_set = set(rational_mask)
     best: Optional[int] = None
@@ -188,11 +210,9 @@ def rational_length(raw: RawQuadruple) -> Optional[int]:
 def verify_no_length4_solutions() -> bool:
     """The four length-4 relations each sum to 1/2 exactly, hence never 0."""
     for relation in _LENGTH4_RELATIONS:
-        total: Optional[CyclotomicNumber] = None
-        for coeff, (num, den) in relation:
-            term = cos_as_cyclotomic(RationalAngle(num, den)) * coeff
-            total = term if total is None else total + term
-        if not (total - Fraction(1, 2)).is_zero() or total.is_zero():
+        terms = [(k, RationalAngle(num, den)) for k, (num, den) in relation]
+        twice = twice_cosine_sum(terms, field_order(x.den for _, x in terms))
+        if twice[0] != 1 or any(twice[1:]):
             return False
     return True
 
@@ -219,62 +239,37 @@ def _pair_candidates(a_vals, b_vals):
     return pairs
 
 
+def unordered_pairs(vals: Sequence[RationalAngle]
+                    ) -> list[tuple[RationalAngle, RationalAngle]]:
+    """Pairs (x, y), x >= y, of a sorted grid: each unordered pair once."""
+    return [(x, y) for i, x in enumerate(vals) for y in vals[: i + 1]]
+
+
 def candidate_count(profile: DenominatorProfile) -> int:
-    """Size of the extended candidate stream (used as a cross-check)."""
+    """Size of the extended candidate grid (used as a cross-check)."""
     a_vals, b_vals, cd_vals = _search_grids(profile)
-    n_cd = len(cd_vals) * (len(cd_vals) + 1) // 2
-    return len(_pair_candidates(a_vals, b_vals)) * n_cd
+    return len(_pair_candidates(a_vals, b_vals)) * len(unordered_pairs(cd_vals))
 
 
-def _scan_block(a_vals, b_vals, cd_vals, tolerance: float):
-    """Prefilter + exact confirmation for one block of a-values.
+def zero_sum_tuples(profile: DenominatorProfile
+                    ) -> list[tuple[RationalAngle, ...]]:
+    """Grid tuples (a, b, c, d), c >= d, with cos a + cos b + cos c + cos d = 0.
 
-    Returns exact solutions as (a, b, c, d) RationalAngle tuples with
-    c >= d; also returns (candidates, prefilter hits) tallies.
+    Exact: the (a, b) pair sums are joined with the negated (c, d) pair
+    sums.  b = 0 needs no special case, as cos 0 = 1 has its own vector.
     """
-    pairs = _pair_candidates(a_vals, b_vals)
-    if not pairs:
-        return [], 0, 0
-    cd_pairs = []
-    for i, c in enumerate(cd_vals):
-        for d in cd_vals[: i + 1]:
-            cd_pairs.append((c, d))
-    pair_sum = np.array(
-        [math.cos(float(a)) + math.cos(float(b)) for a, b in pairs]
-    )
-    cd_sum = np.array(
-        [math.cos(float(c)) + math.cos(float(d)) for c, d in cd_pairs]
-    )
-    total = pair_sum[:, None] + cd_sum[None, :]
-    hit_i, hit_j = np.nonzero(np.abs(total) < tolerance)
-    solutions = []
-    for i, j in zip(hit_i.tolist(), hit_j.tolist()):
-        a, b = pairs[i]
-        c, d = cd_pairs[j]
-        angles = [x for x in (a, b, c, d) if not x.is_zero()]
-        extra = 1 if len(angles) == 3 else 0  # cos(0) = 1 from b = 0
-        total_exact: Optional[CyclotomicNumber] = None
-        for x in angles:
-            cx = cos_as_cyclotomic(x)
-            total_exact = cx if total_exact is None else total_exact + cx
-        if extra:
-            total_exact = total_exact + Fraction(1)
-        if total_exact.is_zero():
-            solutions.append((a, b, c, d))
-    return solutions, len(pairs) * len(cd_pairs), len(hit_i)
+    a_vals, b_vals, cd_vals = _search_grids(profile)
+    matches = cosine_join(pair_terms(_pair_candidates(a_vals, b_vals)),
+                          pair_terms(unordered_pairs(cd_vals), -1),
+                          field_order(profile.union_denominators()))
+    return [ab + cd for ab, cd in matches]
 
 
-def _scan_block_worker(args):
-    a_fracs, b_fracs, cd_fracs, tolerance = args
-    a_vals = [RationalAngle.from_fraction(f) for f in a_fracs]
-    b_vals = [RationalAngle.from_fraction(f) for f in b_fracs]
-    cd_vals = [RationalAngle.from_fraction(f) for f in cd_fracs]
-    sols, cands, hits = _scan_block(a_vals, b_vals, cd_vals, tolerance)
-    return (
-        [tuple(x.frac for x in sol) for sol in sols],
-        cands,
-        hits,
-    )
+def exact_quadruples(tuples: Iterable[Sequence[RationalAngle]]
+                     ) -> tuple[PythagoreanQuadruple, ...]:
+    """Distinct canonical quadruples of zero-sum grid tuples, sorted."""
+    quads = {pair_to_quadruple(*t) for t in tuples} - {None}
+    return tuple(sorted(quads, key=lambda q: q.sort_key()))
 
 
 @dataclass(frozen=True)
@@ -288,7 +283,9 @@ class SporadicRow:
 class SearchReport:
     config: SearchConfig
     candidates_scanned: int
+    """Size of the grid the join covers."""
     prefilter_hits: int
+    """Grid tuples whose exact cosine sum is zero."""
     raw_solution_count: int
     realizable_count: int
     family_member_count: int
@@ -312,16 +309,6 @@ class SearchReport:
             return tuple(row.quadruple for row in self.sporadic)
         raise ValueError(f"unknown stage {stage!r}")
 
-    def comparable(self) -> dict:
-        """Everything except timing, for determinism comparisons."""
-        return {
-            "candidates": self.candidates_scanned,
-            "hits": self.prefilter_hits,
-            "raw": [q.fractions for q in self.raw_solutions],
-            "realizable": [q.fractions for q in self.realizable],
-            "sporadic": [row.quadruple.fractions for row in self.sporadic],
-        }
-
 
 def run_sporadic_search(cfg: Optional[SearchConfig] = None) -> SearchReport:
     cfg = cfg or SearchConfig()
@@ -331,43 +318,8 @@ def run_sporadic_search(cfg: Optional[SearchConfig] = None) -> SearchReport:
         raise ArithmeticError(
             "length-4 relations failed exact verification; search space invalid"
         )
-    a_vals, b_vals, cd_vals = _search_grids(cfg.profile)
-
-    solutions: list[tuple[RationalAngle, ...]] = []
-    candidates = 0
-    hits = 0
-    if cfg.workers <= 1:
-        sols, candidates, hits = _scan_block(a_vals, b_vals, cd_vals, cfg.tolerance)
-        solutions.extend(sols)
-    else:
-        chunks = [a_vals[i:: cfg.workers] for i in range(cfg.workers)]
-        b_fracs = [x.frac for x in b_vals]
-        cd_fracs = [x.frac for x in cd_vals]
-        jobs = [
-            ([x.frac for x in chunk], b_fracs, cd_fracs, cfg.tolerance)
-            for chunk in chunks
-            if chunk
-        ]
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            for sols, cands, h in pool.map(_scan_block_worker, jobs):
-                solutions.extend(
-                    tuple(RationalAngle.from_fraction(f) for f in sol)
-                    for sol in sols
-                )
-                candidates += cands
-                hits += h
-
-    seen: set[tuple[Fraction, ...]] = set()
-    raw_quads: list[PythagoreanQuadruple] = []
-    for a, b, c, d in solutions:
-        quad = pair_to_quadruple(a, b, c, d)
-        if quad is None:
-            continue
-        key = quad.fractions
-        if key not in seen:
-            seen.add(key)
-            raw_quads.append(quad)
-    raw_quads.sort(key=lambda q: q.sort_key())
+    solutions = zero_sum_tuples(cfg.profile)
+    raw_quads = exact_quadruples(solutions)
 
     realizable = [q for q in raw_quads if realizability(q).realizable]
 
@@ -396,13 +348,13 @@ def run_sporadic_search(cfg: Optional[SearchConfig] = None) -> SearchReport:
         )
     return SearchReport(
         config=cfg,
-        candidates_scanned=candidates,
-        prefilter_hits=hits,
+        candidates_scanned=candidate_count(cfg.profile),
+        prefilter_hits=len(solutions),
         raw_solution_count=len(raw_quads),
         realizable_count=len(realizable),
         family_member_count=member_count,
         sporadic=rows,
-        raw_solutions=tuple(raw_quads),
+        raw_solutions=raw_quads,
         realizable=tuple(realizable),
         length4_skip_verified=length4_ok,
         elapsed_seconds=time.monotonic() - t0,
@@ -441,39 +393,29 @@ def search_triples(cfg: Optional[SearchConfig] = None) -> TripleReport:
     """All rational solutions of cos p cos q + cos r = 0 with angles in
     (0, pi), reported as canonical complement-orbit representatives.
 
+    With a = p + q and b = p - q the equation reads
+    cos a + cos b = -2 cos c, which the exact join decides over the grid.
     The trivial family p = pi/2 (or q = pi/2), which forces r = pi/2, is
     counted but excluded from the nontrivial list.
     """
     cfg = cfg or SearchConfig()
     t0 = time.monotonic()
     a_vals, b_vals, c_vals = _search_grids(cfg.profile)
+    matches = cosine_join(pair_terms(_pair_candidates(a_vals, b_vals)),
+                          [(c, ((-2, c),)) for c in c_vals],
+                          field_order(cfg.profile.union_denominators()))
     canonical: dict[tuple[Fraction, ...], set] = {}
     trivial = 0
-    for a in a_vals:
-        ca = math.cos(float(a))
-        for b in b_vals:
-            if not (a > b and a.frac + b.frac < 2):
-                continue
-            cb = math.cos(float(b))
-            for c in c_vals:
-                if abs(ca + cb + 2 * math.cos(float(c))) >= cfg.tolerance:
-                    continue
-                angles = [x for x in (a, b) if not x.is_zero()] + [c, c]
-                pad = Fraction(1) if b.is_zero() else Fraction(0)
-                total = cos_as_cyclotomic(angles[0])
-                for x in angles[1:]:
-                    total = total + cos_as_cyclotomic(x)
-                if not (total + pad).is_zero():
-                    continue
-                p, q, r = (a + b) / 2, (a - b) / 2, c
-                if not (p.in_open_0_pi() and q.in_open_0_pi()):
-                    continue
-                if p.frac == Fraction(1, 2) or q.frac == Fraction(1, 2):
-                    trivial += 1
-                    continue
-                key_p, key_q, key_r = _fold_triple(p, q, r)
-                key = (key_p.frac, key_q.frac, key_r.frac)
-                canonical.setdefault(key, set()).add((p.frac, q.frac, r.frac))
+    for (a, b), c in matches:
+        p, q, r = (a + b) / 2, (a - b) / 2, c
+        if not (p.in_open_0_pi() and q.in_open_0_pi()):
+            continue
+        if p.frac == Fraction(1, 2) or q.frac == Fraction(1, 2):
+            trivial += 1
+            continue
+        key_p, key_q, key_r = _fold_triple(p, q, r)
+        key = (key_p.frac, key_q.frac, key_r.frac)
+        canonical.setdefault(key, set()).add((p.frac, q.frac, r.frac))
     nontrivial = tuple(
         tuple(RationalAngle.from_fraction(f) for f in key)
         for key in sorted(canonical)

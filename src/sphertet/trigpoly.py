@@ -31,6 +31,7 @@ from .cyclotomic import (
     _iv_to_signed_interval,
     cos_as_cyclotomic,
     exp_i,
+    iv_precision,
 )
 
 Rat = Union[Fraction, int]
@@ -192,9 +193,7 @@ class TrigPoly:
         precision: int = 64,
     ) -> SignedInterval:
         """Rigorous enclosure over t in t_range*pi, u in u_range*pi."""
-        old = iv.prec
-        try:
-            iv.prec = precision
+        with iv_precision(precision):
             pi_iv = iv.pi
             t_iv = _frac_iv(t_range[0], t_range[1]) * pi_iv
             u_iv = _frac_iv(u_range[0], u_range[1]) * pi_iv
@@ -207,8 +206,6 @@ class TrigPoly:
                     x = x + u_iv * _frac_iv(f.u_part, f.u_part)
                 total = total + iv.cos(x) * _frac_iv(c, c)
             return _iv_to_signed_interval(total, precision)
-        finally:
-            iv.prec = old
 
     def __float__(self) -> float:
         raise TypeError("evaluate with eval_exact or eval_interval")

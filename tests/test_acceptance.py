@@ -8,9 +8,15 @@ through the session fixture and its wall time is part of the check.
 from __future__ import annotations
 
 import math
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
+
+import sphertet
 
 from sphertet.angles import RationalAngle, angle
 from sphertet.certify import (
@@ -46,11 +52,14 @@ from sphertet.records import (
     ResultRecord,
 )
 from sphertet.search import (
+    DenominatorProfile,
     SearchConfig,
+    candidate_count,
+    search_triples,
+    unordered_pairs,
+    zero_sum_tuples,
     _pair_candidates,
     _search_grids,
-    run_sporadic_search,
-    search_triples,
 )
 
 
@@ -238,39 +247,48 @@ def test_criterion_09_suspension_volume_fractions_agree(capsys):
 
 
 def test_criterion_10a_prefilter_rejects_are_certified_nonzero(capsys):
-    cfg = SearchConfig()
-    a_vals, b_vals, cd_vals = _search_grids(cfg.profile)
-    pairs = _pair_candidates(a_vals, b_vals)
-    all_angles = {x for x in a_vals} | set(b_vals) | set(cd_vals)
-    float_cos = {x: math.cos(float(x)) for x in all_angles}
-    enc64 = {x: float_eval(cos_as_cyclotomic(x), 64) for x in all_angles}
+    """The exact join against an independent check of every candidate.
 
-    rng = random.Random(20260814)
-    n_target = 100_000
-    checked = 0
-    straddlers = 0
-    while checked < n_target:
-        a, b = pairs[rng.randrange(len(pairs))]
-        i = rng.randrange(len(cd_vals))
-        j = rng.randrange(i, len(cd_vals))
-        c, d = cd_vals[i], cd_vals[j]
-        s = (float_cos[a] + float_cos[b] + float_cos[c] + float_cos[d])
-        if abs(s) < cfg.tolerance:
-            continue  # prefilter hit, not a reject
-        lo = enc64[a].lo + enc64[b].lo + enc64[c].lo + enc64[d].lo
-        hi = enc64[a].hi + enc64[b].hi + enc64[c].hi + enc64[d].hi
-        if lo > 0 or hi < 0:
+    A candidate is in the join's output exactly when its certified 64-bit
+    enclosure contains zero and its cosine sum, added up as
+    CyclotomicNumbers, is zero.
+    """
+    profile = DenominatorProfile()
+    a_vals, b_vals, cd_vals = _search_grids(profile)
+    cd_pairs = unordered_pairs(cd_vals)
+    hits = set(zero_sum_tuples(profile))
+    enc64 = {x: float_eval(cos_as_cyclotomic(x), 64)
+             for x in set(a_vals) | set(b_vals) | set(cd_vals)}
+
+    def enclose(x, y):
+        return enc64[x].lo + enc64[y].lo, enc64[x].hi + enc64[y].hi
+
+    cd_enclosures = [enclose(c, d) for c, d in cd_pairs]
+    checked = straddlers = zeros = 0
+    wrong = []
+    for a, b in _pair_candidates(a_vals, b_vals):
+        ab_lo, ab_hi = enclose(a, b)
+        for (c, d), (cd_lo, cd_hi) in zip(cd_pairs, cd_enclosures):
             checked += 1
-            continue
-        straddlers += 1
-        total = (cos_as_cyclotomic(a) + cos_as_cyclotomic(b)
-                 + cos_as_cyclotomic(c) + cos_as_cyclotomic(d))
-        assert not total.is_zero(), f"prefilter wrongly rejected {(a, b, c, d)}"
-        checked += 1
-    ok = checked == n_target
-    detail = (f"{n_target} random prefilter rejections each certified to have "
-              f"a nonzero exact cosine sum ({straddlers} needed the full "
-              f"cyclotomic zero test)")
+            if ab_lo + cd_lo > 0 or ab_hi + cd_hi < 0:
+                is_zero = False
+            else:
+                straddlers += 1
+                is_zero = (cos_as_cyclotomic(a) + cos_as_cyclotomic(b)
+                           + cos_as_cyclotomic(c) + cos_as_cyclotomic(d)
+                           ).is_zero()
+            zeros += is_zero
+            if ((a, b, c, d) in hits) != is_zero:
+                wrong.append((a, b, c, d))
+    ok = (not wrong and checked == candidate_count(profile) == 111804
+          and zeros == len(hits))
+    detail = (f"all {checked} grid candidates checked: the exact join keeps "
+              f"exactly the {zeros} with a zero cosine sum ({straddlers} "
+              f"needed the cyclotomic zero test, the rest are certified "
+              f"nonzero by 64-bit enclosures)")
+    if not ok:
+        detail = (f"{len(wrong)} candidates disagree, e.g. {wrong[:3]}; "
+                  f"checked={checked} zeros={zeros} join={len(hits)}")
     _verdict(capsys, 10, ok, "(a) " + detail)
 
 
@@ -351,11 +369,32 @@ def test_criterion_10c_every_record_round_trips_byte_identically(
     _verdict(capsys, 10, ok, "(c) " + detail)
 
 
+# prints the exact-solution stage of the default search, one row a line
+_RAW_STAGE = """
+from sphertet.search import DenominatorProfile, exact_quadruples, zero_sum_tuples
+for quad in exact_quadruples(zero_sum_tuples(DenominatorProfile())):
+    print(*quad.fractions)
+"""
+
+
 def test_criterion_10d_parallel_search_is_deterministic(sporadic_report, capsys):
-    parallel = run_sporadic_search(SearchConfig(workers=2))
-    ok = parallel.comparable() == sporadic_report.comparable()
-    detail = ("two-worker search reproduces the single-worker results "
-              "stage by stage, byte for byte")
+    """Two fresh interpreters with different hash seeds print the same
+    exact-solution stage, byte for byte, as the in-process search."""
+    src = str(Path(sphertet.__file__).resolve().parent.parent)
+    outputs = []
+    for seed in ("0", "20260814"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, (src, os.environ.get("PYTHONPATH")))))
+        outputs.append(subprocess.run(
+            [sys.executable, "-c", _RAW_STAGE], env=env, check=True,
+            capture_output=True).stdout)
+    expected = "".join(" ".join(map(str, q.fractions)) + "\n"
+                       for q in sporadic_report.raw_solutions).encode()
+    ok = outputs[0] == outputs[1] == expected
+    detail = (f"two interpreters with PYTHONHASHSEED 0 and 20260814 print "
+              f"the same {len(sporadic_report.raw_solutions)} exact "
+              f"solutions as the shared search, byte for byte")
     if not ok:
-        detail = "parallel run diverged from the serial run"
+        detail = "the exact-solution stage depends on the hash seed"
     _verdict(capsys, 10, ok, "(d) " + detail)

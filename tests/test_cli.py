@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import json
 
-from sphertet.cli import EXIT_INVARIANT, EXIT_IO, EXIT_MISMATCH, EXIT_OK, main
+import pytest
+
+from sphertet.cli import EXIT_IO, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
 from sphertet.records import read_records
 
 
@@ -54,7 +56,38 @@ def test_missing_config_file_is_an_io_error(tmp_path, capsys):
 def test_bad_config_shape_is_an_invariant_error(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text("[1,2]")
-    assert main(["search-lambert", "--config", str(cfg)]) == EXIT_INVARIANT
+    assert main(["search-lambert", "--config", str(cfg)]) == EXIT_USAGE
+    assert "JSON object" in capsys.readouterr().err
+
+
+def test_invalid_json_config_is_a_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("{out: results")
+    assert main(["catalog", "--config", str(cfg)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert str(cfg) in err and "not valid JSON" in err
+
+
+@pytest.mark.parametrize("key", ["tolernce", "tolerance", "workers",
+                                 "out", "format"])
+def test_unknown_config_key_or_bad_value_is_a_usage_error(tmp_path, capsys,
+                                                          key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: 1}))
+    assert main(["catalog", "--config", str(cfg)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert str(cfg) in err and repr(key) in err
+
+
+@pytest.mark.parametrize("flag", ["--tolerance", "--workers"])
+def test_search_flags_are_gone(flag, capsys):
+    with pytest.raises(SystemExit):
+        main(["search-quadruples", flag, "1"])
+
+
+def test_unknown_family_is_a_usage_error(capsys):
+    assert main(["verify-families", "--family", "99"]) == EXIT_USAGE
+    assert "--family 99" in capsys.readouterr().err
 
 
 def test_config_file_supplies_the_out_dir(tmp_path, capsys):

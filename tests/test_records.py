@@ -27,7 +27,7 @@ from sphertet.records import (
     sporadic_csv,
     write_records,
 )
-from sphertet.search import SearchConfig, SporadicRow
+from sphertet.search import DenominatorProfile, SearchConfig, SporadicRow
 
 fractions = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**6)
 
@@ -125,7 +125,8 @@ def test_file_round_trip(tmp_path):
 
 def test_config_hash_tracks_the_config():
     assert config_hash(SearchConfig()) == config_hash(SearchConfig())
-    assert config_hash(SearchConfig()) != config_hash(SearchConfig(tolerance=1e-9))
+    assert config_hash(SearchConfig()) != config_hash(
+        SearchConfig(profile=DenominatorProfile.length1_only()))
     assert config_hash(SearchConfig()) == config_hash(SearchConfig(workers=1))
 
 

@@ -1,10 +1,10 @@
 from __future__ import annotations
 
-import math
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sphertet.angles import RationalAngle, angle
@@ -13,13 +13,12 @@ from sphertet.search import (
     DenominatorProfile,
     SearchConfig,
     candidate_count,
-    confirm_zero,
-    enumerate_candidates,
     grid_angles,
     rational_length,
-    run_sporadic_search,
     search_triples,
+    unordered_pairs,
     verify_no_length4_solutions,
+    zero_sum_tuples,
     _pair_candidates,
     _search_grids,
 )
@@ -54,27 +53,11 @@ def test_candidate_count():
     assert candidate_count(PROFILE) == 111804
 
 
-def test_enumerate_candidates_streams_ordered_tuples():
-    gen = enumerate_candidates(PROFILE)
-    first = next(gen)
-    assert len(first.angles) == 4
-    assert all(x.in_open_0_pi() for x in first.angles)
-
-
-def test_confirm_zero_accepts_known_solution():
-    cfg = SearchConfig()
-    raw = (angle(1, 1), angle(0), angle(1, 2), angle(1, 2))
-    # cos pi + cos 0 + 2 cos pi/2 = 0; but a=pi, b=0 raw form uses the
-    # pair grid, so feed a genuine row instead
-    hit = confirm_zero((angle(2, 3) + angle(1, 3), angle(2, 3) - angle(1, 3),
-                        angle(3, 5), angle(1, 5)), cfg)
-    assert hit
-
-
-def test_confirm_zero_rejects_non_solution():
-    cfg = SearchConfig()
-    assert not confirm_zero((angle(1, 3), angle(1, 5), angle(1, 7),
-                             angle(1, 2)), cfg)
+def test_search_config_pins_a_single_process():
+    assert SearchConfig(workers=1) == SearchConfig()
+    assert "workers" not in SearchConfig().describe()
+    with pytest.raises(ValueError):
+        SearchConfig(workers=2)
 
 
 def test_rational_length_of_structured_sums():
@@ -99,26 +82,40 @@ def test_no_length_four_relations():
     assert verify_no_length4_solutions()
 
 
-@given(st.integers(min_value=0, max_value=10**6))
-@settings(max_examples=200)
-def test_prefilter_never_discards_exact_zeros(seed):
-    """Random grid candidates rejected by the float prefilter must have
-    nonzero exact cosine sums."""
-    import random
+_A_VALS, _B_VALS, _CD_VALS = _search_grids(PROFILE)
 
-    rng = random.Random(seed)
-    a_vals, b_vals, cd_vals = _search_grids(PROFILE)
-    a, b = rng.choice(a_vals), rng.choice(b_vals)
-    c, d = rng.choice(cd_vals), rng.choice(cd_vals)
-    sum_f = sum(math.cos(float(x)) for x in (a, b, c, d))
-    if b.is_zero():
-        sum_f += 1.0 - math.cos(0.0)  # b = 0 contributes cos 0 = 1 anyway
-    if abs(sum_f) >= 1e-8:
-        total = sum(
-            (cos_as_cyclotomic(x) for x in (a, b, c, d)),
-            cos_as_cyclotomic(angle(0)) * 0,
-        )
-        assert not total.is_zero()
+
+@lru_cache(maxsize=None)
+def _join_output() -> frozenset:
+    return frozenset(zero_sum_tuples(PROFILE))
+
+
+def test_confirm_zero_accepts_known_solution():
+    # cos pi + cos pi/3 + cos 3pi/5 + cos pi/5 = 0
+    hit = (angle(1), angle(1, 3), angle(3, 5), angle(1, 5))
+    assert hit in _join_output()
+
+
+def test_confirm_zero_rejects_non_solution():
+    # cos pi/3 + cos pi/5 + cos pi/2 + cos pi/7 != 0
+    miss = (angle(1, 3), angle(1, 5), angle(1, 2), angle(1, 7))
+    assert miss not in _join_output()
+    assert not any(sorted(t) == sorted(miss) for t in _join_output())
+
+
+@given(st.sampled_from(_pair_candidates(_A_VALS, _B_VALS)),
+       st.sampled_from(unordered_pairs(_CD_VALS)))
+# b = 0: cos 2pi/3 + cos 0 + cos 2pi/3 + cos pi/2 = 0
+@example((angle(2, 3), angle(0)), (angle(2, 3), angle(1, 2)))
+@settings(max_examples=200)
+def test_prefilter_never_discards_exact_zeros(ab, cd):
+    """A grid candidate is in the join's output exactly when its cosine
+    sum, added up as CyclotomicNumbers, is zero."""
+    a, b = ab
+    c, d = cd
+    total = (cos_as_cyclotomic(a) + cos_as_cyclotomic(b)
+             + cos_as_cyclotomic(c) + cos_as_cyclotomic(d))
+    assert ((a, b, c, d) in _join_output()) == total.is_zero()
 
 
 def test_search_pipeline_counts(sporadic_report):
@@ -144,15 +141,6 @@ def test_sporadic_rows_are_sorted_and_unique(sporadic_report):
              for row in sporadic_report.sporadic]
     assert quads == sorted(quads)
     assert len(set(quads)) == len(quads)
-
-
-def test_parallel_scan_is_deterministic():
-    cfg1 = SearchConfig(profile=DenominatorProfile(length3_a=(), length3_b=()))
-    cfg2 = SearchConfig(workers=2,
-                        profile=DenominatorProfile(length3_a=(), length3_b=()))
-    rep1 = run_sporadic_search(cfg1)
-    rep2 = run_sporadic_search(cfg2)
-    assert rep1.comparable() == rep2.comparable()
 
 
 def test_triples_search_finds_the_unique_nontrivial_solution():
