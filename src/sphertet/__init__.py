@@ -18,7 +18,6 @@ from .certify import (
     area_diophantine,
     coxeter_catalog,
     diameter_certificate,
-    lift_gram,
     lifted_volume_fraction,
     link_triangle_sides,
     nondecomposability_certificate,
@@ -49,13 +48,11 @@ from .families import (
 )
 from .geometry import (
     EdgeLengths,
-    GramMatrix,
     PreconditionError,
     PythagoreanQuadruple,
     RawQuadruple,
     VolumeCoefficient,
     edge_lengths,
-    gram_matrix,
     is_pythagorean,
     is_realizable,
     pair_to_quadruple,

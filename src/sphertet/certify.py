@@ -37,19 +37,8 @@ from typing import Optional
 from mpmath import iv
 
 from .angles import RationalAngle, frac_obj
-from .cyclotomic import (
-    CyclotomicNumber,
-    SignedInterval,
-    _iv_to_signed_interval,
-    iv_precision,
-)
-from .geometry import (
-    GramMatrix,
-    PreconditionError,
-    PythagoreanQuadruple,
-    vertex_links,
-)
-from .geometry import _det as _cyclotomic_det
+from .cyclotomic import SignedInterval, _iv_to_signed_interval, iv_precision
+from .geometry import PreconditionError, PythagoreanQuadruple, vertex_links
 
 
 # -- Coxeter cell catalog ----------------------------------------------------
@@ -505,46 +494,6 @@ def recheck_obstruction(payload: dict) -> bool:
 
 
 # -- suspension lifts ---------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LiftedGram:
-    """Gram matrix of the (n+1) facet normals of an iterated suspension."""
-
-    entries: tuple[tuple[CyclotomicNumber, ...], ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.entries)
-
-    def leading_minor(self, k: int) -> CyclotomicNumber:
-        sub = [list(row[:k]) for row in self.entries[:k]]
-        return _cyclotomic_det(sub)
-
-
-def lift_gram(g: GramMatrix, n: int) -> LiftedGram:
-    """Extend a 4x4 Gram matrix to the (n+1)x(n+1) suspension Gram matrix.
-
-    Suspending a spherical simplex adds facet normals orthogonal to all
-    previous ones, so the lift is block-diagonal with an identity block.
-    The first four leading principal minors coincide with the original
-    ones and every later minor equals the full original determinant.
-    """
-    if n < 3:
-        raise PreconditionError(f"suspension dimension {n} below 3")
-    size = n + 1
-    one = CyclotomicNumber.from_rational(1)
-    zero = CyclotomicNumber.zero(1)
-    rows = []
-    for i in range(size):
-        row = []
-        for j in range(size):
-            if i < 4 and j < 4:
-                row.append(g.entries[i][j])
-            else:
-                row.append(one if i == j else zero)
-        rows.append(tuple(row))
-    return LiftedGram(tuple(rows))
 
 
 def lifted_volume_fraction(f3: Fraction, n: int) -> Fraction:

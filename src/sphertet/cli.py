@@ -17,7 +17,8 @@ decides every grid point exactly.
 Exit codes: 0 success, 2 verification mismatch against the golden
 fixtures, 3 internal invariant violation, 4 IO failure, 5 usage error
 (a config file that is not a JSON object or has an unknown key or a bad
-value, an unknown family id).
+value, an unknown family id, CSV output for a stage other than sporadic,
+--lift below 3).
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from . import families as families_mod
 from . import lambert as lambert_mod
 from . import records as records_mod
 from .angles import RationalAngle
-from .geometry import PreconditionError, PythagoreanQuadruple, gram_matrix, volume
+from .geometry import PreconditionError, PythagoreanQuadruple, volume
 from .search import SearchConfig, run_sporadic_search, search_triples
 
 EXIT_OK = 0
@@ -95,7 +96,7 @@ def _fmt(args, file_cfg: dict) -> str:
 def _write(records, out: Optional[Path], name: str, fmt: str) -> None:
     if out is None:
         return
-    if fmt == "csv" and name == "sporadic":
+    if fmt == "csv":
         path = out / f"{name}.csv"
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(records_mod.sporadic_csv(records))
@@ -111,6 +112,10 @@ def cmd_search_quadruples(args) -> int:
     cfg = SearchConfig()
     out = _out_dir(args, file_cfg)
     fmt = _fmt(args, file_cfg)
+    if fmt == "csv" and (args.triples or args.stage != "sporadic"):
+        what = "--triples" if args.triples else f"--stage {args.stage}"
+        raise UsageError(f"format csv with {what}: CSV output exists only "
+                         "for --stage sporadic; use --format json")
 
     if args.triples:
         report = search_triples(cfg)
@@ -135,7 +140,7 @@ def cmd_search_quadruples(args) -> int:
     print(f"sporadic           : {report.sporadic_count}")
     for note in report.notes:
         print(f"note: {note}")
-    _write(recs, out, stage if stage != "sporadic" else "sporadic", fmt)
+    _write(recs, out, stage, fmt)
     if stage == "sporadic":
         cmp = records_mod.sporadic_comparison(report)
         if not cmp["match"]:
@@ -235,6 +240,9 @@ def _reference_instance() -> tuple[PythagoreanQuadruple, RationalAngle]:
 def cmd_certify(args) -> int:
     file_cfg = _load_config_file(args.config)
     out = _out_dir(args, file_cfg)
+    if args.lift is not None and args.lift < 3:
+        raise UsageError(f"--lift {args.lift}: the suspension dimension "
+                         "must be at least 3")
     if not args.paper_example and args.lift is None:
         print("nothing to do: pass --paper-example and/or --lift N",
               file=sys.stderr)
@@ -272,9 +280,7 @@ def cmd_certify(args) -> int:
         cells = [c for c in certify_mod.coxeter_catalog()
                  if c.vol_rule == "1/(2kl)"]
         coxeter_f3 = certify_mod.volume_fraction(cells[0].volume(k=9, l=9))
-        g = gram_matrix(quad)
-        lifted = certify_mod.lift_gram(g, n)
-        print(f"suspension to S^{n}: Gram size {lifted.size}")
+        print(f"suspension to S^{n}: Gram size {n + 1}")
         for dim in range(3, n + 1):
             fn = certify_mod.lifted_volume_fraction(f3, dim)
             fn_cox = certify_mod.lifted_volume_fraction(coxeter_f3, dim)

@@ -10,8 +10,13 @@ iff its Gram matrix is positive definite, in which case the volume is
 the rational multiple of pi^2 given by the closed form in volume() and
 the edge lengths are (p, q, pi-r, pi-s).
 
-Everything here is decided exactly: residuals and Gram minors are
-cyclotomic numbers, signs come from certified interval refinement.
+The Z2 symmetry makes the Gram matrix orthogonally similar to
+diag(M+, M-) with two 2x2 blocks, so positive definiteness comes down to
+the signs of four sums of four cosines (see realizability); no 3x3 or
+4x4 determinant is expanded.
+
+Everything here is decided exactly: residuals and the entries of M+-
+are cyclotomic numbers, signs come from certified interval refinement.
 """
 
 from __future__ import annotations
@@ -22,13 +27,7 @@ from functools import lru_cache
 from typing import Optional
 
 from .angles import RationalAngle
-from .cyclotomic import (
-    CyclotomicNumber,
-    SignedInterval,
-    common_order,
-    cos_as_cyclotomic,
-    sign,
-)
+from .cyclotomic import CyclotomicNumber, cos_as_cyclotomic, sign
 
 
 class PreconditionError(ValueError):
@@ -135,112 +134,33 @@ class VolumeCoefficient:
 class RealizabilityCertificate:
     """Exact outcome of the positive-definiteness test of the Gram matrix.
 
-    g3_sign / g4_sign are exact signs of the order-3 and order-4 leading
-    minors; the intervals are the certified enclosures that decided any
-    nonzero sign (None for minors that are exactly zero).
+    signs are the exact signs of the four cosine sums of realizability(),
+    in the order S- - P, S- + P, S+ - Q, S+ + Q with
+    S-+ = cos((r-s)/2) -+ cos((r+s)/2), P = cos p + cos q and
+    Q = cos p - cos q.  A zero sign marks a degenerate Gram matrix.
     """
 
     quadruple: PythagoreanQuadruple
-    g3_sign: int
-    g4_sign: int
-    g3_interval: Optional[SignedInterval]
-    g4_interval: Optional[SignedInterval]
+    signs: tuple[int, int, int, int]
 
     @property
     def realizable(self) -> bool:
-        return self.g3_sign > 0 and self.g4_sign > 0
-
-
-@dataclass(frozen=True)
-class GramMatrix:
-    """The 4x4 Gram matrix of outward face normals, entries cyclotomic."""
-
-    entries: tuple[tuple[CyclotomicNumber, ...], ...]
-
-    @classmethod
-    def from_quadruple(cls, quad: PythagoreanQuadruple) -> "GramMatrix":
-        n = common_order(*(2 * a.den for a in quad.angles))
-        cp = (-cos_as_cyclotomic(quad.p)).embed(n)
-        cq = (-cos_as_cyclotomic(quad.q)).embed(n)
-        cr = (-cos_as_cyclotomic(quad.r)).embed(n)
-        cs = (-cos_as_cyclotomic(quad.s)).embed(n)
-        one = CyclotomicNumber.from_rational(1).embed(n)
-        rows = (
-            (one, cr, cp, cq),
-            (cr, one, cq, cp),
-            (cp, cq, one, cs),
-            (cq, cp, cs, one),
-        )
-        return cls(rows)
-
-    def leading_minor(self, k: int) -> CyclotomicNumber:
-        sub = [list(row[:k]) for row in self.entries[:k]]
-        return _det(sub)
-
-    def is_symmetric(self) -> bool:
-        e = self.entries
-        return all((e[i][j] - e[j][i]).is_zero() for i in range(4) for j in range(i))
-
-
-def _det(m: list[list[CyclotomicNumber]]) -> CyclotomicNumber:
-    n = len(m)
-    if n == 1:
-        return m[0][0]
-    if n == 2:
-        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    total: Optional[CyclotomicNumber] = None
-    for j in range(n):
-        if m[0][j].is_zero():
-            continue
-        minor = [row[:j] + row[j + 1:] for row in m[1:]]
-        term = m[0][j] * _det(minor)
-        if j % 2:
-            term = -term
-        total = term if total is None else total + term
-    if total is None:
-        return CyclotomicNumber.zero()
-    return total
+        return all(s > 0 for s in self.signs)
 
 
 # -- residuals ------------------------------------------------------------
-
-
-def raw_residual(raw: RawQuadruple) -> CyclotomicNumber:
-    """cos a + cos b + cos c + cos d, exactly."""
-    total = cos_as_cyclotomic(raw.a)
-    for x in (raw.b, raw.c, raw.d):
-        total = total + cos_as_cyclotomic(x)
-    return total
 
 
 def quadruple_residual(quad: PythagoreanQuadruple) -> CyclotomicNumber:
     """cos p cos q + cos((r+s)/2) cos((r-s)/2), exactly.
 
     Computed through the product-to-sum identity, so it equals half the
-    four-cosine residual of the (a, b, c, d) form; the product route is
-    kept alongside for cross-checks (see residual_product_form).
+    four-cosine residual of the (a, b, c, d) form.
     """
     total = cos_as_cyclotomic(quad.p + quad.q)
     for x in (quad.p - quad.q, quad.r, quad.s):
         total = total + cos_as_cyclotomic(x)
     return total / 2
-
-
-def residual_product_form(quad: PythagoreanQuadruple) -> CyclotomicNumber:
-    """The same residual evaluated literally as a sum of two products."""
-    half_sum = (quad.r + quad.s) / 2
-    half_diff = (quad.r - quad.s) / 2
-    return (
-        cos_as_cyclotomic(quad.p) * cos_as_cyclotomic(quad.q)
-        + cos_as_cyclotomic(half_sum) * cos_as_cyclotomic(half_diff)
-    )
-
-
-def triple_residual(p: RationalAngle, q: RationalAngle,
-                    r: RationalAngle) -> CyclotomicNumber:
-    """cos p cos q + cos r, exactly."""
-    total = cos_as_cyclotomic(p + q) + cos_as_cyclotomic(p - q)
-    return total / 2 + cos_as_cyclotomic(r)
 
 
 def is_pythagorean(quad: PythagoreanQuadruple) -> bool:
@@ -250,16 +170,11 @@ def is_pythagorean(quad: PythagoreanQuadruple) -> bool:
 # -- coordinate changes ----------------------------------------------------
 
 
-def abcd_to_pqrs(raw: RawQuadruple) -> Optional[PythagoreanQuadruple]:
-    """Map (a, b, c, d) to the canonical (p, q, r, s), or None when the
-    image leaves the open range (e.g. q = 0 for a = b)."""
-    return pair_to_quadruple(raw.a, raw.b, raw.c, raw.d)
-
-
 def pair_to_quadruple(a: RationalAngle, b: RationalAngle, c: RationalAngle,
                       d: RationalAngle) -> Optional[PythagoreanQuadruple]:
-    """Like abcd_to_pqrs but accepts the wider search ranges
-    (a in (0, 2pi), b in [0, pi))."""
+    """Map (a, b, c, d) to the canonical (p, q, r, s) = ((a+b)/2, (a-b)/2,
+    c, d), or None when the image leaves the open range (e.g. q = 0 for
+    a = b).  Accepts the search ranges a in (0, 2pi), b in [0, pi)."""
     p = (a + b) / 2
     q = (a - b) / 2
     for v in (p, q, c, d):
@@ -276,39 +191,41 @@ def pqrs_to_abcd(quad: PythagoreanQuadruple) -> tuple[RationalAngle, ...]:
 # -- realizability ---------------------------------------------------------
 
 
-def gram_matrix(quad: PythagoreanQuadruple) -> GramMatrix:
-    return GramMatrix.from_quadruple(quad)
-
-
-def _minor_sign(minor: CyclotomicNumber) -> tuple[int, Optional[SignedInterval]]:
-    if minor.is_zero():
-        return 0, None
-    s = sign(minor)
-    bits = 64
-    ivl = minor.float_interval(bits)
-    while ivl.sign == 0:
-        bits *= 2
-        ivl = minor.float_interval(bits)
-    return s, ivl
-
-
 @lru_cache(maxsize=None)
 def realizability(quad: PythagoreanQuadruple) -> RealizabilityCertificate:
     """Exact positive-definiteness certificate for the Gram matrix.
 
-    The leading 1x1 and 2x2 minors are 1 and sin^2 r, positive whenever
-    the angles lie in (0, pi), so only the order-3 minor and the full
-    determinant have to be sign-checked.
+    The Gram matrix of the outward face normals is [[A, B], [B, C]] with
+    A = [[1, -cos r], [-cos r, 1]], B = -[[cos p, cos q], [cos q, cos p]]
+    and C = [[1, -cos s], [-cos s, 1]].  Every block has the form
+    [[x, y], [y, x]], so in the orthonormal basis (e1 +- e2)/sqrt 2,
+    (e3 +- e4)/sqrt 2 the matrix is diag(M+, M-) with
+
+        M+- = [[1 -+ cos r, -(cos p +- cos q)], [-(cos p +- cos q), 1 -+ cos s]].
+
+    The diagonals 1 -+ cos r and 1 -+ cos s are positive on (0, pi), so
+    the Gram matrix is positive definite iff det M+ > 0 and det M- > 0.
+    By the half-angle identities (1 -+ cos r)(1 -+ cos s) = S-+^2 with
+    S-+ = cos((r-s)/2) -+ cos((r+s)/2), i.e. 2 sin(r/2) sin(s/2) and
+    2 cos(r/2) cos(s/2), both positive.  Hence det M+ = (S- - P)(S- + P)
+    with P = cos p + cos q and det M- = (S+ - Q)(S+ + Q) with
+    Q = cos p - cos q; the two factors of each sum to 2 S-+ > 0, so each
+    determinant is positive iff both of its factors are, and
+    det G = det M+ det M- is zero iff one of the four sums is.
+
+    The half-angle cosines live in Q(zeta_{4 den}), which can exceed
+    MAX_ORDER, so each sum's sign is found in the field of the Gram
+    entries: S - X > 0 when X <= 0, else its sign is that of
+    S^2 - X^2 = det M; likewise S + X with -X.
     """
-    g = gram_matrix(quad)
-    g3, iv3 = _minor_sign(g.leading_minor(3))
-    if g3 <= 0:
-        # determinant still reported for the certificate, but a failed G3
-        # already settles non-realizability
-        g4, iv4 = _minor_sign(g.leading_minor(4))
-        return RealizabilityCertificate(quad, g3, g4, iv3, iv4)
-    g4, iv4 = _minor_sign(g.leading_minor(4))
-    return RealizabilityCertificate(quad, g3, g4, iv3, iv4)
+    cp, cq, cr, cs = (cos_as_cyclotomic(x) for x in quad.angles)
+    signs: tuple[int, ...] = ()
+    for square, x in (((1 - cr) * (1 - cs), cp + cq),
+                      ((1 + cr) * (1 + cs), cp - cq)):
+        sx = sign(x)
+        det = sign(square - x * x) if sx else 1
+        signs += (det if sx > 0 else 1, det if sx < 0 else 1)
+    return RealizabilityCertificate(quad, signs)
 
 
 def is_realizable(quad: PythagoreanQuadruple) -> bool:
@@ -327,8 +244,8 @@ def _require_tetrahedron(quad: PythagoreanQuadruple, caller: str) -> None:
     if not is_realizable(quad):
         cert = realizability(quad)
         raise PreconditionError(
-            f"{caller}: {quad} has no realization (G3 sign {cert.g3_sign}, "
-            f"G4 sign {cert.g4_sign})"
+            f"{caller}: {quad} has no realization (cosine-sum signs "
+            f"{cert.signs})"
         )
 
 

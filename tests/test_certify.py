@@ -15,7 +15,6 @@ from sphertet.certify import (
     area_weights,
     coxeter_catalog,
     diameter_certificate,
-    lift_gram,
     lifted_volume_fraction,
     link_triangle_sides,
     nondecomposability_certificate,
@@ -24,7 +23,7 @@ from sphertet.certify import (
     sides_within,
     volume_fraction,
 )
-from sphertet.geometry import GramMatrix, PreconditionError, PythagoreanQuadruple
+from sphertet.geometry import PreconditionError, PythagoreanQuadruple
 
 REFERENCE_QUAD = PythagoreanQuadruple.of(
     angle(5, 18), angle(2, 9), angle(13, 18), angle(11, 18)
@@ -206,19 +205,6 @@ def test_polar_vertex_quadruple_has_no_obstruction():
 
 
 # -- suspension lifts ----------------------------------------------------------
-
-
-def test_lift_gram_minors_repeat_the_determinant():
-    g = GramMatrix.from_quadruple(REFERENCE_QUAD)
-    lifted = lift_gram(g, 6)
-    assert lifted.size == 7
-    for k in range(1, 5):
-        assert (lifted.leading_minor(k) - g.leading_minor(k)).is_zero()
-    det = g.leading_minor(4)
-    for k in range(5, 8):
-        assert (lifted.leading_minor(k) - det).is_zero()
-    with pytest.raises(PreconditionError):
-        lift_gram(g, 2)
 
 
 def test_lifted_volume_fractions():

@@ -31,6 +31,12 @@ def test_certify_with_lift(capsys):
     assert "n=5" in out
 
 
+def test_certify_lift_below_three_is_a_usage_error(capsys):
+    assert main(["certify", "--lift", "2"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "--lift 2" in err and "at least 3" in err
+
+
 def test_certify_requires_a_task(capsys):
     assert main(["certify"]) == EXIT_MISMATCH
 
@@ -46,6 +52,18 @@ def test_triples_search(capsys):
     assert main(["search-quadruples", "--triples"]) == EXIT_OK
     out = capsys.readouterr().out
     assert "nontrivial" in out
+
+
+@pytest.mark.parametrize("argv", [["--stage", "raw", "--format", "csv"],
+                                  ["--stage", "realizable", "--format", "csv"],
+                                  ["--triples", "--format", "csv"]])
+def test_csv_outside_the_sporadic_stage_is_a_usage_error(tmp_path, capsys,
+                                                          argv):
+    rc = main(["search-quadruples", "--out", str(tmp_path), *argv])
+    assert rc == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "only for --stage sporadic" in captured.err
+    assert captured.out == "" and not any(tmp_path.iterdir())
 
 
 def test_missing_config_file_is_an_io_error(tmp_path, capsys):

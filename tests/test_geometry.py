@@ -5,15 +5,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from mpmath import iv
 
 from sphertet.angles import RationalAngle, angle
-from sphertet.cyclotomic import cos_as_cyclotomic
+from sphertet.cyclotomic import cos_as_cyclotomic, iv_precision, sign
 from sphertet.geometry import (
     PreconditionError,
     PythagoreanQuadruple,
     RawQuadruple,
     edge_lengths,
-    gram_matrix,
     is_pythagorean,
     is_realizable,
     pair_to_quadruple,
@@ -124,16 +124,68 @@ def test_realizability_certificates():
     )
     cert = realizability(flat)
     assert not cert.realizable
-    assert cert.g3_sign <= 0 or cert.g4_sign <= 0
+    assert len(cert.signs) == 4 and min(cert.signs) < 0
 
 
-def test_gram_matrix_shape():
-    g = gram_matrix(ROW_1)
-    assert g.is_symmetric()
-    assert g.leading_minor(1).rational_value == 1
-    # the 2x2 minor is sin^2 r
-    sin2 = 1 - cos_as_cyclotomic(ROW_1.r) * cos_as_cyclotomic(ROW_1.r)
-    assert (g.leading_minor(2) - sin2).is_zero()
+def test_realizability_stays_in_the_field_of_the_angles():
+    """A family-9 member whose angles live in Q(zeta_1680): the half-angle
+    cosines would need order 3360, above MAX_ORDER."""
+    q = PythagoreanQuadruple.from_fractions(
+        Fraction(2, 3), Fraction(319, 840), Fraction(1, 2), Fraction(319, 840))
+    assert realizability(q).signs == (1, 1, 1, 1)
+    assert volume(q).value > 0
+
+
+def _interval_det(m):
+    if len(m) == 1:
+        return m[0][0]
+    return sum((-1) ** j * m[0][j] * _interval_det([row[:j] + row[j + 1:]
+                                                     for row in m[1:]])
+               for j in range(len(m)))
+
+
+def _interval_sign(x) -> int:
+    """Sign of an interval, 0 when it straddles zero."""
+    return 1 if x.a > 0 else -1 if x.b < 0 else 0
+
+
+def test_four_sums_agree_with_interval_gram_minors(sporadic_report):
+    """Independent oracle: the 3x3 minor and the determinant of the 4x4
+    Gram matrix from mpmath interval cosines, by cofactor expansion.
+    Sylvester's criterion (the 1x1 and 2x2 minors are 1 and sin^2 r)
+    must agree with the four-sum certificate wherever both enclosures
+    exclude zero; an enclosure that straddles zero belongs to a
+    degenerate Gram matrix, which the certificate marks with a zero.  The
+    certificate's signs are also those of the four half-angle cosine sums
+    evaluated literally (all in Q(zeta_420) on this grid)."""
+    straddles = realizable = 0
+    with iv_precision(128):
+        for q in sporadic_report.raw_solutions:
+            half_diff = cos_as_cyclotomic((q.r - q.s) / 2)
+            half_sum = cos_as_cyclotomic((q.r + q.s) / 2)
+            cp, cq = cos_as_cyclotomic(q.p), cos_as_cyclotomic(q.q)
+            sums = (half_diff - half_sum - (cp + cq),
+                    half_diff - half_sum + (cp + cq),
+                    half_diff + half_sum - (cp - cq),
+                    half_diff + half_sum + (cp - cq))
+            assert realizability(q).signs == tuple(sign(x) for x in sums), q
+            cp, cq, cr, cs = (-iv.cos(iv.pi * f.numerator / f.denominator)
+                              for f in q.fractions)
+            g = [[1, cr, cp, cq], [cr, 1, cq, cp],
+                 [cp, cq, 1, cs], [cq, cp, cs, 1]]
+            g3 = _interval_sign(_interval_det([row[:3] for row in g[:3]]))
+            g4 = _interval_sign(_interval_det(g))
+            cert = realizability(q)
+            if g3 and g4:
+                assert cert.realizable == (g3 > 0 and g4 > 0), q
+                assert 0 not in cert.signs, q
+            else:
+                straddles += 1
+                assert 0 in cert.signs and not cert.realizable, q
+            realizable += cert.realizable
+    assert len(sporadic_report.raw_solutions) == 790
+    assert straddles == 420
+    assert realizable == 208
 
 
 def test_vertex_links_shape():
