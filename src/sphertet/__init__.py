@@ -28,7 +28,6 @@ from .cyclotomic import (
     CyclotomicNumber,
     SignedInterval,
     cos_as_cyclotomic,
-    float_eval,
     sign,
     sin_as_cyclotomic,
 )

@@ -1,20 +1,27 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_N).
 
-Elements are stored in the power basis 1, x, ..., x^(phi(N)-1) modulo the
-N-th cyclotomic polynomial, with Fraction coefficients.  The reduction to
-the power basis is canonical, so an element is zero iff its coefficient
-vector is zero; every equality and sign decision in the package bottoms
-out here.
+An element is one integer numerator vector over one positive integer
+denominator: (num_0 + num_1 x + ... + num_{phi-1} x^(phi-1)) / den in the
+power basis modulo the N-th cyclotomic polynomial Phi_N, with
+gcd(den, *num) = 1.  The power basis is canonical, so this form is
+unique: an element is zero iff its numerator vector is zero, and two
+elements of one order are equal iff their (num, den) are.  Every
+equality and sign decision in the package bottoms out here.
 
-cos(nu*pi/delta) lives in Q(zeta_{2*delta}) as (z^nu + z^(-nu))/2, which
-is how rational angles enter the field.  Signs of nonzero real elements
-are decided by certified interval evaluation at increasing precision
-(mpmath's interval context, outward rounding), refined until zero is
-excluded; is_zero is consulted first so the refinement terminates.
+Each order keeps one table, rows[k] = x^k mod Phi_N for
+k < max(N, 2*phi - 1), and every operation is one product with it:
+sum_i c_i x^(e_i) is c @ rows[e mod N].  A product convolves the two
+numerators and reduces the result through a slice of the table;
+embedding into Q(zeta_(m*N)) sends x^j to x^(j*m); conjugation sends
+x^j to x^(-j); cos(nu*pi/delta) is (x^nu + x^(-nu))/2 in
+Q(zeta_(2*delta)).  The convolution and the table product run on numpy
+int64 when a bound on the magnitudes proves that no value overflows, and
+on exact Python ints (dtype=object) otherwise.
 
-Multiplication clears denominators and convolves integer coefficient
-vectors (numpy int64 when the magnitudes provably fit, exact Python ints
-otherwise), then reduces with precomputed tables of x^k mod Phi_N.
+Signs of nonzero real elements are decided by certified interval
+evaluation at increasing precision (mpmath's interval context, outward
+rounding), refined until zero is excluded; the exact zero test comes
+first, so the refinement terminates.
 """
 
 from __future__ import annotations
@@ -36,7 +43,19 @@ from .angles import RationalAngle
 # covers every angle denominator the searches and certificates produce.
 MAX_ORDER = 2520
 
+# int64 arithmetic is used when a bound on every value it computes is
+# below this.
 _INT64_SAFE = 1 << 62
+
+# Largest entry of a reduction table.  The coefficients of Phi_N are at
+# most 5 in absolute value for N <= MAX_ORDER, so the row after one
+# whose entries stay below this cannot wrap in int64.
+_ROW_LIMIT = 1 << 40
+
+# sign() starts interval evaluation at this precision and doubles it up
+# to the maximum.
+SIGN_START_BITS = 64
+SIGN_MAX_BITS = 1 << 20
 
 
 class CyclotomicOrderError(ValueError):
@@ -88,69 +107,54 @@ def _poly_divide_exact(num: list[int], den: tuple[int, ...]) -> list[int]:
     return out
 
 
+def _height(vec) -> int:
+    """Largest absolute value in an integer vector (0 when empty)."""
+    if isinstance(vec, np.ndarray) and vec.dtype != object:
+        return int(np.abs(vec).max(initial=0))
+    return max(map(abs, vec), default=0)
+
+
+def _dtype(bound: int):
+    """int64 when bound caps every value to be computed, else Python ints."""
+    return np.int64 if bound < _INT64_SAFE else object
+
+
 class _OrderData:
-    """Precomputed reduction data for one cyclotomic order."""
+    """The reduction table of one cyclotomic order."""
 
     def __init__(self, order: int):
         poly = cyclotomic_polynomial(order)
         self.order = order
-        self.phi = len(poly) - 1
-        self.poly = poly
-        maxk = max(2 * self.phi - 2, order - 1, self.phi)
-        rows: list[list[int]] = []
-        low = [-c for c in poly[:-1]]  # x^phi in the power basis
-        cur = low
-        rows.append(cur)
-        for _ in range(self.phi + 1, maxk + 1):
-            top = cur[-1]
-            shifted = [0] + cur[:-1]
-            if top:
-                cur = [s + top * l for s, l in zip(shifted, low)]
-            else:
-                cur = shifted
-            rows.append(cur)
-        self.row_max = max((max(map(abs, r)) for r in rows), default=1) or 1
-        self.rows_int = rows
-        if self.row_max < (1 << 40):
-            self.rows_np = np.array(rows, dtype=np.int64)
-        else:  # pragma: no cover - no order below MAX_ORDER hits this
-            self.rows_np = None
+        self.phi = phi = len(poly) - 1
+        low = -np.array(poly[:-1], dtype=np.int64)  # x^phi in the power basis
+        rows = np.zeros((max(order, 2 * phi - 1), phi), dtype=np.int64)
+        np.fill_diagonal(rows[:phi], 1)
+        row_max = 1
+        for k in range(phi, len(rows)):  # x^k = x * x^(k-1)
+            prev, row = rows[k - 1], rows[k]
+            row[1:] = prev[:-1]
+            if prev[-1]:
+                row += prev[-1] * low
+            row_max = max(row_max, int(row.max()), -int(row.min()))
+            if row_max >= _ROW_LIMIT:
+                raise ArithmeticError(
+                    f"x^{k} mod Phi_{order} has an entry of {row_max.bit_length()} bits"
+                )
+        self.rows = rows
+        self.row_max = row_max
         self._cos_tables: dict[int, list] = {}
 
-    def basis_row(self, k: int) -> Iterable[int]:
-        """x^(k mod order) expanded in the power basis, as ints."""
-        k %= self.order
-        if k < self.phi:
-            row = [0] * self.phi
-            row[k] = 1
-            return row
-        return self.rows_int[k - self.phi]
+    def powers(self, exponents, coeffs) -> tuple[int, ...]:
+        """Numerator of sum_i coeffs[i] * x^exponents[i] in the power basis.
 
-    def reduce_int_vector(self, vec) -> list[int]:
-        """Reduce an integer coefficient vector (any length) mod Phi_N."""
-        n = len(vec)
-        if n <= self.phi:
-            out = list(vec) + [0] * (self.phi - n)
-            return [int(v) for v in out]
-        if self.rows_np is not None:
-            arr = np.asarray(vec)
-            vmax = int(np.abs(arr).max()) if isinstance(vec, np.ndarray) else max(
-                abs(int(v)) for v in vec
-            )
-            if vmax * self.row_max * (n - self.phi) < _INT64_SAFE:
-                arr = arr.astype(np.int64)
-                head = arr[: self.phi].copy()
-                tail = arr[self.phi:]
-                head += tail @ self.rows_np[: len(tail)]
-                return [int(v) for v in head]
-        head = [int(v) for v in vec[: self.phi]]
-        for i, c in enumerate(vec[self.phi:]):
-            if c:
-                row = self.rows_int[i]
-                c = int(c)
-                for j in range(self.phi):
-                    head[j] += c * row[j]
-        return head
+        exponents is a sequence of ints, taken mod N, or a slice of the
+        table; a product passes slice(len(coeffs)), which reads its rows
+        as a view instead of a copy.
+        """
+        if not isinstance(exponents, slice):
+            exponents = np.asarray(exponents, dtype=np.int64) % self.order
+        dtype = _dtype(_height(coeffs) * self.row_max * len(coeffs))
+        return tuple((np.asarray(coeffs, dtype=dtype) @ self.rows[exponents]).tolist())
 
     def cos_table(self, prec: int) -> list:
         """Certified enclosures of cos(2*pi*j/N) for j < phi, at prec bits."""
@@ -201,18 +205,6 @@ def iv_precision(bits: int) -> Iterator[None]:
         mpmath.iv.prec = old
 
 
-def _fraction_to_iv(f: Fraction, ctx):
-    if f.denominator == 1:
-        return ctx.mpf(f.numerator)
-    return ctx.mpf(f.numerator) / ctx.mpf(f.denominator)
-
-
-def mpf_to_fraction(x) -> Fraction:
-    """Exact value of an mpf endpoint."""
-    p, q = to_rational(x._mpf_)
-    return Fraction(int(p), int(q))
-
-
 @dataclass(frozen=True)
 class SignedInterval:
     """A certified rational enclosure [lo, hi] computed at some precision."""
@@ -232,9 +224,6 @@ class SignedInterval:
     @property
     def midpoint(self) -> Fraction:
         return (self.lo + self.hi) / 2
-
-    def contains_zero(self) -> bool:
-        return self.lo <= 0 <= self.hi
 
     @property
     def sign(self) -> int:
@@ -259,20 +248,32 @@ def _iv_to_signed_interval(x, precision: int) -> SignedInterval:
 
 
 class CyclotomicNumber:
-    """An element of Q(zeta_order) in the power basis."""
+    """(num_0 + num_1 x + ... ) / den in Q(zeta_order), x = zeta_order.
 
-    __slots__ = ("order", "coeffs", "_real")
+    num is a tuple of phi(order) Python ints in the power basis and den a
+    positive int; the constructor divides out gcd(den, *num), so the
+    representation is canonical within one order.  Arithmetic goes
+    through the order's reduction table (see the module docstring).
+    """
 
-    def __init__(self, order: int, coeffs: Iterable[Fraction]):
+    __slots__ = ("order", "num", "den")
+
+    def __init__(self, order: int, num: Iterable[int], den: int = 1):
         od = _order_data(order)
-        coeffs = tuple(Fraction(c) for c in coeffs)
-        if len(coeffs) != od.phi:
+        num = tuple(num)
+        if len(num) != od.phi:
             raise ValueError(
-                f"expected {od.phi} coefficients for order {order}, got {len(coeffs)}"
+                f"expected {od.phi} coefficients for order {order}, got {len(num)}"
             )
+        if den <= 0:
+            raise ValueError(f"denominator {den} is not positive")
+        g = math.gcd(den, *num)
+        if g != 1:
+            num = tuple(c // g for c in num)
+            den //= g
         object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "_real", None)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
 
     def __setattr__(self, name, value):  # immutable
         raise AttributeError("CyclotomicNumber is immutable")
@@ -281,25 +282,26 @@ class CyclotomicNumber:
 
     @classmethod
     def from_rational(cls, value) -> "CyclotomicNumber":
-        return cls(1, (Fraction(value),))
+        f = Fraction(value)
+        return cls(1, (f.numerator,), f.denominator)
 
     @classmethod
     def zero(cls, order: int = 1) -> "CyclotomicNumber":
-        return cls(order, (Fraction(0),) * _order_data(order).phi)
+        return cls(order, (0,) * _order_data(order).phi)
 
     @classmethod
     def root_of_unity(cls, order: int, k: int) -> "CyclotomicNumber":
         """zeta_order^k."""
-        od = _order_data(order)
-        row = od.basis_row(k)
-        return cls(order, (Fraction(v) for v in row))
+        return cls(order, _order_data(order).powers((k,), (1,)))
 
     # -- structure ------------------------------------------------------
 
-    def _scaled(self) -> tuple[int, list[int]]:
-        den = math.lcm(*(c.denominator for c in self.coeffs)) if self.coeffs else 1
-        vec = [int(c * den) for c in self.coeffs]
-        return den, vec
+    def _substitute(self, order: int, m: int) -> "CyclotomicNumber":
+        """The image under x -> x^m, as an element of Q(zeta_order)."""
+        nonzero = [j for j, c in enumerate(self.num) if c]
+        num = _order_data(order).powers([j * m for j in nonzero],
+                                        [self.num[j] for j in nonzero])
+        return CyclotomicNumber(order, num, self.den)
 
     def embed(self, order: int) -> "CyclotomicNumber":
         """The same number viewed in Q(zeta_order); order must be a multiple."""
@@ -307,15 +309,7 @@ class CyclotomicNumber:
             return self
         if order % self.order:
             raise ValueError(f"{self.order} does not divide {order}")
-        od = _order_data(order)
-        m = order // self.order
-        out = [Fraction(0)] * od.phi
-        for j, c in enumerate(self.coeffs):
-            if c:
-                for i, v in enumerate(od.basis_row(j * m)):
-                    if v:
-                        out[i] += c * v
-        return CyclotomicNumber(order, out)
+        return self._substitute(order, order // self.order)
 
     def _pair(self, other: "CyclotomicNumber"):
         n = common_order(self.order, other.order)
@@ -328,12 +322,14 @@ class CyclotomicNumber:
         if other is NotImplemented:
             return NotImplemented
         a, b = self._pair(other)
-        return CyclotomicNumber(a.order, (x + y for x, y in zip(a.coeffs, b.coeffs)))
+        den = math.lcm(a.den, b.den)
+        ka, kb = den // a.den, den // b.den
+        return CyclotomicNumber(a.order, [x * ka + y * kb for x, y in zip(a.num, b.num)], den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "CyclotomicNumber":
-        return CyclotomicNumber(self.order, (-c for c in self.coeffs))
+        return CyclotomicNumber(self.order, [-c for c in self.num], self.den)
 
     def __sub__(self, other) -> "CyclotomicNumber":
         other = _coerce(other)
@@ -345,19 +341,19 @@ class CyclotomicNumber:
         return (-self) + other
 
     def __mul__(self, other) -> "CyclotomicNumber":
-        if isinstance(other, (int, Fraction)):
-            f = Fraction(other)
-            return CyclotomicNumber(self.order, (c * f for c in self.coeffs))
-        if not isinstance(other, CyclotomicNumber):
+        other = _coerce(other)
+        if other is NotImplemented:
             return NotImplemented
-        a, b = self._pair(other)
-        od = _order_data(a.order)
-        da, va = a._scaled()
-        db, vb = b._scaled()
-        conv = _int_convolve(va, vb)
-        red = od.reduce_int_vector(conv)
-        den = da * db
-        return CyclotomicNumber(a.order, (Fraction(v, den) for v in red))
+        a = self
+        if a.order == 1:
+            a, other = other, a
+        if other.order == 1:  # a rational factor scales the numerator
+            p = other.num[0]
+            return CyclotomicNumber(a.order, [c * p for c in a.num], a.den * other.den)
+        a, b = a._pair(other)
+        conv = _int_convolve(a.num, b.num)
+        num = _order_data(a.order).powers(slice(len(conv)), conv)
+        return CyclotomicNumber(a.order, num, a.den * b.den)
 
     __rmul__ = __mul__
 
@@ -368,35 +364,21 @@ class CyclotomicNumber:
 
     def conjugate(self) -> "CyclotomicNumber":
         """Complex conjugate (zeta -> zeta^-1)."""
-        od = _order_data(self.order)
-        out = [Fraction(0)] * od.phi
-        for j, c in enumerate(self.coeffs):
-            if c:
-                for i, v in enumerate(od.basis_row(self.order - j if j else 0)):
-                    if v:
-                        out[i] += c * v
-        return CyclotomicNumber(self.order, out)
+        return self._substitute(self.order, -1)
 
     # -- predicates -----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     @property
     def rational_value(self) -> Optional[Fraction]:
-        if all(c == 0 for c in self.coeffs[1:]):
-            return self.coeffs[0]
+        if not any(self.num[1:]):
+            return Fraction(self.num[0], self.den)
         return None
 
-    def is_rational(self) -> bool:
-        return self.rational_value is not None
-
     def is_real(self) -> bool:
-        memo = self._real
-        if memo is None:
-            memo = (self - self.conjugate()).is_zero()
-            object.__setattr__(self, "_real", memo)
-        return memo
+        return self.conjugate() == self
 
     def collapse(self) -> "CyclotomicNumber":
         """Drop to order 1 when the element is rational."""
@@ -409,7 +391,8 @@ class CyclotomicNumber:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return (self - other).is_zero()
+        a, b = self._pair(other)
+        return a.num == b.num and a.den == b.den
 
     __hash__ = None  # mutable-order equality; not usable as a dict key
 
@@ -419,14 +402,14 @@ class CyclotomicNumber:
         """Certified enclosure of the value under the identity real embedding."""
         if not self.is_real():
             raise ValueError("interval evaluation needs a real element")
-        od = _order_data(self.order)
+        table = _order_data(self.order).cos_table(bits)
         ctx = mpmath.iv
         with iv_precision(bits):
-            table = od.cos_table(bits)
             total = ctx.mpf(0)
-            for c, cosv in zip(self.coeffs, table):
+            for c, cosv in zip(self.num, table):
                 if c:
-                    total += _fraction_to_iv(c, ctx) * cosv
+                    total += ctx.mpf(c) * cosv
+            total /= ctx.mpf(self.den)
         return _iv_to_signed_interval(total, bits)
 
     def __float__(self) -> float:
@@ -434,7 +417,7 @@ class CyclotomicNumber:
         return float(ivl.midpoint)
 
     def __repr__(self) -> str:
-        return f"CyclotomicNumber(order={self.order}, coeffs={self.coeffs})"
+        return f"CyclotomicNumber(order={self.order}, num={self.num}, den={self.den})"
 
 
 def _coerce(value) -> Union[CyclotomicNumber, type(NotImplemented)]:
@@ -445,19 +428,9 @@ def _coerce(value) -> Union[CyclotomicNumber, type(NotImplemented)]:
     return NotImplemented
 
 
-def _int_convolve(a: list[int], b: list[int]) -> list[int]:
-    ma = max(map(abs, a), default=0)
-    mb = max(map(abs, b), default=0)
-    if ma * mb * min(len(a), len(b)) < _INT64_SAFE:
-        conv = np.convolve(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64))
-        return [int(v) for v in conv]
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return out
+def _int_convolve(a: tuple[int, ...], b: tuple[int, ...]) -> np.ndarray:
+    dtype = _dtype(_height(a) * _height(b) * min(len(a), len(b)))
+    return np.convolve(np.asarray(a, dtype=dtype), np.asarray(b, dtype=dtype))
 
 
 @lru_cache(maxsize=None)
@@ -467,16 +440,8 @@ def cos_as_cyclotomic(theta: RationalAngle) -> CyclotomicNumber:
     Rational values collapse to order 1, e.g. cos(pi/3) -> 1/2.
     """
     order = 2 * theta.den
-    od = _order_data(order)
-    nu = theta.num % order
-    out = [Fraction(0)] * od.phi
-    for i, v in enumerate(od.basis_row(nu)):
-        if v:
-            out[i] += Fraction(v, 2)
-    for i, v in enumerate(od.basis_row((order - nu) % order)):
-        if v:
-            out[i] += Fraction(v, 2)
-    return CyclotomicNumber(order, out).collapse()
+    num = _order_data(order).powers((theta.num, -theta.num), (1, 1))
+    return CyclotomicNumber(order, num, 2).collapse()
 
 
 @lru_cache(maxsize=None)
@@ -490,31 +455,21 @@ def sin_as_cyclotomic(theta: RationalAngle) -> CyclotomicNumber:
     return cos_as_cyclotomic(theta - RationalAngle(1, 2))
 
 
-def is_zero(x: CyclotomicNumber) -> bool:
-    """Exact zero test; canonical basis makes this a coefficient check."""
-    return x.is_zero()
-
-
-def sign(x: CyclotomicNumber, start_bits: int = 64, max_bits: int = 1 << 20) -> int:
+def sign(x: CyclotomicNumber) -> int:
     """Exact sign of a real cyclotomic number.
 
-    is_zero decides the zero case outright; otherwise interval evaluation
-    is refined (doubling precision) until zero is excluded, which must
-    happen for a nonzero algebraic number.
+    The exact zero test decides the zero case outright; otherwise
+    interval evaluation is refined (doubling precision from
+    SIGN_START_BITS) until zero is excluded, which must happen for a
+    nonzero algebraic number.  float_interval raises ValueError for an
+    element that is not real.
     """
     if x.is_zero():
         return 0
-    if not x.is_real():
-        raise ValueError("sign is defined for real elements only")
-    bits = start_bits
-    while bits <= max_bits:
+    bits = SIGN_START_BITS
+    while bits <= SIGN_MAX_BITS:
         s = x.float_interval(bits).sign
         if s:
             return s
         bits *= 2
     raise ArithmeticError("sign refinement exhausted precision budget")
-
-
-def float_eval(x: CyclotomicNumber, bits: int = 64) -> SignedInterval:
-    """Certified enclosure of the real embedding at the given precision."""
-    return x.float_interval(bits)

@@ -183,11 +183,6 @@ def pair_to_quadruple(a: RationalAngle, b: RationalAngle, c: RationalAngle,
     return PythagoreanQuadruple.of(p, q, c, d)
 
 
-def pqrs_to_abcd(quad: PythagoreanQuadruple) -> tuple[RationalAngle, ...]:
-    """Inverse change of variables; a = p + q may reach [pi, 2pi)."""
-    return (quad.p + quad.q, quad.p - quad.q, quad.r, quad.s)
-
-
 # -- realizability ---------------------------------------------------------
 
 

@@ -131,10 +131,10 @@ def field_order(dens: Iterable[int]) -> int:
 
 @lru_cache(maxsize=None)
 def _twice_cos(x: RationalAngle, order: int) -> tuple[int, ...]:
-    twice = [2 * c for c in cos_as_cyclotomic(x).embed(order).coeffs]
-    if any(c.denominator != 1 for c in twice):
+    c = cos_as_cyclotomic(x).embed(order)
+    if 2 % c.den:
         raise ArithmeticError(f"2 cos({x}) is not integral in Q(zeta_{order})")
-    return tuple(int(c) for c in twice)
+    return tuple(v * (2 // c.den) for v in c.num)
 
 
 def twice_cosine_sum(terms: CosineTerms, order: int) -> tuple[int, ...]:

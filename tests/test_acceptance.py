@@ -27,7 +27,7 @@ from sphertet.certify import (
     recheck_obstruction,
     volume_fraction,
 )
-from sphertet.cyclotomic import cos_as_cyclotomic, float_eval, sign
+from sphertet.cyclotomic import cos_as_cyclotomic, sign
 from sphertet.families import (
     builtin_families,
     family_by_id,
@@ -257,7 +257,7 @@ def test_criterion_10a_prefilter_rejects_are_certified_nonzero(capsys):
     a_vals, b_vals, cd_vals = _search_grids(profile)
     cd_pairs = unordered_pairs(cd_vals)
     hits = set(zero_sum_tuples(profile))
-    enc64 = {x: float_eval(cos_as_cyclotomic(x), 64)
+    enc64 = {x: cos_as_cyclotomic(x).float_interval(64)
              for x in set(a_vals) | set(b_vals) | set(cd_vals)}
 
     def enclose(x, y):
@@ -308,7 +308,7 @@ def test_criterion_10b_exact_signs_match_high_precision_intervals(capsys):
         terms = rng.sample(pool, 3)
         x = sum((cached[t] if rng.random() < 0.5 else -cached[t]
                  for t in terms[1:]), start=cached[terms[0]])
-        enc = float_eval(x, 256)
+        enc = x.float_interval(256)
         s = sign(x)
         if enc.sign != 0:
             assert s == enc.sign, f"sign disagreement on {terms}"

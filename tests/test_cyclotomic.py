@@ -7,14 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sphertet import cyclotomic
 from sphertet.angles import RationalAngle, angle
 from sphertet.cyclotomic import (
     CyclotomicNumber,
+    _OrderData,
     common_order,
     cos_as_cyclotomic,
     cyclotomic_polynomial,
     exp_i,
-    float_eval,
     sign,
     sin_as_cyclotomic,
     totient,
@@ -155,13 +156,57 @@ def test_embed_round_trip():
     assert common_order(10, 12) == 60
 
 
+@given(cyclotomics(), cyclotomics())
+@settings(max_examples=40)
+def test_representation_is_canonical(x, y):
+    for v in (x, y, x * y):
+        assert v.den > 0 and math.gcd(v.den, *v.num) == 1
+    z = (x + y) - y
+    n = common_order(x.order, z.order)
+    assert (z.embed(n).num, z.embed(n).den) == (x.embed(n).num, x.embed(n).den)
+
+
+def test_products_beyond_int64_stay_exact():
+    big, other = 10**30 + 1, 10**30 + 3
+    c7, c5 = cos_as_cyclotomic(angle(1, 7)), cos_as_cyclotomic(angle(1, 5))
+    a = c7 * big
+    b = c5 * other + Fraction(1, 7)
+    # magnitudes this large take the Python-int (dtype=object) path
+    assert max(map(abs, a.num)) * max(map(abs, b.num)) >= 1 << 62
+    product = a * b
+    assert product == (c7 * c5) * (big * other) + c7 * Fraction(big, 7)
+    enc = product.float_interval(256)
+    enc_a, enc_b = a.float_interval(256), b.float_interval(256)
+    assert enc_a.lo > 0 and enc_b.lo > 0
+    assert enc_a.lo * enc_b.lo <= enc.hi and enc.lo <= enc_a.hi * enc_b.hi
+    assert enc.width < enc.lo / 2**200
+
+
+@pytest.mark.parametrize("order", (1, 2, 12, 105, 420))
+def test_reduction_table_rows_are_powers_of_x(order):
+    # reference: multiply by x and replace x^phi using Phi_N, in Python ints
+    poly = cyclotomic_polynomial(order)
+    row = [1] + [0] * (len(poly) - 2)
+    for got in _OrderData(order).rows:
+        assert got.tolist() == row
+        top, row = row[-1], [0] + row[:-1]
+        row = [r - top * c for r, c in zip(row, poly)]
+
+
+def test_reduction_table_refuses_entries_past_its_limit(monkeypatch):
+    # Phi_105 is the first cyclotomic polynomial with a coefficient -2
+    monkeypatch.setattr(cyclotomic, "_ROW_LIMIT", 2)
+    with pytest.raises(ArithmeticError):
+        _OrderData(105)
+
+
 # -- certified numerics ------------------------------------------------------
 
 
 @given(small_angles)
 def test_float_enclosure_contains_the_true_value(a):
     x = cos_as_cyclotomic(a)
-    enc = float_eval(x, 128)
+    enc = x.float_interval(128)
     assert enc.width < Fraction(1, 10**20)
     assert float(enc.lo) <= math.cos(float(a)) + 1e-9
     assert float(enc.hi) >= math.cos(float(a)) - 1e-9
@@ -174,9 +219,14 @@ def test_sign_agrees_with_certified_enclosure(x):
     if s == 0:
         assert x.is_zero()
     else:
-        enc = float_eval(x, 256)
+        enc = x.float_interval(256)
         if enc.sign != 0:
             assert enc.sign == s
+
+
+def test_sign_rejects_a_non_real_element():
+    with pytest.raises(ValueError):
+        sign(exp_i(angle(1, 3)))
 
 
 def test_sign_of_tiny_but_nonzero_difference():
