@@ -102,3 +102,8 @@ def frac_obj(f: _Scalar) -> dict:
     """The JSON form {"num": int, "den": int} of an exact fraction."""
     f = Fraction(f)
     return {"num": f.numerator, "den": f.denominator}
+
+
+def obj_frac(d: dict) -> Fraction:
+    """The exact fraction of its JSON form {"num": int, "den": int}."""
+    return Fraction(d["num"], d["den"])

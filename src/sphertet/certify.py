@@ -36,7 +36,7 @@ from typing import Optional
 
 from mpmath import iv
 
-from .angles import RationalAngle, frac_obj
+from .angles import RationalAngle, frac_obj, obj_frac
 from .cyclotomic import SignedInterval, _iv_to_signed_interval, iv_precision
 from .geometry import PreconditionError, PythagoreanQuadruple, vertex_links
 
@@ -83,7 +83,7 @@ def coxeter_catalog() -> tuple[CoxeterCell, ...]:
             CoxeterCell(
                 index=row["index"],
                 symbol=row["symbol"],
-                vol=Fraction(vol["num"], vol["den"]) if vol else None,
+                vol=obj_frac(vol) if vol else None,
                 vol_rule=row.get("vol_formula"),
             )
         )
@@ -468,7 +468,7 @@ def recheck_obstruction(payload: dict) -> bool:
         return False
 
     def angle(d: dict) -> RationalAngle:
-        return RationalAngle(d["num"], d["den"])
+        return RationalAngle.from_fraction(obj_frac(d))
 
     quad = PythagoreanQuadruple.of(*(angle(d) for d in payload["quadruple"]))
     idx = payload["vertex_index"]
@@ -476,15 +476,12 @@ def recheck_obstruction(payload: dict) -> bool:
     if not 0 <= idx < len(links):
         return False
     t = LinkTriangle(*links[idx])
-    if [a.frac for a in t.angles] != [
-        Fraction(d["num"], d["den"]) for d in payload["triangle"]
-    ]:
+    if [a.frac for a in t.angles] != [obj_frac(d) for d in payload["triangle"]]:
         return False
     if tuple(payload["weights"]) != area_weights():
         return False
     target = normalized_area(t)
-    if target != Fraction(payload["area_target"]["num"],
-                          payload["area_target"]["den"]):
+    if target != obj_frac(payload["area_target"]):
         return False
     if area_diophantine(target) is not None:
         return False

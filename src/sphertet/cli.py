@@ -1,4 +1,4 @@
-"""Command-line surface.
+"""Command-line surface and the one stage driver.
 
 Subcommands map one-to-one onto the library stages:
 
@@ -8,17 +8,22 @@ Subcommands map one-to-one onto the library stages:
     certify             non-decomposability certificate and suspension lifts
     catalog             export the family and Coxeter catalogs
 
+Each stage command runs its stage, checks the result against the golden
+fixtures and the paper's claims, and returns an exit code;
+scripts/reproduce_classification.py runs them in turn through main().
+
 Configuration precedence is flags > config file (--config, a JSON
-object with the keys "out" and "format") > defaults.  The default output
+object whose one key is "out") > defaults.  The default output
 directory comes from SPHERTET_OUT_DIR; without it no files are written
-and results go to stdout only.  The searches have no settings: each
-decides every grid point exactly.
+and results go to stdout only.  Results are one canonical JSON record
+per line; the sporadic stage also writes its table as CSV.  The
+searches have no settings: each decides every grid point exactly.
 
 Exit codes: 0 success, 2 verification mismatch against the golden
-fixtures, 3 internal invariant violation, 4 IO failure, 5 usage error
-(a config file that is not a JSON object or has an unknown key or a bad
-value, an unknown family id, CSV output for a stage other than sporadic,
---lift below 3).
+fixtures or the paper, 3 internal invariant violation, 4 IO failure,
+5 usage error (a flag or argument the parser rejects, a config file
+that is not a JSON object or has an unknown key or a bad value, an
+unknown family id, --lift below 3).
 """
 
 from __future__ import annotations
@@ -46,11 +51,21 @@ EXIT_IO = 4
 EXIT_USAGE = 5
 
 OUT_DIR_ENV = "SPHERTET_OUT_DIR"
-CONFIG_KEYS = ("format", "out")
+CONFIG_KEYS = ("out",)
+
+# The one nontrivial solution of cos p cos q + cos r = 0 on the grid.
+PAPER_TRIPLE = (RationalAngle(1, 4), RationalAngle(1, 4), RationalAngle(2, 3))
 
 
 class UsageError(Exception):
     """A command line or config file the program cannot act on."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a rejected command line as a UsageError instead of exiting."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
 
 
 def _load_config_file(path: Optional[str]) -> dict:
@@ -69,38 +84,19 @@ def _load_config_file(path: Optional[str]) -> dict:
                              f"(allowed: {', '.join(CONFIG_KEYS)})")
     if not isinstance(data.get("out", ""), str):
         raise UsageError(f"config file {path}: 'out' must be a string")
-    if data.get("format", "json") not in ("json", "csv"):
-        raise UsageError(f"config file {path}: 'format' must be json or csv")
     return data
 
 
-def _merge_setting(flag, file_cfg: dict, key: str, default):
-    if flag is not None:
-        return flag
-    if key in file_cfg:
-        return file_cfg[key]
-    return default
-
-
-def _out_dir(args, file_cfg: dict) -> Optional[Path]:
-    out = _merge_setting(getattr(args, "out", None), file_cfg, "out",
-                         os.environ.get(OUT_DIR_ENV))
+def _out_dir(args) -> Optional[Path]:
+    """--out, else the config file's "out", else $SPHERTET_OUT_DIR."""
+    file_cfg = _load_config_file(args.config)
+    out = args.out if args.out is not None else file_cfg.get(
+        "out", os.environ.get(OUT_DIR_ENV))
     return Path(out) if out else None
 
 
-def _fmt(args, file_cfg: dict) -> str:
-    return _merge_setting(getattr(args, "format", None), file_cfg,
-                          "format", "json")
-
-
-def _write(records, out: Optional[Path], name: str, fmt: str) -> None:
-    if out is None:
-        return
-    if fmt == "csv":
-        path = out / f"{name}.csv"
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(records_mod.sporadic_csv(records))
-    else:
+def _write(records, out: Optional[Path], name: str) -> None:
+    if out is not None:
         records_mod.write_records(records, out / f"{name}.jsonl")
 
 
@@ -108,15 +104,8 @@ def _write(records, out: Optional[Path], name: str, fmt: str) -> None:
 
 
 def cmd_search_quadruples(args) -> int:
-    file_cfg = _load_config_file(args.config)
+    out = _out_dir(args)
     cfg = SearchConfig()
-    out = _out_dir(args, file_cfg)
-    fmt = _fmt(args, file_cfg)
-    if fmt == "csv" and (args.triples or args.stage != "sporadic"):
-        what = "--triples" if args.triples else f"--stage {args.stage}"
-        raise UsageError(f"format csv with {what}: CSV output exists only "
-                         "for --stage sporadic; use --format json")
-
     if args.triples:
         report = search_triples(cfg)
         prov = records_mod.make_provenance(cfg)
@@ -125,7 +114,11 @@ def cmd_search_quadruples(args) -> int:
               f"solution(s), {report.trivial_hits} trivial grid hits")
         for p, q, r in report.nontrivial:
             print(f"  ({p}, {q}, {r})")
-        _write([rec], out, "triples", "json")
+        _write([rec], out, "triples")
+        if report.nontrivial != (PAPER_TRIPLE,):
+            print("nontrivial solutions differ from the paper's only one, "
+                  "({}, {}, {})".format(*PAPER_TRIPLE), file=sys.stderr)
+            return EXIT_MISMATCH
         return EXIT_OK
 
     report = run_sporadic_search(cfg)
@@ -140,8 +133,10 @@ def cmd_search_quadruples(args) -> int:
     print(f"sporadic           : {report.sporadic_count}")
     for note in report.notes:
         print(f"note: {note}")
-    _write(recs, out, stage, fmt)
+    _write(recs, out, stage)
     if stage == "sporadic":
+        if out is not None:
+            (out / "sporadic.csv").write_text(records_mod.sporadic_csv(recs))
         cmp = records_mod.sporadic_comparison(report)
         if not cmp["match"]:
             print(f"fixture mismatch: {len(cmp['missing'])} missing, "
@@ -155,8 +150,7 @@ def cmd_search_quadruples(args) -> int:
 
 
 def cmd_verify_families(args) -> int:
-    file_cfg = _load_config_file(args.config)
-    out = _out_dir(args, file_cfg)
+    out = _out_dir(args)
     fams = families_mod.builtin_families()
     if args.family is not None:
         try:
@@ -190,7 +184,7 @@ def cmd_verify_families(args) -> int:
                                       ("domain", ok_dom)) if not ok]
             failed.append((fam.family_id, checks))
     prov = records_mod.make_provenance()
-    _write(records_mod.family_records(results, prov), out, "families", "json")
+    _write(records_mod.family_records(results, prov), out, "families")
     if failed:
         for fam_id, checks in failed:
             print(f"family {fam_id} failed: {', '.join(checks)}",
@@ -204,9 +198,8 @@ def cmd_verify_families(args) -> int:
 
 
 def cmd_search_lambert(args) -> int:
-    file_cfg = _load_config_file(args.config)
+    out = _out_dir(args)
     cfg = SearchConfig()
-    out = _out_dir(args, file_cfg)
     report = lambert_mod.search_rational_lambert_cubes(cfg)
     for cube, vol in zip(report.cubes, report.volumes):
         print(f"{cube}  volume {vol.value} * pi^2")
@@ -219,10 +212,14 @@ def cmd_search_lambert(args) -> int:
               f"via {t.volume_route} (k = {t.coxeter_parameter})")
     prov = records_mod.make_provenance(cfg)
     _write(records_mod.lambert_records(report.cubes, report.volumes, prov),
-           out, "lambert", "json")
+           out, "lambert")
     if not records_mod.lambert_comparison(report, companions)["match"]:
         print("lambert results disagree with the golden fixture",
               file=sys.stderr)
+        return EXIT_MISMATCH
+    if not report.no_continuous_family:
+        print("a continuous family of rational Lambert cubes was not "
+              "excluded", file=sys.stderr)
         return EXIT_MISMATCH
     return EXIT_OK
 
@@ -238,8 +235,7 @@ def _reference_instance() -> tuple[PythagoreanQuadruple, RationalAngle]:
 
 
 def cmd_certify(args) -> int:
-    file_cfg = _load_config_file(args.config)
-    out = _out_dir(args, file_cfg)
+    out = _out_dir(args)
     if args.lift is not None and args.lift < 3:
         raise UsageError(f"--lift {args.lift}: the suspension dimension "
                          "must be at least 3")
@@ -271,7 +267,7 @@ def cmd_certify(args) -> int:
         print("  serialized certificate rechecked independently: ok")
         prov = records_mod.make_provenance()
         _write([records_mod.certificate_record(payload, prov)], out,
-               "certificate", "json")
+               "certificate")
 
     if args.lift is not None:
         n = args.lift
@@ -295,8 +291,7 @@ def cmd_certify(args) -> int:
 
 
 def cmd_catalog(args) -> int:
-    file_cfg = _load_config_file(args.config)
-    out = _out_dir(args, file_cfg)
+    out = _out_dir(args)
     data = families_mod.export_catalog()
     cox = [{"index": c.index, "symbol": c.symbol,
             "vol": records_mod.frac_obj(c.vol) if c.vol is not None else None,
@@ -317,7 +312,7 @@ def cmd_catalog(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sphertet",
         description="exact classification of spherical tetrahedra with "
                     "rational dihedral angles and rational volume",
@@ -334,7 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--stage", choices=("raw", "realizable", "sporadic"),
                    default="sporadic")
-    p.add_argument("--format", choices=("json", "csv"), default=None)
     p.add_argument("--triples", action="store_true",
                    help="search the three-cosine equation instead")
     p.set_defaults(func=cmd_search_quadruples)
@@ -367,8 +361,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -26,6 +26,7 @@ first, so the refinement terminates.
 
 from __future__ import annotations
 
+import itertools
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -62,49 +63,55 @@ class CyclotomicOrderError(ValueError):
     """Raised when an operation would need Q(zeta_N) with N > MAX_ORDER."""
 
 
+def _prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n, ascending."""
+    primes = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            primes.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        primes.append(n)
+    return primes
+
+
 def totient(n: int) -> int:
     result = n
-    p = 2
-    m = n
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
-        p += 1
-    if m > 1:
-        result -= result // m
+    for p in _prime_factors(n):
+        result -= result // p
     return result
 
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
-    """Coefficients of Phi_n, ascending degree, monic."""
-    if n == 1:
-        return (-1, 1)
-    # divide x^n - 1 by the product of Phi_d over proper divisors d | n
-    num = [0] * (n + 1)
-    num[0], num[n] = -1, 1
-    for d in range(1, n):
-        if n % d == 0:
-            num = _poly_divide_exact(num, cyclotomic_polynomial(d))
-    return tuple(num)
+    """Coefficients of Phi_n, ascending degree, monic.
 
-
-def _poly_divide_exact(num: list[int], den: tuple[int, ...]) -> list[int]:
-    # exact division of integer polynomials, den monic
-    num = list(num)
-    dd = len(den) - 1
-    out = [0] * (len(num) - dd)
-    for k in range(len(out) - 1, -1, -1):
-        c = num[k + dd]
-        out[k] = c
-        if c:
-            for j, dj in enumerate(den):
-                num[k + j] -= c * dj
-    if any(num[:dd]):
-        raise ArithmeticError("non-exact polynomial division")
-    return out
+    Phi_n = prod_{d | n} (x^d - 1)^mu(n/d), where mu(n/d) is nonzero
+    only for n/d a product of distinct primes of n.  The binomials with
+    mu = +1 are multiplied in, then those with mu = -1 divided out
+    exactly; each step is one pass over the coefficients.
+    """
+    primes = _prime_factors(n)
+    times, over = [], []
+    for k in range(len(primes) + 1):
+        for ps in itertools.combinations(primes, k):
+            (over if k % 2 else times).append(n // math.prod(ps))
+    poly = [1]
+    for d in times:  # poly * (x^d - 1)
+        poly = [0] * d + poly
+        for k in range(len(poly) - d):
+            poly[k] -= poly[k + d]
+    for d in over:  # poly / (x^d - 1): q[k] = q[k - d] - poly[k]
+        q = [0] * (len(poly) - d)
+        for k in range(len(q)):
+            q[k] = (q[k - d] if k >= d else 0) - poly[k]
+        if poly[len(q):] != ([0] * d + q)[len(q):]:
+            raise ArithmeticError(f"x^{d} - 1 does not divide the product")
+        poly = q
+    return tuple(poly)
 
 
 def _height(vec) -> int:

@@ -22,7 +22,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable, Optional
 
-from .angles import frac_obj
+from .angles import frac_obj, obj_frac
 from .geometry import PythagoreanQuadruple
 from .lambert import CompanionTetrahedron, LambertSearchReport
 from .search import SearchConfig, SearchReport, SporadicRow, TripleReport
@@ -39,17 +39,9 @@ RECORD_KINDS = (
 _JSON_KW = dict(sort_keys=True, separators=(",", ":"))
 
 
-def obj_frac(d: dict) -> Fraction:
-    return Fraction(d["num"], d["den"])
-
-
 def frac_str(f) -> str:
     f = Fraction(f)
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
-
-
-def parse_frac(s: str) -> Fraction:
-    return Fraction(s)
 
 
 @dataclass(frozen=True)
@@ -204,7 +196,7 @@ def parse_sporadic_csv(text: str) -> list[dict]:
     for raw in reader:
         row = {"no": int(raw["no"])}
         for c in _SPORADIC_COLUMNS[1:]:
-            row[c] = parse_frac(raw[c])
+            row[c] = Fraction(raw[c])
         rows.append(row)
     return rows
 

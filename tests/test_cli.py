@@ -1,11 +1,33 @@
 from __future__ import annotations
 
+import dataclasses
 import json
+import runpy
+import sys
+from pathlib import Path
 
 import pytest
 
-from sphertet.cli import EXIT_IO, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
-from sphertet.records import read_records
+from sphertet import cli
+from sphertet import lambert as lambert_mod
+from sphertet.angles import angle
+from sphertet.cli import (
+    EXIT_IO,
+    EXIT_MISMATCH,
+    EXIT_OK,
+    EXIT_USAGE,
+    PAPER_TRIPLE,
+    main,
+)
+from sphertet.records import (
+    load_sporadic_fixture,
+    parse_sporadic_csv,
+    read_records,
+    sporadic_csv,
+)
+
+SCRIPT = (Path(__file__).resolve().parent.parent / "scripts"
+          / "reproduce_classification.py")
 
 
 def test_verify_one_family(capsys):
@@ -54,16 +76,70 @@ def test_triples_search(capsys):
     assert "nontrivial" in out
 
 
-@pytest.mark.parametrize("argv", [["--stage", "raw", "--format", "csv"],
-                                  ["--stage", "realizable", "--format", "csv"],
-                                  ["--triples", "--format", "csv"]])
-def test_csv_outside_the_sporadic_stage_is_a_usage_error(tmp_path, capsys,
-                                                          argv):
-    rc = main(["search-quadruples", "--out", str(tmp_path), *argv])
-    assert rc == EXIT_USAGE
-    captured = capsys.readouterr()
-    assert "only for --stage sporadic" in captured.err
-    assert captured.out == "" and not any(tmp_path.iterdir())
+@pytest.mark.parametrize("nontrivial", [
+    (),
+    (PAPER_TRIPLE, (angle(1, 3), angle(1, 3), angle(1, 2))),
+    ((angle(1, 4), angle(1, 4), angle(1, 3)),),
+])
+def test_triples_other_than_the_papers_are_a_mismatch(monkeypatch, capsys,
+                                                      nontrivial):
+    real = cli.search_triples
+    monkeypatch.setattr(cli, "search_triples", lambda cfg: dataclasses.replace(
+        real(cfg), nontrivial=nontrivial))
+    assert main(["search-quadruples", "--triples"]) == EXIT_MISMATCH
+    assert "(pi/4, pi/4, 2pi/3)" in capsys.readouterr().err
+
+
+def test_lambert_continuous_family_is_a_mismatch(monkeypatch, capsys):
+    real = lambert_mod.search_rational_lambert_cubes
+    monkeypatch.setattr(
+        lambert_mod, "search_rational_lambert_cubes",
+        lambda cfg: dataclasses.replace(real(cfg), no_continuous_family=False))
+    assert main(["search-lambert"]) == EXIT_MISMATCH
+    assert "continuous family" in capsys.readouterr().err
+
+
+def test_sporadic_stage_writes_jsonl_and_csv(tmp_path, capsys):
+    assert main(["search-quadruples", "--out", str(tmp_path)]) == EXIT_OK
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "sporadic.csv", "sporadic.jsonl"]
+    text = (tmp_path / "sporadic.csv").read_text()
+    assert text == sporadic_csv(read_records(tmp_path / "sporadic.jsonl"))
+    rows = parse_sporadic_csv(text)
+
+    def content(rows):  # the numbering is ours, the rows are golden
+        return {tuple(sorted((k, v) for k, v in r.items() if k != "no"))
+                for r in rows}
+
+    assert [r["no"] for r in rows] == list(range(1, 60))
+    assert content(rows) == content(load_sporadic_fixture())
+
+
+def test_reproduce_script_runs_the_cli_stages(tmp_path, monkeypatch, capsys):
+    calls = []
+    failing = set()
+
+    def fake_main(argv):
+        calls.append(argv)
+        return EXIT_MISMATCH if argv[0] in failing else EXIT_OK
+
+    monkeypatch.setattr(cli, "main", fake_main)
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    script = runpy.run_path(str(SCRIPT))
+    out = ["--out", str(tmp_path)]
+    assert script["main"](out) == 0
+    assert calls == [
+        ["search-quadruples", *out],
+        ["verify-families", *out],
+        ["search-lambert", *out],
+        ["search-quadruples", "--triples", *out],
+        ["certify", "--paper-example", "--lift", "8", *out],
+    ]
+    assert "\nOK in " in capsys.readouterr().out
+
+    failing.add("search-lambert")
+    assert script["main"](out) == 1
+    assert "FAILED: Lambert cubes (exit 2) in " in capsys.readouterr().out
 
 
 def test_missing_config_file_is_an_io_error(tmp_path, capsys):
@@ -97,10 +173,27 @@ def test_unknown_config_key_or_bad_value_is_a_usage_error(tmp_path, capsys,
     assert str(cfg) in err and repr(key) in err
 
 
-@pytest.mark.parametrize("flag", ["--tolerance", "--workers"])
+@pytest.mark.parametrize("flag", ["--tolerance", "--workers", "--format"])
 def test_search_flags_are_gone(flag, capsys):
-    with pytest.raises(SystemExit):
-        main(["search-quadruples", flag, "1"])
+    assert main(["search-quadruples", flag, "1"]) == EXIT_USAGE
+    assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["search-quadruples", "--stage", "bogus"],
+    ["verify-families", "--family", "x"],
+    [],
+])
+def test_rejected_command_line_is_a_usage_error(argv, capsys):
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("usage error: sphertet")
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["search-quadruples", "--help"])
+    assert exc.value.code == 0
+    assert "--stage" in capsys.readouterr().out
 
 
 def test_unknown_family_is_a_usage_error(capsys):

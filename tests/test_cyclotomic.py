@@ -53,6 +53,25 @@ def test_totient_and_cyclotomic_polynomial():
     assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
 
 
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def test_cyclotomic_polynomials_multiply_to_x_n_minus_1():
+    for n in [*range(1, 201), 420, 1008, 1680, 2520]:
+        assert len(cyclotomic_polynomial(n)) - 1 == totient(n), n
+        product = [1]
+        for d in range(1, n + 1):
+            if n % d == 0:
+                product = _poly_mul(product, cyclotomic_polynomial(d))
+        assert product == [-1] + [0] * (n - 1) + [1], n
+
+
 def test_rational_cosines_collapse_to_order_one():
     assert cos_as_cyclotomic(angle(1, 3)).rational_value == Fraction(1, 2)
     assert cos_as_cyclotomic(angle(1, 2)).rational_value == 0

@@ -20,7 +20,6 @@ from sphertet.records import (
     load_sporadic_fixture,
     make_provenance,
     obj_frac,
-    parse_frac,
     parse_sporadic_csv,
     read_records,
     sporadic_comparison,
@@ -55,7 +54,7 @@ def test_fraction_object_round_trip(f):
 
 @given(fractions)
 def test_fraction_string_round_trip(f):
-    assert parse_frac(frac_str(f)) == f
+    assert Fraction(frac_str(f)) == f
 
 
 def test_integers_print_without_denominator():
