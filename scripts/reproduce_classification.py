@@ -25,7 +25,7 @@ STAGES = (
     ("sporadic quadruples", ["search-quadruples"]),
     ("continuous families", ["verify-families"]),
     ("Lambert cubes", ["search-lambert"]),
-    ("three-cosine solutions", ["search-quadruples", "--triples"]),
+    ("three-cosine solutions", ["search-triples"]),
     ("certificate and suspension lifts",
      ["certify", "--paper-example", "--lift", "8"]),
 )

@@ -69,10 +69,6 @@ class RationalAngle:
         """pi minus this angle."""
         return RationalAngle.from_fraction(1 - self.frac)
 
-    def explement(self) -> "RationalAngle":
-        """2 pi minus this angle."""
-        return RationalAngle.from_fraction(2 - self.frac)
-
     def is_zero(self) -> bool:
         return self.num == 0
 

@@ -178,23 +178,6 @@ def link_triangle_sides(t: LinkTriangle, precision: int = 64
         )
 
 
-def sides_within(t: LinkTriangle, lo: RationalAngle, hi: RationalAngle,
-                 precision: int = 64) -> bool:
-    """Certified check that every side length lies in the open (lo, hi).
-
-    Monotonicity turns it into cos(hi) < cos(side) < cos(lo) on
-    enclosures; False here means "not certified at this precision",
-    not a proof of the negation.
-    """
-    with iv_precision(precision):
-        cos_lo = iv.cos(_iv_angle(lo))
-        cos_hi = iv.cos(_iv_angle(hi))
-        for c in _side_cosines_iv(t):
-            if not (c > cos_hi and c < cos_lo):
-                return False
-    return True
-
-
 def _vertices_iv(t: LinkTriangle):
     """Certified coordinates of the three vertices on S^2.
 

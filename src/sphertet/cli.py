@@ -3,6 +3,7 @@
 Subcommands map one-to-one onto the library stages:
 
     search-quadruples   exhaustive four-cosine search and classification
+    search-triples      exhaustive three-cosine search
     verify-families     identity / volume / domain checks for all 42 families
     search-lambert      the rational Lambert cube search and companions
     certify             non-decomposability certificate and suspension lifts
@@ -23,7 +24,8 @@ Exit codes: 0 success, 2 verification mismatch against the golden
 fixtures or the paper, 3 internal invariant violation, 4 IO failure,
 5 usage error (a flag or argument the parser rejects, a config file
 that is not a JSON object or has an unknown key or a bad value, an
-unknown family id, --lift below 3).
+unknown family id, certify without --paper-example or --lift, --lift
+below 3).
 """
 
 from __future__ import annotations
@@ -106,21 +108,6 @@ def _write(records, out: Optional[Path], name: str) -> None:
 def cmd_search_quadruples(args) -> int:
     out = _out_dir(args)
     cfg = SearchConfig()
-    if args.triples:
-        report = search_triples(cfg)
-        prov = records_mod.make_provenance(cfg)
-        rec = records_mod.triple_record(report, prov)
-        print(f"three-cosine search: {len(report.nontrivial)} nontrivial "
-              f"solution(s), {report.trivial_hits} trivial grid hits")
-        for p, q, r in report.nontrivial:
-            print(f"  ({p}, {q}, {r})")
-        _write([rec], out, "triples")
-        if report.nontrivial != (PAPER_TRIPLE,):
-            print("nontrivial solutions differ from the paper's only one, "
-                  "({}, {}, {})".format(*PAPER_TRIPLE), file=sys.stderr)
-            return EXIT_MISMATCH
-        return EXIT_OK
-
     report = run_sporadic_search(cfg)
     prov = records_mod.make_provenance(cfg)
     stage = args.stage
@@ -146,6 +133,27 @@ def cmd_search_quadruples(args) -> int:
     return EXIT_OK
 
 
+# -- search-triples -----------------------------------------------------------
+
+
+def cmd_search_triples(args) -> int:
+    out = _out_dir(args)
+    cfg = SearchConfig()
+    report = search_triples(cfg)
+    prov = records_mod.make_provenance(cfg)
+    rec = records_mod.triple_record(report, prov)
+    print(f"three-cosine search: {len(report.nontrivial)} nontrivial "
+          f"solution(s), {report.trivial_hits} trivial grid hits")
+    for p, q, r in report.nontrivial:
+        print(f"  ({p}, {q}, {r})")
+    _write([rec], out, "triples")
+    if report.nontrivial != (PAPER_TRIPLE,):
+        print("nontrivial solutions differ from the paper's only one, "
+              "({}, {}, {})".format(*PAPER_TRIPLE), file=sys.stderr)
+        return EXIT_MISMATCH
+    return EXIT_OK
+
+
 # -- verify-families ----------------------------------------------------------
 
 
@@ -166,7 +174,7 @@ def cmd_verify_families(args) -> int:
         cert = families_mod.verify_domain(fam)
         ok_dom = cert.valid
         status = "ok" if (ok_id and ok_vol and ok_dom) else "FAIL"
-        detail = (f"segments={cert.g3_witness.bisection_segments + cert.g4_witness.bisection_segments}"
+        detail = (f"segments={sum(w.bisection_segments for w in cert.witnesses)}"
                   if cert.mode == "interval-bisection" else "factored")
         print(f"family {fam.family_id:2d}: identity={'ok' if ok_id else 'FAIL'} "
               f"volume={'ok' if ok_vol else 'FAIL'} "
@@ -240,9 +248,8 @@ def cmd_certify(args) -> int:
         raise UsageError(f"--lift {args.lift}: the suspension dimension "
                          "must be at least 3")
     if not args.paper_example and args.lift is None:
-        print("nothing to do: pass --paper-example and/or --lift N",
-              file=sys.stderr)
-        return EXIT_MISMATCH
+        raise UsageError("certify: nothing to do; pass --paper-example "
+                         "and/or --lift N")
 
     rc = EXIT_OK
     if args.paper_example:
@@ -329,9 +336,12 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--stage", choices=("raw", "realizable", "sporadic"),
                    default="sporadic")
-    p.add_argument("--triples", action="store_true",
-                   help="search the three-cosine equation instead")
     p.set_defaults(func=cmd_search_quadruples)
+
+    p = sub.add_parser("search-triples",
+                       help="solve cos p cos q + cos r = 0 on the grid")
+    common(p)
+    p.set_defaults(func=cmd_search_triples)
 
     p = sub.add_parser("verify-families",
                        help="check the 42 continuous families")

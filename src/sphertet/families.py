@@ -8,19 +8,22 @@ two-parameter families live on one of two triangular regions:
     region A:  0 <= u <= pi/2,  0 <= t <= pi,    t >= u
     region B:  0 <= u <= pi,    0 <= t <= pi/2,  t <= u
 
-subject to the extra realizability bound t + u <= pi (the leading
-principal minors of the Gram matrix factor as sin(t+u)*sin(t-u) and its
-square, so the strip t + u > pi inside the printed triangles carries no
-tetrahedra; the certificate records this tightening).
+subject to the extra realizability bound t + u <= pi.  The printed
+triangles also hold the strip t + u > pi, which carries no tetrahedra;
+the bound comes out of the domain certificate, since family 35's first
+Gram sum is 2 cos((t+u)/2) sin((t-u)/2), negative once t + u > pi.
 
 For every family the module can verify exactly, in cyclotomic
 arithmetic, that (a) the four-cosine residual vanishes identically in
 the parameters, (b) the tabulated volume polynomial agrees with the
-volume formula applied to the angle expressions, and (c) the interior
-of the domain consists of realizable tetrahedra (positive definite Gram
-matrix), via Taylor strips at degenerate endpoints plus adaptive
-interval bisection for one parameter, or via the exact sine
-factorization for two.
+volume formula applied to the angle expressions, and (c) every point of
+the open domain is a realizable tetrahedron: each of the four cosine
+sums of geometry.realizability (gram_sums) is positive there, which
+makes the Gram matrix positive definite.  For one parameter the proof
+is Taylor strips at degenerate endpoints plus adaptive interval
+bisection; for two it is an exact sum-to-product identity
+2|c| cos X cos Y and the sign of each factor, read off the range of its
+linear argument over the region's vertices.
 
 Families come in twin pairs related by swapping r and s; both members
 are kept because the tables list them separately, and membership tests
@@ -29,10 +32,11 @@ always try all coordinate swaps, so deduplication is never load-bearing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Sequence, Union
+from typing import ClassVar, Optional, Union
 
 from .angles import RationalAngle, frac_obj
 from .geometry import PythagoreanQuadruple, VolumeCoefficient, volume
@@ -41,7 +45,6 @@ from .trigpoly import (
     PositivityError,
     PositivityWitness,
     TrigPoly,
-    det,
     positive_on_open_interval,
 )
 
@@ -311,117 +314,119 @@ def verify_volume_form(fam: FamilySpec) -> bool:
     return derived._coeffs() == fam.vol._coeffs()
 
 
-def gram_minor_polys(fam: FamilySpec) -> tuple[TrigPoly, TrigPoly]:
-    """Leading principal 3x3 and 4x4 Gram minors as TrigPolys."""
-    one = TrigPoly.constant(1)
-    cp = TrigPoly.cos_of(fam.p, -1)
-    cq = TrigPoly.cos_of(fam.q, -1)
-    cr = TrigPoly.cos_of(fam.r, -1)
-    cs = TrigPoly.cos_of(fam.s, -1)
-    m = [
-        [one, cr, cp, cq],
-        [cr, one, cq, cp],
-        [cp, cq, one, cs],
-        [cq, cp, cs, one],
-    ]
-    g3 = det([row[:3] for row in m[:3]])
-    g4 = det(m)
-    return g3, g4
+def gram_sums(fam: FamilySpec) -> tuple[TrigPoly, TrigPoly, TrigPoly, TrigPoly]:
+    """The four cosine sums of geometry.realizability as TrigPolys.
+
+    In the order S- - P, S- + P, S+ - Q, S+ + Q with
+    S-+ = cos((r-s)/2) -+ cos((r+s)/2), P = cos p + cos q and
+    Q = cos p - cos q; each has at most four terms.  Where all four are
+    positive the Gram matrix is positive definite: S > |X| >= 0 gives
+    (1 -+ cos r)(1 -+ cos s) = S^2 > X^2 with both factors positive, so
+    both 2x2 blocks M+- are positive definite.
+    """
+    half = Fraction(1, 2)
+    c_diff = TrigPoly.cos_of((fam.r - fam.s).scale(half))
+    c_sum = TrigPoly.cos_of((fam.r + fam.s).scale(half))
+    c_p, c_q = TrigPoly.cos_of(fam.p), TrigPoly.cos_of(fam.q)
+    s_minus, s_plus = c_diff - c_sum, c_diff + c_sum
+    return (s_minus - (c_p + c_q), s_minus + (c_p + c_q),
+            s_plus - (c_p - c_q), s_plus + (c_p - c_q))
+
+
+@dataclass(frozen=True)
+class ProductWitness:
+    """A sum equals 2|c| cos(x) cos(y) identically in (t, u), and over the
+    closed region x and y (in pi units) range over x_range and y_range,
+    each inside one [k - 1/2, k + 1/2] with the two k of equal parity, so
+    the product is positive on the open region."""
+
+    x: AngleForm
+    y: AngleForm
+    x_range: tuple[Fraction, Fraction]
+    y_range: tuple[Fraction, Fraction]
 
 
 @dataclass(frozen=True)
 class DomainCertificate:
-    """Proof record that the family's domain interior is realizable."""
+    """Proof record that the family's open domain is realizable: one
+    witness per sum of gram_sums that the sum is positive there."""
 
     family_id: int
-    mode: str  # "interval-bisection" or "sine-factorization"
+    mode: str  # "interval-bisection" or "sine-factorization", as families.jsonl records it
     domain: str
-    tightened: bool
-    g3_witness: Optional[PositivityWitness] = None
-    g4_witness: Optional[PositivityWitness] = None
-    factor_identity_g3: Optional[bool] = None
-    factor_identity_g4: Optional[bool] = None
-    argument_ranges: tuple = ()
+    witnesses: tuple[Union[PositivityWitness, ProductWitness], ...]
+    # Always None; kept because perfbench/workloads.py reads them.
+    g3_witness: ClassVar[None] = None
+    g4_witness: ClassVar[None] = None
 
     @property
     def valid(self) -> bool:
-        if self.mode == "interval-bisection":
-            return self.g3_witness is not None and self.g4_witness is not None
-        return bool(self.factor_identity_g3) and bool(self.factor_identity_g4) and all(
-            0 <= lo and hi <= 1 and lo < hi for _, lo, hi in self.argument_ranges
-        )
+        return len(self.witnesses) == 4
 
 
-def _linear_range_over_region(form: AngleForm, domain: str) -> tuple[Fraction, Fraction]:
-    """Exact [min, max] of a linear angle form over the closed region,
-    in pi units; linear functions attain extremes at vertices."""
+def _cos_sign_over_region(form: AngleForm, domain: str
+                          ) -> tuple[int, tuple[Fraction, Fraction]]:
+    """The one sign of cos(form) on the open region (0 if there is none)
+    and the exact range of the form over the closed region, in pi units.
+
+    A linear form attains its extremes at the vertices and, unless it is
+    constant, takes values strictly between them on the open region, so
+    its range may touch the zeros (k +- 1/2)*pi of the cosine; a constant
+    form must lie strictly between them.
+    """
     values = [form.value_in_pi_units(tau, mu) for tau, mu in _REGION_VERTICES[domain]]
-    return min(values), max(values)
-
-
-def _segment_domain_certificate(fam: FamilySpec, precision: int) -> DomainCertificate:
-    g3, g4 = gram_minor_polys(fam)
-    w3 = positive_on_open_interval(g3, Fraction(0), SEGMENT_END, precision=precision)
-    w4 = positive_on_open_interval(g4, Fraction(0), SEGMENT_END, precision=precision)
-    return DomainCertificate(
-        family_id=fam.family_id,
-        mode="interval-bisection",
-        domain=DOMAIN_SEGMENT,
-        tightened=False,
-        g3_witness=w3,
-        g4_witness=w4,
-    )
-
-
-def _factored_domain_certificate(fam: FamilySpec, precision: int) -> DomainCertificate:
-    """For the two-parameter families the minors factor exactly:
-
-        G3 = sin(t+u) sin(t-u)   (region A; |t-u| -> u-t on region B)
-        G4 = G3^2
-
-    so positive definiteness on the tightened region follows from both
-    sine arguments lying in (0, pi) there, which a vertex check of the
-    linear arguments proves.
-    """
-    g3, g4 = gram_minor_polys(fam)
-    if fam.domain == DOMAIN_A:
-        arg1 = AngleForm(Fraction(0), Fraction(1), Fraction(1))   # t + u
-        arg2 = AngleForm(Fraction(0), Fraction(1), Fraction(-1))  # t - u
+    lo, hi = min(values), max(values)
+    half = Fraction(1, 2)
+    k = math.floor((lo + hi) / 2 + half)
+    if form.is_constant:
+        inside = k - half < lo < k + half
     else:
-        arg1 = AngleForm(Fraction(0), Fraction(1), Fraction(1))
-        arg2 = AngleForm(Fraction(0), Fraction(-1), Fraction(1))  # u - t
-    product = TrigPoly.sin_of(arg1) * TrigPoly.sin_of(arg2)
-    ok3 = (g3 - product).is_zero()
-    ok4 = (g4 - g3 * g3).is_zero()
-    ranges = tuple(
-        (str(arg), *_linear_range_over_region(arg, fam.domain))
-        for arg in (arg1, arg2)
-    )
-    return DomainCertificate(
-        family_id=fam.family_id,
-        mode="sine-factorization",
-        domain=fam.domain,
-        tightened=True,
-        factor_identity_g3=ok3,
-        factor_identity_g4=ok4,
-        argument_ranges=ranges,
-    )
+        inside = k - half <= lo and hi <= k + half
+    return ((-1) ** k if inside else 0), (lo, hi)
 
 
-def verify_domain(fam: FamilySpec, precision: int = 96) -> DomainCertificate:
-    """Certify that the open domain interior is realizable.
+def _product_witness(total: TrigPoly, domain: str) -> ProductWitness:
+    """Prove total > 0 on the open region by sum-to-product.
 
-    Raises PositivityError if certification fails; a returned
-    certificate with .valid is a proof sketch with checkable data.
+    total must be a constant group that vanishes plus c cos A +- c cos B;
+    with cos A - cos B = cos A + cos(B + pi) and a negative c absorbed as
+    pi into x, it is 2|c| cos(x) cos(y) with x, y = (A +- B)/2, which
+    TrigPoly.is_zero checks exactly.
     """
+    pi = AngleForm(Fraction(1))
+    terms = [(form, c) for form, c in total.terms if not form.is_constant]
+    if len(terms) != 2 or abs(terms[0][1]) != abs(terms[1][1]):
+        raise PositivityError(f"{total} is not c cos A +- c cos B")
+    (a, c), (b, d) = terms
+    if d != c:
+        b = b + pi
+    x = (a + b).scale(Fraction(1, 2)) + (pi if c < 0 else AngleForm())
+    y = (a - b).scale(Fraction(1, 2))
+    if not (total - TrigPoly.cos_of(x, 2 * abs(c)) * TrigPoly.cos_of(y)).is_zero():
+        raise PositivityError(f"{total} is not 2|c| cos({x}) cos({y})")
+    (sx, x_range), (sy, y_range) = (_cos_sign_over_region(f, domain) for f in (x, y))
+    if sx * sy <= 0:
+        raise PositivityError(
+            f"cos({x}) cos({y}) is not positive throughout region {domain}")
+    return ProductWitness(x, y, x_range, y_range)
+
+
+def verify_domain(fam: FamilySpec) -> DomainCertificate:
+    """Certify that the open domain is realizable.
+
+    Segment rows prove each sum positive on (0, pi/6) by Taylor strips at
+    the ends plus interval bisection; two-parameter rows by an exact
+    sum-to-product identity and the sign of each cosine factor over the
+    region.  Raises PositivityError when a sum cannot be proven positive.
+    """
+    sums = gram_sums(fam)
     if fam.two_param:
-        cert = _factored_domain_certificate(fam, precision)
-        if not cert.valid:
-            raise PositivityError(
-                f"factorization certificate failed for family {fam.family_id}"
-            )
-        return cert
-    return _segment_domain_certificate(fam, precision)
+        return DomainCertificate(
+            fam.family_id, "sine-factorization", fam.domain,
+            tuple(_product_witness(s, fam.domain) for s in sums))
+    return DomainCertificate(
+        fam.family_id, "interval-bisection", fam.domain,
+        tuple(positive_on_open_interval(s, Fraction(0), SEGMENT_END) for s in sums))
 
 
 # -- membership and instantiation -----------------------------------------

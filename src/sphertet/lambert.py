@@ -78,15 +78,6 @@ def lambert_residual(a: RationalAngle, b: RationalAngle,
     return total
 
 
-def doubled_residual(a: RationalAngle, b: RationalAngle,
-                     c: RationalAngle) -> CyclotomicNumber:
-    """(cos 2a + cos 2b + cos 2c + 1)/2; equals lambert_residual exactly."""
-    total = CyclotomicNumber.zero(1) + Fraction(1)
-    for x in (a, b, c):
-        total = total + cos_as_cyclotomic(x + x)
-    return total * Fraction(1, 2)
-
-
 def lambert_volume(cube: LambertCube) -> VolumeCoefficient:
     """Volume as an exact rational coefficient of pi^2."""
     if not lambert_residual(*cube.angles).is_zero():

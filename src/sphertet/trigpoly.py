@@ -260,7 +260,10 @@ def _frac_iv(lo: Rat, hi: Rat):
 
 
 def det(matrix: Sequence[Sequence[TrigPoly]]) -> TrigPoly:
-    """Determinant of a square TrigPoly matrix by cofactor expansion."""
+    """Determinant of a square TrigPoly matrix by cofactor expansion.
+
+    No code in the package calls it; kept because perfbench/layers.py
+    traces it by name."""
     n = len(matrix)
     if n == 1:
         return matrix[0][0]

@@ -47,7 +47,6 @@ def test_supplement_is_involutive(f):
     a = RationalAngle.from_fraction(f)
     assert a.supplement().supplement() == a
     assert a.supplement().frac == 1 - f
-    assert a.explement().frac == 2 - f
 
 
 def test_float_value():

@@ -20,7 +20,6 @@ from sphertet.certify import (
     nondecomposability_certificate,
     normalized_area,
     recheck_obstruction,
-    sides_within,
     volume_fraction,
 )
 from sphertet.geometry import PreconditionError, PythagoreanQuadruple
@@ -75,9 +74,6 @@ def test_octant_triangle_has_quarter_circle_sides():
     for enc in link_triangle_sides(OCTANT):
         assert enc.lo <= 0 <= enc.hi
         assert enc.hi - enc.lo < Fraction(1, 10**9)
-    assert sides_within(OCTANT, angle(1, 3), angle(2, 3))
-    # the sides equal pi/2 exactly, so a strict pi/2 bound cannot certify
-    assert not sides_within(OCTANT, angle(1, 6), angle(1, 2))
 
 
 def test_equilateral_two_thirds_triangle_side_cosine():
@@ -89,7 +85,9 @@ def test_equilateral_two_thirds_triangle_side_cosine():
 
 
 def test_reference_link_sides_are_strictly_short():
-    assert sides_within(REFERENCE_LINK, angle(1, 6), angle(1, 2))
+    # pi/6 < side < pi/2 iff 0 < cos(side) < sqrt(3)/2
+    for enc in link_triangle_sides(REFERENCE_LINK):
+        assert 0 < enc.lo and enc.hi * enc.hi < Fraction(3, 4)
 
 
 # -- certified diameter bounds -------------------------------------------------

@@ -60,7 +60,9 @@ def test_certify_lift_below_three_is_a_usage_error(capsys):
 
 
 def test_certify_requires_a_task(capsys):
-    assert main(["certify"]) == EXIT_MISMATCH
+    assert main(["certify"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "--paper-example" in err and "--lift" in err
 
 
 def test_catalog_export(tmp_path, capsys):
@@ -71,7 +73,7 @@ def test_catalog_export(tmp_path, capsys):
 
 
 def test_triples_search(capsys):
-    assert main(["search-quadruples", "--triples"]) == EXIT_OK
+    assert main(["search-triples"]) == EXIT_OK
     out = capsys.readouterr().out
     assert "nontrivial" in out
 
@@ -86,7 +88,7 @@ def test_triples_other_than_the_papers_are_a_mismatch(monkeypatch, capsys,
     real = cli.search_triples
     monkeypatch.setattr(cli, "search_triples", lambda cfg: dataclasses.replace(
         real(cfg), nontrivial=nontrivial))
-    assert main(["search-quadruples", "--triples"]) == EXIT_MISMATCH
+    assert main(["search-triples"]) == EXIT_MISMATCH
     assert "(pi/4, pi/4, 2pi/3)" in capsys.readouterr().err
 
 
@@ -132,7 +134,7 @@ def test_reproduce_script_runs_the_cli_stages(tmp_path, monkeypatch, capsys):
         ["search-quadruples", *out],
         ["verify-families", *out],
         ["search-lambert", *out],
-        ["search-quadruples", "--triples", *out],
+        ["search-triples", *out],
         ["certify", "--paper-example", "--lift", "8", *out],
     ]
     assert "\nOK in " in capsys.readouterr().out
@@ -173,7 +175,8 @@ def test_unknown_config_key_or_bad_value_is_a_usage_error(tmp_path, capsys,
     assert str(cfg) in err and repr(key) in err
 
 
-@pytest.mark.parametrize("flag", ["--tolerance", "--workers", "--format"])
+@pytest.mark.parametrize("flag", ["--tolerance", "--workers", "--format",
+                                  "--triples"])
 def test_search_flags_are_gone(flag, capsys):
     assert main(["search-quadruples", flag, "1"]) == EXIT_USAGE
     assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err

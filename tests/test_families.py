@@ -7,24 +7,32 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_geometry import _interval_gram_minor_signs
+
 from sphertet.angles import angle
+from sphertet.cyclotomic import sign
 from sphertet.families import (
     DOMAIN_A,
     DOMAIN_B,
     DOMAIN_SEGMENT,
     SEGMENT_END,
+    FamilySpec,
+    VolumeForm,
     builtin_families,
     classify_quadruple,
     export_catalog,
     family_by_id,
+    gram_sums,
     instantiate,
     member_of,
     residual_poly,
+    verify_domain,
     verify_identity,
     verify_volume_form,
 )
-from sphertet.geometry import PythagoreanQuadruple, volume
+from sphertet.geometry import PythagoreanQuadruple, realizability, volume
 from sphertet.records import load_family_fixture
+from sphertet.trigpoly import AngleForm, PositivityError
 
 
 def quad(p, q, r, s):
@@ -63,16 +71,59 @@ def test_all_domains_certified(domain_certificates):
     for fam_id, cert in domain_certificates.items():
         assert cert.valid, f"family {fam_id} domain not certified"
     # one-parameter rows use interval bisection, two-parameter rows a
-    # factorization of the minors into products of sines
+    # factorization of each cosine sum into a product of two cosines
     assert domain_certificates[2].mode == "interval-bisection"
     assert domain_certificates[40].mode == "sine-factorization"
 
 
 def test_segment_domain_certificates_have_witnesses(domain_certificates):
     cert = domain_certificates[2]
-    assert cert.g3_witness is not None
-    assert cert.g4_witness.bisection_segments > 0
-    assert cert.g4_witness.variable_range == (Fraction(0), SEGMENT_END)
+    assert len(cert.witnesses) == 4
+    for w in cert.witnesses:
+        assert w.bisection_segments > 0
+        assert w.variable_range == (Fraction(0), SEGMENT_END)
+
+
+# Rational sample points of each domain: both ends and the middle of the
+# segment; the centroid of each triangle and a point near each vertex.
+_TRIANGLES = {
+    DOMAIN_A: ((0, 0), (1, 0), (Fraction(1, 2), Fraction(1, 2))),
+    DOMAIN_B: ((0, 0), (0, 1), (Fraction(1, 2), Fraction(1, 2))),
+}
+
+
+def _sample_points(fam):
+    if fam.domain == DOMAIN_SEGMENT:
+        end = Fraction(1, 420)
+        return [(end, 0), (Fraction(1, 12), 0), (SEGMENT_END - end, 0)]
+    vertices = _TRIANGLES[fam.domain]
+    center = tuple(sum(Fraction(v[i]) for v in vertices) / 3 for i in (0, 1))
+    near = [tuple(v[i] + (center[i] - v[i]) / 60 for i in (0, 1))
+            for v in vertices]
+    return [center, *near]
+
+
+@pytest.mark.parametrize("fam_id", range(1, 43))
+def test_gram_sums_agree_with_interval_gram_minors(fam_id):
+    """Independent oracle for the domain certificates: at rational points
+    of the open domain the 3x3 minor and the determinant of the 4x4 Gram
+    matrix, from 128-bit mpmath interval cosines, are positive, the
+    quadruple is realizable, and every sum of gram_sums is positive."""
+    fam = family_by_id(fam_id)
+    for tau, mu in _sample_points(fam):
+        q = instantiate(fam, tau, mu).quadruple
+        assert _interval_gram_minor_signs(q) == (1, 1), (tau, mu)
+        assert realizability(q).realizable
+        assert [sign(s.eval_exact(tau, mu)) for s in gram_sums(fam)] == [1] * 4
+
+
+def test_product_certificate_rejects_a_factor_that_changes_sign():
+    """S- - P = sin 2t - sin u = 2 cos(t + u/2) sin(t - u/2), and
+    cos(t + u/2) crosses zero inside region A."""
+    fam = FamilySpec(99, AngleForm(Fraction(1, 2)), AngleForm(Fraction(1, 2), 0, -1),
+                     AngleForm(1, -2), AngleForm(0, 2), VolumeForm(), DOMAIN_A, 99)
+    with pytest.raises(PositivityError, match="not positive throughout region A"):
+        verify_domain(fam)
 
 
 def test_residual_poly_is_nonzero_off_family():

@@ -149,6 +149,18 @@ def _interval_sign(x) -> int:
     return 1 if x.a > 0 else -1 if x.b < 0 else 0
 
 
+def _interval_gram_minor_signs(q: PythagoreanQuadruple) -> tuple[int, int]:
+    """Signs of the 3x3 minor and the determinant of the 4x4 Gram matrix
+    from 128-bit mpmath interval cosines, by cofactor expansion."""
+    with iv_precision(128):
+        cp, cq, cr, cs = (-iv.cos(iv.pi * f.numerator / f.denominator)
+                          for f in q.fractions)
+        g = [[1, cr, cp, cq], [cr, 1, cq, cp],
+             [cp, cq, 1, cs], [cq, cp, cs, 1]]
+        return (_interval_sign(_interval_det([row[:3] for row in g[:3]])),
+                _interval_sign(_interval_det(g)))
+
+
 def test_four_sums_agree_with_interval_gram_minors(sporadic_report):
     """Independent oracle: the 3x3 minor and the determinant of the 4x4
     Gram matrix from mpmath interval cosines, by cofactor expansion.
@@ -159,30 +171,24 @@ def test_four_sums_agree_with_interval_gram_minors(sporadic_report):
     certificate's signs are also those of the four half-angle cosine sums
     evaluated literally (all in Q(zeta_420) on this grid)."""
     straddles = realizable = 0
-    with iv_precision(128):
-        for q in sporadic_report.raw_solutions:
-            half_diff = cos_as_cyclotomic((q.r - q.s) / 2)
-            half_sum = cos_as_cyclotomic((q.r + q.s) / 2)
-            cp, cq = cos_as_cyclotomic(q.p), cos_as_cyclotomic(q.q)
-            sums = (half_diff - half_sum - (cp + cq),
-                    half_diff - half_sum + (cp + cq),
-                    half_diff + half_sum - (cp - cq),
-                    half_diff + half_sum + (cp - cq))
-            assert realizability(q).signs == tuple(sign(x) for x in sums), q
-            cp, cq, cr, cs = (-iv.cos(iv.pi * f.numerator / f.denominator)
-                              for f in q.fractions)
-            g = [[1, cr, cp, cq], [cr, 1, cq, cp],
-                 [cp, cq, 1, cs], [cq, cp, cs, 1]]
-            g3 = _interval_sign(_interval_det([row[:3] for row in g[:3]]))
-            g4 = _interval_sign(_interval_det(g))
-            cert = realizability(q)
-            if g3 and g4:
-                assert cert.realizable == (g3 > 0 and g4 > 0), q
-                assert 0 not in cert.signs, q
-            else:
-                straddles += 1
-                assert 0 in cert.signs and not cert.realizable, q
-            realizable += cert.realizable
+    for q in sporadic_report.raw_solutions:
+        half_diff = cos_as_cyclotomic((q.r - q.s) / 2)
+        half_sum = cos_as_cyclotomic((q.r + q.s) / 2)
+        cp, cq = cos_as_cyclotomic(q.p), cos_as_cyclotomic(q.q)
+        sums = (half_diff - half_sum - (cp + cq),
+                half_diff - half_sum + (cp + cq),
+                half_diff + half_sum - (cp - cq),
+                half_diff + half_sum + (cp - cq))
+        assert realizability(q).signs == tuple(sign(x) for x in sums), q
+        g3, g4 = _interval_gram_minor_signs(q)
+        cert = realizability(q)
+        if g3 and g4:
+            assert cert.realizable == (g3 > 0 and g4 > 0), q
+            assert 0 not in cert.signs, q
+        else:
+            straddles += 1
+            assert 0 in cert.signs and not cert.realizable, q
+        realizable += cert.realizable
     assert len(sporadic_report.raw_solutions) == 790
     assert straddles == 420
     assert realizable == 208

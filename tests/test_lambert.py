@@ -7,11 +7,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sphertet.angles import RationalAngle, angle
+from sphertet.cyclotomic import CyclotomicNumber, cos_as_cyclotomic
 from sphertet.geometry import PreconditionError, is_pythagorean
 from sphertet.lambert import (
     LambertCube,
     companion_tetrahedra,
-    doubled_residual,
     lambert_residual,
     lambert_volume,
     search_rational_lambert_cubes,
@@ -20,6 +20,16 @@ from sphertet.records import load_lambert_fixture
 
 L1 = LambertCube(angle(3, 4), angle(2, 3), angle(2, 3))
 L2 = LambertCube(angle(2, 3), angle(3, 5), angle(4, 5))
+
+
+def doubled_residual(a: RationalAngle, b: RationalAngle,
+                     c: RationalAngle) -> CyclotomicNumber:
+    """(cos 2a + cos 2b + cos 2c + 1)/2; equals lambert_residual exactly."""
+    total = CyclotomicNumber.zero(1) + Fraction(1)
+    for x in (a, b, c):
+        total = total + cos_as_cyclotomic(x + x)
+    return total * Fraction(1, 2)
+
 
 # Denominators divide 1260 so that combined cyclotomic orders stay small.
 _DENS = (3, 4, 5, 6, 7, 9, 10, 12, 14, 15)
