@@ -25,6 +25,18 @@ bisection; for two it is an exact sum-to-product identity
 2|c| cos X cos Y and the sign of each factor, read off the range of its
 linear argument over the region's vertices.
 
+Membership is decided by an index built once, on first use.  Each
+family's angle map x = alpha + tau*beta + mu*gamma (x = (p, q, r, s) in
+pi units) is inverted: its directions have full rank, so a point of the
+family's line or plane determines tau and mu as affine functions of one
+or two fixed coordinates.  The 42 rows fall into 18 spans of their
+directions (16 lines carrying the 34 segment rows, 2 planes carrying
+the 8 two-parameter rows), and within a span they are keyed by alpha
+projected along it, in integers over one denominator.  A quadruple is
+on a family exactly when its own projection has that family's key, so
+finding its families costs one projection and one dict lookup per span
+and per coordinate swap tried.
+
 Families come in twin pairs related by swapping r and s; both members
 are kept because the tables list them separately, and membership tests
 always try all coordinate swaps, so deduplication is never load-bearing.
@@ -33,10 +45,11 @@ always try all coordinate swaps, so deduplication is never load-bearing.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import ClassVar, Optional, Union
+from functools import cached_property, lru_cache
+from typing import ClassVar, NamedTuple, Optional, Sequence, Union
 
 from .angles import RationalAngle, frac_obj
 from .geometry import PythagoreanQuadruple, VolumeCoefficient, volume
@@ -155,6 +168,11 @@ class FamilySpec:
         if self.domain == DOMAIN_A:
             return 0 <= mu <= tau and tau + mu <= 1
         return 0 <= tau <= mu and tau + mu <= 1
+
+    @cached_property
+    def _inverse(self) -> "_FamilyInverse":
+        """The angle map inverted (computed once per spec)."""
+        return _invert(self)
 
     def interior_parameters(self, tau: Rat, mu: Rat = 0) -> bool:
         tau, mu = Fraction(tau), Fraction(mu)
@@ -441,37 +459,158 @@ class FamilyMembership:
     swapped_rs: bool
 
 
-def _solve_linear(rows: list[tuple[Fraction, Fraction, Fraction]]
-                  ) -> Optional[tuple[Fraction, Fraction]]:
-    """One exact solution of the rows beta*tau + gamma*mu = rhs, or None.
+@dataclass(frozen=True)
+class _Span:
+    """The span of a family's directions (a catalog row has one or two,
+    beta and gamma).  pivots are the pivot coordinates of its reduced row
+    echelon basis E; projection has one integer row per other coordinate
+    k, scale * (e_k - sum_j E[j][k] e_pivots[j]), which maps x to scale
+    times x minus the span vector that agrees with x at the pivots."""
 
-    Free coordinates default to zero; every candidate is checked against
-    all rows at the end, so any returned pair genuinely solves the
-    system.
-    """
-    tau = mu = Fraction(0)
-    pivot = next((row for row in rows if row[0] != 0), None)
-    if pivot is not None:
-        b1, g1, r1 = pivot
-        for b, g, r in rows:
-            g2, r2 = g - b / b1 * g1, r - b / b1 * r1
-            if g2 != 0:
-                mu = r2 / g2
-                break
-        tau = (r1 - g1 * mu) / b1
-    else:
-        for b, g, r in rows:
-            if g != 0:
-                mu = r / g
-                break
-    if all(b * tau + g * mu == r for b, g, r in rows):
+    pivots: tuple[int, ...]
+    projection: tuple[tuple[int, ...], ...]
+    scale: int
+
+    def key(self, nums: Sequence[int], den: int) -> tuple[int, ...]:
+        """The projection of nums/den as reduced integer numerators and
+        their denominator: two points share a key iff their difference
+        lies in the span."""
+        out = [sum(map(operator.mul, row, nums)) for row in self.projection]
+        den *= self.scale
+        g = math.gcd(den, *out)
+        return (*[v // g for v in out], den // g)
+
+
+@dataclass(frozen=True)
+class _FamilyInverse:
+    """A family's angle map x = alpha + tau*beta + mu*gamma, inverted: x is
+    on the family's line or plane iff span.key(x) == key, and then
+    (tau, mu) = coeffs @ (x - alpha) read at the span's pivots."""
+
+    fam: FamilySpec
+    span: _Span
+    key: tuple[int, ...]
+    alpha: tuple[Fraction, ...]
+    coeffs: tuple[tuple[Fraction, ...], tuple[Fraction, ...]]
+
+    def parameters(self, nums: Sequence[int], den: int) -> tuple[Fraction, Fraction]:
+        d = [Fraction(nums[p], den) - self.alpha[p] for p in self.span.pivots]
+        tau, mu = (sum((c * v for c, v in zip(row, d)), Fraction(0))
+                   for row in self.coeffs)
         return tau, mu
-    return None
+
+
+def _over_common_denominator(pairs: Sequence[tuple[int, int]]) -> tuple[list[int], int]:
+    """Numerators over the least common denominator of num/den pairs."""
+    den = math.lcm(*(d for _, d in pairs))
+    return [n * (den // d) for n, d in pairs], den
+
+
+def _invert(fam: FamilySpec) -> _FamilyInverse:
+    """Invert the family's angle map by Gauss-Jordan elimination on its
+    directions, each row carrying the combination of directions it is.
+
+    The reduced rows E and combinations C (E = C @ directions) give, for x
+    on the family, x - alpha = sum_j (x - alpha)[pivot j] * E[j], so the
+    parameters are C^T @ (x - alpha) at the pivots.  Raises ValueError
+    when the directions are linearly dependent (the parameters would not
+    be determined by the angles).
+    """
+    forms = fam.angle_forms
+    alpha = tuple(f.pi_part for f in forms)
+    dirs = [[f.t_part for f in forms]]
+    if fam.two_param:
+        dirs.append([f.u_part for f in forms])
+    n = len(dirs)
+    rows = [d + [Fraction(int(i == j)) for j in range(n)] for i, d in enumerate(dirs)]
+    pivots: list[int] = []
+    for col in range(4):
+        r = len(pivots)
+        pick = next((i for i in range(r, n) if rows[i][col]), None)
+        if pick is None:
+            continue
+        rows[r], rows[pick] = rows[pick], rows[r]
+        rows[r] = [v / rows[r][col] for v in rows[r]]
+        for i in range(n):
+            f = rows[i][col]
+            if i != r and f:
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(col)
+        if len(pivots) == n:
+            break
+    if len(pivots) < n:
+        raise ValueError(f"family {fam.family_id} has dependent directions")
+    scale = math.lcm(*(v.denominator for row in rows for v in row[:4]))
+    projection = []
+    for k in range(4):
+        if k not in pivots:
+            proj = [Fraction(int(i == k)) for i in range(4)]
+            for p, row in zip(pivots, rows):
+                proj[p] -= row[k]
+            projection.append(tuple(int(scale * v) for v in proj))
+    span = _Span(tuple(pivots), tuple(projection), scale)
+    params = [tuple(row[4 + k] for row in rows) for k in range(n)]
+    if n == 1:
+        params.append((Fraction(0),))
+    alpha_key = span.key(*_over_common_denominator(
+        [(a.numerator, a.denominator) for a in alpha]))
+    return _FamilyInverse(fam, span, alpha_key, alpha, tuple(params))
+
+
+@lru_cache(maxsize=1)
+def _family_index() -> tuple[tuple[_Span, dict], ...]:
+    """The catalog grouped by span; within a span, the families of each
+    key as (catalog position, inverse), in catalog order."""
+    groups: dict[_Span, dict] = {}
+    for position, fam in enumerate(builtin_families()):
+        inv = fam._inverse
+        groups.setdefault(inv.span, {}).setdefault(inv.key, []).append((position, inv))
+    return tuple(groups.items())
+
+
+class _Target(NamedTuple):
+    """An angle vector to match, as integer numerators over one denominator."""
+
+    nums: list[int]
+    den: int
+    swapped_pq: bool
+    swapped_rs: bool
+
+
+# Coordinate orders of the p<->q / r<->s swaps, in the order they are tried.
+_SWAPS = (((0, 1, 2, 3), False, False), ((0, 1, 3, 2), False, True),
+          ((1, 0, 2, 3), True, False), ((1, 0, 3, 2), True, True))
+
+
+def _targets(quad: PythagoreanQuadruple, extent: str) -> list[_Target]:
+    """The quadruple itself for extent="curve", its four swaps for
+    extent="domain"."""
+    if extent not in ("curve", "domain"):
+        raise ValueError(f"unknown extent {extent!r}")
+    nums, den = _over_common_denominator([(a.num, a.den) for a in quad.angles])
+    return [_Target([nums[i] for i in perm], den, spq, srs)
+            for perm, spq, srs in (_SWAPS[:1] if extent == "curve" else _SWAPS)]
+
+
+def _membership(inv: _FamilyInverse, target: _Target,
+                extent: str) -> Optional[FamilyMembership]:
+    tau, mu = inv.parameters(target.nums, target.den)
+    if extent == "domain" and not inv.fam.contains_parameters(tau, mu):
+        return None
+    return FamilyMembership(inv.fam.family_id, RationalAngle.from_fraction(tau),
+                            RationalAngle.from_fraction(mu),
+                            target.swapped_pq, target.swapped_rs)
 
 
 def member_of(quad: PythagoreanQuadruple, fam: FamilySpec,
               extent: str = "domain") -> Optional[FamilyMembership]:
     """Parameters placing the quadruple inside the family, if any.
+
+    The family's angle map is inverted once (its directions have full
+    rank, so the parameters are unique): the quadruple is on the family
+    exactly when its projection along the span of the directions equals
+    that of the constant part, and the parameters are then read off at
+    fixed pivot coordinates.
 
     extent="domain" restricts to the closed (tightened) tabulated
     domain and tries all four combinations of the p<->q and r<->s
@@ -488,50 +627,34 @@ def member_of(quad: PythagoreanQuadruple, fam: FamilySpec,
     folded branch are deliberately not matched.  That convention is
     what separates the sporadic list from the families.
     """
-    p0, q0, r0, s0 = (x.frac for x in quad.angles)
-    if extent == "curve":
-        rows = [(form.t_part, form.u_part, target - form.pi_part)
-                for form, target in zip(fam.angle_forms, (p0, q0, r0, s0))]
-        solved = _solve_linear(rows)
-        if solved is None:
-            return None
-        tau, mu = solved
-        return FamilyMembership(
-            fam.family_id,
-            RationalAngle.from_fraction(tau),
-            RationalAngle.from_fraction(mu),
-            False,
-            False,
-        )
-    if extent != "domain":
-        raise ValueError(f"unknown extent {extent!r}")
-    for swap_pq in (False, True):
-        for swap_rs in (False, True):
-            tp, tq = (q0, p0) if swap_pq else (p0, q0)
-            tr, ts = (s0, r0) if swap_rs else (r0, s0)
-            rows = []
-            for form, target in zip(fam.angle_forms, (tp, tq, tr, ts)):
-                rows.append((form.t_part, form.u_part, target - form.pi_part))
-            solved = _solve_linear(rows)
-            if solved is None:
-                continue
-            tau, mu = solved
-            if fam.contains_parameters(tau, mu):
-                return FamilyMembership(
-                    fam.family_id,
-                    RationalAngle.from_fraction(tau),
-                    RationalAngle.from_fraction(mu),
-                    swap_pq,
-                    swap_rs,
-                )
+    inv = fam._inverse
+    for target in _targets(quad, extent):
+        if inv.span.key(target.nums, target.den) == inv.key:
+            hit = _membership(inv, target, extent)
+            if hit is not None:
+                return hit
     return None
 
 
 def classify_quadruple(quad: PythagoreanQuadruple,
                        extent: str = "domain") -> Optional[FamilyMembership]:
-    """First family containing the quadruple, scanning the catalog in order."""
-    for fam in builtin_families():
-        hit = member_of(quad, fam, extent=extent)
+    """First family containing the quadruple, in catalog order (and, for
+    one family, the first swap in member_of's order): member_of over the
+    catalog, answered from the family index.
+
+    The index, built once, groups the 42 rows by the span of their
+    directions (16 lines and 2 planes) and keys each group by the
+    projection of the constant parts along the span, so each angle vector
+    to match costs one projection and one dict lookup per span.
+    """
+    targets = _targets(quad, extent)
+    found = []
+    for k, target in enumerate(targets):
+        for span, table in _family_index():
+            found += [(position, k, inv) for position, inv
+                      in table.get(span.key(target.nums, target.den), ())]
+    for _, k, inv in sorted(found, key=lambda hit: hit[:2]):
+        hit = _membership(inv, targets[k], extent)
         if hit is not None:
             return hit
     return None

@@ -41,6 +41,7 @@ from typing import Iterable, Optional, Sequence
 
 from .angles import RationalAngle
 from .cyclotomic import common_order, cos_as_cyclotomic, totient
+from .families import classify_quadruple
 from .geometry import (
     EdgeLengths,
     PythagoreanQuadruple,
@@ -323,17 +324,9 @@ def run_sporadic_search(cfg: Optional[SearchConfig] = None) -> SearchReport:
 
     realizable = [q for q in raw_quads if realizability(q).realizable]
 
-    from .families import builtin_families, member_of
-
-    families = builtin_families()
-    sporadic_quads = []
-    member_count = 0
-    for quad in realizable:
-        if any(member_of(quad, fam, extent="curve") is not None
-               for fam in families):
-            member_count += 1
-        else:
-            sporadic_quads.append(quad)
+    sporadic_quads = [q for q in realizable
+                      if classify_quadruple(q, extent="curve") is None]
+    member_count = len(realizable) - len(sporadic_quads)
 
     rows = tuple(
         SporadicRow(q, edge_lengths(q, checked=False), volume(q, checked=False))

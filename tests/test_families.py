@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from typing import Optional
 
 import pytest
 from hypothesis import given, settings
@@ -9,15 +10,17 @@ from hypothesis import strategies as st
 
 from test_geometry import _interval_gram_minor_signs
 
-from sphertet.angles import angle
+from sphertet.angles import RationalAngle, angle
 from sphertet.cyclotomic import sign
 from sphertet.families import (
     DOMAIN_A,
     DOMAIN_B,
     DOMAIN_SEGMENT,
     SEGMENT_END,
+    FamilyMembership,
     FamilySpec,
     VolumeForm,
+    _family_index,
     builtin_families,
     classify_quadruple,
     export_catalog,
@@ -210,3 +213,184 @@ def test_export_matches_shipped_fixture():
     assert json.dumps(export_catalog(), sort_keys=True) == json.dumps(
         load_family_fixture(), sort_keys=True
     )
+
+
+# -- membership against a brute-force oracle ------------------------------
+
+
+def _solve_linear(rows):
+    """One exact solution of the rows beta*tau + gamma*mu = rhs, or None.
+
+    Free coordinates default to zero; every candidate is checked against
+    all rows at the end, so any returned pair genuinely solves the
+    system.
+    """
+    tau = mu = Fraction(0)
+    pivot = next((row for row in rows if row[0] != 0), None)
+    if pivot is not None:
+        b1, g1, r1 = pivot
+        for b, g, r in rows:
+            g2, r2 = g - b / b1 * g1, r - b / b1 * r1
+            if g2 != 0:
+                mu = r2 / g2
+                break
+        tau = (r1 - g1 * mu) / b1
+    else:
+        for b, g, r in rows:
+            if g != 0:
+                mu = r / g
+                break
+    if all(b * tau + g * mu == r for b, g, r in rows):
+        return tau, mu
+    return None
+
+
+_ORACLE_SWAPS = ((False, False), (False, True), (True, False), (True, True))
+
+
+def _oracle_members(angles, fam):
+    """(curve, domain) membership of the angles (p, q, r, s) in the family
+    by eliminating each of the four swapped systems of rows
+    beta*tau + gamma*mu = angle - alpha: "curve" is the unswapped
+    solution, "domain" the first swap solved inside the closed domain."""
+    p, q, r, s = angles
+    curve = domain = None
+    for swap_pq, swap_rs in _ORACLE_SWAPS:
+        targets = ((q, p) if swap_pq else (p, q)) + ((s, r) if swap_rs else (r, s))
+        if any(f.is_constant and f.pi_part != x for f, x in zip(fam.angle_forms, targets)):
+            continue  # a constant angle differs, so _solve_linear's check fails
+        solved = _solve_linear([(f.t_part, f.u_part, x - f.pi_part)
+                                for f, x in zip(fam.angle_forms, targets)])
+        if solved is None:
+            continue
+        hit = FamilyMembership(fam.family_id, RationalAngle.from_fraction(solved[0]),
+                               RationalAngle.from_fraction(solved[1]), swap_pq, swap_rs)
+        if not (swap_pq or swap_rs):
+            curve = FamilyMembership(hit.family_id, hit.t, hit.u, False, False)
+        if domain is None and fam.contains_parameters(*solved):
+            domain = hit
+    return curve, domain
+
+
+def _first(hits) -> Optional[FamilyMembership]:
+    return next((h for h in hits if h is not None), None)
+
+
+def _assert_membership_matches_oracle(q):
+    angles = q.fractions
+    oracle = [_oracle_members(angles, fam) for fam in builtin_families()]
+    for fam, (curve, domain) in zip(builtin_families(), oracle):
+        assert member_of(q, fam, extent="curve") == curve, (q, fam.family_id)
+        assert member_of(q, fam, extent="domain") == domain, (q, fam.family_id)
+    assert classify_quadruple(q, extent="curve") == _first(c for c, _ in oracle), q
+    assert classify_quadruple(q, extent="domain") == _first(d for _, d in oracle), q
+
+
+def test_family_index_groups_the_catalog_by_span():
+    """18 spans: 16 lines carry the 34 segment rows and 2 planes the 8
+    two-parameter rows; every catalog row is in exactly one group."""
+    index = _family_index()
+    rows = {1: [], 2: []}
+    for span, table in index:
+        ids = [inv.fam.family_id for group in table.values() for _, inv in group]
+        rows[len(span.pivots)].append(ids)
+    assert (len(rows[1]), len(rows[2])) == (16, 2)
+    assert sorted(i for ids in rows[1] for i in ids) == list(range(1, 35))
+    assert sorted(i for ids in rows[2] for i in ids) == list(range(35, 43))
+
+
+def test_membership_matches_the_oracle_on_raw_solutions(sporadic_report):
+    assert len(sporadic_report.raw_solutions) == 790
+    for q in sporadic_report.raw_solutions:
+        _assert_membership_matches_oracle(q)
+
+
+def _interior_point(fam, x, y):
+    """A point of the open domain from x, y in (0, 1): on the segment, or
+    in the triangle spanned from (0, 0) by its other two vertices."""
+    if fam.domain == DOMAIN_SEGMENT:
+        return x * SEGMENT_END, Fraction(0)
+    tau, mu = x * (1 - y / 2), x * y / 2
+    return (tau, mu) if fam.domain == DOMAIN_A else (mu, tau)
+
+
+_OPEN_UNIT = st.fractions(min_value=0, max_value=1, max_denominator=60).filter(
+    lambda v: 0 < v < 1)
+
+
+@given(st.integers(1, 42), _OPEN_UNIT, _OPEN_UNIT)
+@settings(max_examples=100)
+def test_interior_members_match_the_oracle(fam_id, x, y):
+    fam = family_by_id(fam_id)
+    q = instantiate(fam, *_interior_point(fam, x, y)).quadruple
+    assert member_of(q, fam, extent="domain") is not None
+    _assert_membership_matches_oracle(q)
+
+
+_EPS = Fraction(1, 60)
+# Region A's vertices, a point inside each edge (u = 0, t + u = 1, t = u)
+# and a point just outside each edge; region B mirrors them in t = u.
+_REGION_A_PROBES = (
+    (0, 0), (1, 0), (Fraction(1, 2), Fraction(1, 2)),
+    (Fraction(1, 3), 0), (Fraction(2, 3), Fraction(1, 3)), (Fraction(1, 4), Fraction(1, 4)),
+    (Fraction(1, 3), -_EPS), (Fraction(2, 3) + _EPS / 2, Fraction(1, 3) + _EPS / 2),
+    (Fraction(1, 4) - _EPS / 2, Fraction(1, 4) + _EPS / 2),
+)
+
+
+def _boundary_probes(fam):
+    if fam.domain == DOMAIN_SEGMENT:
+        return [(tau, 0) for tau in (0, SEGMENT_END, -_EPS, SEGMENT_END + _EPS)]
+    probes = [(Fraction(t), Fraction(u)) for t, u in _REGION_A_PROBES]
+    return probes if fam.domain == DOMAIN_A else [(u, t) for t, u in probes]
+
+
+@pytest.mark.parametrize("fam_id", range(1, 43))
+def test_boundary_points_match_the_oracle(fam_id):
+    """The closed domain's ends, edges and vertices are members, and they
+    and points just outside match the oracle (an outside point may still
+    be a member through a swap)."""
+    fam = family_by_id(fam_id)
+    probed = 0
+    for tau, mu in _boundary_probes(fam):
+        angles = [f.value_in_pi_units(tau, mu) for f in fam.angle_forms]
+        if not all(0 < a < 1 for a in angles):
+            continue  # a degenerate angle: no quadruple
+        q = PythagoreanQuadruple.from_fractions(*angles)
+        if fam.contains_parameters(tau, mu):
+            assert member_of(q, fam, extent="domain") is not None, (tau, mu)
+        _assert_membership_matches_oracle(q)
+        probed += 1
+    assert probed >= 2
+
+
+def test_unknown_extent_is_rejected():
+    q = instantiate(family_by_id(11), Fraction(1, 18)).quadruple
+    with pytest.raises(ValueError, match="unknown extent"):
+        member_of(q, family_by_id(11), extent="line")
+    with pytest.raises(ValueError, match="unknown extent"):
+        classify_quadruple(q, extent="line")
+
+
+def test_curve_and_domain_membership_differ_by_three_points_of_family_9(sporadic_report):
+    """On the 208 realizable quadruples, "domain" membership is "curve"
+    membership minus three points where family 9,
+    (2pi/3, pi/3 + t, pi/3 + t, pi/2), runs on past its printed end
+    t = pi/6: the convention that makes 59 sporadic rather than 62."""
+    realizable = sporadic_report.realizable
+    assert len(realizable) == 208
+    curve = {q for q in realizable if classify_quadruple(q, extent="curve")}
+    domain = {q for q in realizable if classify_quadruple(q, extent="domain")}
+    assert domain <= curve
+    assert (len(domain), len(curve)) == (146, 149)
+    fam9 = family_by_id(9)
+    beyond = {
+        quad((2, 3), (8, 15), (8, 15), (1, 2)): Fraction(1, 5),
+        quad((2, 3), (3, 5), (3, 5), (1, 2)): Fraction(4, 15),
+        quad((2, 3), (2, 3), (2, 3), (1, 2)): Fraction(1, 3),
+    }
+    assert curve - domain == set(beyond)
+    for q, tau in beyond.items():
+        assert tau > SEGMENT_END
+        assert member_of(q, fam9, extent="curve").t.frac == tau
+        assert member_of(q, fam9, extent="domain") is None

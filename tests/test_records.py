@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sphertet.angles import RationalAngle, angle
+from sphertet.angles import RationalAngle
 from sphertet.geometry import EdgeLengths, PythagoreanQuadruple, VolumeCoefficient
 from sphertet.records import (
     ResultRecord,

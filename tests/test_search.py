@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sphertet.angles import RationalAngle, angle
+from sphertet.angles import angle
 from sphertet.cyclotomic import cos_as_cyclotomic
 from sphertet.search import (
     DenominatorProfile,
