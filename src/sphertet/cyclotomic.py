@@ -18,10 +18,16 @@ Q(zeta_(2*delta)).  The convolution and the table product run on numpy
 int64 when a bound on the magnitudes proves that no value overflows, and
 on exact Python ints (dtype=object) otherwise.
 
-Signs of nonzero real elements are decided by certified interval
-evaluation at increasing precision (mpmath's interval context, outward
-rounding), refined until zero is excluded; the exact zero test comes
-first, so the refinement terminates.
+Signs of nonzero real elements (the exact zero test comes first) are
+decided by a float64 filter: the value num . cos(2*pi*j/N) / den is
+evaluated as a float64 dot product with a per-order cosine table, and
+its sign is taken only when a proven bound on the error of the table
+and of the dot product (Higham, ch. 3) excludes zero.  The table is
+built with integer fixed-point powers of one 128-bit enclosure of
+zeta_N and carries its own proven error.  When the filter declines, or
+a numerator entry reaches 2^53, certified interval evaluation at
+increasing precision (mpmath's interval context, outward rounding) is
+refined until zero is excluded, which terminates for a nonzero element.
 """
 
 from __future__ import annotations
@@ -53,10 +59,20 @@ _INT64_SAFE = 1 << 62
 # whose entries stay below this cannot wrap in int64.
 _ROW_LIMIT = 1 << 40
 
-# sign() starts interval evaluation at this precision and doubles it up
-# to the maximum.
+# When its float64 filter declines, sign() starts interval evaluation at
+# this precision and doubles it up to the maximum.
 SIGN_START_BITS = 64
 SIGN_MAX_BITS = 1 << 20
+
+# The float64 cosine table of an order is built from a _TABLE_BITS
+# enclosure of zeta_N, in fixed point with _FIXED_BITS fraction bits.
+_TABLE_BITS = 128
+_FIXED_BITS = 96
+
+# Unit roundoff of float64.  The filter in sign() only takes numerators
+# whose entries are below _FLOAT_EXACT, so each converts to float exactly.
+_UNIT_ROUNDOFF = 2.0 ** -53
+_FLOAT_EXACT = 1 << 53
 
 
 class CyclotomicOrderError(ValueError):
@@ -150,6 +166,7 @@ class _OrderData:
         self.rows = rows
         self.row_max = row_max
         self._cos_tables: dict[int, list] = {}
+        self._float_cos: Optional[tuple[np.ndarray, float]] = None
 
     def powers(self, exponents, coeffs) -> tuple[int, ...]:
         """Numerator of sum_i coeffs[i] * x^exponents[i] in the power basis.
@@ -173,6 +190,44 @@ class _OrderData:
                 table = [ctx.cos(two_pi * j / self.order) for j in range(self.phi)]
             self._cos_tables[prec] = table
         return table
+
+    def float_cos(self) -> tuple[np.ndarray, float]:
+        """(c, E): float64 c[j] ~ cos(2*pi*j/N) for j < phi, and
+        E >= max_j |c[j] - cos(2*pi*j/N)|.
+
+        One 128-bit interval enclosure of zeta = e^(2*pi*i/N) is rounded
+        to a fixed-point pair Z_1 in units of 2^-P; the powers
+        Z_j = floor(Z_(j-1) * Z_1 / 2^P) are exact integer products.
+        With w_j = 2^P zeta^j, |Z_j - w_j| <= d_j holds by induction:
+        Z_(j-1) Z_1 / 2^P = w_j + e_(j-1) w_1 / 2^P + w_(j-1) e_1 / 2^P
+        + e_(j-1) e_1 / 2^P, |w_j| = 2^P, and the two floors add less
+        than sqrt(2) < 2.  Each c[j] is Re Z_j / 2^P rounded to nearest,
+        off by at most 2^-53, half an ulp of a float64 below 2.
+        """
+        if self._float_cos is None:
+            scale = 1 << _FIXED_BITS
+            with iv_precision(_TABLE_BITS):
+                theta = 2 * mpmath.iv.pi / self.order
+                enclosures = (mpmath.iv.cos(theta), mpmath.iv.sin(theta))
+            z1, err1 = [], 0
+            for enc in enclosures:
+                ivl = _iv_to_signed_interval(enc, _TABLE_BITS)
+                lo, hi = ivl.lo * scale, ivl.hi * scale
+                z = round(ivl.midpoint * scale)
+                z1.append(z)
+                err1 += max(hi - z, z - lo)
+            x, y = z1
+            d1 = d = math.ceil(err1)  # |Z_1 - w_1| <= |Re| + |Im| errors
+            reals = [scale, x][:self.phi]  # Z_0 = 2^P exactly
+            for _ in range(2, self.phi):
+                x, y = ((x * z1[0] - y * z1[1]) >> _FIXED_BITS,
+                        (x * z1[1] + y * z1[0]) >> _FIXED_BITS)
+                d += d1 + (-(-d * d1 >> _FIXED_BITS)) + 2
+                reals.append(x)
+            err = Fraction(_UNIT_ROUNDOFF) + Fraction(d + 1, scale)
+            self._float_cos = (np.array([r / scale for r in reals]),
+                               math.nextafter(float(err), math.inf))
+        return self._float_cos
 
 
 @lru_cache(maxsize=None)
@@ -465,14 +520,38 @@ def sin_as_cyclotomic(theta: RationalAngle) -> CyclotomicNumber:
 def sign(x: CyclotomicNumber) -> int:
     """Exact sign of a real cyclotomic number.
 
-    The exact zero test decides the zero case outright; otherwise
-    interval evaluation is refined (doubling precision from
+    The exact zero test decides the zero case outright, and an element
+    that is not real raises ValueError.  Otherwise the value is
+    sum_j num_j cos(2*pi*j/N) / den, and den > 0.  When every |num_j| is
+    below 2^53 a float64 filter runs first (Shewchuk 1997; Bronnimann,
+    Burnikel and Pion 2001): S = num . c over the order's table
+    (_OrderData.float_cos), whose entries are within E of the cosines.
+    The table error adds at most E * sum|num_j|, and by Higham,
+    "Accuracy and Stability of Numerical Algorithms", ch. 3, the
+    float64 dot product of phi terms in any summation order, fused
+    multiply-adds included, adds at most gamma_phi * sum|num_j c_j|,
+    with gamma_n = n u / (1 - n u) and u = 2^-53.  The computed
+    |num| . |c| understates that sum by at most a factor 1 - gamma_phi,
+    which gamma_(phi+1) absorbs; a last factor 1 + 16u covers the six
+    roundings in forming the bound B.  So |S| > B decides the sign.
+    Otherwise interval evaluation is refined (doubling precision from
     SIGN_START_BITS) until zero is excluded, which must happen for a
-    nonzero algebraic number.  float_interval raises ValueError for an
-    element that is not real.
+    nonzero algebraic number.
     """
     if x.is_zero():
         return 0
+    if not x.is_real():
+        raise ValueError("sign needs a real element")
+    if _height(x.num) < _FLOAT_EXACT:
+        c, err = _order_data(x.order).float_cos()
+        num = np.array(x.num, dtype=np.float64)
+        s = float(num @ c)
+        n = len(num) + 1
+        gamma = n * _UNIT_ROUNDOFF / (1 - n * _UNIT_ROUNDOFF)
+        bound = (err * sum(map(abs, x.num))
+                 + gamma * float(np.abs(num) @ np.abs(c))) * (1 + 16 * _UNIT_ROUNDOFF)
+        if abs(s) > bound:
+            return 1 if s > 0 else -1
     bits = SIGN_START_BITS
     while bits <= SIGN_MAX_BITS:
         s = x.float_interval(bits).sign

@@ -248,11 +248,87 @@ def test_sign_rejects_a_non_real_element():
         sign(exp_i(angle(1, 3)))
 
 
-def test_sign_of_tiny_but_nonzero_difference():
-    # comparing cos(pi/60) against a 16-digit rational approximation
-    # forces genuine refinement beyond the first enclosure
+def _count_float_intervals(monkeypatch) -> list[int]:
+    """Record the precision of every float_interval call from now on."""
+    bits_seen: list[int] = []
+    original = CyclotomicNumber.float_interval
+
+    def counted(self, bits=64):
+        bits_seen.append(bits)
+        return original(self, bits)
+
+    monkeypatch.setattr(CyclotomicNumber, "float_interval", counted)
+    return bits_seen
+
+
+def test_sign_of_tiny_but_nonzero_difference(monkeypatch):
+    # cos(pi/60) against a 16-digit rational approximation: the numerator
+    # reaches 10^16 > 2^53, so the float64 filter declines and the first
+    # (64-bit) interval enclosure decides
     approx = Fraction(9986295347545738, 10**16)
     x = cos_as_cyclotomic(angle(1, 60)) - approx
+    bits_seen = _count_float_intervals(monkeypatch)
     s = sign(x)
-    assert s != 0
-    assert s == sign(x)  # deterministic
+    assert bits_seen == [64]
+    assert s == x.float_interval(512).sign != 0
+
+
+def test_sign_refines_past_64_bits_near_zero(monkeypatch):
+    # within about 1e-25 of zero: no 64-bit enclosure excludes it
+    c = cos_as_cyclotomic(angle(1, 60))
+    r = Fraction(round(c.float_interval(256).midpoint * 10**25), 10**25)
+    x = c - r
+    bits_seen = _count_float_intervals(monkeypatch)
+    s = sign(x)
+    assert max(bits_seen) > 64
+    assert s == x.float_interval(512).sign != 0
+
+
+def test_float_cosine_table_is_within_its_bound():
+    # oracle: the 128-bit mpmath enclosures that float_interval uses
+    for order in (d for d in range(1, 2521) if 2520 % d == 0):
+        od = _OrderData(order)
+        table, err = od.float_cos()
+        assert len(table) == od.phi
+        assert err < 2.0**-52
+        for j, (c, enc) in enumerate(zip(table, od.cos_table(128))):
+            ivl = cyclotomic._iv_to_signed_interval(enc, 128)
+            assert ivl.lo - Fraction(err) <= Fraction(c) <= ivl.hi + Fraction(err), \
+                (order, j)
+
+
+def _near_misses():
+    """cos(k pi/d) - r for r the 15-, 16- and 17-place decimal rounding
+    of the cosine: tiny values whose floating-point evaluation is
+    dominated by rounding error."""
+    for d in (60, 84, 105, 210, 420):
+        for k in range(1, d):
+            if math.gcd(k, d) != 1:
+                continue
+            c = cos_as_cyclotomic(angle(k, d))
+            mid = c.float_interval(256).midpoint
+            for places in (15, 16, 17):
+                yield c - Fraction(round(mid * 10**places), 10**places)
+
+
+def test_sign_of_near_misses_agrees_with_certified_enclosure():
+    # 466 of these reach the float64 filter (numerators below 2^53);
+    # with a zero error bound the filter gets many of them wrong
+    checked = filtered = 0
+    for x in _near_misses():
+        enc = x.float_interval(256)
+        assert enc.sign != 0
+        assert sign(x) == enc.sign, x
+        checked += 1
+        filtered += max(map(abs, x.num)) < 1 << 53
+    assert (checked, filtered) == (696, 466)
+
+
+def test_numerators_past_2_to_53_skip_the_filter(monkeypatch):
+    big = 10**30 + 1
+    x = cos_as_cyclotomic(angle(1, 7)) * big - Fraction(big, 2)
+    assert max(map(abs, x.num)) >= 1 << 53
+    bits_seen = _count_float_intervals(monkeypatch)
+    s = sign(x)
+    assert bits_seen and bits_seen[0] == 64
+    assert s == x.float_interval(256).sign != 0

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from mpmath import iv
 
 from sphertet.angles import RationalAngle, angle
-from sphertet.cyclotomic import cos_as_cyclotomic, iv_precision, sign
+from sphertet.cyclotomic import CyclotomicNumber, cos_as_cyclotomic, iv_precision, sign
 from sphertet.geometry import (
     PreconditionError,
     PythagoreanQuadruple,
@@ -192,6 +192,18 @@ def test_four_sums_agree_with_interval_gram_minors(sporadic_report):
     assert len(sporadic_report.raw_solutions) == 790
     assert straddles == 420
     assert realizable == 208
+
+
+def test_realizability_needs_no_interval_refinement(sporadic_report, monkeypatch):
+    """Every realizability sign on the default grid is decided by the
+    float64 filter of sign(); the interval fallback is never reached."""
+    def refuse(self, bits=64):
+        raise AssertionError("float_interval reached")
+
+    monkeypatch.setattr(CyclotomicNumber, "float_interval", refuse)
+    certs = [realizability.__wrapped__(q) for q in sporadic_report.raw_solutions]
+    assert len(certs) == 790
+    assert sum(c.realizable for c in certs) == 208
 
 
 def test_vertex_links_shape():
