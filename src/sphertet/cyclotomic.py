@@ -14,7 +14,9 @@ sum_i c_i x^(e_i) is c @ rows[e mod N].  A product convolves the two
 numerators and reduces the result through a slice of the table;
 embedding into Q(zeta_(m*N)) sends x^j to x^(j*m); conjugation sends
 x^j to x^(-j); cos(nu*pi/delta) is (x^nu + x^(-nu))/2 in
-Q(zeta_(2*delta)).  The convolution and the table product run on numpy
+Q(zeta_(2*delta)), so a sum of cosines of angles that share one field
+is one table product (cosine_sum), with nothing multiplied or
+embedded.  The convolution and the table product run on numpy
 int64 when a bound on the magnitudes proves that no value overflows, and
 on exact Python ints (dtype=object) otherwise.
 
@@ -38,7 +40,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import mpmath
 import numpy as np
@@ -495,15 +497,40 @@ def _int_convolve(a: tuple[int, ...], b: tuple[int, ...]) -> np.ndarray:
     return np.convolve(np.asarray(a, dtype=dtype), np.asarray(b, dtype=dtype))
 
 
+def cosine_sum(order: int, terms: Iterable[tuple[int, int]],
+               den: int = 1) -> CyclotomicNumber:
+    """sum_i k_i cos(2*pi*e_i/order) / den over the (k_i, e_i) terms.
+
+    Each cosine is (x^e + x^(-e))/2 with x = zeta_order, so the whole sum
+    is one table product in Q(zeta_order): no product of elements and no
+    embedding, whatever the terms.
+    """
+    coeffs, exponents = [], []
+    for k, e in terms:
+        coeffs += (k, k)
+        exponents += (e, -e)
+    num = _order_data(order).powers(exponents, coeffs)
+    return CyclotomicNumber(order, num, 2 * den)
+
+
+def angle_exponents(angles: Sequence[RationalAngle]) -> tuple[int, tuple[int, ...]]:
+    """(N, e) with N = lcm(2*den) over the angles and angles[i] = 2*pi*e_i/N.
+
+    cos of an integer combination of the angles is then cos(2*pi*e/N)
+    with e the same combination of the e_i, a term of cosine_sum(N, ...).
+    Raises CyclotomicOrderError when N exceeds MAX_ORDER.
+    """
+    order = common_order(*(2 * x.den for x in angles))
+    return order, tuple(x.num * (order // (2 * x.den)) for x in angles)
+
+
 @lru_cache(maxsize=None)
 def cos_as_cyclotomic(theta: RationalAngle) -> CyclotomicNumber:
     """cos(theta) as an exact element of Q(zeta_{2*den}).
 
     Rational values collapse to order 1, e.g. cos(pi/3) -> 1/2.
     """
-    order = 2 * theta.den
-    num = _order_data(order).powers((theta.num, -theta.num), (1, 1))
-    return CyclotomicNumber(order, num, 2).collapse()
+    return cosine_sum(2 * theta.den, ((1, theta.num),)).collapse()
 
 
 @lru_cache(maxsize=None)

@@ -15,8 +15,11 @@ diag(M+, M-) with two 2x2 blocks, so positive definiteness comes down to
 the signs of four sums of four cosines (see realizability); no 3x3 or
 4x4 determinant is expanded.
 
-Everything here is decided exactly: residuals and the entries of M+-
-are cyclotomic numbers, signs come from certified interval refinement.
+Everything here is decided exactly: the residual and the four Gram
+quantities are sums of cosines in one cyclotomic field Q(zeta_N), N the
+lcm of twice the angle denominators, and their signs come from the
+float64 filter of cyclotomic.sign, which proves each sign it returns
+and falls back to certified interval refinement when it cannot.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from functools import lru_cache
 from typing import Optional
 
 from .angles import RationalAngle
-from .cyclotomic import CyclotomicNumber, cos_as_cyclotomic, sign
+from .cyclotomic import CyclotomicNumber, angle_exponents, cosine_sum, sign
 
 
 class PreconditionError(ValueError):
@@ -154,13 +157,12 @@ class RealizabilityCertificate:
 def quadruple_residual(quad: PythagoreanQuadruple) -> CyclotomicNumber:
     """cos p cos q + cos((r+s)/2) cos((r-s)/2), exactly.
 
-    Computed through the product-to-sum identity, so it equals half the
-    four-cosine residual of the (a, b, c, d) form.
+    By the product-to-sum identity it is
+    (cos(p+q) + cos(p-q) + cos r + cos s)/2, half the four-cosine
+    residual of the (a, b, c, d) form, and one cosine sum.
     """
-    total = cos_as_cyclotomic(quad.p + quad.q)
-    for x in (quad.p - quad.q, quad.r, quad.s):
-        total = total + cos_as_cyclotomic(x)
-    return total / 2
+    order, (p, q, r, s) = angle_exponents(quad.angles)
+    return cosine_sum(order, ((1, p + q), (1, p - q), (1, r), (1, s)), den=2)
 
 
 def is_pythagorean(quad: PythagoreanQuadruple) -> bool:
@@ -209,17 +211,29 @@ def realizability(quad: PythagoreanQuadruple) -> RealizabilityCertificate:
     det G = det M+ det M- is zero iff one of the four sums is.
 
     The half-angle cosines live in Q(zeta_{4 den}), which can exceed
-    MAX_ORDER, so each sum's sign is found in the field of the Gram
-    entries: S - X > 0 when X <= 0, else its sign is that of
-    S^2 - X^2 = det M; likewise S + X with -X.
+    MAX_ORDER, so each sum's sign is found from P, Q and the
+    determinants: S - X > 0 when X <= 0, else its sign is that of
+    S^2 - X^2 = det M; likewise S + X with -X.  By product-to-sum,
+
+        det M+ = (1 - cos r)(1 - cos s) - (cos p + cos q)^2 = (a - b)/2,
+        det M- = (1 + cos r)(1 + cos s) - (cos p - cos q)^2 = (a + b)/2,
+
+    with a = cos(r+s) + cos(r-s) - cos 2p - cos 2q and
+    b = 2 (cos r + cos s + cos(p+q) + cos(p-q)).  So cos p, cos q, a and
+    b are each one cosine sum in Q(zeta_N), N = lcm(2 den) of the four
+    angles, and P, Q, a - b and a + b are additions in that one field:
+    nothing is multiplied and nothing is embedded into another order.
+    Angles whose N exceeds MAX_ORDER raise CyclotomicOrderError.
     """
-    cp, cq, cr, cs = (cos_as_cyclotomic(x) for x in quad.angles)
+    order, (p, q, r, s) = angle_exponents(quad.angles)
+    cp, cq = cosine_sum(order, ((1, p),)), cosine_sum(order, ((1, q),))
+    a = cosine_sum(order, ((1, r + s), (1, r - s), (-1, 2 * p), (-1, 2 * q)))
+    b = cosine_sum(order, ((2, r), (2, s), (2, p + q), (2, p - q)))
     signs: tuple[int, ...] = ()
-    for square, x in (((1 - cr) * (1 - cs), cp + cq),
-                      ((1 + cr) * (1 + cs), cp - cq)):
+    for x, det in ((cp + cq, a - b), (cp - cq, a + b)):
         sx = sign(x)
-        det = sign(square - x * x) if sx else 1
-        signs += (det if sx > 0 else 1, det if sx < 0 else 1)
+        det_sign = sign(det) if sx else 1
+        signs += (det_sign if sx > 0 else 1, det_sign if sx < 0 else 1)
     return RealizabilityCertificate(quad, signs)
 
 

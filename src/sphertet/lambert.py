@@ -29,7 +29,13 @@ from fractions import Fraction
 from typing import Optional
 
 from .angles import ZERO, RationalAngle
-from .cyclotomic import CyclotomicNumber, cos_as_cyclotomic, sign
+from .cyclotomic import (
+    CyclotomicNumber,
+    angle_exponents,
+    cos_as_cyclotomic,
+    cosine_sum,
+    sign,
+)
 from .geometry import PreconditionError, PythagoreanQuadruple, VolumeCoefficient
 from .search import (
     SearchConfig,
@@ -70,12 +76,13 @@ class LambertCube:
 
 def lambert_residual(a: RationalAngle, b: RationalAngle,
                      c: RationalAngle) -> CyclotomicNumber:
-    """Exact cos^2 a + cos^2 b + cos^2 c - 1."""
-    total = CyclotomicNumber.zero(1) - Fraction(1)
-    for x in (a, b, c):
-        cx = cos_as_cyclotomic(x)
-        total = total + cx * cx
-    return total
+    """Exact cos^2 a + cos^2 b + cos^2 c - 1.
+
+    By cos^2 x = (1 + cos 2x)/2 it is (1 + cos 2a + cos 2b + cos 2c)/2,
+    one cosine sum.
+    """
+    order, exponents = angle_exponents((a, b, c))
+    return cosine_sum(order, ((1, 0), *((1, 2 * e) for e in exponents)), den=2)
 
 
 def lambert_volume(cube: LambertCube) -> VolumeCoefficient:
@@ -172,7 +179,8 @@ def companion_tetrahedra() -> tuple[CompanionTetrahedron, CompanionTetrahedron]:
             route = "four-cosine"
         else:
             # residual = cos(s)/2 exactly; cross-checked here
-            expected = cos_as_cyclotomic(s) * Fraction(1, 2)
+            order, (e,) = angle_exponents((s,))
+            expected = cosine_sum(order, ((1, e),), den=2)
             if not (residual - expected).is_zero():
                 raise ArithmeticError("unexpected residual shape for companion")
             vol = VolumeCoefficient(s.frac / 4)

@@ -40,7 +40,7 @@ from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 from .angles import RationalAngle
-from .cyclotomic import common_order, cos_as_cyclotomic, totient
+from .cyclotomic import common_order, cosine_sum, totient
 from .families import classify_quadruple
 from .geometry import (
     EdgeLengths,
@@ -132,10 +132,10 @@ def field_order(dens: Iterable[int]) -> int:
 
 @lru_cache(maxsize=None)
 def _twice_cos(x: RationalAngle, order: int) -> tuple[int, ...]:
-    c = cos_as_cyclotomic(x).embed(order)
-    if 2 % c.den:
-        raise ArithmeticError(f"2 cos({x}) is not integral in Q(zeta_{order})")
-    return tuple(v * (2 // c.den) for v in c.num)
+    e, rest = divmod(x.num * order, 2 * x.den)  # x = 2*pi*e/order
+    if rest:
+        raise ValueError(f"cos({x}) is not in Q(zeta_{order})")
+    return cosine_sum(order, ((2, e),)).num  # den 1: (2x^e + 2x^-e)/2
 
 
 def twice_cosine_sum(terms: CosineTerms, order: int) -> tuple[int, ...]:

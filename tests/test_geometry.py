@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,7 +10,15 @@ from hypothesis import strategies as st
 from mpmath import iv
 
 from sphertet.angles import RationalAngle, angle
-from sphertet.cyclotomic import CyclotomicNumber, cos_as_cyclotomic, iv_precision, sign
+from sphertet.cyclotomic import (
+    MAX_ORDER,
+    CyclotomicNumber,
+    CyclotomicOrderError,
+    cos_as_cyclotomic,
+    iv_precision,
+    sign,
+)
+from sphertet.families import builtin_families, instantiate
 from sphertet.geometry import (
     PreconditionError,
     PythagoreanQuadruple,
@@ -134,6 +144,148 @@ def test_realizability_stays_in_the_field_of_the_angles():
         Fraction(2, 3), Fraction(319, 840), Fraction(1, 2), Fraction(319, 840))
     assert realizability(q).signs == (1, 1, 1, 1)
     assert volume(q).value > 0
+
+
+def test_realizability_needs_the_common_order_within_max_order():
+    """The cosine sums live in Q(zeta_N), N = lcm(2 den) of the four
+    angles, even where cos p is rational: here N = lcm(4, 1890) = 3780."""
+    q = PythagoreanQuadruple.from_fractions(
+        Fraction(1, 2), Fraction(1, 945), Fraction(2, 945), Fraction(4, 945))
+    with pytest.raises(CyclotomicOrderError):
+        realizability.__wrapped__(q)
+    with pytest.raises(CyclotomicOrderError):
+        quadruple_residual(q)
+
+
+def _product_form_signs(q: PythagoreanQuadruple) -> tuple[int, ...]:
+    """Test oracle: the certificate signs from det M+- written as
+    (1 -+ cos r)(1 -+ cos s) - (cos p +- cos q)^2 and multiplied out,
+    each cosine in its own field and every mixed pair embedded into
+    the common one."""
+    cp, cq, cr, cs = (cos_as_cyclotomic(x) for x in q.angles)
+    signs: tuple[int, ...] = ()
+    for square, x in (((1 - cr) * (1 - cs), cp + cq),
+                      ((1 + cr) * (1 + cs), cp - cq)):
+        sx = sign(x)
+        det = sign(square - x * x) if sx else 1
+        signs += (det if sx > 0 else 1, det if sx < 0 else 1)
+    return signs
+
+
+# Denominators d with 2d | MAX_ORDER, so that every quadruple drawn from
+# them has a common order of at most MAX_ORDER; the small ones make
+# rational cosines and coincidences between angles likely.
+_ORACLE_DENS = tuple(d for d in range(2, MAX_ORDER // 2 + 1) if MAX_ORDER // 2 % d == 0)
+_SMALL_DENS = (2, 3, 4, 5, 6, 9, 10, 12)
+
+
+def _random_quadruple(rng: random.Random) -> PythagoreanQuadruple:
+    """Four angles in (0, pi), with q = p (Q = 0) or q = pi - p (P = 0)
+    one time in four each."""
+    def draw() -> Fraction:
+        d = rng.choice(_SMALL_DENS if rng.random() < 0.5 else _ORACLE_DENS)
+        return Fraction(rng.randrange(1, d), d)
+
+    p, q, r, s = draw(), draw(), draw(), draw()
+    q = rng.choice((q, q, p, 1 - p))
+    return PythagoreanQuadruple.from_fractions(p, q, r, s)
+
+
+def test_realizability_matches_the_product_form_on_arbitrary_quadruples():
+    """Quadruples that need not solve the equation, at common orders up
+    to MAX_ORDER: the linear cosine sums and the multiplied-out
+    determinants give the same four signs."""
+    rng = random.Random(20181)
+    high = zero_sums = zero_dets = 0
+    for _ in range(600):
+        q = _random_quadruple(rng)
+        signs = realizability.__wrapped__(q).signs
+        assert signs == _product_form_signs(q), q
+        high += math.lcm(*(2 * x.den for x in q.angles)) > 420
+        zero_sums += q.p == q.q or q.p + q.q == angle(1)
+        zero_dets += 0 in signs
+    assert high >= 150 and zero_sums >= 250 and zero_dets >= 1
+
+
+@pytest.mark.parametrize("fracs,expected", [
+    # p + q = pi: P = 0
+    ((Fraction(2, 3), Fraction(1, 3), Fraction(3, 5), Fraction(1, 5)), (1, 1, 1, 1)),
+    ((Fraction(6, 7), Fraction(1, 7), Fraction(11, 630), Fraction(1, 9)), (1, 1, 1, 1)),
+    # p = q: Q = 0
+    ((Fraction(2, 5), Fraction(2, 5), Fraction(3, 5), Fraction(1, 5)), (-1, 1, 1, 1)),
+    # det M+ = 1 * 1 - 1^2 = 0, with Q = 0
+    ((Fraction(1, 3), Fraction(1, 3), Fraction(1, 2), Fraction(1, 2)), (0, 1, 1, 1)),
+    # P = 0 and det M- = 1 * 1 - (-1)^2 = 0
+    ((Fraction(2, 3), Fraction(1, 3), Fraction(1, 2), Fraction(1, 2)), (1, 1, 1, 0)),
+    # det M- = (1/2)(1/2) - (cos 2pi/5 - cos pi/5)^2 = 0
+    ((Fraction(2, 5), Fraction(1, 5), Fraction(2, 3), Fraction(2, 3)), (1, 1, 1, 0)),
+])
+def test_realizability_at_zero_signs(fracs, expected):
+    q = PythagoreanQuadruple.from_fractions(*fracs)
+    assert realizability.__wrapped__(q).signs == _product_form_signs(q) == expected
+
+
+def test_realizability_multiplies_nothing_and_stays_in_one_order(
+        sporadic_report, monkeypatch):
+    """With products refused and embeddings into another order refused,
+    realizability still decides the default grid and the order-1680
+    family-9 member."""
+    def refuse_product(self, other):
+        raise AssertionError("cyclotomic product")
+
+    embed = CyclotomicNumber.embed
+
+    def same_order_only(self, order):
+        if order != self.order:
+            raise AssertionError(f"embedding {self.order} -> {order}")
+        return embed(self, order)
+
+    monkeypatch.setattr(CyclotomicNumber, "__mul__", refuse_product)
+    monkeypatch.setattr(CyclotomicNumber, "__rmul__", refuse_product)
+    monkeypatch.setattr(CyclotomicNumber, "embed", same_order_only)
+    certs = [realizability.__wrapped__(q) for q in sporadic_report.raw_solutions]
+    assert sum(c.realizable for c in certs) == 208
+    family9 = PythagoreanQuadruple.from_fractions(
+        Fraction(2, 3), Fraction(319, 840), Fraction(1, 2), Fraction(319, 840))
+    assert realizability.__wrapped__(family9).signs == (1, 1, 1, 1)
+
+
+# Cyclotomic orders from 36 to MAX_ORDER, each reachable by every family.
+_MEMBER_ORDERS = (36, 48, 60, 84, 120, 168, 240, 360, 420, 720, 1008, 1680, 2520)
+
+
+def _member_at_order(fam, order: int, rng: random.Random) -> PythagoreanQuadruple:
+    """An interior member of fam whose angles have common order exactly order."""
+    dens = [d for d in range(2, 2 * order + 1) if 2 * order % d == 0]
+    for _ in range(2000):
+        m = rng.choice(dens)
+        if fam.two_param:
+            d = rng.choice(dens)
+            tau, mu = Fraction(rng.randrange(1, m), m), Fraction(rng.randrange(1, d), d)
+        else:  # 0 < tau < 1/6
+            tau, mu = Fraction(rng.randrange(1, max(2, -(-m // 6))), m), Fraction(0)
+        if not fam.interior_parameters(tau, mu):
+            continue
+        if math.lcm(*(2 * f.value_in_pi_units(tau, mu).denominator
+                      for f in fam.angle_forms)) == order:
+            return instantiate(fam, tau, mu).quadruple
+    raise AssertionError(f"no member of family {fam.family_id} at order {order}")
+
+
+def test_family_members_need_no_interval_refinement(monkeypatch):
+    """Beyond the default grid: one member of each of the 42 families at
+    each order from 36 to 2520 is realizable, every sign decided by the
+    float64 filter."""
+    rng = random.Random(2520)
+    quads = [_member_at_order(fam, order, rng)
+             for order in _MEMBER_ORDERS for fam in builtin_families()]
+
+    def refuse(self, bits=64):
+        raise AssertionError("float_interval reached")
+
+    monkeypatch.setattr(CyclotomicNumber, "float_interval", refuse)
+    assert len(quads) == 42 * len(_MEMBER_ORDERS)
+    assert all(realizability.__wrapped__(q).realizable for q in quads)
 
 
 def _interval_det(m):

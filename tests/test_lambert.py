@@ -22,13 +22,16 @@ L1 = LambertCube(angle(3, 4), angle(2, 3), angle(2, 3))
 L2 = LambertCube(angle(2, 3), angle(3, 5), angle(4, 5))
 
 
-def doubled_residual(a: RationalAngle, b: RationalAngle,
+def squared_residual(a: RationalAngle, b: RationalAngle,
                      c: RationalAngle) -> CyclotomicNumber:
-    """(cos 2a + cos 2b + cos 2c + 1)/2; equals lambert_residual exactly."""
-    total = CyclotomicNumber.zero(1) + Fraction(1)
+    """cos^2 a + cos^2 b + cos^2 c - 1 from products of cosines, each in
+    its own field; equals lambert_residual, which doubles the angles
+    instead, exactly."""
+    total = CyclotomicNumber.zero(1) - Fraction(1)
     for x in (a, b, c):
-        total = total + cos_as_cyclotomic(x + x)
-    return total * Fraction(1, 2)
+        cx = cos_as_cyclotomic(x)
+        total = total + cx * cx
+    return total
 
 
 # Denominators divide 1260 so that combined cyclotomic orders stay small.
@@ -61,7 +64,7 @@ def test_all_right_angles_miss_by_one():
 
 @given(window_angles, window_angles, window_angles)
 def test_angle_doubling_reduction_is_an_identity(a, b, c):
-    assert (lambert_residual(a, b, c) - doubled_residual(a, b, c)).is_zero()
+    assert (lambert_residual(a, b, c) - squared_residual(a, b, c)).is_zero()
 
 
 def test_volumes_of_the_two_cubes():

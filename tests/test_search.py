@@ -13,9 +13,11 @@ from sphertet.search import (
     DenominatorProfile,
     SearchConfig,
     candidate_count,
+    field_order,
     grid_angles,
     rational_length,
     search_triples,
+    twice_cosine_sum,
     unordered_pairs,
     verify_no_length4_solutions,
     zero_sum_tuples,
@@ -116,6 +118,23 @@ def test_prefilter_never_discards_exact_zeros(ab, cd):
     total = (cos_as_cyclotomic(a) + cos_as_cyclotomic(b)
              + cos_as_cyclotomic(c) + cos_as_cyclotomic(d))
     assert ((a, b, c, d) in _join_output()) == total.is_zero()
+
+
+@pytest.mark.parametrize("order", [420, 2520])
+def test_join_vectors_are_the_embedded_cosines(order):
+    """Each join vector is 2 cos x embedded from Q(zeta_(2 den)) into
+    Q(zeta_order), for every angle of the default grid."""
+    dens = PROFILE.union_denominators()
+    assert field_order(dens) == 420
+    for x in [angle(0)] + grid_angles(dens, Fraction(0), Fraction(2)):
+        twice = (cos_as_cyclotomic(x) * 2).embed(order)
+        assert twice.den == 1
+        assert twice_cosine_sum(((1, x),), order) == twice.num, x
+
+
+def test_join_vectors_need_the_field_of_the_angle():
+    with pytest.raises(ValueError):
+        twice_cosine_sum(((1, angle(1, 8)),), 420)
 
 
 def test_search_pipeline_counts(sporadic_report):
