@@ -1,20 +1,30 @@
 """Angles that are rational multiples of pi, stored exactly.
 
-An angle nu/delta * pi is kept as the reduced fraction nu/delta.  All
-arithmetic stays in Fraction land; nothing here ever rounds.  The zero
-angle (the "denominator infinity" degenerate case of a cosine grid) is
-representable as 0/1.
+An angle nu/delta * pi is kept as the reduced integer pair (nu, delta)
+with delta > 0.  Comparisons cross-multiply and sums, differences and
+quotients by integers work on the pair directly, with one gcd to
+reduce; nothing here ever rounds, and no float is accepted as an
+operand.  The zero angle (the "denominator infinity" degenerate case of
+a cosine grid) is representable as 0/1.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
 from typing import Union
 
 _Scalar = Union[int, Fraction]
+
+
+def _rational(value, what: str) -> numbers.Rational:
+    """value itself when it is exact (int or Fraction), else TypeError."""
+    if not isinstance(value, numbers.Rational):
+        raise TypeError(f"{what} must be an int or a Fraction, got {value!r}")
+    return value
 
 
 @total_ordering
@@ -26,15 +36,24 @@ class RationalAngle:
     den: int = 1
 
     def __post_init__(self) -> None:
-        if self.den == 0:
+        num, den = self.num, self.den
+        if not (isinstance(num, int) and isinstance(den, int)):
+            f = Fraction(_rational(num, "angle numerator"),
+                         _rational(den, "angle denominator"))
+            num, den = f.numerator, f.denominator
+        elif den == 0:
             raise ZeroDivisionError("angle denominator is zero")
-        f = Fraction(self.num, self.den)
-        object.__setattr__(self, "num", f.numerator)
-        object.__setattr__(self, "den", f.denominator)
+        g = math.gcd(num, den)
+        if den < 0:
+            g = -g
+        if g != 1:
+            num, den = num // g, den // g
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
 
     @classmethod
     def from_fraction(cls, f: _Scalar) -> "RationalAngle":
-        f = Fraction(f)
+        f = _rational(f, "angle coefficient")
         return cls(f.numerator, f.denominator)
 
     @property
@@ -46,34 +65,44 @@ class RationalAngle:
         return math.pi * self.num / self.den
 
     def __add__(self, other: "RationalAngle") -> "RationalAngle":
-        return RationalAngle.from_fraction(self.frac + other.frac)
+        if not isinstance(other, RationalAngle):
+            return NotImplemented
+        return RationalAngle(self.num * other.den + other.num * self.den,
+                             self.den * other.den)
 
     def __sub__(self, other: "RationalAngle") -> "RationalAngle":
-        return RationalAngle.from_fraction(self.frac - other.frac)
+        if not isinstance(other, RationalAngle):
+            return NotImplemented
+        return RationalAngle(self.num * other.den - other.num * self.den,
+                             self.den * other.den)
 
     def __neg__(self) -> "RationalAngle":
         return RationalAngle(-self.num, self.den)
 
     def __mul__(self, k: _Scalar) -> "RationalAngle":
-        return RationalAngle.from_fraction(self.frac * k)
+        k = _rational(k, "angle factor")
+        return RationalAngle(self.num * k.numerator, self.den * k.denominator)
 
     __rmul__ = __mul__
 
     def __truediv__(self, k: _Scalar) -> "RationalAngle":
-        return RationalAngle.from_fraction(self.frac / k)
+        k = _rational(k, "angle divisor")
+        return RationalAngle(self.num * k.denominator, self.den * k.numerator)
 
     def __lt__(self, other: "RationalAngle") -> bool:
-        return self.frac < other.frac
+        if not isinstance(other, RationalAngle):
+            return NotImplemented
+        return self.num * other.den < other.num * self.den
 
     def supplement(self) -> "RationalAngle":
         """pi minus this angle."""
-        return RationalAngle.from_fraction(1 - self.frac)
+        return RationalAngle(self.den - self.num, self.den)
 
     def is_zero(self) -> bool:
         return self.num == 0
 
     def in_open_0_pi(self) -> bool:
-        return 0 < self.frac < 1
+        return 0 < self.num < self.den
 
     def __str__(self) -> str:
         if self.num == 0:

@@ -15,27 +15,32 @@ numerators and reduces the result through a slice of the table;
 embedding into Q(zeta_(m*N)) sends x^j to x^(j*m); conjugation sends
 x^j to x^(-j); cos(nu*pi/delta) is (x^nu + x^(-nu))/2 in
 Q(zeta_(2*delta)), so a sum of cosines of angles that share one field
-is one table product (cosine_sum), with nothing multiplied or
-embedded.  The convolution and the table product run on numpy
-int64 when a bound on the magnitudes proves that no value overflows, and
-on exact Python ints (dtype=object) otherwise.
+is one table product, with nothing multiplied or embedded, and several
+such sums are one product with a matrix of coefficients
+(cosine_numerators; cosine_sum is its one-row case).  Such rows are
+real by construction.  The convolution and the table product run on
+numpy int64 when a bound on the magnitudes proves that no value
+overflows, and on exact Python ints (dtype=object) otherwise.
 
-Signs of nonzero real elements (the exact zero test comes first) are
-decided by a float64 filter: the value num . cos(2*pi*j/N) / den is
-evaluated as a float64 dot product with a per-order cosine table, and
-its sign is taken only when a proven bound on the error of the table
-and of the dot product (Higham, ch. 3) excludes zero.  The table is
-built with integer fixed-point powers of one 128-bit enclosure of
-zeta_N and carries its own proven error.  When the filter declines, or
-a numerator entry reaches 2^53, certified interval evaluation at
-increasing precision (mpmath's interval context, outward rounding) is
-refined until zero is excluded, which terminates for a nonzero element.
+Signs of real elements are decided by one float64 filter over a matrix
+of numerator rows (filter_signs): a zero row is zero (the exact test),
+and otherwise the value num . cos(2*pi*j/N) / den is evaluated as a
+float64 dot product with a per-order cosine table, and its sign is
+taken only when a proven bound on the error of the table and of the dot
+product (Higham, ch. 3) excludes zero.  The table is built with integer
+fixed-point powers of one 128-bit enclosure of zeta_N and carries its
+own proven error.  sign() runs the filter on one row; when the filter
+declines, or a numerator entry reaches 2^53, certified interval
+evaluation at increasing precision (mpmath's interval context, outward
+rounding) is refined until zero is excluded, which terminates for a
+nonzero element.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
@@ -133,8 +138,8 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
 
 
 def _height(vec) -> int:
-    """Largest absolute value in an integer vector (0 when empty)."""
-    if isinstance(vec, np.ndarray) and vec.dtype != object:
+    """Largest absolute value in an integer vector or array (0 when empty)."""
+    if isinstance(vec, np.ndarray):
         return int(np.abs(vec).max(initial=0))
     return max(map(abs, vec), default=0)
 
@@ -170,17 +175,21 @@ class _OrderData:
         self._cos_tables: dict[int, list] = {}
         self._float_cos: Optional[tuple[np.ndarray, float]] = None
 
-    def powers(self, exponents, coeffs) -> tuple[int, ...]:
+    def powers(self, exponents, coeffs) -> np.ndarray:
         """Numerator of sum_i coeffs[i] * x^exponents[i] in the power basis.
 
         exponents is a sequence of ints, taken mod N, or a slice of the
         table; a product passes slice(len(coeffs)), which reads its rows
-        as a view instead of a copy.
+        as a view instead of a copy.  coeffs is a vector, or a matrix
+        with one row of coefficients per sum, and the result is the
+        numerator vector, or one numerator row per sum, in int64 when
+        the bound allows it and in Python ints (dtype=object) otherwise.
         """
         if not isinstance(exponents, slice):
             exponents = np.asarray(exponents, dtype=np.int64) % self.order
-        dtype = _dtype(_height(coeffs) * self.row_max * len(coeffs))
-        return tuple((np.asarray(coeffs, dtype=dtype) @ self.rows[exponents]).tolist())
+        rows = self.rows[exponents]
+        dtype = _dtype(_height(coeffs) * self.row_max * len(rows))
+        return np.asarray(coeffs, dtype=dtype) @ rows
 
     def cos_table(self, prec: int) -> list:
         """Certified enclosures of cos(2*pi*j/N) for j < phi, at prec bits."""
@@ -356,7 +365,7 @@ class CyclotomicNumber:
     @classmethod
     def root_of_unity(cls, order: int, k: int) -> "CyclotomicNumber":
         """zeta_order^k."""
-        return cls(order, _order_data(order).powers((k,), (1,)))
+        return cls(order, _order_data(order).powers((k,), (1,)).tolist())
 
     # -- structure ------------------------------------------------------
 
@@ -365,7 +374,7 @@ class CyclotomicNumber:
         nonzero = [j for j, c in enumerate(self.num) if c]
         num = _order_data(order).powers([j * m for j in nonzero],
                                         [self.num[j] for j in nonzero])
-        return CyclotomicNumber(order, num, self.den)
+        return CyclotomicNumber(order, num.tolist(), self.den)
 
     def embed(self, order: int) -> "CyclotomicNumber":
         """The same number viewed in Q(zeta_order); order must be a multiple."""
@@ -376,19 +385,31 @@ class CyclotomicNumber:
         return self._substitute(order, order // self.order)
 
     def _pair(self, other: "CyclotomicNumber"):
+        if self.order == other.order:
+            return self, other
         n = common_order(self.order, other.order)
         return self.embed(n), other.embed(n)
 
     # -- arithmetic -----------------------------------------------------
 
+    def _combine(self, other: "CyclotomicNumber", op) -> "CyclotomicNumber":
+        """op(self, other) for op = operator.add or operator.sub.
+
+        Two elements of one order with one denominator combine their
+        numerators directly, with no embedding and no lcm.
+        """
+        a, b = self._pair(other)
+        if a.den == b.den:
+            return CyclotomicNumber(a.order, map(op, a.num, b.num), a.den)
+        den = math.lcm(a.den, b.den)
+        ka, kb = den // a.den, den // b.den
+        return CyclotomicNumber(a.order, [op(x * ka, y * kb) for x, y in zip(a.num, b.num)], den)
+
     def __add__(self, other) -> "CyclotomicNumber":
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self._pair(other)
-        den = math.lcm(a.den, b.den)
-        ka, kb = den // a.den, den // b.den
-        return CyclotomicNumber(a.order, [x * ka + y * kb for x, y in zip(a.num, b.num)], den)
+        return self._combine(other, operator.add)
 
     __radd__ = __add__
 
@@ -399,7 +420,7 @@ class CyclotomicNumber:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        return self._combine(other, operator.sub)
 
     def __rsub__(self, other) -> "CyclotomicNumber":
         return (-self) + other
@@ -417,7 +438,7 @@ class CyclotomicNumber:
         a, b = a._pair(other)
         conv = _int_convolve(a.num, b.num)
         num = _order_data(a.order).powers(slice(len(conv)), conv)
-        return CyclotomicNumber(a.order, num, a.den * b.den)
+        return CyclotomicNumber(a.order, num.tolist(), a.den * b.den)
 
     __rmul__ = __mul__
 
@@ -497,20 +518,29 @@ def _int_convolve(a: tuple[int, ...], b: tuple[int, ...]) -> np.ndarray:
     return np.convolve(np.asarray(a, dtype=dtype), np.asarray(b, dtype=dtype))
 
 
+def cosine_numerators(order: int, coeffs: np.ndarray,
+                      exponents: Sequence[int]) -> np.ndarray:
+    """Numerator rows of sum_j coeffs[i, j] cos(2*pi*exponents[j]/order)
+    over the denominator 2.
+
+    coeffs is an integer array, a vector or a matrix with one row per
+    sum.  Each cosine is (x^e + x^(-e))/2 with x = zeta_order, so the
+    sums are one table product in Q(zeta_order), with no product of
+    elements and no embedding, and each numerator row is that of a real
+    element by construction: x^e and x^(-e) always come together.
+    """
+    exponents = np.asarray(exponents, dtype=np.int64)
+    return _order_data(order).powers(np.concatenate((exponents, -exponents)),
+                                     np.concatenate((coeffs, coeffs), axis=-1))
+
+
 def cosine_sum(order: int, terms: Iterable[tuple[int, int]],
                den: int = 1) -> CyclotomicNumber:
-    """sum_i k_i cos(2*pi*e_i/order) / den over the (k_i, e_i) terms.
-
-    Each cosine is (x^e + x^(-e))/2 with x = zeta_order, so the whole sum
-    is one table product in Q(zeta_order): no product of elements and no
-    embedding, whatever the terms.
-    """
-    coeffs, exponents = [], []
-    for k, e in terms:
-        coeffs += (k, k)
-        exponents += (e, -e)
-    num = _order_data(order).powers(exponents, coeffs)
-    return CyclotomicNumber(order, num, 2 * den)
+    """sum_i k_i cos(2*pi*e_i/order) / den over the (k_i, e_i) terms:
+    the one-row case of cosine_numerators."""
+    coeffs, exponents = zip(*terms)
+    num = cosine_numerators(order, np.array(coeffs, dtype=object), exponents)
+    return CyclotomicNumber(order, num.tolist(), 2 * den)
 
 
 def angle_exponents(angles: Sequence[RationalAngle]) -> tuple[int, tuple[int, ...]]:
@@ -544,24 +574,57 @@ def sin_as_cyclotomic(theta: RationalAngle) -> CyclotomicNumber:
     return cos_as_cyclotomic(theta - RationalAngle(1, 2))
 
 
+def filter_signs(order: int, nums: np.ndarray) -> list[Optional[int]]:
+    """Signs that the float64 filter proves, one per numerator row.
+
+    nums is an integer array (int64 or object) whose rows are the
+    numerators, in the power basis of Q(zeta_order), of real elements
+    with positive denominators; realness is the caller's promise and is
+    not checked.  A row gives 0 when it is zero (the exact test), +-1
+    when the filter proves the sign, and None when it declines: an entry
+    reaches 2^53, or |num . c| does not exceed the bound below.
+
+    The value of a row is sum_j num_j cos(2*pi*j/N) / den.  With every
+    |num_j| below 2^53 (so each converts to float64 exactly), the filter
+    (Shewchuk 1997; Bronnimann, Burnikel and Pion 2001) computes
+    S = num . c over the order's table (_OrderData.float_cos), whose
+    entries are within E of the cosines.  The table error adds at most
+    E * sum|num_j|, and by Higham, "Accuracy and Stability of Numerical
+    Algorithms", ch. 3, the float64 dot product of phi terms in any
+    summation order, fused multiply-adds included, adds at most
+    gamma_phi * sum|num_j c_j|, with gamma_n = n u / (1 - n u) and
+    u = 2^-53.  The computed |num| . |c| understates that sum by at most
+    a factor 1 - gamma_phi, which gamma_(phi+1) absorbs; a last factor
+    1 + 16u covers the six roundings in forming the bound
+    B = (E * sum|num_j| + gamma_(phi+1) * |num| . |c|)(1 + 16u).  So
+    |S| > B decides the sign.  sum|num_j| is summed exactly.
+    """
+    absn = np.abs(nums)
+    heights = absn.max(axis=1).tolist()
+    signs: list[Optional[int]] = [None if h else 0 for h in heights]
+    gated = [i for i, h in enumerate(heights) if 0 < h < _FLOAT_EXACT]
+    if len(gated) < len(heights):
+        nums, absn = nums[gated], absn[gated]
+    if gated:
+        c, err = _order_data(order).float_cos()
+        n = len(c) + 1
+        gamma = n * _UNIT_ROUNDOFF / (1 - n * _UNIT_ROUNDOFF)
+        l1 = absn.sum(axis=1, dtype=_dtype(max(heights) * n)).tolist()
+        s = (nums.astype(np.float64) @ c).tolist()
+        abs_dot = (absn.astype(np.float64) @ np.abs(c)).tolist()
+        for i, si, li, ai in zip(gated, s, l1, abs_dot):
+            if abs(si) > (err * li + gamma * ai) * (1 + 16 * _UNIT_ROUNDOFF):
+                signs[i] = 1 if si > 0 else -1
+    return signs
+
+
 def sign(x: CyclotomicNumber) -> int:
     """Exact sign of a real cyclotomic number.
 
     The exact zero test decides the zero case outright, and an element
-    that is not real raises ValueError.  Otherwise the value is
-    sum_j num_j cos(2*pi*j/N) / den, and den > 0.  When every |num_j| is
-    below 2^53 a float64 filter runs first (Shewchuk 1997; Bronnimann,
-    Burnikel and Pion 2001): S = num . c over the order's table
-    (_OrderData.float_cos), whose entries are within E of the cosines.
-    The table error adds at most E * sum|num_j|, and by Higham,
-    "Accuracy and Stability of Numerical Algorithms", ch. 3, the
-    float64 dot product of phi terms in any summation order, fused
-    multiply-adds included, adds at most gamma_phi * sum|num_j c_j|,
-    with gamma_n = n u / (1 - n u) and u = 2^-53.  The computed
-    |num| . |c| understates that sum by at most a factor 1 - gamma_phi,
-    which gamma_(phi+1) absorbs; a last factor 1 + 16u covers the six
-    roundings in forming the bound B.  So |S| > B decides the sign.
-    Otherwise interval evaluation is refined (doubling precision from
+    that is not real raises ValueError.  Otherwise the float64 filter of
+    filter_signs runs on the one numerator row.  When it declines,
+    interval evaluation is refined (doubling precision from
     SIGN_START_BITS) until zero is excluded, which must happen for a
     nonzero algebraic number.
     """
@@ -569,16 +632,9 @@ def sign(x: CyclotomicNumber) -> int:
         return 0
     if not x.is_real():
         raise ValueError("sign needs a real element")
-    if _height(x.num) < _FLOAT_EXACT:
-        c, err = _order_data(x.order).float_cos()
-        num = np.array(x.num, dtype=np.float64)
-        s = float(num @ c)
-        n = len(num) + 1
-        gamma = n * _UNIT_ROUNDOFF / (1 - n * _UNIT_ROUNDOFF)
-        bound = (err * sum(map(abs, x.num))
-                 + gamma * float(np.abs(num) @ np.abs(c))) * (1 + 16 * _UNIT_ROUNDOFF)
-        if abs(s) > bound:
-            return 1 if s > 0 else -1
+    s, = filter_signs(x.order, np.array([x.num], dtype=_dtype(_height(x.num))))
+    if s is not None:
+        return s
     bits = SIGN_START_BITS
     while bits <= SIGN_MAX_BITS:
         s = x.float_interval(bits).sign

@@ -17,9 +17,11 @@ the signs of four sums of four cosines (see realizability); no 3x3 or
 
 Everything here is decided exactly: the residual and the four Gram
 quantities are sums of cosines in one cyclotomic field Q(zeta_N), N the
-lcm of twice the angle denominators, and their signs come from the
-float64 filter of cyclotomic.sign, which proves each sign it returns
-and falls back to certified interval refinement when it cannot.
+lcm of twice the angle denominators.  One stacked table product gives
+the numerator rows of all four Gram quantities, each real by
+construction, and one call of the float64 filter (cyclotomic.filter_signs)
+proves their signs together; a sign it cannot prove comes from
+cyclotomic.sign, which refines certified intervals.
 """
 
 from __future__ import annotations
@@ -29,8 +31,17 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
+import numpy as np
+
 from .angles import RationalAngle
-from .cyclotomic import CyclotomicNumber, angle_exponents, cosine_sum, sign
+from .cyclotomic import (
+    CyclotomicNumber,
+    angle_exponents,
+    cosine_numerators,
+    cosine_sum,
+    filter_signs,
+    sign,
+)
 
 
 class PreconditionError(ValueError):
@@ -90,7 +101,7 @@ class PythagoreanQuadruple:
 
     @classmethod
     def from_fractions(cls, p, q, r, s) -> "PythagoreanQuadruple":
-        return cls.of(*(RationalAngle.from_fraction(Fraction(x)) for x in (p, q, r, s)))
+        return cls.of(*(RationalAngle.from_fraction(x) for x in (p, q, r, s)))
 
     @property
     def angles(self) -> tuple[RationalAngle, ...]:
@@ -100,8 +111,9 @@ class PythagoreanQuadruple:
     def fractions(self) -> tuple[Fraction, ...]:
         return tuple(a.frac for a in self.angles)
 
-    def sort_key(self) -> tuple[Fraction, ...]:
-        return self.fractions
+    def sort_key(self) -> tuple[RationalAngle, ...]:
+        """The angles: they order like their fractions, without building any."""
+        return self.angles
 
     def __str__(self) -> str:
         return "(" + ", ".join(str(a.frac) for a in self.angles) + ")*pi"
@@ -188,6 +200,26 @@ def pair_to_quadruple(a: RationalAngle, b: RationalAngle, c: RationalAngle,
 # -- realizability ---------------------------------------------------------
 
 
+# The four sums of realizability as rows of coefficients k of
+# k cos(2*pi*e/N), over the exponents e listed by _gram_rows.
+_GRAM_COEFFS = np.array([
+    # p   q  r+s r-s  2p  2q   r   s  p+q p-q
+    [1,   1,  0,  0,  0,  0,  0,  0,  0,  0],  # P = cos p + cos q
+    [1,  -1,  0,  0,  0,  0,  0,  0,  0,  0],  # Q = cos p - cos q
+    [0,   0,  1,  1, -1, -1,  0,  0,  0,  0],  # a
+    [0,   0,  0,  0,  0,  0,  2,  2,  2,  2],  # b
+], dtype=np.int64)
+
+
+def _gram_rows(quad: PythagoreanQuadruple) -> tuple[int, np.ndarray]:
+    """(N, rows): the numerators over 2 of P, Q, a and b of realizability
+    in Q(zeta_N), N = lcm(2 den) of the four angles, from one stacked
+    table product."""
+    order, (p, q, r, s) = angle_exponents(quad.angles)
+    exponents = (p, q, r + s, r - s, 2 * p, 2 * q, r, s, p + q, p - q)
+    return order, cosine_numerators(order, _GRAM_COEFFS, exponents)
+
+
 @lru_cache(maxsize=None)
 def realizability(quad: PythagoreanQuadruple) -> RealizabilityCertificate:
     """Exact positive-definiteness certificate for the Gram matrix.
@@ -219,22 +251,42 @@ def realizability(quad: PythagoreanQuadruple) -> RealizabilityCertificate:
         det M- = (1 + cos r)(1 + cos s) - (cos p - cos q)^2 = (a + b)/2,
 
     with a = cos(r+s) + cos(r-s) - cos 2p - cos 2q and
-    b = 2 (cos r + cos s + cos(p+q) + cos(p-q)).  So cos p, cos q, a and
-    b are each one cosine sum in Q(zeta_N), N = lcm(2 den) of the four
-    angles, and P, Q, a - b and a + b are additions in that one field:
-    nothing is multiplied and nothing is embedded into another order.
-    Angles whose N exceeds MAX_ORDER raise CyclotomicOrderError.
+    b = 2 (cos r + cos s + cos(p+q) + cos(p-q)).  So P, Q, a and b are
+    sums of cosines in Q(zeta_N), N = lcm(2 den) of the four angles, and
+    one stacked table product (cyclotomic.cosine_numerators) gives their
+    four numerator rows: nothing is multiplied and nothing is embedded
+    into another order.  Every row pairs x^e with x^(-e), so each is
+    real by construction and no realness check (a conjugation) is made.
+    The rows of a and b become elements (2a and 2b over denominator 1)
+    and the determinants are formed as a - b and a + b, the identity as
+    written, by CyclotomicNumber addition: the determinants then exist
+    as elements for the interval fallback, and the benchmark's traced
+    layers (perfbench) see realizability's additions.  One call of
+    cyclotomic.filter_signs decides the signs of P, Q, a - b and a + b
+    together.  A sign the filter declines comes from cyclotomic.sign on
+    that element, and a determinant's sign is used only where its P (or
+    Q) is nonzero.  Angles whose N exceeds MAX_ORDER raise
+    CyclotomicOrderError.
     """
-    order, (p, q, r, s) = angle_exponents(quad.angles)
-    cp, cq = cosine_sum(order, ((1, p),)), cosine_sum(order, ((1, q),))
-    a = cosine_sum(order, ((1, r + s), (1, r - s), (-1, 2 * p), (-1, 2 * q)))
-    b = cosine_sum(order, ((2, r), (2, s), (2, p + q), (2, p - q)))
-    signs: tuple[int, ...] = ()
-    for x, det in ((cp + cq, a - b), (cp - cq, a + b)):
-        sx = sign(x)
-        det_sign = sign(det) if sx else 1
-        signs += (det_sign if sx > 0 else 1, det_sign if sx < 0 else 1)
-    return RealizabilityCertificate(quad, signs)
+    order, rows = _gram_rows(quad)
+    # Over denominator 1 the rows of a and b are the elements 2a and 2b,
+    # so one denominator and one order: a -+ b adds numerators directly.
+    a, b = (CyclotomicNumber(order, row.tolist()) for row in rows[2:])
+    dets = (a - b, a + b)  # 4 det M+ and 4 det M-
+    # Their numerators are at most |row a| + |row b| < 2^63 when the rows
+    # are int64, so the dtype of the rows holds them.
+    signs = filter_signs(order, np.array((rows[0], rows[1], dets[0].num, dets[1].num),
+                                         dtype=rows.dtype))
+    out: tuple[int, ...] = ()
+    for i, det in enumerate(dets):
+        sx = signs[i]
+        if sx is None:
+            sx = sign(CyclotomicNumber(order, rows[i].tolist(), 2))
+        det_sign = signs[2 + i] if sx else 1
+        if det_sign is None:
+            det_sign = sign(det)
+        out += (det_sign if sx > 0 else 1, det_sign if sx < 0 else 1)
+    return RealizabilityCertificate(quad, out)
 
 
 def is_realizable(quad: PythagoreanQuadruple) -> bool:

@@ -39,7 +39,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
-from .angles import RationalAngle
+from .angles import HALF_PI, RationalAngle
 from .cyclotomic import common_order, cosine_sum, totient
 from .families import classify_quadruple
 from .geometry import (
@@ -117,7 +117,7 @@ def grid_angles(dens: Sequence[int], lo: Fraction, hi: Fraction) -> list[Rationa
             if Fraction(nu, den) > lo and math.gcd(nu, den) == 1:
                 out.add(RationalAngle(nu, den))
             nu += 1
-    return sorted(out, key=lambda x: x.frac)
+    return sorted(out)
 
 
 # -- exact cosine sums -------------------------------------------------------
@@ -231,11 +231,14 @@ def _search_grids(profile: DenominatorProfile):
     return a_vals, b_vals, cd_vals
 
 
+_TWO_PI = RationalAngle(2)
+
+
 def _pair_candidates(a_vals, b_vals):
     pairs = []
     for a in a_vals:
         for b in b_vals:
-            if a > b and (a.frac + b.frac) < 2:
+            if a > b and a + b < _TWO_PI:
                 pairs.append((a, b))
     return pairs
 
@@ -373,9 +376,9 @@ def _fold_triple(p: RationalAngle, q: RationalAngle, r: RationalAngle):
     cos p cos q + cos r = 0 is preserved by (p,q,r) -> (pi-p, q, pi-r)
     and (p, pi-q, pi-r); folding puts p, q in (0, pi/2].
     """
-    if p.frac > Fraction(1, 2):
+    if p > HALF_PI:
         p, r = p.supplement(), r.supplement()
-    if q.frac > Fraction(1, 2):
+    if q > HALF_PI:
         q, r = q.supplement(), r.supplement()
     if p < q:
         p, q = q, p
@@ -403,7 +406,7 @@ def search_triples(cfg: Optional[SearchConfig] = None) -> TripleReport:
         p, q, r = (a + b) / 2, (a - b) / 2, c
         if not (p.in_open_0_pi() and q.in_open_0_pi()):
             continue
-        if p.frac == Fraction(1, 2) or q.frac == Fraction(1, 2):
+        if p == HALF_PI or q == HALF_PI:
             trivial += 1
             continue
         key_p, key_q, key_r = _fold_triple(p, q, r)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +16,10 @@ from sphertet.cyclotomic import (
     common_order,
     cos_as_cyclotomic,
     cyclotomic_polynomial,
+    cosine_numerators,
+    cosine_sum,
     exp_i,
+    filter_signs,
     sign,
     sin_as_cyclotomic,
     totient,
@@ -153,6 +157,32 @@ def test_addition_commutes_and_multiplication_distributes(x, y):
     assert (x + y - (y + x)).is_zero()
     z = cos_as_cyclotomic(angle(1, 5))
     assert ((x + y) * z - (x * z + y * z)).is_zero()
+
+
+@given(cyclotomics(), cyclotomics())
+@settings(max_examples=40)
+def test_subtraction_is_adding_the_negative(x, y):
+    assert x - y == x + (-y)
+    assert (x - y) + y == x and (x + y) - y == x
+    assert x - x == CyclotomicNumber.zero(x.order)
+
+
+def test_same_order_sums_skip_the_common_order(monkeypatch):
+    """Two elements of one order, with equal or unequal denominators,
+    combine without an embedding and without common_order."""
+    x = cosine_sum(420, ((1, 1), (3, 7)))        # denominator 2
+    y = cosine_sum(420, ((2, 5),))               # denominator 1
+    z = cosine_sum(420, ((1, 4),))               # denominator 2
+    expected = [x + y, x - y, x + z, x - z]
+
+    def refuse(*args):
+        raise AssertionError("common order")
+
+    monkeypatch.setattr(cyclotomic, "common_order", refuse)
+    assert [x + y, x - y, x + z, x - z] == expected
+    assert (x - z).den == 2 and (x + y).den == 2
+    assert x + z == cosine_sum(420, ((1, 1), (3, 7), (1, 4)))
+    assert x - y == cosine_sum(420, ((1, 1), (3, 7), (-2, 5)))
 
 
 @given(cyclotomics())
@@ -332,3 +362,54 @@ def test_numerators_past_2_to_53_skip_the_filter(monkeypatch):
     s = sign(x)
     assert bits_seen and bits_seen[0] == 64
     assert s == x.float_interval(256).sign != 0
+
+
+def test_cosine_sum_is_the_one_row_case_of_the_stacked_product():
+    terms = ((1, 3), (-2, 11), (5, 200))
+    rows = cosine_numerators(420, np.array([[1, -2, 5], [0, 1, 0]]), (3, 11, 200))
+    assert cosine_sum(420, terms) == CyclotomicNumber(420, rows[0].tolist(), 2)
+    assert cosine_sum(420, ((1, 11),)) == CyclotomicNumber(420, rows[1].tolist(), 2)
+
+
+def test_filter_signs_on_stacked_rows_agrees_with_sign():
+    """One call over many rows: a zero row gives 0, a row past 2^53 is
+    declined, and every other row the filter decides has the sign of
+    sign() on that element."""
+    by_order: dict[int, list] = {}
+    for x in _near_misses():
+        by_order.setdefault(x.order, []).append(x)
+    for d in (60, 84, 105, 210, 420):
+        by_order[2 * d] += [cosine_sum(2 * d, ((1, k), (-2, 3 * k + 1))) for k in range(d)]
+    decided = declined = 0
+    for order, xs in by_order.items():
+        big = [1 << 60] + [0] * (totient(order) - 1)
+        rows = np.array([x.num for x in xs] + [[0] * totient(order), big], dtype=object)
+        signs = filter_signs(order, rows)
+        assert signs[-2] == 0 and signs[-1] is None
+        for x, s in zip(xs, signs):
+            if s is None:
+                declined += 1
+            else:
+                decided += 1
+                assert s == sign(x), x
+        as_int64 = [x.num for x in xs if max(map(abs, x.num)) < 1 << 62]
+        assert filter_signs(order, np.array(as_int64, dtype=np.int64)) == \
+            filter_signs(order, np.array(as_int64, dtype=object))
+    assert (decided, declined) == (879, 696)  # every near miss is declined
+
+
+def test_filter_signs_charges_the_table_error(monkeypatch):
+    """A row is decided only when |num . c| exceeds E * sum|num_j|: with
+    the table error raised to 1e-3 the filter declines some of the rows
+    it decides with the proven E, and decides none below that term."""
+    xs = [cosine_sum(420, ((1, k), (-1, k + 1))) for k in range(1, 210)]
+    rows = np.array([x.num for x in xs], dtype=np.int64)
+    assert None not in filter_signs(420, rows)
+    c, _ = cyclotomic._order_data(420).float_cos()
+    monkeypatch.setattr(_OrderData, "float_cos", lambda self: (c, 1e-3))
+    signs = filter_signs(420, rows)
+    declined = [s is None for s in signs]
+    assert 0 < sum(declined) < len(xs)
+    for row, s in zip(rows, signs):
+        if s is not None:
+            assert abs(float(row @ c)) > 1e-3 * int(np.abs(row).sum())

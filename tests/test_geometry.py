@@ -9,12 +9,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 from mpmath import iv
 
+from sphertet import cyclotomic, geometry
 from sphertet.angles import RationalAngle, angle
 from sphertet.cyclotomic import (
     MAX_ORDER,
     CyclotomicNumber,
     CyclotomicOrderError,
+    angle_exponents,
     cos_as_cyclotomic,
+    cosine_sum,
     iv_precision,
     sign,
 )
@@ -191,14 +194,17 @@ def _random_quadruple(rng: random.Random) -> PythagoreanQuadruple:
     return PythagoreanQuadruple.from_fractions(p, q, r, s)
 
 
+def _arbitrary_quadruples() -> list[PythagoreanQuadruple]:
+    rng = random.Random(20181)
+    return [_random_quadruple(rng) for _ in range(600)]
+
+
 def test_realizability_matches_the_product_form_on_arbitrary_quadruples():
     """Quadruples that need not solve the equation, at common orders up
     to MAX_ORDER: the linear cosine sums and the multiplied-out
     determinants give the same four signs."""
-    rng = random.Random(20181)
     high = zero_sums = zero_dets = 0
-    for _ in range(600):
-        q = _random_quadruple(rng)
+    for q in _arbitrary_quadruples():
         signs = realizability.__wrapped__(q).signs
         assert signs == _product_form_signs(q), q
         high += math.lcm(*(2 * x.den for x in q.angles)) > 420
@@ -207,7 +213,7 @@ def test_realizability_matches_the_product_form_on_arbitrary_quadruples():
     assert high >= 150 and zero_sums >= 250 and zero_dets >= 1
 
 
-@pytest.mark.parametrize("fracs,expected", [
+_ZERO_SIGN_CASES = [
     # p + q = pi: P = 0
     ((Fraction(2, 3), Fraction(1, 3), Fraction(3, 5), Fraction(1, 5)), (1, 1, 1, 1)),
     ((Fraction(6, 7), Fraction(1, 7), Fraction(11, 630), Fraction(1, 9)), (1, 1, 1, 1)),
@@ -219,7 +225,10 @@ def test_realizability_matches_the_product_form_on_arbitrary_quadruples():
     ((Fraction(2, 3), Fraction(1, 3), Fraction(1, 2), Fraction(1, 2)), (1, 1, 1, 0)),
     # det M- = (1/2)(1/2) - (cos 2pi/5 - cos pi/5)^2 = 0
     ((Fraction(2, 5), Fraction(1, 5), Fraction(2, 3), Fraction(2, 3)), (1, 1, 1, 0)),
-])
+]
+
+
+@pytest.mark.parametrize("fracs,expected", _ZERO_SIGN_CASES)
 def test_realizability_at_zero_signs(fracs, expected):
     q = PythagoreanQuadruple.from_fractions(*fracs)
     assert realizability.__wrapped__(q).signs == _product_form_signs(q) == expected
@@ -248,6 +257,89 @@ def test_realizability_multiplies_nothing_and_stays_in_one_order(
     family9 = PythagoreanQuadruple.from_fractions(
         Fraction(2, 3), Fraction(319, 840), Fraction(1, 2), Fraction(319, 840))
     assert realizability.__wrapped__(family9).signs == (1, 1, 1, 1)
+
+
+def _element_signs(q: PythagoreanQuadruple) -> tuple[int, ...]:
+    """Test oracle: the four signs with cos p, cos q, a and b each built
+    as its own cosine_sum element, P, Q, a - b and a + b formed by element
+    arithmetic, and every sign from sign(), realness check included."""
+    order, (p, q_, r, s) = angle_exponents(q.angles)
+    cp, cq = cosine_sum(order, ((1, p),)), cosine_sum(order, ((1, q_),))
+    a = cosine_sum(order, ((1, r + s), (1, r - s), (-1, 2 * p), (-1, 2 * q_)))
+    b = cosine_sum(order, ((2, r), (2, s), (2, p + q_), (2, p - q_)))
+    signs: tuple[int, ...] = ()
+    for x, det in ((cp + cq, a - b), (cp - cq, a + b)):
+        sx = sign(x)
+        det_sign = sign(det) if sx else 1
+        signs += (det_sign if sx > 0 else 1, det_sign if sx < 0 else 1)
+    return signs
+
+
+def _oracle_cases(sporadic_report) -> list[PythagoreanQuadruple]:
+    """The 790 raw solutions, the 600 arbitrary quadruples and the six
+    zero-sign cases."""
+    return (list(sporadic_report.raw_solutions) + _arbitrary_quadruples()
+            + [PythagoreanQuadruple.from_fractions(*f) for f, _ in _ZERO_SIGN_CASES])
+
+
+def test_stacked_rows_match_the_element_oracle(sporadic_report):
+    cases = _oracle_cases(sporadic_report)
+    assert len(cases) == 790 + 600 + 6
+    for q in cases:
+        assert realizability.__wrapped__(q).signs == _element_signs(q), q
+
+
+def test_realizability_conjugates_nothing(sporadic_report, monkeypatch):
+    """The stacked rows are real by construction, so no realness check
+    runs: with conjugation refused the default grid still gives 208."""
+    def refuse(self):
+        raise AssertionError("conjugation")
+
+    monkeypatch.setattr(CyclotomicNumber, "conjugate", refuse)
+    certs = [realizability.__wrapped__(q) for q in sporadic_report.raw_solutions]
+    assert sum(c.realizable for c in certs) == 208
+
+
+def test_stacked_rows_are_real_elements(sporadic_report):
+    for q in sporadic_report.raw_solutions:
+        order, rows = geometry._gram_rows(q)
+        assert rows.shape == (4, cyclotomic.totient(order))
+        for row in rows:
+            assert CyclotomicNumber(order, row.tolist(), 2).is_real(), q
+
+
+def test_realizability_on_python_ints_matches_the_oracle(sporadic_report, monkeypatch):
+    """With the int64 bound forced down, every table product runs on
+    Python ints (dtype=object) and the signs do not change."""
+    cases = _oracle_cases(sporadic_report)[::4]
+    expected = [_element_signs(q) for q in cases]
+    monkeypatch.setattr(cyclotomic, "_INT64_SAFE", 1)
+    assert geometry._gram_rows(cases[0])[1].dtype == object
+    assert [realizability.__wrapped__(q).signs for q in cases] == expected
+
+
+def test_realizability_fallback_matches_the_oracle(sporadic_report, monkeypatch):
+    """With the float64 filter declining every row, each sign that
+    realizability uses comes from interval refinement in sign(), and the
+    signs do not change."""
+    cases = _oracle_cases(sporadic_report)[::25]
+    expected = [_element_signs(q) for q in cases]
+
+    def decline(order, nums):
+        return [None] * len(nums)
+
+    monkeypatch.setattr(cyclotomic, "filter_signs", decline)
+    monkeypatch.setattr(geometry, "filter_signs", decline)
+    refined = []
+    original = CyclotomicNumber.float_interval
+
+    def counted(self, bits=64):
+        refined.append(bits)
+        return original(self, bits)
+
+    monkeypatch.setattr(CyclotomicNumber, "float_interval", counted)
+    assert [realizability.__wrapped__(q).signs for q in cases] == expected
+    assert len(refined) >= 2 * len(cases)
 
 
 # Cyclotomic orders from 36 to MAX_ORDER, each reachable by every family.
