@@ -1,40 +1,79 @@
 """Exact trigonometric polynomials in up to two real parameters.
 
 A TrigPoly is a finite sum  sum_i  gamma_i * cos(pi*A_i + B_i*t + C_i*u)
-with rational gamma_i, A_i, B_i, C_i.  The class supports ring
-operations (products rewritten by the product-to-sum rule), partial
-derivatives, exact evaluation at rational multiples of pi (yielding a
-cyclotomic number), rigorous interval evaluation over boxes, and an
-exact identically-zero test.
+with rational gamma_i, A_i, B_i, C_i, kept as canonical terms (see
+_canonical_term): sorted, one per angle form, no zero coefficient.  The
+class supports ring operations (products rewritten by the product-to-sum
+rule), partial derivatives, exact evaluation at rational multiples of pi,
+rigorous interval evaluation over boxes, and an exact identically-zero
+test.
 
-The zero test groups terms by frequency pair (B, C).  Functions
-cos(B*t + C*u + phase) with canonically distinct frequencies are
-linearly independent, so the sum vanishes identically iff every group
-does; a single group  sum_i gamma_i cos(pi*A_i + theta)  is the real
-part of  (sum_i gamma_i e^{i pi A_i}) e^{i theta}  and vanishes for all
-theta iff that cyclotomic weight is zero (for the constant group, iff
-its real part is zero).  Every step stays in exact arithmetic.
+Exact.  At t = tau*pi, u = mu*pi every angle is a rational multiple of
+pi, so the value is one cosine sum in one field Q(zeta_N), N = lcm of
+twice the angles' denominators (cyclotomic.angle_exponents; a term whose
+cosine is rational counts as a constant): one table product
+(cyclotomic.cosine_numerators) gives its numerator row, real by
+construction.  A sign comes from the proven float64 filter
+(cyclotomic.filter_signs) on that row, and from cyclotomic.sign only
+when the filter declines.  The zero test groups terms by frequency pair
+(B, C).  Functions cos(B*t + C*u + phase) with canonically distinct
+frequencies are linearly independent, so the sum vanishes identically
+iff every group does; a group  sum_i gamma_i cos(pi*A_i + theta)  is the
+real part of  (sum_i gamma_i e^{i pi A_i}) e^{i theta}  and vanishes for
+all theta iff that cyclotomic weight is zero, and the constant group
+iff its cosine sum is.  Each group is one table product in one field
+Q(zeta_N), and it is zero iff its numerator row is.
+
+Enclosure.  Over a box t in [t1, t2]*pi, u in [u1, u2]*pi the angle of a
+term ranges over exactly pi times the rational interval
+A + B*[t1, t2] + C*[u1, u2].  eval_interval computes that range in
+Fractions, rounds its ends outward to the working precision once, and
+multiplies by an enclosure of pi, takes the cosine, scales by the
+outward-rounded coefficient and sums, all in mpmath's libmp interval
+functions, every one of which rounds outward.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Sequence, Union
 
-from mpmath import iv
+import numpy as np
+from mpmath.libmp import (
+    fzero,
+    from_rational,
+    mpi_add,
+    mpi_cos,
+    mpi_mul,
+    round_ceiling,
+    round_floor,
+    to_rational,
+)
+from mpmath.libmp.libmpi import mpi_pi
 
-from .angles import RationalAngle
+from .angles import RationalAngle, _rational
 from .cyclotomic import (
     CyclotomicNumber,
     SignedInterval,
-    _iv_to_signed_interval,
+    _order_data,
+    angle_exponents,
     cos_as_cyclotomic,
-    exp_i,
-    iv_precision,
+    cosine_numerators,
+    filter_signs,
+    sign,
 )
 
 Rat = Union[Fraction, int]
+
+
+def _fraction(value, what: str) -> Fraction:
+    """value as a Fraction; a non-rational (e.g. a float) raises TypeError."""
+    if type(value) is Fraction:
+        return value
+    return Fraction(_rational(value, what))
 
 
 @dataclass(frozen=True)
@@ -47,7 +86,9 @@ class AngleForm:
 
     def __post_init__(self) -> None:
         for name in ("pi_part", "t_part", "u_part"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
+            value = getattr(self, name)
+            if type(value) is not Fraction:
+                object.__setattr__(self, name, _fraction(value, f"AngleForm {name}"))
 
     def __add__(self, other: "AngleForm") -> "AngleForm":
         return AngleForm(
@@ -63,7 +104,7 @@ class AngleForm:
         return AngleForm(-self.pi_part, -self.t_part, -self.u_part)
 
     def scale(self, k: Rat) -> "AngleForm":
-        k = Fraction(k)
+        k = _fraction(k, "AngleForm scale")
         return AngleForm(self.pi_part * k, self.t_part * k, self.u_part * k)
 
     @property
@@ -96,6 +137,30 @@ def _canonical_term(form: AngleForm) -> AngleForm:
     return AngleForm(a, t, u)
 
 
+def _term_key(term: tuple[AngleForm, Fraction]) -> tuple[Fraction, Fraction, Fraction]:
+    form = term[0]
+    return form.t_part, form.u_part, form.pi_part
+
+
+def _merged(terms: Iterable[tuple[AngleForm, Fraction]]
+            ) -> tuple[tuple[AngleForm, Fraction], ...]:
+    """Canonical terms with their coefficients summed per form, sorted,
+    zeros dropped.  The forms must already be canonical."""
+    merged: dict[AngleForm, Fraction] = {}
+    for form, coeff in terms:
+        merged[form] = merged.get(form, 0) + coeff
+    return tuple(sorted(((k, v) for k, v in merged.items() if v), key=_term_key))
+
+
+def _integer_coefficients(terms: Sequence[tuple[object, Fraction]]
+                          ) -> tuple[np.ndarray, int]:
+    """(k, D): the coefficients are k_i / D over one common denominator D,
+    with k an exact (dtype=object) integer vector."""
+    den = math.lcm(*(c.denominator for _, c in terms))
+    return np.array([c.numerator * (den // c.denominator) for _, c in terms],
+                    dtype=object), den
+
+
 class TrigPoly:
     """Immutable exact cosine series; see the module docstring."""
 
@@ -104,17 +169,17 @@ class TrigPoly:
     terms: tuple[tuple[AngleForm, Fraction], ...]
 
     def __init__(self, terms: Iterable[tuple[AngleForm, Rat]] = ()) -> None:
-        merged: dict[AngleForm, Fraction] = {}
-        for form, coeff in terms:
-            key = _canonical_term(form)
-            merged[key] = merged.get(key, Fraction(0)) + Fraction(coeff)
-        cleaned = tuple(
-            sorted(
-                ((k, v) for k, v in merged.items() if v != 0),
-                key=lambda kv: (kv[0].t_part, kv[0].u_part, kv[0].pi_part),
-            )
-        )
-        object.__setattr__(self, "terms", cleaned)
+        object.__setattr__(self, "terms", _merged(
+            (_canonical_term(form), _fraction(coeff, "TrigPoly coefficient"))
+            for form, coeff in terms))
+
+    @classmethod
+    def _of(cls, terms: tuple[tuple[AngleForm, Fraction], ...]) -> "TrigPoly":
+        """The TrigPoly of terms that are already canonical, sorted, one per
+        form and nonzero: what every ring operation but a product keeps."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "terms", terms)
+        return poly
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("TrigPoly is immutable")
@@ -141,17 +206,19 @@ class TrigPoly:
     # -- ring operations ------------------------------------------------
 
     def __add__(self, other: "TrigPoly") -> "TrigPoly":
-        return TrigPoly(self.terms + other.terms)
+        return TrigPoly._of(_merged(self.terms + other.terms))
 
     def __sub__(self, other: "TrigPoly") -> "TrigPoly":
         return self + (-other)
 
     def __neg__(self) -> "TrigPoly":
-        return TrigPoly((f, -c) for f, c in self.terms)
+        return TrigPoly._of(tuple((f, -c) for f, c in self.terms))
 
     def scale(self, k: Rat) -> "TrigPoly":
-        k = Fraction(k)
-        return TrigPoly((f, c * k) for f, c in self.terms)
+        k = _fraction(k, "TrigPoly scale")
+        if not k:
+            return TrigPoly()
+        return TrigPoly._of(tuple((f, c * k) for f, c in self.terms))
 
     def __mul__(self, other: "TrigPoly") -> "TrigPoly":
         out = []
@@ -159,9 +226,9 @@ class TrigPoly:
         for f, c in self.terms:
             for g, d in other.terms:
                 coeff = c * d * half
-                out.append((f + g, coeff))
-                out.append((f - g, coeff))
-        return TrigPoly(out)
+                out.append((_canonical_term(f + g), coeff))
+                out.append((_canonical_term(f - g), coeff))
+        return TrigPoly._of(_merged(out))
 
     # -- calculus --------------------------------------------------------
 
@@ -178,13 +245,26 @@ class TrigPoly:
 
     # -- evaluation -------------------------------------------------------
 
-    def eval_exact(self, tau: Rat, mu: Rat = 0) -> CyclotomicNumber:
-        """Exact value at t = tau*pi, u = mu*pi."""
-        total = CyclotomicNumber.zero(1)
+    def _exact_row(self, tau: Rat, mu: Rat = 0) -> tuple[int, np.ndarray, int]:
+        """(N, row, den): the value at t = tau*pi, u = mu*pi is the real
+        element row/den of Q(zeta_N), from one table product.
+
+        cos(n*pi/d) is rational for d <= 3, so such a term enters as a
+        constant (angle 0) and leaves N to the other angles."""
+        terms = []
         for f, c in self.terms:
             angle = RationalAngle.from_fraction(f.value_in_pi_units(tau, mu))
-            total = total + cos_as_cyclotomic(angle) * c
-        return total
+            if angle.den <= 3:
+                angle, c = RationalAngle(0), c * cos_as_cyclotomic(angle).rational_value
+            terms.append((angle, c))
+        order, exponents = angle_exponents([angle for angle, _ in terms])
+        coeffs, den = _integer_coefficients(terms)
+        return order, cosine_numerators(order, coeffs, exponents), 2 * den
+
+    def eval_exact(self, tau: Rat, mu: Rat = 0) -> CyclotomicNumber:
+        """Exact value at t = tau*pi, u = mu*pi."""
+        order, row, den = self._exact_row(tau, mu)
+        return CyclotomicNumber(order, row.tolist(), den)
 
     def eval_interval(
         self,
@@ -192,20 +272,26 @@ class TrigPoly:
         u_range: tuple[Rat, Rat] = (0, 0),
         precision: int = 64,
     ) -> SignedInterval:
-        """Rigorous enclosure over t in t_range*pi, u in u_range*pi."""
-        with iv_precision(precision):
-            pi_iv = iv.pi
-            t_iv = _frac_iv(t_range[0], t_range[1]) * pi_iv
-            u_iv = _frac_iv(u_range[0], u_range[1]) * pi_iv
-            total = iv.mpf(0)
-            for f, c in self.terms:
-                x = pi_iv * _frac_iv(f.pi_part, f.pi_part)
-                if f.t_part:
-                    x = x + t_iv * _frac_iv(f.t_part, f.t_part)
-                if f.u_part:
-                    x = x + u_iv * _frac_iv(f.u_part, f.u_part)
-                total = total + iv.cos(x) * _frac_iv(c, c)
-            return _iv_to_signed_interval(total, precision)
+        """Rigorous enclosure over t in t_range*pi, u in u_range*pi.
+
+        A range must run from its lower to its upper end (ValueError
+        otherwise)."""
+        (t1, t2), (u1, u2) = ((Fraction(lo), Fraction(hi)) for lo, hi in (t_range, u_range))
+        if t1 > t2 or u1 > u2:
+            raise ValueError(f"reversed parameter range t {t_range}, u {u_range}")
+        pi = mpi_pi(precision)
+        total = (fzero, fzero)
+        for f, c in self.terms:
+            lo = hi = f.pi_part
+            for k, x1, x2 in ((f.t_part, t1, t2), (f.u_part, u1, u2)):
+                if k:
+                    a, b = k * x1, k * x2
+                    lo, hi = (lo + a, hi + b) if k > 0 else (lo + b, hi + a)
+            angle = mpi_mul(_outward(lo, hi, precision), pi, precision)
+            term = mpi_mul(mpi_cos(angle, precision), _outward(c, c, precision), precision)
+            total = mpi_add(total, term, precision)
+        lo, hi = (Fraction(*to_rational(v)) for v in total)
+        return SignedInterval(lo, hi, precision)
 
     def __float__(self) -> float:
         raise TypeError("evaluate with eval_exact or eval_interval")
@@ -216,25 +302,20 @@ class TrigPoly:
     def is_constant(self) -> bool:
         return all(f.is_constant for f, _ in self.terms)
 
-    def frequency_groups(self) -> Mapping[tuple[Fraction, Fraction], "TrigPoly"]:
-        groups: dict[tuple[Fraction, Fraction], list] = {}
-        for f, c in self.terms:
-            groups.setdefault((f.t_part, f.u_part), []).append((f, c))
-        return {key: TrigPoly(terms) for key, terms in groups.items()}
-
     def is_zero(self) -> bool:
         """Exact test for identical vanishing over all real t, u."""
-        for (bt, cu), group in self.frequency_groups().items():
-            weight = CyclotomicNumber.zero(1)
-            for f, c in group.terms:
-                weight = weight + exp_i(RationalAngle.from_fraction(f.pi_part)) * c
+        frequencies = itertools.groupby(self.terms, key=lambda term: _term_key(term)[:2])
+        for (bt, cu), group in frequencies:
+            group = tuple(group)
+            order, exponents = angle_exponents(
+                [RationalAngle.from_fraction(f.pi_part) for f, _ in group])
+            coeffs, _ = _integer_coefficients(group)
             if bt == 0 and cu == 0:
-                real_part = (weight + weight.conjugate()) * Fraction(1, 2)
-                if not real_part.is_zero():
-                    return False
+                row = cosine_numerators(order, coeffs, exponents)
             else:
-                if not weight.is_zero():
-                    return False
+                row = _order_data(order).powers(exponents, coeffs)
+            if row.any():
+                return False
         return True
 
     def __eq__(self, other: object) -> bool:
@@ -251,12 +332,10 @@ class TrigPoly:
         return "TrigPoly(" + " + ".join(bits) + ")"
 
 
-def _frac_iv(lo: Rat, hi: Rat):
-    """Certified interval enclosure of [lo, hi] for rational endpoints."""
-    lo, hi = Fraction(lo), Fraction(hi)
-    lo_iv = iv.mpf(lo.numerator) / iv.mpf(lo.denominator)
-    hi_iv = iv.mpf(hi.numerator) / iv.mpf(hi.denominator)
-    return iv.mpf([lo_iv.a, hi_iv.b])
+def _outward(lo: Fraction, hi: Fraction, precision: int):
+    """The libmp interval [lo, hi] with its ends rounded outward."""
+    return (from_rational(lo.numerator, lo.denominator, precision, round_floor),
+            from_rational(hi.numerator, hi.denominator, precision, round_ceiling))
 
 
 def det(matrix: Sequence[Sequence[TrigPoly]]) -> TrigPoly:
@@ -306,6 +385,16 @@ class PositivityError(ArithmeticError):
     pass
 
 
+def _sign_at(poly: TrigPoly, x0: Fraction) -> int:
+    """Exact sign of poly at t = x0*pi: the float64 filter on its one
+    numerator row, and cyclotomic.sign only when the filter declines."""
+    order, row, den = poly._exact_row(x0)
+    s, = filter_signs(order, row[np.newaxis])
+    if s is None:
+        s = sign(CyclotomicNumber(order, row.tolist(), den))
+    return s
+
+
 def _endpoint_analysis(
     poly: TrigPoly,
     x0: Fraction,
@@ -322,10 +411,7 @@ def _endpoint_analysis(
     interval evaluation shows d^m keeps that exact sign across it (a
     Taylor expansion anchored at x0 then has no other surviving term).
     """
-    from .cyclotomic import sign as cyc_sign
-
-    value = poly.eval_exact(x0)
-    s = cyc_sign(value)
+    s = _sign_at(poly, x0)
     if s > 0:
         return EndpointAnalysis(x0, "positive-value", 0, Fraction(0))
     if s < 0:
@@ -334,7 +420,7 @@ def _endpoint_analysis(
     deriv = poly
     for order in range(1, max_order + 1):
         deriv = deriv.derivative("t")
-        s = cyc_sign(deriv.eval_exact(x0))
+        s = _sign_at(deriv, x0)
         if s != 0:
             break
     else:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from typing import Optional
 
@@ -11,7 +12,8 @@ from hypothesis import strategies as st
 from test_geometry import _interval_gram_minor_signs
 
 from sphertet.angles import RationalAngle, angle
-from sphertet.cyclotomic import sign
+from sphertet.cli import EXIT_OK, main
+from sphertet.cyclotomic import CyclotomicNumber, sign
 from sphertet.families import (
     DOMAIN_A,
     DOMAIN_B,
@@ -85,6 +87,85 @@ def test_segment_domain_certificates_have_witnesses(domain_certificates):
     for w in cert.witnesses:
         assert w.bisection_segments > 0
         assert w.variable_range == (Fraction(0), SEGMENT_END)
+
+
+# The positivity witnesses of the 34 segment rows, one string per sum of
+# gram_sums: "<bisection segments> <left end> <right end>", where an end
+# is "v" (positive value) or "s<vanishing order>@<strip width>" (Taylor
+# strip).  Any change to the exact signs, the derivative order or the
+# interval enclosures that moves a decision shows here.
+_SEGMENT_WITNESSES = {
+    1: ('1 v v', '1 v v', '1 v v', '1 v v'),
+    2: ('1 v s1@1/24', '1 v v', '1 v v', '4 v s1@1/24'),
+    3: ('1 v v', '1 v v', '1 v v', '1 v v'),
+    4: ('1 s1@1/24 v', '1 v v', '1 v v', '1 s1@1/24 v'),
+    5: ('1 v v', '1 v v', '1 v v', '2 v v'),
+    6: ('1 v v', '1 v v', '1 v v', '1 v v'),
+    7: ('2 v v', '1 v v', '1 v v', '1 v v'),
+    8: ('1 v s1@1/24', '1 v v', '1 v v', '3 v s1@1/24'),
+    9: ('1 v v', '1 v v', '1 v v', '2 v v'),
+    10: ('1 v s1@1/24', '1 v v', '1 v v', '1 v s1@1/24'),
+    11: ('4 v s1@1/24', '1 v v', '1 v v', '1 v s1@1/24'),
+    12: ('1 v v', '1 v s1@1/24', '1 v v', '1 v s1@1/24'),
+    13: ('1 v v', '1 v v', '1 v v', '1 v v'),
+    14: ('1 v v', '1 v v', '1 v v', '1 v v'),
+    15: ('3 v s1@1/24', '1 v v', '1 v v', '1 v s1@1/24'),
+    16: ('1 v v', '1 v s1@1/24', '1 v v', '4 v s1@1/24'),
+    17: ('1 v v', '1 v s1@1/24', '1 v v', '4 v s1@1/24'),
+    18: ('4 v s1@1/24', '1 v v', '1 v v', '1 v s1@1/24'),
+    19: ('1 v v', '1 v s1@1/24', '1 v v', '3 v s1@1/24'),
+    20: ('1 v s2@1/24', '1 v v', '1 v v', '1 v s2@1/24'),
+    21: ('1 v v', '1 v v', '1 v v', '2 v v'),
+    22: ('1 v s1@1/24', '1 v v', '1 v v', '4 v s1@1/24'),
+    23: ('1 v v', '1 v v', '1 v v', '1 v v'),
+    24: ('1 s1@1/24 v', '1 v v', '1 v v', '1 s1@1/24 v'),
+    25: ('1 v v', '1 v s1@1/24', '1 v v', '1 v s1@1/24'),
+    26: ('1 v v', '4 v s1@1/24', '1 v v', '1 v s1@1/24'),
+    27: ('2 v v', '1 v v', '1 v v', '1 v v'),
+    28: ('1 v v', '1 v v', '1 v v', '2 v v'),
+    29: ('3 v s1@1/24', '1 v v', '1 v v', '1 v s1@1/24'),
+    30: ('1 v s1@1/24', '1 v v', '1 v v', '1 v s1@1/24'),
+    31: ('1 v v', '1 v s1@1/24', '1 v v', '3 v s1@1/24'),
+    32: ('1 v s1@1/24', '1 v v', '1 v v', '3 v s1@1/24'),
+    33: ('1 v v', '1 v v', '1 v v', '1 v v'),
+    34: ('1 v v', '4 v s1@1/24', '1 v v', '1 v s1@1/24'),
+}
+
+
+def _end(e) -> str:
+    if e.method == "positive-value":
+        assert (e.vanishing_order, e.strip_width) == (0, 0)
+        return "v"
+    assert e.method == "taylor-strip"
+    return f"s{e.vanishing_order}@{e.strip_width}"
+
+
+def test_segment_witnesses_match_the_golden_table(domain_certificates):
+    got = {fid: tuple(f"{w.bisection_segments} {_end(w.left)} {_end(w.right)}"
+                      for w in cert.witnesses)
+           for fid, cert in domain_certificates.items()
+           if cert.mode == "interval-bisection"}
+    assert got == _SEGMENT_WITNESSES
+
+
+def test_verify_families_prints_the_golden_segment_counts(capsys):
+    assert main(["verify-families"]) == EXIT_OK
+    printed = dict(re.findall(r"family +(\d+):.*segments=(\d+)", capsys.readouterr().out))
+    assert {int(fid): int(n) for fid, n in printed.items()} == {
+        fid: sum(int(w.split()[0]) for w in sums)
+        for fid, sums in _SEGMENT_WITNESSES.items()}
+
+
+def test_families_verify_without_interval_refinement(monkeypatch):
+    """Every exact sign behind the 42 certificates is proved by the
+    float64 filter: with interval refinement refused, all still verify."""
+    def refuse(self, bits=64):
+        raise AssertionError("float_interval reached")
+
+    monkeypatch.setattr(CyclotomicNumber, "float_interval", refuse)
+    for fam in builtin_families():
+        assert verify_identity(fam) and verify_volume_form(fam)
+        assert verify_domain(fam).valid
 
 
 # Rational sample points of each domain: both ends and the middle of the

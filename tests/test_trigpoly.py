@@ -5,11 +5,27 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import iv
 
+from sphertet import cyclotomic, trigpoly
+from sphertet.angles import RationalAngle
+from sphertet.cyclotomic import (
+    _iv_to_signed_interval,
+    cos_as_cyclotomic,
+    iv_precision,
+    sign,
+)
+from sphertet.families import (
+    SEGMENT_END,
+    builtin_families,
+    gram_sums,
+    residual_poly,
+)
 from sphertet.trigpoly import (
     AngleForm,
     PositivityError,
     TrigPoly,
+    _sign_at,
     det,
     positive_on_open_interval,
 )
@@ -139,3 +155,164 @@ def test_positive_value_endpoints():
     poly = TrigPoly.cos_of(f(0, 1)) + TrigPoly.constant(2)
     witness = positive_on_open_interval(poly, Fraction(0), Fraction(1))
     assert witness.left.method == "positive-value"
+
+
+# -- input checks --------------------------------------------------------
+
+
+@pytest.mark.parametrize("build", [
+    lambda: AngleForm(0.1, 1),
+    lambda: AngleForm(Fraction(1, 3), 0.5),
+    lambda: AngleForm(0, 1, 2.0),
+    lambda: AngleForm(0, 1).scale(0.5),
+    lambda: TrigPoly([(AngleForm(0, 1), 0.5)]),
+    lambda: TrigPoly.cos_of(AngleForm(0, 1), 0.25),
+    lambda: TrigPoly.sin_of(AngleForm(0, 1), 1.5),
+    lambda: TrigPoly.constant(0.25),
+    lambda: TrigPoly.cos_of(AngleForm(0, 1)).scale(0.5),
+], ids=["pi_part", "t_part", "u_part", "form-scale", "terms", "cos_of",
+        "sin_of", "constant", "scale"])
+def test_floats_are_rejected(build):
+    with pytest.raises(TypeError, match="must be an int or a Fraction"):
+        build()
+
+
+@pytest.mark.parametrize("t_range, u_range", [
+    ((Fraction(1, 6), Fraction(0)), (0, 0)),
+    ((Fraction(0), Fraction(1, 6)), (Fraction(1, 3), Fraction(1, 4))),
+])
+def test_eval_interval_rejects_a_reversed_range(t_range, u_range):
+    poly = TrigPoly.cos_of(f(Fraction(1, 3), 1, 1))
+    with pytest.raises(ValueError, match="reversed parameter range"):
+        poly.eval_interval(t_range, u_range)
+
+
+# -- enclosures against the mpmath.iv evaluation ------------------------
+
+
+def _iv_eval_interval(poly, t_range, u_range=(0, 0), precision=64):
+    """Test oracle: the enclosure built term by term in mpmath's iv
+    context, every rational part, bound and coefficient converted to an
+    interval on its own."""
+    def frac_iv(lo, hi):
+        lo, hi = Fraction(lo), Fraction(hi)
+        lo_iv = iv.mpf(lo.numerator) / iv.mpf(lo.denominator)
+        hi_iv = iv.mpf(hi.numerator) / iv.mpf(hi.denominator)
+        return iv.mpf([lo_iv.a, hi_iv.b])
+
+    with iv_precision(precision):
+        t_iv = frac_iv(*t_range) * iv.pi
+        u_iv = frac_iv(*u_range) * iv.pi
+        total = iv.mpf(0)
+        for form, c in poly.terms:
+            x = iv.pi * frac_iv(form.pi_part, form.pi_part)
+            if form.t_part:
+                x = x + t_iv * frac_iv(form.t_part, form.t_part)
+            if form.u_part:
+                x = x + u_iv * frac_iv(form.u_part, form.u_part)
+            total = total + iv.cos(x) * frac_iv(c, c)
+        return _iv_to_signed_interval(total, precision)
+
+
+@st.composite
+def _dyadic_subintervals(draw):
+    """[i, i + 1] * SEGMENT_END / 2^k; up to k = 5 the ends and the
+    midpoint keep every gram_sums angle within MAX_ORDER."""
+    k = draw(st.integers(0, 5))
+    i = draw(st.integers(0, 2 ** k - 1))
+    step = SEGMENT_END / 2 ** k
+    return i * step, (i + 1) * step
+
+
+_GRAM_POLYS = [s for fam in builtin_families() for s in gram_sums(fam)]
+
+
+@given(st.sampled_from(_GRAM_POLYS), _dyadic_subintervals(), _dyadic_subintervals())
+@settings(max_examples=150)
+def test_eval_interval_encloses_the_values_inside_the_iv_enclosure(poly, t_range, u_range):
+    """Over a box, and over each of its corners and its centre as a
+    degenerate box, the enclosure holds the 256-bit enclosure of the
+    exact value and lies within the iv enclosure widened by 2^-80.  Two-
+    parameter sums have terms with negative u parts."""
+    (t1, t2), (u1, u2) = t_range, u_range
+    points = [(t, u) for t in (t1, t2) for u in (u1, u2)]
+    points.append(((t1 + t2) / 2, (u1 + u2) / 2))
+    slack = Fraction(1, 2 ** 80)
+    for box in [(t_range, u_range)] + [((t, t), (u, u)) for t, u in points]:
+        enc = poly.eval_interval(*box, precision=96)
+        old = _iv_eval_interval(poly, *box, precision=96)
+        assert old.lo - slack <= enc.lo and enc.hi <= old.hi + slack, box
+        (b1, b2), (c1, c2) = box
+        for t, u in points:
+            if b1 <= t <= b2 and c1 <= u <= c2:
+                exact = poly.eval_exact(t, u).float_interval(256)
+                assert enc.lo <= exact.lo and exact.hi <= enc.hi, (box, t, u)
+
+
+# -- exact values, signs and zero tests against the per-term sums --------
+
+
+def _per_term_value(poly, tau):
+    """Test oracle: the value as a sum of one cos_as_cyclotomic element
+    per term, each in its own field, added with embeddings."""
+    total = cyclotomic.CyclotomicNumber.zero(1)
+    for form, c in poly.terms:
+        angle = RationalAngle.from_fraction(form.value_in_pi_units(tau))
+        total = total + cos_as_cyclotomic(angle) * c
+    return total
+
+
+def test_endpoint_signs_match_the_per_term_sums():
+    """At both ends of the segment: every gram_sums polynomial of the 42
+    families and its first 8 t-derivatives."""
+    checked = 0
+    for poly in _GRAM_POLYS:
+        for _ in range(9):
+            for x in (Fraction(0), SEGMENT_END):
+                oracle = _per_term_value(poly, x)
+                assert poly.eval_exact(x) == oracle
+                assert _sign_at(poly, x) == sign(oracle)
+                checked += 1
+            poly = poly.derivative("t")
+    assert checked == 42 * 4 * 9 * 2
+
+
+def test_rational_cosines_leave_the_order_to_the_other_terms():
+    """cos(pi/2) = 0 would need Q(zeta_4); with cos(pi/945) in
+    Q(zeta_1890) the two together would need order 3780 > MAX_ORDER."""
+    poly = (TrigPoly.cos_of(f(Fraction(1, 945), 1))
+            + TrigPoly.cos_of(f(Fraction(1, 2), 1), 3)
+            + TrigPoly.cos_of(f(Fraction(1, 3), 1), Fraction(2, 7)))
+    value = poly.eval_exact(0)
+    assert value.order == 1890
+    assert value == _per_term_value(poly, 0)
+    assert _sign_at(poly, Fraction(0)) == 1
+
+
+def test_endpoint_signs_fall_back_to_sign_when_the_filter_declines(monkeypatch):
+    def decline(order, nums):
+        return [None] * len(nums)
+
+    polys = _GRAM_POLYS[::5]
+    expected = [[_sign_at(p, x) for x in (Fraction(0), SEGMENT_END)] for p in polys]
+    monkeypatch.setattr(trigpoly, "filter_signs", decline)
+    monkeypatch.setattr(cyclotomic, "filter_signs", decline)
+    assert [[_sign_at(p, x) for x in (Fraction(0), SEGMENT_END)] for p in polys] == expected
+
+
+def test_residual_polys_are_zero_and_every_perturbation_is_not():
+    """Scaling one coefficient by 1 + 1/997 or moving one phase by pi/420
+    breaks the identity; only a term that is itself identically zero
+    (c cos(pi/2)) takes any coefficient."""
+    perturbed = 0
+    for fam in builtin_families():
+        poly = residual_poly(fam)
+        assert poly.terms and poly.is_zero()
+        for i, (form, c) in enumerate(poly.terms):
+            moved = AngleForm(form.pi_part + Fraction(1, 420), form.t_part, form.u_part)
+            for term in ((form, c * (1 + Fraction(1, 997))), (moved, c)):
+                changed = TrigPoly(poly.terms[:i] + (term,) + poly.terms[i + 1:])
+                vanishing_term = term[0] is form and TrigPoly.cos_of(form).is_zero()
+                assert changed.is_zero() == vanishing_term, (fam.family_id, term)
+                perturbed += 1
+    assert perturbed == 328
