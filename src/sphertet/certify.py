@@ -31,6 +31,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from importlib import resources
 from typing import Optional
 
@@ -271,10 +272,11 @@ _RIGHT_TRIANGLE_LINKS = (
 _EXPECTED_WEIGHTS = (10, 5, 2)
 
 
+@lru_cache(maxsize=1)
 def area_weights() -> tuple[int, int, int]:
     """Areas of D(2,3,3), D(2,3,4), D(2,3,5) in units of pi/60.
 
-    Re-derived from the angle excesses on every call; a disagreement
+    Derived once per process from the angle excesses; a disagreement
     with the expected constants is a build error, not a data point.
     """
     weights = []
@@ -373,16 +375,24 @@ def _float_vertices(t: LinkTriangle):
             (cos_lb, sin_lb * ca, sin_lb * sa))
 
 
-def _center_candidates(t: LinkTriangle, radius: RationalAngle,
-                       den: int = 120) -> list[RationalAngle]:
-    """Cheap float scan for promising equatorial center longitudes."""
-    verts = _float_vertices(t)
-    cos_r = math.cos(float(radius))
+@lru_cache(maxsize=None)
+def _longitudes(den: int) -> tuple[tuple[int, float, float], ...]:
+    """(j, cos, sin) of the longitudes pi*j/den, 0 <= j < den."""
     out = []
     for j in range(den):
         lam = math.pi * j / den
-        cl, sl = math.cos(lam), math.sin(lam)
-        worst = min(v[0] * cl + v[1] * sl for v in verts)
+        out.append((j, math.cos(lam), math.sin(lam)))
+    return tuple(out)
+
+
+def _center_candidates(t: LinkTriangle, radius: RationalAngle,
+                       den: int = 120) -> list[RationalAngle]:
+    """Cheap float scan for promising equatorial center longitudes."""
+    (a0, a1, _), (b0, b1, _), (c0, c1, _) = _float_vertices(t)
+    cos_r = math.cos(float(radius))
+    out = []
+    for j, cl, sl in _longitudes(den):
+        worst = min(a0 * cl + a1 * sl, b0 * cl + b1 * sl, c0 * cl + c1 * sl)
         if worst > cos_r:
             out.append((worst - cos_r, RationalAngle(j, den)))
     out.sort(key=lambda pair: -pair[0])
@@ -398,14 +408,21 @@ def nondecomposability_certificate(
 ) -> Optional[ObstructionCertificate]:
     """Try to certify that `quad` has no decomposition into Coxeter cells.
 
-    Each vertex link is tried in turn: its area must make the
+    Each distinct vertex link is tried in turn: its area must make the
     Diophantine equation infeasible, and it must fit strictly inside a
-    certified ball of the given radius.  A suggested center longitude is
-    tried first when provided; otherwise a coarse scan proposes
-    candidates.  Returns None when no link yields both obstructions.
+    certified ball of the given radius.  Two vertices share each link
+    triangle, and a repeated angle triple would repeat the same verdicts,
+    so it is skipped; a certificate keeps the index of the first vertex
+    with its link.  A suggested center longitude is tried first when
+    provided, then the centers a coarse scan proposes, each once.
+    Returns None when no link yields both obstructions.
     """
     weights = area_weights()
+    tried = set()
     for idx, angles in enumerate(vertex_links(quad)):
+        if angles in tried:
+            continue
+        tried.add(angles)
         try:
             t = LinkTriangle(*angles)
         except PreconditionError:
@@ -413,9 +430,9 @@ def nondecomposability_certificate(
         target = normalized_area(t)
         if area_diophantine(target) is not None:
             continue
-        candidates = list(_center_candidates(t, radius))
+        candidates = _center_candidates(t, radius)
         if center is not None:
-            candidates.insert(0, center)
+            candidates = [center] + [c for c in candidates if c != center]
         for c in candidates:
             try:
                 cert = diameter_certificate(t, c, radius,

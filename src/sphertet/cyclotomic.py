@@ -117,12 +117,20 @@ def totient(n: int) -> int:
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Coefficients of Phi_n, ascending degree, monic.
 
-    Phi_n = prod_{d | n} (x^d - 1)^mu(n/d), where mu(n/d) is nonzero
+    Phi_n(x) = Phi_r(x^(n/r)) for the squarefree kernel r = rad(n): its
+    coefficients placed at stride n/r.  Only a squarefree n is built,
+    from Phi_n = prod_{d | n} (x^d - 1)^mu(n/d), where mu(n/d) is nonzero
     only for n/d a product of distinct primes of n.  The binomials with
     mu = +1 are multiplied in, then those with mu = -1 divided out
     exactly; each step is one pass over the coefficients.
     """
     primes = _prime_factors(n)
+    kernel = math.prod(primes)
+    if kernel != n:
+        stride = n // kernel
+        poly = [0] * (stride * totient(kernel) + 1)
+        poly[::stride] = cyclotomic_polynomial(kernel)
+        return tuple(poly)
     times, over = [], []
     for k in range(len(primes) + 1):
         for ps in itertools.combinations(primes, k):

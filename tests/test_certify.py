@@ -1,16 +1,22 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
+import json
+import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from sphertet import certify
 from sphertet.angles import RationalAngle, angle
 from sphertet.certify import (
     CertificationInconclusive,
     LinkTriangle,
+    ObstructionCertificate,
     area_diophantine,
     area_weights,
     coxeter_catalog,
@@ -22,7 +28,10 @@ from sphertet.certify import (
     recheck_obstruction,
     volume_fraction,
 )
-from sphertet.geometry import PreconditionError, PythagoreanQuadruple
+from sphertet.families import builtin_families, instantiate
+from sphertet.geometry import PreconditionError, PythagoreanQuadruple, vertex_links
+from sphertet.lambert import companion_tetrahedra
+from sphertet.records import load_sporadic_fixture
 
 REFERENCE_QUAD = PythagoreanQuadruple.of(
     angle(5, 18), angle(2, 9), angle(13, 18), angle(11, 18)
@@ -132,6 +141,33 @@ def test_area_weights_are_rederived():
     assert area_weights() == (10, 5, 2)
 
 
+def test_area_weight_guard_fires_when_rederived(monkeypatch):
+    # the weights are derived once per process; a fresh derivation from
+    # wrong link angles must still raise instead of returning a value
+    right = certify._RIGHT_TRIANGLE_LINKS
+    assert area_weights() == (10, 5, 2)
+    try:
+        with monkeypatch.context() as m:
+            # a cached value is not derived again
+            m.setattr(certify, "_RIGHT_TRIANGLE_LINKS", right[:2])
+            assert area_weights() == (10, 5, 2)
+
+            area_weights.cache_clear()
+            m.setattr(certify, "_RIGHT_TRIANGLE_LINKS",
+                      right[:2] + ((Fraction(1, 2), Fraction(1, 3),
+                                    Fraction(1, 7)),))
+            with pytest.raises(ArithmeticError, match="non-integral"):
+                area_weights()
+
+            area_weights.cache_clear()
+            m.setattr(certify, "_RIGHT_TRIANGLE_LINKS", right[:2] + right[:1])
+            with pytest.raises(ArithmeticError, match="expected"):
+                area_weights()
+    finally:
+        area_weights.cache_clear()
+    assert area_weights() == (10, 5, 2)
+
+
 def test_normalized_areas():
     assert normalized_area(OCTANT) == 30
     assert normalized_area(LinkTriangle(angle(1, 2), angle(1, 3), angle(1, 5))) == 2
@@ -200,6 +236,146 @@ def test_polar_vertex_quadruple_has_no_obstruction():
     quad = PythagoreanQuadruple.of(angle(1, 2), angle(1, 2),
                                    angle(1, 9), angle(1, 9))
     assert nondecomposability_certificate(quad) is None
+
+
+def test_a_given_center_is_tried_once_per_link(monkeypatch):
+    # every diameter check is made to fail, so each candidate of the
+    # link is tried; a suggested center the scan also proposes must not
+    # be certified a second time
+    t = REFERENCE_LINK
+    scanned = certify._center_candidates(t, RationalAngle(1, 4))
+    assert len(scanned) > 1
+    given_center = scanned[-1]
+    real = certify.diameter_certificate
+    calls = []
+
+    def failing(tri, c, radius, **kw):
+        calls.append((tri, c))
+        return dataclasses.replace(real(tri, c, radius, **kw), holds=False)
+
+    monkeypatch.setattr(certify, "diameter_certificate", failing)
+    assert nondecomposability_certificate(REFERENCE_QUAD,
+                                          center=given_center) is None
+    assert [c for tri, c in calls if tri == t] == (
+        [given_center] + [c for c in scanned if c != given_center])
+    assert len(calls) == len(set(calls))
+
+
+# -- the search against the exhaustive loop -----------------------------------
+
+
+def _reference_candidates(t, radius, den=120):
+    """The float centre scan with its trigonometry evaluated per call."""
+    verts = certify._float_vertices(t)
+    cos_r = math.cos(float(radius))
+    out = []
+    for j in range(den):
+        lam = math.pi * j / den
+        cl, sl = math.cos(lam), math.sin(lam)
+        worst = min(v[0] * cl + v[1] * sl for v in verts)
+        if worst > cos_r:
+            out.append((worst - cos_r, RationalAngle(j, den)))
+    out.sort(key=lambda pair: -pair[0])
+    return [c for _, c in out[:8]]
+
+
+def _reference_weights():
+    weights = tuple(int((sum(a) - 1) * 60)
+                    for a in certify._RIGHT_TRIANGLE_LINKS)
+    assert weights == (10, 5, 2)
+    return weights
+
+
+def _reference_certificate(quad, radius=RationalAngle(1, 4)):
+    """Every one of the four vertex links tried, repeats included, with
+    the weights derived and the longitudes evaluated on every call."""
+    weights = _reference_weights()
+    for idx, angles in enumerate(vertex_links(quad)):
+        try:
+            t = LinkTriangle(*angles)
+        except PreconditionError:
+            continue
+        target = normalized_area(t)
+        if area_diophantine(target) is not None:
+            continue
+        for c in _reference_candidates(t, radius):
+            try:
+                cert = diameter_certificate(t, c, radius)
+            except CertificationInconclusive:
+                continue
+            if cert.holds:
+                return ObstructionCertificate(
+                    quad, idx, t, c, radius, cert.margins, cert.precision,
+                    target, weights)
+    return None
+
+
+def _common_order(fam, tau, mu):
+    n = 1
+    for form in fam.angle_forms:
+        den = 2 * form.value_in_pi_units(tau, mu).denominator
+        n = n * den // math.gcd(n, den)
+    return n
+
+
+def _member_at_order(fam, order, rng):
+    """An interior member of the family whose angles have exactly this
+    common cyclotomic order, drawn from parameters dividing 2*order."""
+    dens = [d for d in range(2, 2 * order + 1) if 2 * order % d == 0]
+    while True:
+        m, d = rng.choice(dens), rng.choice(dens)
+        tau = Fraction(rng.randrange(1, m), m)
+        mu = Fraction(rng.randrange(1, d), d) if fam.two_param else Fraction(0)
+        if (fam.interior_parameters(tau, mu)
+                and _common_order(fam, tau, mu) == order):
+            return instantiate(fam, tau, mu).quadruple
+
+
+def _oracle_quadruples():
+    quads = [PythagoreanQuadruple.of(*(RationalAngle.from_fraction(row[k])
+                                       for k in "pqrs"))
+             for row in load_sporadic_fixture()]
+    quads += [c.quadruple for c in companion_tetrahedra()]
+    rng = random.Random(13)
+    for order in (36, 420, 2520):
+        quads += [_member_at_order(fam, order, rng)
+                  for fam in builtin_families()]
+    return quads
+
+
+def test_each_distinct_link_gives_the_exhaustive_loop_certificates(monkeypatch):
+    scans = []
+    real_scan = certify._center_candidates
+
+    def counted(t, radius, den=120):
+        scans.append(t)
+        return real_scan(t, radius, den)
+
+    monkeypatch.setattr(certify, "_center_candidates", counted)
+    quads = _oracle_quadruples()
+    assert len(quads) == 59 + 2 + 3 * 42
+    found = 0
+    for quad in quads:
+        scans.clear()
+        cert = nondecomposability_certificate(quad)
+        ref = _reference_certificate(quad)
+        if ref is None:
+            assert cert is None, quad
+        else:
+            payload = json.dumps(cert.to_payload())
+            assert payload == json.dumps(ref.to_payload()), quad
+            assert recheck_obstruction(json.loads(payload))
+            found += 1
+        _, _, r, s = quad.angles
+        assert len(scans) == len(set(scans)) <= (1 if r == s else 2), quad
+    assert found > 0
+
+    # a repeated link is scanned once: r = s gives a single link
+    polar = PythagoreanQuadruple.of(angle(1, 2), angle(1, 2),
+                                    angle(1, 9), angle(1, 9))
+    scans.clear()
+    assert nondecomposability_certificate(polar) is None
+    assert len(scans) == 1
 
 
 # -- suspension lifts ----------------------------------------------------------

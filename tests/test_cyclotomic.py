@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -75,6 +76,44 @@ def test_cyclotomic_polynomials_multiply_to_x_n_minus_1():
             if n % d == 0:
                 product = _poly_mul(product, cyclotomic_polynomial(d))
         assert product == [-1] + [0] * (n - 1) + [1], n
+
+
+def _mobius_cyclotomic_polynomial(n):
+    """Phi_n = prod_{d | n} (x^d - 1)^mu(n/d), for any n: the binomials
+    with mu = +1 multiplied in, then those with mu = -1 divided out."""
+    primes = cyclotomic._prime_factors(n)
+    times, over = [], []
+    for k in range(len(primes) + 1):
+        for ps in itertools.combinations(primes, k):
+            (over if k % 2 else times).append(n // math.prod(ps))
+    poly = [1]
+    for d in times:
+        poly = [0] * d + poly
+        for k in range(len(poly) - d):
+            poly[k] -= poly[k + d]
+    for d in over:
+        q = [0] * (len(poly) - d)
+        for k in range(len(q)):
+            q[k] = (q[k - d] if k >= d else 0) - poly[k]
+        assert poly[len(q):] == ([0] * d + q)[len(q):]
+        poly = q
+    return tuple(poly)
+
+
+# the cyclotomic orders of the benchmark's library queries
+QUERY_ORDERS = (36, 48, 60, 84, 120, 168, 240, 360, 420, 720, 1008, 1680, 2520)
+
+
+def test_non_squarefree_orders_stretch_their_kernel():
+    # Phi_n(x) = Phi_rad(n)(x^(n/rad n)); only squarefree n run the
+    # Moebius product, so check every other n against it directly
+    def squarefree(n):
+        return all(n % (p * p) for p in cyclotomic._prime_factors(n))
+
+    orders = [n for n in range(1, 1001) if not squarefree(n)]
+    assert len(orders) == 392
+    for n in [*orders, *QUERY_ORDERS]:
+        assert cyclotomic_polynomial(n) == _mobius_cyclotomic_polynomial(n), n
 
 
 def test_rational_cosines_collapse_to_order_one():
