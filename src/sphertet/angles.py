@@ -27,6 +27,13 @@ def _rational(value, what: str) -> numbers.Rational:
     return value
 
 
+def _fraction(value, what: str) -> Fraction:
+    """value as a Fraction; a non-rational (e.g. a float) raises TypeError."""
+    if type(value) is Fraction:
+        return value
+    return Fraction(_rational(value, what))
+
+
 @total_ordering
 @dataclass(frozen=True)
 class RationalAngle:

@@ -42,6 +42,7 @@ from . import certify as certify_mod
 from . import families as families_mod
 from . import lambert as lambert_mod
 from . import records as records_mod
+from . import trigpoly as trigpoly_mod
 from .angles import RationalAngle
 from .geometry import PreconditionError, PythagoreanQuadruple, volume
 from .search import SearchConfig, run_sporadic_search, search_triples
@@ -157,8 +158,17 @@ def cmd_search_triples(args) -> int:
 # -- verify-families ----------------------------------------------------------
 
 
+def _proof_memo_counts() -> list[tuple[int, int]]:
+    """(requests, distinct proofs) so far of the positivity and the
+    product proof memos behind verify_domain."""
+    infos = (trigpoly_mod._proved_positive.cache_info(),
+             families_mod._proved_product.cache_info())
+    return [(info.hits + info.misses, info.misses) for info in infos]
+
+
 def cmd_verify_families(args) -> int:
     out = _out_dir(args)
+    memo_before = _proof_memo_counts()
     fams = families_mod.builtin_families()
     if args.family is not None:
         try:
@@ -191,6 +201,10 @@ def cmd_verify_families(args) -> int:
             checks = [n for n, ok in (("identity", ok_id), ("volume", ok_vol),
                                       ("domain", ok_dom)) if not ok]
             failed.append((fam.family_id, checks))
+    (segment_sums, positivity_proofs), (region_sums, product_proofs) = [
+        (n - n0, k - k0) for (n, k), (n0, k0) in zip(_proof_memo_counts(), memo_before)]
+    print(f"{segment_sums + region_sums} Gram sums certified by {positivity_proofs} "
+          f"+ {product_proofs} distinct proofs (positivity + product)")
     prov = records_mod.make_provenance()
     _write(records_mod.family_records(results, prov), out, "families")
     if failed:

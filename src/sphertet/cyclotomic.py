@@ -54,7 +54,7 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 import mpmath
 from mpmath.libmp import to_rational
 
-from .angles import RationalAngle
+from .angles import RationalAngle, _fraction
 
 # Largest cyclotomic order the package will work in.  2520 = lcm(1..10)
 # covers every angle denominator the searches and certificates produce.
@@ -388,7 +388,7 @@ class SignedInterval:
         return 0
 
     def __contains__(self, value) -> bool:
-        return self.lo <= Fraction(value) <= self.hi
+        return self.lo <= _fraction(value, "interval member") <= self.hi
 
 
 def _iv_to_signed_interval(x, precision: int) -> SignedInterval:

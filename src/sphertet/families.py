@@ -51,7 +51,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import ClassVar, NamedTuple, Optional, Sequence, Union
 
-from .angles import RationalAngle, _rational, frac_obj
+from .angles import RationalAngle, _fraction, frac_obj
 from .geometry import PythagoreanQuadruple, VolumeCoefficient, volume
 from .trigpoly import (
     AngleForm,
@@ -79,6 +79,11 @@ _REGION_VERTICES = {
 }
 
 
+def _parameters(tau: Rat, mu: Rat) -> tuple[Fraction, Fraction]:
+    """Family parameters as Fractions; a float raises TypeError."""
+    return _fraction(tau, "parameter tau"), _fraction(mu, "parameter mu")
+
+
 @dataclass(frozen=True)
 class VolumeForm:
     """Quadratic polynomial c_tt*t^2 + c_tu*t*u + c_uu*u^2 + c_t*pi*t
@@ -95,11 +100,11 @@ class VolumeForm:
         for name in ("c_tt", "c_tu", "c_uu", "c_t", "c_u", "c_1"):
             value = getattr(self, name)
             if type(value) is not Fraction:
-                object.__setattr__(self, name, Fraction(_rational(value, f"VolumeForm {name}")))
+                object.__setattr__(self, name, _fraction(value, f"VolumeForm {name}"))
 
     def evaluate(self, tau: Rat, mu: Rat = 0) -> Fraction:
         """Value in units of pi^2 at t = tau*pi, u = mu*pi."""
-        tau, mu = Fraction(tau), Fraction(mu)
+        tau, mu = _parameters(tau, mu)
         return (self.c_tt * tau * tau + self.c_tu * tau * mu
                 + self.c_uu * mu * mu + self.c_t * tau + self.c_u * mu
                 + self.c_1)
@@ -158,7 +163,7 @@ class FamilySpec:
 
     def contains_parameters(self, tau: Rat, mu: Rat = 0) -> bool:
         """Closed-domain test in pi units (with the t + u tightening)."""
-        tau, mu = Fraction(tau), Fraction(mu)
+        tau, mu = _parameters(tau, mu)
         if self.domain == DOMAIN_SEGMENT:
             return mu == 0 and 0 <= tau <= SEGMENT_END
         if self.domain == DOMAIN_A:
@@ -171,7 +176,7 @@ class FamilySpec:
         return _invert(self)
 
     def interior_parameters(self, tau: Rat, mu: Rat = 0) -> bool:
-        tau, mu = Fraction(tau), Fraction(mu)
+        tau, mu = _parameters(tau, mu)
         if self.domain == DOMAIN_SEGMENT:
             return mu == 0 and 0 < tau < SEGMENT_END
         if self.domain == DOMAIN_A:
@@ -337,6 +342,14 @@ def gram_sums(fam: FamilySpec) -> tuple[TrigPoly, TrigPoly, TrigPoly, TrigPoly]:
     positive the Gram matrix is positive definite: S > |X| >= 0 gives
     (1 -+ cos r)(1 -+ cos s) = S^2 > X^2 with both factors positive, so
     both 2x2 blocks M+- are positive definite.
+
+    Swapping r and s leaves all four sums unchanged: cos((r+s)/2) is
+    symmetric in r and s, cos((r-s)/2) is even in r - s, and P, Q do not
+    involve r or s.  So twin rows, which differ by that swap, have equal
+    sums (equal canonical terms), and verify_domain proves each once: 67
+    distinct polynomials among the 136 sums of the segment rows, and 11
+    among the 32 of the two-parameter rows, one of which occurs in both
+    regions and is proved once per region (12 product proofs).
     """
     half = Fraction(1, 2)
     c_diff = TrigPoly.cos_of((fam.r - fam.s).scale(half))
@@ -406,12 +419,23 @@ def _product_witness(total: TrigPoly, domain: str) -> ProductWitness:
     with cos A - cos B = cos A + cos(B + pi) and a negative c absorbed as
     pi into x, it is 2|c| cos(x) cos(y) with x, y = (A +- B)/2, which
     TrigPoly.is_zero checks exactly.
+
+    Each proof runs once per process: the witness is memoised under
+    (total.terms, domain), and a proof that raises stores nothing.
     """
+    return _proved_product(total.terms, domain)
+
+
+@lru_cache(maxsize=None)
+def _proved_product(terms: tuple[tuple[AngleForm, Fraction], ...],
+                    domain: str) -> ProductWitness:
+    """The memoised proof of _product_witness."""
+    total = TrigPoly._of(terms)
     pi = AngleForm(Fraction(1))
-    terms = [(form, c) for form, c in total.terms if not form.is_constant]
-    if len(terms) != 2 or abs(terms[0][1]) != abs(terms[1][1]):
+    varying = [(form, c) for form, c in terms if not form.is_constant]
+    if len(varying) != 2 or abs(varying[0][1]) != abs(varying[1][1]):
         raise PositivityError(f"{total} is not c cos A +- c cos B")
-    (a, c), (b, d) = terms
+    (a, c), (b, d) = varying
     if d != c:
         b = b + pi
     x = (a + b).scale(Fraction(1, 2)) + (pi if c < 0 else AngleForm())
@@ -671,7 +695,7 @@ def instantiate(fam: FamilySpec, tau: Rat, mu: Rat = 0) -> FamilyInstance:
     Cross-checks the tabulated volume polynomial against the volume of
     the instantiated quadruple before returning.
     """
-    tau, mu = Fraction(tau), Fraction(mu)
+    tau, mu = _parameters(tau, mu)
     if not fam.interior_parameters(tau, mu):
         raise ValueError(
             f"parameters ({tau}, {mu}) outside the open domain of "

@@ -30,6 +30,14 @@ Fractions, rounds its ends outward to the working precision once, and
 multiplies by an enclosure of pi, takes the cosine, scales by the
 outward-rounded coefficient and sums, all in mpmath's libmp interval
 functions, every one of which rounds outward.
+
+Positivity.  positive_on_open_interval proves a one-parameter TrigPoly
+positive on an open interval: exact signs, and Taylor strips where an
+end vanishes, then interval bisection of the middle.  Each proof runs
+once per process: its witness is memoised under the key (terms, lo, hi,
+precision, max_depth) with lo and hi as exact Fractions, so equal
+polynomials (the Gram sums of twin family rows, for one) share one
+frozen witness.  The memo fills on use; its cache_clear is for tests.
 """
 
 from __future__ import annotations
@@ -38,6 +46,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Sequence, Union
 
 from mpmath.libmp import (
@@ -52,7 +61,7 @@ from mpmath.libmp import (
 )
 from mpmath.libmp.libmpi import mpi_pi
 
-from .angles import RationalAngle, _rational
+from .angles import RationalAngle, _fraction
 from .cyclotomic import (
     CyclotomicNumber,
     SignedInterval,
@@ -66,13 +75,6 @@ from .cyclotomic import (
 )
 
 Rat = Union[Fraction, int]
-
-
-def _fraction(value, what: str) -> Fraction:
-    """value as a Fraction; a non-rational (e.g. a float) raises TypeError."""
-    if type(value) is Fraction:
-        return value
-    return Fraction(_rational(value, what))
 
 
 @dataclass(frozen=True)
@@ -112,7 +114,8 @@ class AngleForm:
 
     def value_in_pi_units(self, tau: Rat, mu: Rat = 0) -> Fraction:
         """The angle divided by pi when t = tau*pi, u = mu*pi."""
-        return self.pi_part + self.t_part * Fraction(tau) + self.u_part * Fraction(mu)
+        return (self.pi_part + self.t_part * _fraction(tau, "parameter tau")
+                + self.u_part * _fraction(mu, "parameter mu"))
 
     def __str__(self) -> str:
         parts = []
@@ -249,6 +252,7 @@ class TrigPoly:
 
         cos(n*pi/d) is rational for d <= 3, so such a term enters as a
         constant (angle 0) and leaves N to the other angles."""
+        tau, mu = _fraction(tau, "parameter tau"), _fraction(mu, "parameter mu")
         terms = []
         for f, c in self.terms:
             angle = RationalAngle.from_fraction(f.value_in_pi_units(tau, mu))
@@ -273,7 +277,8 @@ class TrigPoly:
 
         A range must run from its lower to its upper end (ValueError
         otherwise)."""
-        (t1, t2), (u1, u2) = ((Fraction(lo), Fraction(hi)) for lo, hi in (t_range, u_range))
+        (t1, t2), (u1, u2) = ((_fraction(lo, "range end"), _fraction(hi, "range end"))
+                              for lo, hi in (t_range, u_range))
         if t1 > t2 or u1 > u2:
             raise ValueError(f"reversed parameter range t {t_range}, u {u_range}")
         pi = mpi_pi(precision)
@@ -394,7 +399,7 @@ def _sign_at(poly: TrigPoly, x0: Fraction) -> int:
 
 
 def _endpoint_analysis(
-    poly: TrigPoly,
+    chain: list[TrigPoly],
     x0: Fraction,
     direction: int,
     max_width: Fraction,
@@ -403,21 +408,24 @@ def _endpoint_analysis(
 ) -> EndpointAnalysis:
     """Certify poly > 0 on a one-sided strip at x0 (direction +1 or -1).
 
-    If poly(x0) > 0 exactly, no strip is needed.  If poly(x0) = 0, find
-    the first non-vanishing derivative d^m; the sign of poly just inside
-    is direction^m * sign(d^m(x0)), and the strip is valid as soon as an
+    chain is [poly, poly', poly'', ...]: both ends of one proof share it,
+    and an end extends it only as far as it needs.  If poly(x0) > 0
+    exactly, no strip is needed.  If poly(x0) = 0, find the first
+    non-vanishing derivative d^m; the sign of poly just inside is
+    direction^m * sign(d^m(x0)), and the strip is valid as soon as an
     interval evaluation shows d^m keeps that exact sign across it (a
     Taylor expansion anchored at x0 then has no other surviving term).
     """
-    s = _sign_at(poly, x0)
+    s = _sign_at(chain[0], x0)
     if s > 0:
         return EndpointAnalysis(x0, "positive-value", 0, Fraction(0))
     if s < 0:
         raise PositivityError(f"negative value at endpoint t = {x0}*pi")
 
-    deriv = poly
     for order in range(1, max_order + 1):
-        deriv = deriv.derivative("t")
+        if order == len(chain):
+            chain.append(chain[-1].derivative("t"))
+        deriv = chain[order]
         s = _sign_at(deriv, x0)
         if s != 0:
             break
@@ -441,8 +449,8 @@ def _endpoint_analysis(
 
 def positive_on_open_interval(
     poly: TrigPoly,
-    lo: Fraction,
-    hi: Fraction,
+    lo: Rat,
+    hi: Rat,
     precision: int = 96,
     max_depth: int = 48,
 ) -> PositivityWitness:
@@ -452,13 +460,32 @@ def positive_on_open_interval(
     strips.  The remaining closed middle is covered by adaptive interval
     bisection.  Raises PositivityError when positivity cannot be
     established, so a successful return is a certificate.
+
+    Each proof runs once per process: the witness is memoised under
+    (poly.terms, lo, hi, precision, max_depth), with lo and hi as exact
+    Fractions, and a later request with an equal key gets the same
+    frozen witness.  A proof that raises stores nothing.
     """
-    lo, hi = Fraction(lo), Fraction(hi)
+    lo, hi = _fraction(lo, "interval end"), _fraction(hi, "interval end")
+    return _proved_positive(poly.terms, lo, hi, precision, max_depth)
+
+
+@lru_cache(maxsize=None)
+def _proved_positive(
+    terms: tuple[tuple[AngleForm, Fraction], ...],
+    lo: Fraction,
+    hi: Fraction,
+    precision: int,
+    max_depth: int,
+) -> PositivityWitness:
+    """The memoised proof of positive_on_open_interval."""
     if not lo < hi:
         raise ValueError("empty interval")
+    poly = TrigPoly._of(terms)
+    chain = [poly]
     quarter = (hi - lo) / 4
-    left = _endpoint_analysis(poly, lo, +1, quarter, precision)
-    right = _endpoint_analysis(poly, hi, -1, quarter, precision)
+    left = _endpoint_analysis(chain, lo, +1, quarter, precision)
+    right = _endpoint_analysis(chain, hi, -1, quarter, precision)
     mid_lo = lo + left.strip_width
     mid_hi = hi - right.strip_width
     segments = 0

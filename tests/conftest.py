@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import HealthCheck, settings
 
-from sphertet import cyclotomic
+from sphertet import cyclotomic, families, trigpoly
 from sphertet.families import builtin_families, verify_domain
 from sphertet.search import SearchConfig, run_sporadic_search
 
@@ -40,3 +40,20 @@ def narrow_slots(monkeypatch):
     cyclotomic._order_data.cache_clear()
     yield
     cyclotomic._order_data.cache_clear()
+
+
+def clear_proof_memos() -> None:
+    """Forget every positivity and product witness proved so far."""
+    trigpoly._proved_positive.cache_clear()
+    families._proved_product.cache_clear()
+
+
+@pytest.fixture
+def cold_proofs():
+    """The proof memos of verify_domain emptied before and after the
+    test, so that it runs every proof itself (not reusing the witnesses
+    of domain_certificates) and leaves none proved under its patches.
+    It yields the function that empties them, for use mid-test."""
+    clear_proof_memos()
+    yield clear_proof_memos
+    clear_proof_memos()

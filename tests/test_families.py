@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 
 from test_geometry import _interval_gram_minor_signs
 
+from sphertet import families, trigpoly
 from sphertet.angles import RationalAngle, angle
 from sphertet.cli import EXIT_OK, main
-from sphertet.cyclotomic import CyclotomicNumber, sign
+from sphertet.cyclotomic import CyclotomicNumber, SignedInterval, sign
 from sphertet.families import (
     DOMAIN_A,
     DOMAIN_B,
@@ -37,7 +38,7 @@ from sphertet.families import (
 )
 from sphertet.geometry import PythagoreanQuadruple, realizability, volume
 from sphertet.records import load_family_fixture
-from sphertet.trigpoly import AngleForm, PositivityError
+from sphertet.trigpoly import AngleForm, PositivityError, TrigPoly, positive_on_open_interval
 
 
 def quad(p, q, r, s):
@@ -165,7 +166,7 @@ def test_verify_families_prints_the_golden_segment_counts(capsys):
         for fid, sums in _SEGMENT_WITNESSES.items()}
 
 
-def test_families_verify_without_interval_refinement(monkeypatch):
+def test_families_verify_without_interval_refinement(monkeypatch, cold_proofs):
     """Every exact sign behind the 42 certificates is proved by the
     float64 filter: with interval refinement refused, all still verify."""
     def refuse(self, bits=64):
@@ -175,6 +176,84 @@ def test_families_verify_without_interval_refinement(monkeypatch):
     for fam in builtin_families():
         assert verify_identity(fam) and verify_volume_form(fam)
         assert verify_domain(fam).valid
+
+
+# -- proof memos ------------------------------------------------------------
+
+
+def test_memoised_certificates_equal_cold_proofs(domain_certificates, cold_proofs):
+    """Each certificate of the shared pass, which reused the witnesses of
+    earlier rows, equals the one proved with both memos empty."""
+    for fam in builtin_families():
+        cold_proofs()
+        assert repr(verify_domain(fam)) == repr(domain_certificates[fam.family_id])
+
+
+def test_twin_rows_share_their_witnesses(cold_proofs):
+    """r <-> s leaves each of the four sums unchanged, so a twin's
+    certificate holds the very witnesses of its partner."""
+    certs = {fam.family_id: verify_domain(fam) for fam in builtin_families()}
+    for fam in builtin_families():
+        pairs = zip(certs[fam.family_id].witnesses, certs[fam.twin_id].witnesses)
+        assert all(w is v for w, v in pairs), fam.family_id
+
+
+def test_a_full_pass_proves_each_distinct_sum_once(monkeypatch, cold_proofs):
+    """136 segment sums are 67 distinct polynomials; the 32 two-parameter
+    sums are 11, one of them in both regions, so 12 (sum, region) proofs."""
+    calls = {"eval_interval": 0, "_sign_at": 0}
+
+    def count(owner, name):
+        real = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+
+    count(TrigPoly, "eval_interval")
+    count(trigpoly, "_sign_at")
+    for fam in builtin_families():
+        verify_domain(fam)
+    positivity = trigpoly._proved_positive.cache_info()
+    product = families._proved_product.cache_info()
+    assert (positivity.misses, positivity.hits) == (67, 136 - 67)
+    assert (product.misses, product.hits) == (12, 32 - 12)
+    assert calls == {"eval_interval": 130, "_sign_at": 157}
+
+
+def test_verify_families_reports_the_distinct_proofs(capsys, cold_proofs):
+    assert main(["verify-families"]) == EXIT_OK
+    assert ("168 Gram sums certified by 67 + 12 distinct proofs (positivity + product)"
+            in capsys.readouterr().out.splitlines())
+    # a second run proves nothing again: the line counts this run's proofs
+    assert main(["verify-families", "--family", "2"]) == EXIT_OK
+    assert ("4 Gram sums certified by 0 + 0 distinct proofs (positivity + product)"
+            in capsys.readouterr().out.splitlines())
+
+
+_FAMILY_2, _FAMILY_35 = family_by_id(2), family_by_id(35)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: instantiate(_FAMILY_2, 0.05),
+    lambda: instantiate(_FAMILY_35, Fraction(1, 3), 0.1),
+    lambda: _FAMILY_2.contains_parameters(0.05),
+    lambda: _FAMILY_35.interior_parameters(Fraction(1, 3), 0.1),
+    lambda: _FAMILY_2.vol.evaluate(0.05),
+    lambda: AngleForm(0, 1).value_in_pi_units(0.1),
+    lambda: AngleForm(0, 0, 1).value_in_pi_units(0, 0.1),
+    lambda: TrigPoly.cos_of(AngleForm(0, 1)).eval_exact(0.1),
+    lambda: TrigPoly.cos_of(AngleForm(0, 1)).eval_interval((0, 0.1)),
+    lambda: TrigPoly.cos_of(AngleForm(0, 0, 1)).eval_interval((0, 0), (0.0, 1)),
+    lambda: positive_on_open_interval(TrigPoly.constant(1), 0.0, Fraction(1, 6)),
+    lambda: 0.5 in SignedInterval(Fraction(0), Fraction(1), 64),
+], ids=["instantiate-tau", "instantiate-mu", "contains", "interior",
+        "volume", "angle-tau", "angle-mu", "eval_exact", "eval_interval-t",
+        "eval_interval-u", "positive-end", "interval-member"])
+def test_float_parameters_are_rejected(call):
+    with pytest.raises(TypeError, match="must be an int or a Fraction"):
+        call()
 
 
 # Rational sample points of each domain: both ends and the middle of the

@@ -157,6 +157,47 @@ def test_positive_value_endpoints():
     assert witness.left.method == "positive-value"
 
 
+def test_positivity_memo_keys_on_the_polynomial_and_interval(cold_proofs):
+    poly = TrigPoly.sin_of(f(0, 1))
+    wide = positive_on_open_interval(poly, 0, Fraction(1, 6))
+    narrow = positive_on_open_interval(poly, 0, Fraction(1, 12))
+    inner = positive_on_open_interval(poly, Fraction(1, 12), Fraction(1, 6))
+    assert len({id(wide), id(narrow), id(inner)}) == 3
+    assert narrow.variable_range == (0, Fraction(1, 12))
+    assert inner.variable_range == (Fraction(1, 12), Fraction(1, 6))
+    # equal terms and an int end share the entry of Fraction(0)
+    again = TrigPoly.cos_of(f(Fraction(-1, 2), 1))
+    assert positive_on_open_interval(again, Fraction(0), Fraction(1, 6)) is wide
+    assert positive_on_open_interval(poly, 0, Fraction(1, 6), precision=128) is not wide
+    info = trigpoly._proved_positive.cache_info()
+    assert (info.misses, info.hits) == (4, 1)
+
+
+def test_a_failed_positivity_proof_is_not_stored(cold_proofs):
+    c = TrigPoly.cos_of(f(0, 1))
+    for _ in range(2):
+        with pytest.raises(PositivityError):
+            positive_on_open_interval(c, Fraction(0), Fraction(1))
+    assert trigpoly._proved_positive.cache_info().currsize == 0
+
+
+def test_both_ends_share_one_derivative_chain(monkeypatch, cold_proofs):
+    """sin^2 vanishes to second order at both ends: two derivatives in
+    all, not two per end."""
+    calls = []
+    real = TrigPoly.derivative
+
+    def counted(self, variable="t"):
+        calls.append(variable)
+        return real(self, variable)
+
+    monkeypatch.setattr(TrigPoly, "derivative", counted)
+    s = TrigPoly.sin_of(f(0, 1))
+    witness = positive_on_open_interval(s * s, Fraction(0), Fraction(1))
+    assert (witness.left.vanishing_order, witness.right.vanishing_order) == (2, 2)
+    assert calls == ["t", "t"]
+
+
 # -- input checks --------------------------------------------------------
 
 
