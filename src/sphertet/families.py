@@ -55,6 +55,7 @@ from .angles import RationalAngle, _fraction, frac_obj
 from .geometry import PythagoreanQuadruple, VolumeCoefficient, volume
 from .trigpoly import (
     AngleForm,
+    Key,
     PositivityError,
     PositivityWitness,
     TrigPoly,
@@ -68,6 +69,7 @@ DOMAIN_A = "A"
 DOMAIN_B = "B"
 
 SEGMENT_END = Fraction(1, 6)  # in units of pi
+_HALF = Fraction(1, 2)
 
 # Closed realizable parameter regions, as vertex lists in pi units.
 # Both triangles already include the t + u <= pi tightening.
@@ -118,26 +120,37 @@ def volume_form_from_angles(p: AngleForm, q: AngleForm,
     """The tetrahedron volume as a polynomial in the parameters.
 
     Expands Vol = (pi*r - r^2/2 + p^2 + q^2 + pi*s - s^2/2 - pi^2) / 2
-    with the angles substituted by their linear forms, in one pass: the
-    square of a*pi + b*t + c*u contributes b^2, 2bc, c^2, 2ab, 2ac and a^2
-    to (t^2, tu, u^2, pi t, pi u, pi^2), weighted 1/2 for p and q and
-    -1/4 for r and s, and pi*r/2, pi*s/2 add b/2, c/2 and a/2.
+    with the angles substituted by their linear forms, in one pass over
+    integers: with the four forms over one denominator L, the square of
+    (a*pi + b*t + c*u)/L contributes b^2, 2bc, c^2, 2ab, 2ac and a^2 to
+    (t^2, tu, u^2, pi t, pi u, pi^2) over L^2, weighted 1/2 for p and q
+    and -1/4 for r and s, and pi*r/2, pi*s/2 add b/2, c/2 and a/2 over L.
+    Everything is summed over 4L^2 and divided once.
     """
-    tt = tu = uu = t = u = one = Fraction(0)
-    for form, w in ((p, Fraction(1, 2)), (q, Fraction(1, 2)),
-                    (r, Fraction(-1, 4)), (s, Fraction(-1, 4))):
-        a, b, c = form.pi_part, form.t_part, form.u_part
+    nums, den = _volume_numerators((p, q, r, s))
+    return VolumeForm(*(Fraction(v, den) for v in nums))
+
+
+def _volume_numerators(forms: Sequence[AngleForm]) -> tuple[tuple[int, ...], int]:
+    """The coefficients of volume_form_from_angles, in VolumeForm's field
+    order, as integers over one denominator."""
+    den = math.lcm(*(f.d for f in forms))
+    tt = tu = uu = t = u = 0
+    one = -2 * den * den
+    for form, w in zip(forms, (2, 2, -1, -1)):
+        m = den // form.d
+        a, b, c = form.a * m, form.b * m, form.c * m
         tt += w * b * b
         tu += 2 * w * b * c
         uu += w * c * c
         t += 2 * w * a * b
         u += 2 * w * a * c
         one += w * a * a
-    for form in (r, s):
-        t += form.t_part / 2
-        u += form.u_part / 2
-        one += form.pi_part / 2
-    return VolumeForm(tt, tu, uu, t, u, one - Fraction(1, 2))
+        if w < 0:
+            t += 2 * den * b
+            u += 2 * den * c
+            one += 2 * den * a
+    return (tt, tu, uu, t, u, one), 4 * den * den
 
 
 @dataclass(frozen=True)
@@ -182,10 +195,6 @@ class FamilySpec:
         if self.domain == DOMAIN_A:
             return 0 < mu < tau and tau + mu < 1
         return 0 < tau < mu and tau + mu < 1
-
-
-def _form(alpha, beta=0, gamma=0) -> AngleForm:
-    return AngleForm(Fraction(alpha), Fraction(beta), Fraction(gamma))
 
 
 def _vol(c_tt=0, c_t=0, c_1=0, c_tu=0, c_uu=0, c_u=0) -> VolumeForm:
@@ -295,11 +304,11 @@ _TWO_PARAM_ROWS = (
 def builtin_families() -> tuple[FamilySpec, ...]:
     out = []
     for fid, p, q, r, s, vol, twin in _SEGMENT_ROWS:
-        out.append(FamilySpec(fid, _form(*p), _form(*q), _form(*r), _form(*s),
-                              vol, DOMAIN_SEGMENT, twin))
+        forms = (AngleForm(*f) for f in (p, q, r, s))
+        out.append(FamilySpec(fid, *forms, vol, DOMAIN_SEGMENT, twin))
     for fid, p, q, r, s, vol, dom, twin in _TWO_PARAM_ROWS:
-        out.append(FamilySpec(fid, _form(*p), _form(*q), _form(*r), _form(*s),
-                              vol, dom, twin))
+        forms = (AngleForm(*f) for f in (p, q, r, s))
+        out.append(FamilySpec(fid, *forms, vol, dom, twin))
     return tuple(out)
 
 
@@ -315,22 +324,32 @@ def family_by_id(family_id: int) -> FamilySpec:
 
 def residual_poly(fam: FamilySpec) -> TrigPoly:
     """cos p cos q + cos((r+s)/2) cos((r-s)/2) as a TrigPoly."""
-    half = Fraction(1, 2)
-    plus = (fam.r + fam.s).scale(half)
-    minus = (fam.r - fam.s).scale(half)
+    plus = (fam.r + fam.s).scale(_HALF)
+    minus = (fam.r - fam.s).scale(_HALF)
     return (TrigPoly.cos_of(fam.p) * TrigPoly.cos_of(fam.q)
             + TrigPoly.cos_of(plus) * TrigPoly.cos_of(minus))
 
 
 def verify_identity(fam: FamilySpec) -> bool:
-    """The defining equation holds identically in the parameters."""
-    return residual_poly(fam).is_zero()
+    """The defining equation holds identically in the parameters.
+
+    The 42 residuals are only 9 distinct polynomials, so the zero test
+    runs once per process for each: it is memoised under the residual's
+    TrigPoly.key."""
+    return _residual_vanishes(residual_poly(fam).key)
+
+
+@lru_cache(maxsize=None)
+def _residual_vanishes(key: Key) -> bool:
+    """The memoised zero test of verify_identity."""
+    return TrigPoly._of(*key).is_zero()
 
 
 def verify_volume_form(fam: FamilySpec) -> bool:
     """The tabulated volume equals the volume formula, exactly."""
-    derived = volume_form_from_angles(*fam.angle_forms)
-    return derived._coeffs() == fam.vol._coeffs()
+    nums, den = _volume_numerators(fam.angle_forms)
+    return all(n * c.denominator == c.numerator * den
+               for n, c in zip(nums, fam.vol._coeffs()))
 
 
 def gram_sums(fam: FamilySpec) -> tuple[TrigPoly, TrigPoly, TrigPoly, TrigPoly]:
@@ -351,9 +370,8 @@ def gram_sums(fam: FamilySpec) -> tuple[TrigPoly, TrigPoly, TrigPoly, TrigPoly]:
     among the 32 of the two-parameter rows, one of which occurs in both
     regions and is proved once per region (12 product proofs).
     """
-    half = Fraction(1, 2)
-    c_diff = TrigPoly.cos_of((fam.r - fam.s).scale(half))
-    c_sum = TrigPoly.cos_of((fam.r + fam.s).scale(half))
+    c_diff = TrigPoly.cos_of((fam.r - fam.s).scale(_HALF))
+    c_sum = TrigPoly.cos_of((fam.r + fam.s).scale(_HALF))
     c_p, c_q = TrigPoly.cos_of(fam.p), TrigPoly.cos_of(fam.q)
     s_minus, s_plus = c_diff - c_sum, c_diff + c_sum
     return (s_minus - (c_p + c_q), s_minus + (c_p + c_q),
@@ -399,17 +417,21 @@ def _cos_sign_over_region(form: AngleForm, domain: str
     A linear form attains its extremes at the vertices and, unless it is
     constant, takes values strictly between them on the open region, so
     its range may touch the zeros (k +- 1/2)*pi of the cosine; a constant
-    form must lie strictly between them.
+    form must lie strictly between them.  The values are integers over
+    one denominator m, and 2*value/m is compared with 2k +- 1.
     """
-    values = [form.value_in_pi_units(tau, mu) for tau, mu in _REGION_VERTICES[domain]]
+    vertices = _REGION_VERTICES[domain]
+    v = math.lcm(*(x.denominator for vertex in vertices for x in vertex))
+    m = form.d * v
+    values = [form.a * v + form.b * (tau.numerator * (v // tau.denominator))
+              + form.c * (mu.numerator * (v // mu.denominator)) for tau, mu in vertices]
     lo, hi = min(values), max(values)
-    half = Fraction(1, 2)
-    k = math.floor((lo + hi) / 2 + half)
+    k = (lo + hi + m) // (2 * m)
     if form.is_constant:
-        inside = k - half < lo < k + half
+        inside = (2 * k - 1) * m < 2 * lo < (2 * k + 1) * m
     else:
-        inside = k - half <= lo and hi <= k + half
-    return ((-1) ** k if inside else 0), (lo, hi)
+        inside = (2 * k - 1) * m <= 2 * lo and 2 * hi <= (2 * k + 1) * m
+    return ((-1) ** k if inside else 0), (Fraction(lo, m), Fraction(hi, m))
 
 
 def _product_witness(total: TrigPoly, domain: str) -> ProductWitness:
@@ -421,25 +443,24 @@ def _product_witness(total: TrigPoly, domain: str) -> ProductWitness:
     TrigPoly.is_zero checks exactly.
 
     Each proof runs once per process: the witness is memoised under
-    (total.terms, domain), and a proof that raises stores nothing.
+    (total.key, domain), and a proof that raises stores nothing.
     """
-    return _proved_product(total.terms, domain)
+    return _proved_product(total.key, domain)
 
 
 @lru_cache(maxsize=None)
-def _proved_product(terms: tuple[tuple[AngleForm, Fraction], ...],
-                    domain: str) -> ProductWitness:
+def _proved_product(key: Key, domain: str) -> ProductWitness:
     """The memoised proof of _product_witness."""
-    total = TrigPoly._of(terms)
-    pi = AngleForm(Fraction(1))
-    varying = [(form, c) for form, c in terms if not form.is_constant]
+    total = TrigPoly._of(*key)
+    pi = AngleForm(1)
+    varying = [(form, c) for form, c in total.terms if not form.is_constant]
     if len(varying) != 2 or abs(varying[0][1]) != abs(varying[1][1]):
         raise PositivityError(f"{total} is not c cos A +- c cos B")
     (a, c), (b, d) = varying
     if d != c:
         b = b + pi
-    x = (a + b).scale(Fraction(1, 2)) + (pi if c < 0 else AngleForm())
-    y = (a - b).scale(Fraction(1, 2))
+    x = (a + b).scale(_HALF) + (pi if c < 0 else AngleForm())
+    y = (a - b).scale(_HALF)
     if not (total - TrigPoly.cos_of(x, 2 * abs(c)) * TrigPoly.cos_of(y)).is_zero():
         raise PositivityError(f"{total} is not 2|c| cos({x}) cos({y})")
     (sx, x_range), (sy, y_range) = (_cos_sign_over_region(f, domain) for f in (x, y))
@@ -464,7 +485,7 @@ def verify_domain(fam: FamilySpec) -> DomainCertificate:
             tuple(_product_witness(s, fam.domain) for s in sums))
     return DomainCertificate(
         fam.family_id, "interval-bisection", fam.domain,
-        tuple(positive_on_open_interval(s, Fraction(0), SEGMENT_END) for s in sums))
+        tuple(positive_on_open_interval(s, 0, SEGMENT_END) for s in sums))
 
 
 # -- membership and instantiation -----------------------------------------

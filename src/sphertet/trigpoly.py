@@ -1,12 +1,26 @@
 """Exact trigonometric polynomials in up to two real parameters.
 
 A TrigPoly is a finite sum  sum_i  gamma_i * cos(pi*A_i + B_i*t + C_i*u)
-with rational gamma_i, A_i, B_i, C_i, kept as canonical terms (see
-_canonical_term): sorted, one per angle form, no zero coefficient.  The
-class supports ring operations (products rewritten by the product-to-sum
-rule), partial derivatives, exact evaluation at rational multiples of pi,
-rigorous interval evaluation over boxes, and an exact identically-zero
-test.
+with rational gamma_i, A_i, B_i, C_i.  The class supports ring
+operations (products rewritten by the product-to-sum rule), partial
+derivatives, exact evaluation at rational multiples of pi, rigorous
+interval evaluation over boxes, and an exact identically-zero test.
+
+Representation.  Everything is kept in Python ints.  An AngleForm is
+(a*pi + b*t + c*u)/d with integers a, b, c and d > 0 in lowest terms.  A
+TrigPoly has one angle denominator D and one coefficient denominator K,
+and each term is an integer tuple (a, b, c, k) for
+k/K * cos((a*pi + b*t + c*u)/D).  The terms are canonical (_canonical:
+cos(-x) = cos(x) and the 2*pi period folded, so (b, c) is
+lexicographically nonnegative, 0 <= a < 2D, and a <= D when b = c = 0),
+one per angle, with no zero k, sorted by (b, c, a), and D and K are the
+least denominators that hold them.  So two polynomials have equal terms
+exactly when their canonical sums are equal, and the triple
+(D, K, terms), TrigPoly.key, is the key under which a proof is memoised.
+Sums, products, derivatives, the zero test, exact sums and the angle
+ranges of an enclosure all run on these ints.  Fractions appear only at
+the API edge: the parts of an AngleForm, TrigPoly.terms, and the values,
+enclosures and witnesses that are returned.
 
 Exact.  At t = tau*pi, u = mu*pi every angle is a rational multiple of
 pi, so the value is one cosine sum in one field Q(zeta_N), N = lcm of
@@ -25,18 +39,18 @@ Q(zeta_N), and it is zero iff its numerator is.
 
 Enclosure.  Over a box t in [t1, t2]*pi, u in [u1, u2]*pi the angle of a
 term ranges over exactly pi times the rational interval
-A + B*[t1, t2] + C*[u1, u2].  eval_interval computes that range in
-Fractions, rounds its ends outward to the working precision once, and
-multiplies by an enclosure of pi, takes the cosine, scales by the
-outward-rounded coefficient and sums, all in mpmath's libmp interval
-functions, every one of which rounds outward.
+A + B*[t1, t2] + C*[u1, u2].  eval_interval computes the ends of that
+range as integers over one denominator, rounds them outward to the
+working precision once, and multiplies by an enclosure of pi, takes the
+cosine, scales by the outward-rounded coefficient and sums, all in
+mpmath's libmp interval functions, every one of which rounds outward.
 
 Positivity.  positive_on_open_interval proves a one-parameter TrigPoly
 positive on an open interval: exact signs, and Taylor strips where an
 end vanishes, then interval bisection of the middle.  Each proof runs
-once per process: its witness is memoised under the key (terms, lo, hi,
-precision, max_depth) with lo and hi as exact Fractions, so equal
-polynomials (the Gram sums of twin family rows, for one) share one
+once per process: its witness is memoised under the key (poly.key, lo,
+hi, precision, max_depth) with lo and hi as reduced integer pairs, so
+equal polynomials (the Gram sums of twin family rows, for one) share one
 frozen witness.  The memo fills on use; its cache_clear is for tests.
 """
 
@@ -44,9 +58,11 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import itemgetter
 from typing import Iterable, Sequence, Union
 
 from mpmath.libmp import (
@@ -75,114 +91,184 @@ from .cyclotomic import (
 )
 
 Rat = Union[Fraction, int]
+Term = tuple[int, int, int, int]
+Key = tuple[int, int, tuple[Term, ...]]
 
 
-@dataclass(frozen=True)
+def _ratio(value, what: str) -> tuple[int, int]:
+    """(numerator, denominator) of an int or a Fraction; a float raises
+    TypeError."""
+    if type(value) is not int:
+        value = _fraction(value, what)
+    return value.numerator, value.denominator
+
+
+def _check_precision(precision) -> None:
+    """An interval precision is an int of at least one bit."""
+    if type(precision) is not int or precision < 1:
+        raise ValueError(f"precision must be an int >= 1, got {precision!r}")
+
+
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class AngleForm:
-    """A linear angle  pi_part*pi + t_part*t + u_part*u  with rational parts."""
+    """A linear angle  pi_part*pi + t_part*t + u_part*u  with rational
+    parts, kept as (a*pi + b*t + c*u)/d in lowest terms with d > 0."""
 
-    pi_part: Fraction = Fraction(0)
-    t_part: Fraction = Fraction(0)
-    u_part: Fraction = Fraction(0)
+    a: int
+    b: int
+    c: int
+    d: int
 
-    def __post_init__(self) -> None:
-        for name in ("pi_part", "t_part", "u_part"):
-            value = getattr(self, name)
-            if type(value) is not Fraction:
-                object.__setattr__(self, name, _fraction(value, f"AngleForm {name}"))
+    def __init__(self, pi_part: Rat = 0, t_part: Rat = 0, u_part: Rat = 0) -> None:
+        a, p = _ratio(pi_part, "AngleForm pi_part")
+        b, q = _ratio(t_part, "AngleForm t_part")
+        c, r = _ratio(u_part, "AngleForm u_part")
+        d = math.lcm(p, q, r)
+        _set_form(self, a * (d // p), b * (d // q), c * (d // r), d)
+
+    @property
+    def pi_part(self) -> Fraction:
+        return Fraction(self.a, self.d)
+
+    @property
+    def t_part(self) -> Fraction:
+        return Fraction(self.b, self.d)
+
+    @property
+    def u_part(self) -> Fraction:
+        return Fraction(self.c, self.d)
 
     def __add__(self, other: "AngleForm") -> "AngleForm":
-        return AngleForm(
-            self.pi_part + other.pi_part,
-            self.t_part + other.t_part,
-            self.u_part + other.u_part,
-        )
+        d = math.lcm(self.d, other.d)
+        m, n = d // self.d, d // other.d
+        return _form(self.a * m + other.a * n, self.b * m + other.b * n,
+                     self.c * m + other.c * n, d)
 
     def __sub__(self, other: "AngleForm") -> "AngleForm":
         return self + (-other)
 
     def __neg__(self) -> "AngleForm":
-        return AngleForm(-self.pi_part, -self.t_part, -self.u_part)
+        return _form(-self.a, -self.b, -self.c, self.d)
 
     def scale(self, k: Rat) -> "AngleForm":
-        k = _fraction(k, "AngleForm scale")
-        return AngleForm(self.pi_part * k, self.t_part * k, self.u_part * k)
+        p, q = _ratio(k, "AngleForm scale")
+        return _form(self.a * p, self.b * p, self.c * p, self.d * q)
 
     @property
     def is_constant(self) -> bool:
-        return self.t_part == 0 and self.u_part == 0
+        return self.b == 0 and self.c == 0
 
     def value_in_pi_units(self, tau: Rat, mu: Rat = 0) -> Fraction:
         """The angle divided by pi when t = tau*pi, u = mu*pi."""
-        return (self.pi_part + self.t_part * _fraction(tau, "parameter tau")
-                + self.u_part * _fraction(mu, "parameter mu"))
+        (p, q), (r, s) = _ratio(tau, "parameter tau"), _ratio(mu, "parameter mu")
+        return Fraction(self.a * q * s + self.b * p * s + self.c * r * q,
+                        self.d * q * s)
 
     def __str__(self) -> str:
         parts = []
-        if self.pi_part:
+        if self.a:
             parts.append(f"{self.pi_part}*pi")
-        if self.t_part:
+        if self.b:
             parts.append(f"{self.t_part}*t")
-        if self.u_part:
+        if self.c:
             parts.append(f"{self.u_part}*u")
         return " + ".join(parts) if parts else "0"
 
-
-def _canonical_term(form: AngleForm) -> AngleForm:
-    """Fold cos(-x) = cos(x) and the 2*pi period into a unique key."""
-    t, u, a = form.t_part, form.u_part, form.pi_part
-    if t < 0 or (t == 0 and u < 0) or (t == 0 and u == 0 and a < 0):
-        t, u, a = -t, -u, -a
-    a %= 2
-    if t == 0 and u == 0 and a > 1:
-        a = 2 - a
-    return AngleForm(a, t, u)
+    def __repr__(self) -> str:
+        return (f"AngleForm(pi_part={self.pi_part!r}, t_part={self.t_part!r}, "
+                f"u_part={self.u_part!r})")
 
 
-def _term_key(term: tuple[AngleForm, Fraction]) -> tuple[Fraction, Fraction, Fraction]:
-    form = term[0]
-    return form.t_part, form.u_part, form.pi_part
+def _set_form(form: AngleForm, a: int, b: int, c: int, d: int) -> None:
+    g = math.gcd(a, b, c, d)
+    if g != 1:
+        a, b, c, d = a // g, b // g, c // g, d // g
+    object.__setattr__(form, "a", a)
+    object.__setattr__(form, "b", b)
+    object.__setattr__(form, "c", c)
+    object.__setattr__(form, "d", d)
 
 
-def _merged(terms: Iterable[tuple[AngleForm, Fraction]]
-            ) -> tuple[tuple[AngleForm, Fraction], ...]:
-    """Canonical terms with their coefficients summed per form, sorted,
-    zeros dropped.  The forms must already be canonical."""
-    merged: dict[AngleForm, Fraction] = {}
-    for form, coeff in terms:
-        merged[form] = merged.get(form, 0) + coeff
-    return tuple(sorted(((k, v) for k, v in merged.items() if v), key=_term_key))
+def _form(a: int, b: int, c: int, d: int) -> AngleForm:
+    """The AngleForm (a*pi + b*t + c*u)/d, d > 0, reduced."""
+    form = object.__new__(AngleForm)
+    _set_form(form, a, b, c, d)
+    return form
 
 
-def _integer_coefficients(terms: Sequence[tuple[object, Fraction]]
-                          ) -> tuple[list[int], int]:
-    """(k, D): the coefficients are k_i / D over one common denominator D."""
-    den = math.lcm(*(c.denominator for _, c in terms))
-    return [c.numerator * (den // c.denominator) for _, c in terms], den
+def _canonical(a: int, b: int, c: int, d: int) -> tuple[int, int, int]:
+    """Fold cos(-x) = cos(x) and the 2*pi period of the angle
+    (a*pi + b*t + c*u)/d into a unique key (a, b, c) over the same d."""
+    if b < 0 or (b == 0 and (c < 0 or (c == 0 and a < 0))):
+        a, b, c = -a, -b, -c
+    a %= 2 * d
+    if b == 0 and c == 0 and a > d:
+        a = 2 * d - a
+    return a, b, c
+
+
+_TERM_ORDER = itemgetter(1, 2, 0)
+
+
+def _normal(d: int, k: int, merged: dict[tuple[int, int, int], int]) -> Key:
+    """(D, K, terms) of the canonical angles of merged, over d, with their
+    coefficients over k: zeros dropped, both denominators made least,
+    sorted by (b, c, a)."""
+    kept = [(angle, n) for angle, n in merged.items() if n]
+    if not kept:
+        return 1, 1, ()
+    g = math.gcd(d, *itertools.chain.from_iterable(angle for angle, _ in kept))
+    h = math.gcd(k, *(n for _, n in kept))
+    terms = [(a // g, b // g, c // g, n // h) for (a, b, c), n in kept]
+    terms.sort(key=_TERM_ORDER)
+    return d // g, k // h, tuple(terms)
 
 
 class TrigPoly:
     """Immutable exact cosine series; see the module docstring."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("angle_den", "coeff_den", "int_terms")
 
-    terms: tuple[tuple[AngleForm, Fraction], ...]
+    angle_den: int
+    coeff_den: int
+    int_terms: tuple[Term, ...]
 
     def __init__(self, terms: Iterable[tuple[AngleForm, Rat]] = ()) -> None:
-        object.__setattr__(self, "terms", _merged(
-            (_canonical_term(form), _fraction(coeff, "TrigPoly coefficient"))
-            for form, coeff in terms))
+        pairs = [(form, _ratio(coeff, "TrigPoly coefficient")) for form, coeff in terms]
+        d = math.lcm(*(form.d for form, _ in pairs))
+        k = math.lcm(*(q for _, (_, q) in pairs))
+        merged = defaultdict(int)
+        for form, (p, q) in pairs:
+            m = d // form.d
+            merged[_canonical(form.a * m, form.b * m, form.c * m, d)] += p * (k // q)
+        self._set(*_normal(d, k, merged))
+
+    def _set(self, d: int, k: int, terms: tuple[Term, ...]) -> None:
+        object.__setattr__(self, "angle_den", d)
+        object.__setattr__(self, "coeff_den", k)
+        object.__setattr__(self, "int_terms", terms)
 
     @classmethod
-    def _of(cls, terms: tuple[tuple[AngleForm, Fraction], ...]) -> "TrigPoly":
-        """The TrigPoly of terms that are already canonical, sorted, one per
-        form and nonzero: what every ring operation but a product keeps."""
+    def _of(cls, d: int, k: int, terms: tuple[Term, ...]) -> "TrigPoly":
+        """The TrigPoly of integer terms that are already canonical, sorted,
+        one per angle and nonzero, over least denominators d and k."""
         poly = object.__new__(cls)
-        object.__setattr__(poly, "terms", terms)
+        poly._set(d, k, terms)
         return poly
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("TrigPoly is immutable")
+
+    @property
+    def key(self) -> Key:
+        """(D, K, terms): equal keys exactly for equal canonical sums."""
+        return self.angle_den, self.coeff_den, self.int_terms
+
+    @property
+    def terms(self) -> tuple[tuple[AngleForm, Fraction], ...]:
+        """The canonical terms as (AngleForm, Fraction coefficient) pairs."""
+        d, k = self.angle_den, self.coeff_den
+        return tuple((_form(a, b, c, d), Fraction(n, k)) for a, b, c, n in self.int_terms)
 
     # -- constructors --------------------------------------------------
 
@@ -192,7 +278,8 @@ class TrigPoly:
 
     @classmethod
     def sin_of(cls, form: AngleForm, coeff: Rat = 1) -> "TrigPoly":
-        shifted = AngleForm(form.pi_part - Fraction(1, 2), form.t_part, form.u_part)
+        """coeff*sin(X) = coeff*cos(X - pi/2)."""
+        shifted = _form(2 * form.a - form.d, 2 * form.b, 2 * form.c, 2 * form.d)
         return cls([(shifted, coeff)])
 
     @classmethod
@@ -205,63 +292,94 @@ class TrigPoly:
 
     # -- ring operations ------------------------------------------------
 
+    def _plus(self, other: "TrigPoly", factor: int) -> "TrigPoly":
+        """self + factor*other over the common denominators; terms scaled
+        to a multiple of their D stay canonical."""
+        d = math.lcm(self.angle_den, other.angle_den)
+        k = math.lcm(self.coeff_den, other.coeff_den)
+        merged = defaultdict(int)
+        for poly, f in ((self, 1), (other, factor)):
+            m, w = d // poly.angle_den, f * (k // poly.coeff_den)
+            for a, b, c, n in poly.int_terms:
+                merged[a * m, b * m, c * m] += n * w
+        return TrigPoly._of(*_normal(d, k, merged))
+
     def __add__(self, other: "TrigPoly") -> "TrigPoly":
-        return TrigPoly._of(_merged(self.terms + other.terms))
+        return self._plus(other, 1)
 
     def __sub__(self, other: "TrigPoly") -> "TrigPoly":
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __neg__(self) -> "TrigPoly":
-        return TrigPoly._of(tuple((f, -c) for f, c in self.terms))
+        return TrigPoly._of(self.angle_den, self.coeff_den,
+                            tuple((a, b, c, -n) for a, b, c, n in self.int_terms))
 
     def scale(self, k: Rat) -> "TrigPoly":
-        k = _fraction(k, "TrigPoly scale")
-        if not k:
+        p, q = _ratio(k, "TrigPoly scale")
+        if not p:
             return TrigPoly()
-        return TrigPoly._of(tuple((f, c * k) for f, c in self.terms))
+        den = self.coeff_den * q
+        h = math.gcd(den, *(n * p for *_, n in self.int_terms))
+        return TrigPoly._of(self.angle_den, den // h,
+                            tuple((a, b, c, n * p // h) for a, b, c, n in self.int_terms))
 
     def __mul__(self, other: "TrigPoly") -> "TrigPoly":
-        out = []
-        half = Fraction(1, 2)
-        for f, c in self.terms:
-            for g, d in other.terms:
-                coeff = c * d * half
-                out.append((_canonical_term(f + g), coeff))
-                out.append((_canonical_term(f - g), coeff))
-        return TrigPoly._of(_merged(out))
+        """cos X cos Y = (cos(X + Y) + cos(X - Y))/2, term by term."""
+        d = math.lcm(self.angle_den, other.angle_den)
+        m, w = d // self.angle_den, d // other.angle_den
+        right = [(a * w, b * w, c * w, n) for a, b, c, n in other.int_terms]
+        merged = defaultdict(int)
+        for a, b, c, n in self.int_terms:
+            a, b, c = a * m, b * m, c * m
+            for x, y, z, r in right:
+                merged[_canonical(a + x, b + y, c + z, d)] += n * r
+                merged[_canonical(a - x, b - y, c - z, d)] += n * r
+        return TrigPoly._of(*_normal(d, 2 * self.coeff_den * other.coeff_den, merged))
 
     # -- calculus --------------------------------------------------------
 
     def derivative(self, variable: str = "t") -> "TrigPoly":
-        """Partial derivative; d/dt cos(X) = -B sin(X) = -B cos(X - pi/2)."""
-        out = []
-        for f, c in self.terms:
-            freq = f.t_part if variable == "t" else f.u_part
-            if freq == 0:
-                continue
-            shifted = AngleForm(f.pi_part - Fraction(1, 2), f.t_part, f.u_part)
-            out.append((shifted, -c * freq))
-        return TrigPoly(out)
+        """Partial derivative in variable "t" or "u";
+        d/dt cos(X) = -B sin(X) = -B cos(X - pi/2), with
+        X - pi/2 = ((2a - D)*pi + 2b*t + 2c*u)/(2D)."""
+        if variable not in ("t", "u"):
+            raise ValueError(f"no variable {variable!r}: differentiate in 't' or 'u'")
+        in_t = variable == "t"
+        d = self.angle_den
+        merged = defaultdict(int)
+        for a, b, c, n in self.int_terms:
+            freq = b if in_t else c
+            if freq:
+                merged[_canonical(2 * a - d, 2 * b, 2 * c, 2 * d)] -= n * freq
+        return TrigPoly._of(*_normal(2 * d, self.coeff_den * d, merged))
 
     # -- evaluation -------------------------------------------------------
 
     def _exact_sum(self, tau: Rat, mu: Rat = 0
                    ) -> tuple[int, list[tuple[int, int]], int]:
         """(N, terms, den): the value at t = tau*pi, u = mu*pi is
-        sum_i k_i cos(2*pi*e_i/N) / den over the (k_i, e_i) terms.
+        sum_i k_i cos(2*pi*e_i/N) / den over the (k_i, e_i) terms, with den
+        the least common denominator of the coefficients.
 
         cos(n*pi/d) is rational for d <= 3, so such a term enters as a
         constant (angle 0) and leaves N to the other angles."""
-        tau, mu = _fraction(tau, "parameter tau"), _fraction(mu, "parameter mu")
-        terms = []
-        for f, c in self.terms:
-            angle = RationalAngle.from_fraction(f.value_in_pi_units(tau, mu))
+        (p, q), (r, s) = _ratio(tau, "parameter tau"), _ratio(mu, "parameter mu")
+        den = self.angle_den * q * s
+        zero = RationalAngle(0)
+        angles, coeffs = [], []
+        for a, b, c, n in self.int_terms:
+            angle = RationalAngle(a * q * s + b * p * s + c * r * q, den)
             if angle.den <= 3:
-                angle, c = RationalAngle(0), c * cos_as_cyclotomic(angle).rational_value
-            terms.append((angle, c))
-        order, exponents = angle_exponents([angle for angle, _ in terms])
-        coeffs, den = _integer_coefficients(terms)
-        return order, list(zip(coeffs, exponents)), den
+                value = cos_as_cyclotomic(angle)  # order 1, value num[0]/den
+                angle, n = zero, n * 2 * value.num[0] // value.den
+            else:
+                n *= 2
+            angles.append(angle)
+            coeffs.append(n)
+        order, exponents = angle_exponents(angles)
+        k = 2 * self.coeff_den
+        g = math.gcd(k, *coeffs)
+        return order, [(n // g, e) for n, e in zip(coeffs, exponents)], k // g
 
     def eval_exact(self, tau: Rat, mu: Rat = 0) -> CyclotomicNumber:
         """Exact value at t = tau*pi, u = mu*pi."""
@@ -275,22 +393,27 @@ class TrigPoly:
     ) -> SignedInterval:
         """Rigorous enclosure over t in t_range*pi, u in u_range*pi.
 
-        A range must run from its lower to its upper end (ValueError
-        otherwise)."""
-        (t1, t2), (u1, u2) = ((_fraction(lo, "range end"), _fraction(hi, "range end"))
-                              for lo, hi in (t_range, u_range))
+        A range must run from its lower to its upper end, and precision
+        must be an int of at least one bit (ValueError otherwise)."""
+        _check_precision(precision)
+        (t1, t2, tq), (u1, u2, uq) = (_over_one_denominator(lo, hi)
+                                      for lo, hi in (t_range, u_range))
         if t1 > t2 or u1 > u2:
             raise ValueError(f"reversed parameter range t {t_range}, u {u_range}")
+        # angle ends in pi units, as integers over den
+        den = self.angle_den * tq * uq
+        t1, t2, u1, u2 = t1 * uq, t2 * uq, u1 * tq, u2 * tq
+        k = self.coeff_den
         pi = mpi_pi(precision)
         total = (fzero, fzero)
-        for f, c in self.terms:
-            lo = hi = f.pi_part
-            for k, x1, x2 in ((f.t_part, t1, t2), (f.u_part, u1, u2)):
-                if k:
-                    a, b = k * x1, k * x2
-                    lo, hi = (lo + a, hi + b) if k > 0 else (lo + b, hi + a)
-            angle = mpi_mul(_outward(lo, hi, precision), pi, precision)
-            term = mpi_mul(mpi_cos(angle, precision), _outward(c, c, precision), precision)
+        for a, b, c, n in self.int_terms:
+            lo = hi = a * tq * uq
+            for f, x1, x2 in ((b, t1, t2), (c, u1, u2)):
+                ends = (f * x1, f * x2)
+                lo, hi = lo + min(ends), hi + max(ends)
+            angle = mpi_mul(_outward(lo, hi, den, precision), pi, precision)
+            term = mpi_mul(mpi_cos(angle, precision), _outward(n, n, k, precision),
+                           precision)
             total = mpi_add(total, term, precision)
         lo, hi = (Fraction(*to_rational(v)) for v in total)
         return SignedInterval(lo, hi, precision)
@@ -302,18 +425,17 @@ class TrigPoly:
 
     @property
     def is_constant(self) -> bool:
-        return all(f.is_constant for f, _ in self.terms)
+        return all(b == 0 and c == 0 for _, b, c, _ in self.int_terms)
 
     def is_zero(self) -> bool:
         """Exact test for identical vanishing over all real t, u."""
-        frequencies = itertools.groupby(self.terms, key=lambda term: _term_key(term)[:2])
-        for (bt, cu), group in frequencies:
+        d = self.angle_den
+        for (b, c), group in itertools.groupby(self.int_terms, key=itemgetter(1, 2)):
             group = tuple(group)
-            order, exponents = angle_exponents(
-                [RationalAngle.from_fraction(f.pi_part) for f, _ in group])
-            coeffs, _ = _integer_coefficients(group)
-            terms = list(zip(coeffs, exponents))
-            if bt == 0 and cu == 0:
+            g = math.gcd(d, *(t[0] for t in group))
+            order = 2 * d // g
+            terms = [(n, a // g) for a, _, _, n in group]
+            if b == 0 and c == 0:
                 num = cosine_numerator(order, terms)
             else:
                 num = _order_data(order).powers(terms)
@@ -329,16 +451,23 @@ class TrigPoly:
     __hash__ = None
 
     def __repr__(self) -> str:
-        if not self.terms:
+        if not self.int_terms:
             return "TrigPoly(0)"
         bits = [f"{c}*cos({f})" for f, c in self.terms]
         return "TrigPoly(" + " + ".join(bits) + ")"
 
 
-def _outward(lo: Fraction, hi: Fraction, precision: int):
-    """The libmp interval [lo, hi] with its ends rounded outward."""
-    return (from_rational(lo.numerator, lo.denominator, precision, round_floor),
-            from_rational(hi.numerator, hi.denominator, precision, round_ceiling))
+def _over_one_denominator(lo: Rat, hi: Rat) -> tuple[int, int, int]:
+    """(m, n, q): the range ends are m/q and n/q."""
+    (m, p), (n, r) = _ratio(lo, "range end"), _ratio(hi, "range end")
+    q = math.lcm(p, r)
+    return m * (q // p), n * (q // r), q
+
+
+def _outward(lo: int, hi: int, den: int, precision: int):
+    """The libmp interval [lo/den, hi/den] with its ends rounded outward."""
+    return (from_rational(lo, den, precision, round_floor),
+            from_rational(hi, den, precision, round_ceiling))
 
 
 def det(matrix: Sequence[Sequence[TrigPoly]]) -> TrigPoly:
@@ -352,7 +481,7 @@ def det(matrix: Sequence[Sequence[TrigPoly]]) -> TrigPoly:
     total = TrigPoly.zero()
     for j in range(n):
         entry = matrix[0][j]
-        if not entry.terms:
+        if not entry.int_terms:
             continue
         minor = [
             [row[k] for k in range(n) if k != j] for row in matrix[1:]
@@ -459,29 +588,35 @@ def positive_on_open_interval(
     Endpoints may vanish (boundary degeneracies); they get exact Taylor
     strips.  The remaining closed middle is covered by adaptive interval
     bisection.  Raises PositivityError when positivity cannot be
-    established, so a successful return is a certificate.
+    established, so a successful return is a certificate.  poly must not
+    depend on u, and precision must be an int of at least one bit
+    (ValueError otherwise).
 
     Each proof runs once per process: the witness is memoised under
-    (poly.terms, lo, hi, precision, max_depth), with lo and hi as exact
-    Fractions, and a later request with an equal key gets the same
-    frozen witness.  A proof that raises stores nothing.
+    (poly.key, lo, hi, precision, max_depth), with lo and hi as reduced
+    (numerator, denominator) pairs, and a later request with an equal key
+    gets the same frozen witness.  A proof that raises stores nothing.
     """
-    lo, hi = _fraction(lo, "interval end"), _fraction(hi, "interval end")
-    return _proved_positive(poly.terms, lo, hi, precision, max_depth)
+    if any(c for _, _, c, _ in poly.int_terms):
+        raise ValueError(f"{poly} depends on u; positivity is proved in t alone")
+    _check_precision(precision)
+    return _proved_positive(poly.key, _ratio(lo, "interval end"),
+                            _ratio(hi, "interval end"), precision, max_depth)
 
 
 @lru_cache(maxsize=None)
 def _proved_positive(
-    terms: tuple[tuple[AngleForm, Fraction], ...],
-    lo: Fraction,
-    hi: Fraction,
+    key: Key,
+    lo: tuple[int, int],
+    hi: tuple[int, int],
     precision: int,
     max_depth: int,
 ) -> PositivityWitness:
     """The memoised proof of positive_on_open_interval."""
+    lo, hi = Fraction(*lo), Fraction(*hi)
     if not lo < hi:
         raise ValueError("empty interval")
-    poly = TrigPoly._of(terms)
+    poly = TrigPoly._of(*key)
     chain = [poly]
     quarter = (hi - lo) / 4
     left = _endpoint_analysis(chain, lo, +1, quarter, precision)

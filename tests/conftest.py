@@ -43,17 +43,20 @@ def narrow_slots(monkeypatch):
 
 
 def clear_proof_memos() -> None:
-    """Forget every positivity and product witness proved so far."""
+    """Forget every positivity and product witness and every residual
+    zero test proved so far."""
     trigpoly._proved_positive.cache_clear()
     families._proved_product.cache_clear()
+    families._residual_vanishes.cache_clear()
 
 
 @pytest.fixture
 def cold_proofs():
-    """The proof memos of verify_domain emptied before and after the
-    test, so that it runs every proof itself (not reusing the witnesses
-    of domain_certificates) and leaves none proved under its patches.
-    It yields the function that empties them, for use mid-test."""
+    """The proof memos of verify_domain and verify_identity emptied
+    before and after the test, so that it runs every proof itself (not
+    reusing the witnesses of domain_certificates) and leaves none proved
+    under its patches.  It yields the function that empties them, for
+    use mid-test."""
     clear_proof_memos()
     yield clear_proof_memos
     clear_proof_memos()

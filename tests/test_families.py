@@ -222,6 +222,14 @@ def test_a_full_pass_proves_each_distinct_sum_once(monkeypatch, cold_proofs):
     assert calls == {"eval_interval": 130, "_sign_at": 157}
 
 
+def test_a_full_pass_runs_each_distinct_zero_test_once(cold_proofs):
+    """The 42 residuals are 9 distinct polynomials: 9 zero tests, and
+    every other row reads its memoised verdict."""
+    assert all(verify_identity(fam) for fam in builtin_families())
+    info = families._residual_vanishes.cache_info()
+    assert (info.misses, info.hits) == (9, 42 - 9)
+
+
 def test_verify_families_reports_the_distinct_proofs(capsys, cold_proofs):
     assert main(["verify-families"]) == EXIT_OK
     assert ("168 Gram sums certified by 67 + 12 distinct proofs (positivity + product)"

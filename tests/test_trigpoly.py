@@ -1,17 +1,33 @@
 from __future__ import annotations
 
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import iv
+from mpmath.libmp import (
+    from_rational,
+    fzero,
+    mpi_add,
+    mpi_cos,
+    mpi_mul,
+    round_ceiling,
+    round_floor,
+    to_rational,
+)
+from mpmath.libmp.libmpi import mpi_pi
 
 from sphertet import cyclotomic, trigpoly
 from sphertet.angles import RationalAngle
 from sphertet.cyclotomic import (
+    SignedInterval,
     _iv_to_signed_interval,
+    angle_exponents,
     cos_as_cyclotomic,
+    cosine_sum,
     iv_precision,
     sign,
 )
@@ -228,6 +244,38 @@ def test_eval_interval_rejects_a_reversed_range(t_range, u_range):
         poly.eval_interval(t_range, u_range)
 
 
+def test_positivity_rejects_a_polynomial_in_u():
+    """cos u + 1/2 is positive on the slice u = 0 only; it is negative
+    near u = pi, so a proof in t alone would certify nothing."""
+    poly = TrigPoly.cos_of(f(0, 0, 1)) + TrigPoly.constant(Fraction(1, 2))
+    with pytest.raises(ValueError, match="depends on u"):
+        positive_on_open_interval(poly, 0, Fraction(1, 6))
+
+
+def test_derivative_rejects_an_unknown_variable():
+    poly = TrigPoly.cos_of(f(0, 1)) + TrigPoly.cos_of(f(0, 0, 1))
+    assert poly.derivative("t") == TrigPoly.sin_of(f(0, 1)).scale(-1)
+    assert poly.derivative("u") == TrigPoly.sin_of(f(0, 0, 1)).scale(-1)
+    with pytest.raises(ValueError, match="no variable 'x'"):
+        poly.derivative("x")
+
+
+@pytest.mark.parametrize("precision", [0, -5, True, 64.0])
+def test_precision_must_be_an_int_of_at_least_one_bit(monkeypatch, precision):
+    """Refused before mpmath is asked for anything: both interval entry
+    points would otherwise loop for ever on precision 0 or below."""
+    def no_mpmath(*args):
+        raise AssertionError("mpmath called")
+
+    for name in ("mpi_pi", "mpi_cos", "from_rational"):
+        monkeypatch.setattr(trigpoly, name, no_mpmath)
+    poly = TrigPoly.cos_of(f(0, 1)) + TrigPoly.constant(2)
+    with pytest.raises(ValueError, match="precision must be an int >= 1"):
+        poly.eval_interval((0, Fraction(1, 6)), precision=precision)
+    with pytest.raises(ValueError, match="precision must be an int >= 1"):
+        positive_on_open_interval(poly, 0, Fraction(1, 6), precision=precision)
+
+
 # -- enclosures against the mpmath.iv evaluation ------------------------
 
 
@@ -357,3 +405,182 @@ def test_residual_polys_are_zero_and_every_perturbation_is_not():
                 assert changed.is_zero() == vanishing_term, (fam.family_id, term)
                 perturbed += 1
     assert perturbed == 328
+
+
+# -- the integer representation against the Fraction algebra it replaced --
+#
+# The oracle keeps a polynomial as canonical Fraction terms ((A, B, C), gamma)
+# for gamma*cos(A*pi + B*t + C*u), sorted by (B, C, A), one per angle, no
+# zero gamma: the code TrigPoly ran before it moved to integers over one
+# angle denominator D and one coefficient denominator K.
+
+
+def _old_canonical(a, b, c):
+    if b < 0 or (b == 0 and c < 0) or (b == 0 and c == 0 and a < 0):
+        a, b, c = -a, -b, -c
+    a %= 2
+    if b == 0 and c == 0 and a > 1:
+        a = 2 - a
+    return a, b, c
+
+
+def _old_merged(terms):
+    merged = {}
+    for form, coeff in terms:
+        form = _old_canonical(*form)
+        merged[form] = merged.get(form, 0) + coeff
+    return tuple(sorted(((form, coeff) for form, coeff in merged.items() if coeff),
+                        key=lambda term: (term[0][1], term[0][2], term[0][0])))
+
+
+def _old_product(x, y):
+    out = []
+    for (a, b, c), g in x:
+        for (d, e, f_), h in y:
+            out += [((a + d, b + e, c + f_), g * h / 2),
+                    ((a - d, b - e, c - f_), g * h / 2)]
+    return _old_merged(out)
+
+
+def _old_derivative(x, variable):
+    i = 1 if variable == "t" else 2
+    return _old_merged([((form[0] - Fraction(1, 2), form[1], form[2]), -coeff * form[i])
+                        for form, coeff in x if form[i]])
+
+
+def _old_integer_coefficients(coeffs):
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def _old_is_zero(x):
+    for (b, c), group in itertools.groupby(x, key=lambda term: term[0][1:]):
+        group = list(group)
+        order, exponents = angle_exponents(
+            [RationalAngle.from_fraction(form[0]) for form, _ in group])
+        coeffs, _ = _old_integer_coefficients([coeff for _, coeff in group])
+        terms = list(zip(coeffs, exponents))
+        if b == 0 and c == 0:
+            num = cyclotomic.cosine_numerator(order, terms)
+        else:
+            num = cyclotomic._order_data(order).powers(terms)
+        if any(num):
+            return False
+    return True
+
+
+def _old_exact_sum(x, tau, mu):
+    angles, coeffs = [], []
+    for (a, b, c), coeff in x:
+        angle = RationalAngle.from_fraction(a + b * tau + c * mu)
+        if angle.den <= 3:
+            coeff *= cos_as_cyclotomic(angle).rational_value
+            angle = RationalAngle(0)
+        angles.append(angle)
+        coeffs.append(Fraction(coeff))
+    order, exponents = angle_exponents(angles)
+    coeffs, den = _old_integer_coefficients(coeffs)
+    return order, list(zip(coeffs, exponents)), den
+
+
+def _old_eval_interval(x, t_range, u_range, precision):
+    def outward(lo, hi):
+        return (from_rational(lo.numerator, lo.denominator, precision, round_floor),
+                from_rational(hi.numerator, hi.denominator, precision, round_ceiling))
+
+    (t1, t2), (u1, u2) = ((Fraction(lo), Fraction(hi)) for lo, hi in (t_range, u_range))
+    pi = mpi_pi(precision)
+    total = (fzero, fzero)
+    for (a, b, c), coeff in x:
+        lo = hi = a
+        for k, x1, x2 in ((b, t1, t2), (c, u1, u2)):
+            if k:
+                e1, e2 = k * x1, k * x2
+                lo, hi = (lo + e1, hi + e2) if k > 0 else (lo + e2, hi + e1)
+        angle = mpi_mul(outward(lo, hi), pi, precision)
+        term = mpi_mul(mpi_cos(angle, precision), outward(coeff, coeff), precision)
+        total = mpi_add(total, term, precision)
+    lo, hi = (Fraction(*to_rational(v)) for v in total)
+    return SignedInterval(lo, hi, precision)
+
+
+def _as_fractions(poly):
+    return tuple(((form.pi_part, form.t_part, form.u_part), coeff)
+                 for form, coeff in poly.terms)
+
+
+def _outcome(call, *args):
+    """The value of call(*args), or the type of the exception it raises
+    (an angle order beyond MAX_ORDER, for one)."""
+    try:
+        return call(*args)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc)
+
+
+_DIVISORS_2520 = [d for d in range(1, 2521) if 2520 % d == 0]
+_small_dens = st.sampled_from([1, 2, 3, 4, 6, 12])
+_any_dens = st.sampled_from(_DIVISORS_2520)
+
+
+def _rationals(bound, dens):
+    return st.builds(Fraction, st.integers(-bound, bound), dens)
+
+
+@st.composite
+def _oracle_polys(draw, two_param):
+    """Fraction terms ((A, B, C), gamma) with phases over divisors of
+    2520, zero and negative coefficients, and, at random, a copy of a
+    term under cos(-x + 2k pi) = cos(x) with the opposite coefficient, so
+    that sums cancel."""
+    dens = draw(st.sampled_from([_small_dens, _any_dens]))
+    terms = []
+    for _ in range(draw(st.integers(0, 4))):
+        form = (draw(_rationals(6000, dens)), draw(_rationals(3, _small_dens)),
+                draw(_rationals(3, _small_dens)) if two_param else Fraction(0))
+        coeff = draw(_rationals(5, _any_dens))
+        terms.append((form, coeff))
+        if draw(st.booleans()):
+            k = draw(st.integers(-2, 2))
+            terms.append(((2 * k - form[0], -form[1], -form[2]), -coeff))
+    return terms
+
+
+def _new_poly(terms):
+    return TrigPoly([(AngleForm(*form), coeff) for form, coeff in terms])
+
+
+@given(st.booleans().flatmap(lambda two: st.tuples(_oracle_polys(two),
+                                                  _oracle_polys(two))),
+       _rationals(6, _small_dens), _rationals(6, _small_dens), _rationals(3, _any_dens))
+@settings(max_examples=200)
+def test_integer_trigpoly_agrees_with_the_fraction_oracle(pair, tau, mu, k):
+    """Terms, zero tests, exact sums and values, and interval ends of
+    sums, differences, products, derivatives and scalings."""
+    (xs, ys), tau, mu = pair, abs(tau), abs(mu)
+    x, y = _new_poly(xs), _new_poly(ys)
+    ox, oy = _old_merged(xs), _old_merged(ys)
+    # cos(t + pi/3) + cos(t - pi/3) - cos(t): zero, with three terms
+    zs = [((Fraction(1, 3), 1, 0), 1), ((Fraction(-1, 3), 1, 0), 1), ((0, 1, 0), -1)]
+    zero, oz = _new_poly(zs), _old_merged(zs)
+    assert zero.is_zero() and len(zero.terms) == 3
+    cases = [
+        (x * zero, _old_product(ox, oz)),
+        (x, ox), (y, oy),
+        (x + y, _old_merged(ox + oy)),
+        (x - y, _old_merged(ox + tuple((f_, -c) for f_, c in oy))),
+        (x * y, _old_product(ox, oy)),
+        (x.derivative("t"), _old_derivative(ox, "t")),
+        (x.derivative("u"), _old_derivative(ox, "u")),
+        (x.scale(k), _old_merged((f_, c * k) for f_, c in ox)),
+    ]
+    t_range = (tau, tau + Fraction(1, 7))
+    u_range = (mu, mu + Fraction(1, 5))
+    for new, old in cases:
+        assert _as_fractions(new) == old
+        assert _outcome(new.is_zero) == _outcome(_old_is_zero, old)
+        assert _outcome(new._exact_sum, tau, mu) == _outcome(_old_exact_sum, old, tau, mu)
+        expected = _outcome(lambda: cosine_sum(*_old_exact_sum(old, tau, mu)))
+        assert repr(_outcome(new.eval_exact, tau, mu)) == repr(expected)
+        assert (new.eval_interval(t_range, u_range, 80)
+                == _old_eval_interval(old, t_range, u_range, 80))
