@@ -20,10 +20,10 @@ volume formula applied to the angle expressions, and (c) every point of
 the open domain is a realizable tetrahedron: each of the four cosine
 sums of geometry.realizability (gram_sums) is positive there, which
 makes the Gram matrix positive definite.  For one parameter the proof
-is Taylor strips at degenerate endpoints plus adaptive interval
-bisection; for two it is an exact sum-to-product identity
-2|c| cos X cos Y and the sign of each factor, read off the range of its
-linear argument over the region's vertices.
+is an exact Taylor cover (trigpoly.positive_on_open_interval); for two
+it is an exact sum-to-product identity 2|c| cos X cos Y and the sign of
+each factor, read off the range of its linear argument over the
+region's vertices.
 
 Membership is decided by an index built once, on first use.  Each
 family's angle map x = alpha + tau*beta + mu*gamma (x = (p, q, r, s) in
@@ -323,11 +323,10 @@ def family_by_id(family_id: int) -> FamilySpec:
 
 
 def residual_poly(fam: FamilySpec) -> TrigPoly:
-    """cos p cos q + cos((r+s)/2) cos((r-s)/2) as a TrigPoly."""
-    plus = (fam.r + fam.s).scale(_HALF)
-    minus = (fam.r - fam.s).scale(_HALF)
-    return (TrigPoly.cos_of(fam.p) * TrigPoly.cos_of(fam.q)
-            + TrigPoly.cos_of(plus) * TrigPoly.cos_of(minus))
+    """cos p cos q + cos((r+s)/2) cos((r-s)/2) as a TrigPoly, built by
+    the product-to-sum rule as (cos(p+q) + cos(p-q) + cos r + cos s)/2."""
+    return TrigPoly([(fam.p + fam.q, _HALF), (fam.p - fam.q, _HALF),
+                     (fam.r, _HALF), (fam.s, _HALF)])
 
 
 def verify_identity(fam: FamilySpec) -> bool:
@@ -352,6 +351,11 @@ def verify_volume_form(fam: FamilySpec) -> bool:
                for n, c in zip(nums, fam.vol._coeffs()))
 
 
+# The signs of cos((r-s)/2), cos((r+s)/2), cos p and cos q in each sum
+# of gram_sums.
+_GRAM_SIGNS = ((1, -1, -1, -1), (1, -1, 1, 1), (1, 1, -1, 1), (1, 1, 1, -1))
+
+
 def gram_sums(fam: FamilySpec) -> tuple[TrigPoly, TrigPoly, TrigPoly, TrigPoly]:
     """The four cosine sums of geometry.realizability as TrigPolys.
 
@@ -370,12 +374,9 @@ def gram_sums(fam: FamilySpec) -> tuple[TrigPoly, TrigPoly, TrigPoly, TrigPoly]:
     among the 32 of the two-parameter rows, one of which occurs in both
     regions and is proved once per region (12 product proofs).
     """
-    c_diff = TrigPoly.cos_of((fam.r - fam.s).scale(_HALF))
-    c_sum = TrigPoly.cos_of((fam.r + fam.s).scale(_HALF))
-    c_p, c_q = TrigPoly.cos_of(fam.p), TrigPoly.cos_of(fam.q)
-    s_minus, s_plus = c_diff - c_sum, c_diff + c_sum
-    return (s_minus - (c_p + c_q), s_minus + (c_p + c_q),
-            s_plus - (c_p - c_q), s_plus + (c_p - c_q))
+    forms = ((fam.r - fam.s).scale(_HALF), (fam.r + fam.s).scale(_HALF), fam.p, fam.q)
+    return tuple(TrigPoly(zip(forms, signs)) for signs in _GRAM_SIGNS)
+
 
 
 @dataclass(frozen=True)
@@ -473,10 +474,11 @@ def _proved_product(key: Key, domain: str) -> ProductWitness:
 def verify_domain(fam: FamilySpec) -> DomainCertificate:
     """Certify that the open domain is realizable.
 
-    Segment rows prove each sum positive on (0, pi/6) by Taylor strips at
-    the ends plus interval bisection; two-parameter rows by an exact
-    sum-to-product identity and the sign of each cosine factor over the
-    region.  Raises PositivityError when a sum cannot be proven positive.
+    Segment rows prove each sum positive on (0, pi/6) by an exact Taylor
+    cover (the recorded mode keeps its name "interval-bisection");
+    two-parameter rows by an exact sum-to-product identity and the sign
+    of each cosine factor over the region.  Raises PositivityError when
+    a sum cannot be proven positive.
     """
     sums = gram_sums(fam)
     if fam.two_param:

@@ -3,8 +3,8 @@
 A TrigPoly is a finite sum  sum_i  gamma_i * cos(pi*A_i + B_i*t + C_i*u)
 with rational gamma_i, A_i, B_i, C_i.  The class supports ring
 operations (products rewritten by the product-to-sum rule), partial
-derivatives, exact evaluation at rational multiples of pi, rigorous
-interval evaluation over boxes, and an exact identically-zero test.
+derivatives, exact evaluation at rational multiples of pi, an exact
+identically-zero test and proofs of positivity on an interval.
 
 Representation.  Everything is kept in Python ints.  An AngleForm is
 (a*pi + b*t + c*u)/d with integers a, b, c and d > 0 in lowest terms.  A
@@ -17,41 +17,34 @@ one per angle, with no zero k, sorted by (b, c, a), and D and K are the
 least denominators that hold them.  So two polynomials have equal terms
 exactly when their canonical sums are equal, and the triple
 (D, K, terms), TrigPoly.key, is the key under which a proof is memoised.
-Sums, products, derivatives, the zero test, exact sums and the angle
-ranges of an enclosure all run on these ints.  Fractions appear only at
-the API edge: the parts of an AngleForm, TrigPoly.terms, and the values,
-enclosures and witnesses that are returned.
+Fractions appear only at the API edge.
 
-Exact.  At t = tau*pi, u = mu*pi every angle is a rational multiple of
-pi, so the value is one cosine sum in one field Q(zeta_N), N = lcm of
-twice the angles' denominators (cyclotomic.angle_exponents; a term whose
-cosine is rational counts as a constant).  A sign comes from the proven
-float filter (cyclotomic.filter_signs) on its cosine terms, and from
-cyclotomic.sign on the exact element only when the filter declines.
-The zero test groups terms by frequency pair
-(B, C).  Functions cos(B*t + C*u + phase) with canonically distinct
-frequencies are linearly independent, so the sum vanishes identically
-iff every group does; a group  sum_i gamma_i cos(pi*A_i + theta)  is the
-real part of  (sum_i gamma_i e^{i pi A_i}) e^{i theta}  and vanishes for
-all theta iff that cyclotomic weight is zero, and the constant group
-iff its cosine sum is.  Each group is one packed table sum in one field
-Q(zeta_N), and it is zero iff its numerator is.
+Exact.  At t = tau*pi, u = mu*pi the value is one cosine sum in one
+field Q(zeta_N), N = lcm of twice the angles' denominators (_cosine_row;
+a rational cosine counts as a constant).  A sign comes from the proven
+float filter (cyclotomic.filter_signs), and from cyclotomic.sign only
+when the filter declines.  The zero test groups terms by frequency pair
+(B, C): functions cos(B*t + C*u + phase) with canonically distinct
+frequencies are linearly independent, and a group
+sum_i gamma_i cos(pi*A_i + theta) vanishes for all theta iff its
+cyclotomic weight sum_i gamma_i e^{i pi A_i} is zero (the constant group
+iff its cosine sum is): one packed table sum each.
 
-Enclosure.  Over a box t in [t1, t2]*pi, u in [u1, u2]*pi the angle of a
-term ranges over exactly pi times the rational interval
-A + B*[t1, t2] + C*[u1, u2].  eval_interval computes the ends of that
-range as integers over one denominator, rounds them outward to the
-working precision once, and multiplies by an enclosure of pi, takes the
-cosine, scales by the outward-rounded coefficient and sums, all in
-mpmath's libmp interval functions, every one of which rounds outward.
-
-Positivity.  positive_on_open_interval proves a one-parameter TrigPoly
-positive on an open interval: exact signs, and Taylor strips where an
-end vanishes, then interval bisection of the middle.  Each proof runs
-once per process: its witness is memoised under the key (poly.key, lo,
-hi, precision, max_depth) with lo and hi as reduced integer pairs, so
-equal polynomials (the Gram sums of twin family rows, for one) share one
-frozen witness.  The memo fills on use; its cache_clear is for tests.
+Positivity.  positive_on_open_interval proves g > 0 on (lo, hi)*pi by
+Taylor's theorem with an explicit remainder (Makino and Berz 2003).
+For g = sum k_i cos(pi*A_i + B_i*t), |d^n g/dt^n| <= M_n =
+sum |k_i| |B_i|^n, and pi in each bound is PI_UPPER = 355/113 > pi, so
+every inequality is one cosine sum with rational coefficients, decided
+by an exact sign.  An end x0 needs g(x0) > 0, or g vanishing to order m
+there and a strip of width w with s*g^(m)(x0) - PI_UPPER*M_(m+1)*w/(m+1)
+> 0, s the sign of g^(m)(x0).  The middle is bisected into pieces
+[c - h, c + h] (pi units), each with both
+g(c) -+ PI_UPPER*h*g'(c) - PI_UPPER^2*M_2*h^2/2 > 0.  The witness holds
+this rational data, and recheck_positivity rederives every sign from
+it.  A proof runs once per process, memoised under (poly.key, lo, hi),
+so equal polynomials (the Gram sums of twin family rows, for one) share
+one frozen witness; cache_clear is for tests.  eval_interval, an
+outward-rounded mpmath enclosure over a box, is on no proof path.
 """
 
 from __future__ import annotations
@@ -77,13 +70,13 @@ from mpmath.libmp import (
 )
 from mpmath.libmp.libmpi import mpi_pi
 
-from .angles import RationalAngle, _fraction
+from .angles import _fraction
 from .cyclotomic import (
     CyclotomicNumber,
+    CyclotomicOrderError,
     SignedInterval,
     _order_data,
-    angle_exponents,
-    cos_as_cyclotomic,
+    common_order,
     cosine_numerator,
     cosine_sum,
     filter_signs,
@@ -101,12 +94,6 @@ def _ratio(value, what: str) -> tuple[int, int]:
     if type(value) is not int:
         value = _fraction(value, what)
     return value.numerator, value.denominator
-
-
-def _check_precision(precision) -> None:
-    """An interval precision is an int of at least one bit."""
-    if type(precision) is not int or precision < 1:
-        raise ValueError(f"precision must be an int >= 1, got {precision!r}")
 
 
 @dataclass(frozen=True, slots=True, init=False, repr=False)
@@ -359,27 +346,14 @@ class TrigPoly:
                    ) -> tuple[int, list[tuple[int, int]], int]:
         """(N, terms, den): the value at t = tau*pi, u = mu*pi is
         sum_i k_i cos(2*pi*e_i/N) / den over the (k_i, e_i) terms, with den
-        the least common denominator of the coefficients.
-
-        cos(n*pi/d) is rational for d <= 3, so such a term enters as a
-        constant (angle 0) and leaves N to the other angles."""
+        the least common denominator of the coefficients (_cosine_row)."""
         (p, q), (r, s) = _ratio(tau, "parameter tau"), _ratio(mu, "parameter mu")
         den = self.angle_den * q * s
-        zero = RationalAngle(0)
-        angles, coeffs = [], []
-        for a, b, c, n in self.int_terms:
-            angle = RationalAngle(a * q * s + b * p * s + c * r * q, den)
-            if angle.den <= 3:
-                value = cos_as_cyclotomic(angle)  # order 1, value num[0]/den
-                angle, n = zero, n * 2 * value.num[0] // value.den
-            else:
-                n *= 2
-            angles.append(angle)
-            coeffs.append(n)
-        order, exponents = angle_exponents(angles)
+        order, terms = _cosine_row([(n, a * q * s + b * p * s + c * r * q, den)
+                                    for a, b, c, n in self.int_terms])
         k = 2 * self.coeff_den
-        g = math.gcd(k, *coeffs)
-        return order, [(n // g, e) for n, e in zip(coeffs, exponents)], k // g
+        g = math.gcd(k, *(n for n, _ in terms))
+        return order, [(n // g, e) for n, e in terms], k // g
 
     def eval_exact(self, tau: Rat, mu: Rat = 0) -> CyclotomicNumber:
         """Exact value at t = tau*pi, u = mu*pi."""
@@ -391,11 +365,14 @@ class TrigPoly:
         u_range: tuple[Rat, Rat] = (0, 0),
         precision: int = 64,
     ) -> SignedInterval:
-        """Rigorous enclosure over t in t_range*pi, u in u_range*pi.
+        """Rigorous enclosure over t in t_range*pi, u in u_range*pi: each
+        term's angle ranges over pi*(A + B*t_range + C*u_range).
 
         A range must run from its lower to its upper end, and precision
-        must be an int of at least one bit (ValueError otherwise)."""
-        _check_precision(precision)
+        must be an int of at least one bit (ValueError otherwise).  No
+        proof calls it; kept because perfbench/layers.py traces it."""
+        if type(precision) is not int or precision < 1:
+            raise ValueError(f"precision must be an int >= 1, got {precision!r}")
         (t1, t2, tq), (u1, u2, uq) = (_over_one_denominator(lo, hi)
                                       for lo, hi in (t_range, u_range))
         if t1 > t2 or u1 > u2:
@@ -457,6 +434,30 @@ class TrigPoly:
         return "TrigPoly(" + " + ".join(bits) + ")"
 
 
+# 2*cos(m*pi/d) for reduced d <= 3, by d and m mod 6: the rational cosines.
+_TWICE_RATIONAL_COS = {1: (2, -2, 2, -2, 2, -2), 2: (0,) * 6, 3: (0, 1, -1, 0, -1, 1)}
+
+
+def _cosine_row(terms: Iterable[tuple[int, int, int]]
+                ) -> tuple[int, list[tuple[int, int]]]:
+    """(N, row): sum_i k_i cos(2*pi*e_i/N) over the (k_i, e_i) of row is
+    twice the sum of n*cos(m*pi/d) over the (n, m, d) terms, d > 0, one
+    row entry per term.
+
+    N is the lcm of 2d over the reduced angles, and a term whose cosine is
+    rational (reduced d <= 3) enters as the constant (2n cos, 0), leaving
+    N to the other angles.  Raises CyclotomicOrderError when N exceeds
+    MAX_ORDER.
+    """
+    reduced = []
+    for n, m, d in terms:
+        g = math.gcd(m, d)
+        reduced.append((n, m // g, d // g))
+    order = common_order(*{2 * d if d > 3 else 2 for _, _, d in reduced})
+    return order, [(n * _TWICE_RATIONAL_COS[d][m % 6], 0) if d <= 3
+                   else (2 * n, m * (order // (2 * d))) for n, m, d in reduced]
+
+
 def _over_one_denominator(lo: Rat, hi: Rat) -> tuple[int, int, int]:
     """(m, n, q): the range ends are m/q and n/q."""
     (m, p), (n, r) = _ratio(lo, "range end"), _ratio(hi, "range end")
@@ -493,6 +494,11 @@ def det(matrix: Sequence[Sequence[TrigPoly]]) -> TrigPoly:
 
 # -- rigorous positivity on an interval ---------------------------------
 
+PI_UPPER = Fraction(355, 113)  # exceeds pi by less than 2.7e-7
+_PI_P, _PI_Q = PI_UPPER.numerator, PI_UPPER.denominator
+_COVER_DEPTH = 8  # most bisections of a middle, or halvings of a strip
+_ZERO = Fraction(0)
+
 
 @dataclass(frozen=True)
 class EndpointAnalysis:
@@ -506,137 +512,181 @@ class EndpointAnalysis:
 
 @dataclass(frozen=True)
 class PositivityWitness:
+    """The ends, the (c, h) samples whose pieces [c - h, c + h] tile the
+    middle in increasing order, and the bound of pi they used."""
+
     variable_range: tuple[Fraction, Fraction]
     left: EndpointAnalysis
     right: EndpointAnalysis
-    bisection_segments: int
-    precision: int
+    samples: tuple[tuple[Fraction, Fraction], ...]
+    pi_upper: Fraction
+
+    @property
+    def bisection_segments(self) -> int:
+        """The sample count, under the name perfbench/layers.py reads."""
+        return len(self.samples)
 
 
 class PositivityError(ArithmeticError):
     pass
 
 
+def _row_signs(terms: list[tuple[int, int, int]], flip: int = 0) -> list[int]:
+    """Exact signs of sum n*cos(m*pi/d) over the (n, m, d) terms and, if
+    flip, of that sum with terms[flip:] negated: one filter_signs call,
+    and cyclotomic.sign for a row the filter declines."""
+    order, row = _cosine_row(terms)
+    rows = [row, row[:flip] + [(-k, e) for k, e in row[flip:]]] if flip else [row]
+    return [sign(cosine_sum(order, row)) if s is None else s
+            for s, row in zip(filter_signs(order, rows), rows)]
+
+
 def _sign_at(poly: TrigPoly, x0: Fraction) -> int:
-    """Exact sign of poly at t = x0*pi: the float filter on its cosine
-    terms, and cyclotomic.sign only when the filter declines."""
-    order, terms, den = poly._exact_sum(x0)
-    s, = filter_signs(order, [terms])
-    if s is None:
-        s = sign(cosine_sum(order, terms, den))
-    return s
+    """Exact sign of poly at t = x0*pi, u = 0."""
+    p, q, d = x0.numerator, x0.denominator, poly.angle_den
+    return _row_signs([(k, a * q + b * p, d * q) for a, b, _, k in poly.int_terms])[0]
 
 
-def _endpoint_analysis(
-    chain: list[TrigPoly],
-    x0: Fraction,
-    direction: int,
-    max_width: Fraction,
-    precision: int,
-    max_order: int = 8,
-) -> EndpointAnalysis:
-    """Certify poly > 0 on a one-sided strip at x0 (direction +1 or -1).
+def _bound(poly: TrigPoly, n: int) -> int:
+    """M_n * K * D^n, M_n = sum |k_i| |B_i|^n >= max |d^n poly/dt^n|."""
+    return sum(abs(k) * abs(b) ** n for _, b, _, k in poly.int_terms)
 
-    chain is [poly, poly', poly'', ...]: both ends of one proof share it,
-    and an end extends it only as far as it needs.  If poly(x0) > 0
-    exactly, no strip is needed.  If poly(x0) = 0, find the first
-    non-vanishing derivative d^m; the sign of poly just inside is
-    direction^m * sign(d^m(x0)), and the strip is valid as soon as an
-    interval evaluation shows d^m keeps that exact sign across it (a
-    Taylor expansion anchored at x0 then has no other surviving term).
-    """
-    s = _sign_at(chain[0], x0)
+
+def _strip_holds(poly: TrigPoly, deriv: TrigPoly, x0: Fraction, s: int,
+                 m: int, width: Fraction) -> bool:
+    """s*d^m(x0) - PI_UPPER*M_(m+1)*width/(m + 1) > 0 for deriv = d^m,
+    times K D^(m+1) Q (m + 1) w K' (width = r/w, K' of deriv)."""
+    p, q, d = x0.numerator, x0.denominator, deriv.angle_den
+    f = s * poly.coeff_den * poly.angle_den ** (m + 1) * _PI_Q * (m + 1)
+    f *= width.denominator
+    terms = [(-_PI_P * width.numerator * deriv.coeff_den * _bound(poly, m + 1), 0, 1)]
+    terms += [(k * f, a * q + b * p, d * q) for a, b, _, k in deriv.int_terms]
+    return _row_signs(terms)[0] > 0
+
+
+def _sample_holds(poly: TrigPoly, c: Fraction, h: Fraction) -> bool:
+    """poly(c) -+ PI_UPPER*h*poly'(c) - PI_UPPER^2*M_2*h^2/2 > 0, times
+    2 K D^2 Q^2 s^2 (h = r/s), with d/dt k cos X = -k (b/D) cos(X - pi/2)."""
+    p, q, d, r, s = c.numerator, c.denominator, poly.angle_den, h.numerator, h.denominator
+    f, g = 2 * d * d * _PI_Q * _PI_Q * s * s, -2 * d * _PI_P * _PI_Q * r * s
+    angles = [(k, b, a * q + b * p) for a, b, _, k in poly.int_terms]
+    terms = [(-_PI_P * _PI_P * r * r * _bound(poly, 2), 0, 1)]
+    terms += [(k * f, m, d * q) for k, _, m in angles]
+    flip = len(terms)
+    terms += [(k * b * g, 2 * m - d * q, 2 * d * q) for k, b, m in angles]
+    return all(s > 0 for s in _row_signs(terms, flip))
+
+
+def _endpoint_analysis(chain: list[TrigPoly], x0: Fraction, other: Fraction,
+                       max_order: int = 8) -> EndpointAnalysis:
+    """poly(x0) > 0, or a strip from x0 towards other where poly vanishes
+    at x0 and d^m is the first derivative that does not: the widest
+    quarter/2^j of the interval whose double _strip_holds, which leaves
+    the middle a margin.  chain is [poly, poly', ...], shared by the ends."""
+    poly = chain[0]
+    s = _sign_at(poly, x0)
     if s > 0:
-        return EndpointAnalysis(x0, "positive-value", 0, Fraction(0))
+        return EndpointAnalysis(x0, "positive-value", 0, _ZERO)
     if s < 0:
         raise PositivityError(f"negative value at endpoint t = {x0}*pi")
-
-    for order in range(1, max_order + 1):
-        if order == len(chain):
+    for m in range(1, max_order + 1):
+        if m == len(chain):
             chain.append(chain[-1].derivative("t"))
-        deriv = chain[order]
-        s = _sign_at(deriv, x0)
+        s = _sign_at(chain[m], x0)
         if s != 0:
             break
     else:
         raise PositivityError(f"no nonzero derivative of order <= {max_order}")
-
-    inward = s * (direction ** order)
-    if inward <= 0:
-        raise PositivityError(
-            f"function decreases into the interval at t = {x0}*pi"
-        )
-    width = max_width
-    while width > Fraction(1, 1 << 24):
-        strip = (x0, x0 + width) if direction > 0 else (x0 - width, x0)
-        enclosure = deriv.eval_interval(strip, precision=precision)
-        if enclosure.sign == s:
-            return EndpointAnalysis(x0, "taylor-strip", order, width)
+    if s * (1 if other > x0 else -1) ** m <= 0:
+        raise PositivityError(f"function decreases into the interval at t = {x0}*pi")
+    width = abs(other - x0) / 4
+    for _ in range(_COVER_DEPTH):
+        if _strip_holds(poly, chain[m], x0, s, m, 2 * width):
+            return EndpointAnalysis(x0, "taylor-strip", m, width)
         width /= 2
     raise PositivityError(f"could not certify a strip at t = {x0}*pi")
 
 
-def positive_on_open_interval(
-    poly: TrigPoly,
-    lo: Rat,
-    hi: Rat,
-    precision: int = 96,
-    max_depth: int = 48,
-) -> PositivityWitness:
-    """Prove poly(t) > 0 for all t in (lo*pi, hi*pi).
+def _cover(poly: TrigPoly, lo: Fraction, hi: Fraction
+           ) -> tuple[tuple[Fraction, Fraction], ...]:
+    """Samples that _sample_holds whose pieces tile [lo, hi] in increasing
+    order, by bisection; a piece whose float estimate is not positive is
+    split with no exact sign.  A centre where poly is not positive, or a
+    piece past _COVER_DEPTH or MAX_ORDER, raises PositivityError."""
+    q = math.lcm(lo.denominator, hi.denominator)
+    d, m2, samples = poly.angle_den, _bound(poly, 2) / 2, []
+    stack = [(lo.numerator * (q // lo.denominator),
+              hi.numerator * (q // hi.denominator), q, 0)]
+    while stack:  # the piece [x1/q, x2/q]
+        x1, x2, q, depth = stack.pop()
+        c, h = Fraction(x1 + x2, 2 * q), Fraction(x2 - x1, 2 * q)
+        x, r = float(c), _PI_P * (x2 - x1) / (2 * _PI_Q * q * d)  # PI_UPPER*h/D
+        value = slope = 0.0
+        for a, b, _, k in poly.int_terms:
+            value += k * math.cos(math.pi * (a + b * x) / d)
+            slope += k * b * math.sin(math.pi * (a + b * x) / d)
+        try:
+            if value - r * abs(slope) - r * r * m2 > 0 and _sample_holds(poly, c, h):
+                samples.append((c, h))
+                continue
+            if _sign_at(poly, c) <= 0:
+                raise PositivityError(f"non-positive value at t = {c}*pi")
+        except CyclotomicOrderError as exc:
+            raise PositivityError(f"cover did not close at t = {c}*pi: {exc}") from exc
+        if depth == _COVER_DEPTH:
+            raise PositivityError(f"cover did not close at t = {c}*pi")
+        depth += 1
+        stack += [(x1 + x2, 2 * x2, 2 * q, depth), (2 * x1, x1 + x2, 2 * q, depth)]
+    return tuple(samples)
 
-    Endpoints may vanish (boundary degeneracies); they get exact Taylor
-    strips.  The remaining closed middle is covered by adaptive interval
-    bisection.  Raises PositivityError when positivity cannot be
-    established, so a successful return is a certificate.  poly must not
-    depend on u, and precision must be an int of at least one bit
-    (ValueError otherwise).
 
-    Each proof runs once per process: the witness is memoised under
-    (poly.key, lo, hi, precision, max_depth), with lo and hi as reduced
-    (numerator, denominator) pairs, and a later request with an equal key
-    gets the same frozen witness.  A proof that raises stores nothing.
+def positive_on_open_interval(poly: TrigPoly, lo: Rat, hi: Rat) -> PositivityWitness:
+    """Prove poly(t) > 0 for all t in (lo*pi, hi*pi) by the Taylor cover
+    of the module docstring, or raise PositivityError; poly must not
+    depend on u (ValueError).  The witness is memoised under (poly.key,
+    lo, hi), ends as reduced integer pairs; a failed proof stores nothing.
     """
     if any(c for _, _, c, _ in poly.int_terms):
         raise ValueError(f"{poly} depends on u; positivity is proved in t alone")
-    _check_precision(precision)
     return _proved_positive(poly.key, _ratio(lo, "interval end"),
-                            _ratio(hi, "interval end"), precision, max_depth)
+                            _ratio(hi, "interval end"))
 
 
 @lru_cache(maxsize=None)
-def _proved_positive(
-    key: Key,
-    lo: tuple[int, int],
-    hi: tuple[int, int],
-    precision: int,
-    max_depth: int,
-) -> PositivityWitness:
+def _proved_positive(key: Key, lo: tuple[int, int], hi: tuple[int, int]
+                     ) -> PositivityWitness:
     """The memoised proof of positive_on_open_interval."""
     lo, hi = Fraction(*lo), Fraction(*hi)
     if not lo < hi:
         raise ValueError("empty interval")
-    poly = TrigPoly._of(*key)
-    chain = [poly]
-    quarter = (hi - lo) / 4
-    left = _endpoint_analysis(chain, lo, +1, quarter, precision)
-    right = _endpoint_analysis(chain, hi, -1, quarter, precision)
-    mid_lo = lo + left.strip_width
-    mid_hi = hi - right.strip_width
-    segments = 0
-    if mid_lo < mid_hi:
-        stack = [(mid_lo, mid_hi, 0)]
-        while stack:
-            x1, x2, depth = stack.pop()
-            enclosure = poly.eval_interval((x1, x2), precision=precision)
-            if enclosure.lo > 0:
-                segments += 1
-                continue
-            if depth >= max_depth:
-                raise PositivityError(
-                    f"bisection stalled on [{x1}, {x2}]*pi: {enclosure}"
-                )
-            mid = (x1 + x2) / 2
-            stack.append((x1, mid, depth + 1))
-            stack.append((mid, x2, depth + 1))
-    return PositivityWitness((lo, hi), left, right, segments, precision)
+    chain = [TrigPoly._of(*key)]
+    left, right = _endpoint_analysis(chain, lo, hi), _endpoint_analysis(chain, hi, lo)
+    samples = _cover(chain[0], lo + left.strip_width, hi - right.strip_width)
+    return PositivityWitness((lo, hi), left, right, samples, PI_UPPER)
+
+
+def recheck_positivity(poly: TrigPoly, witness: PositivityWitness) -> bool:
+    """Whether witness proves poly > 0 on its open range, each sign
+    rederived by the check the proof runs: the pi bound is PI_UPPER, each
+    end has a positive value or vanishes to its order with a strip, and
+    the samples tile the middle exactly."""
+    if witness.pi_upper != PI_UPPER or any(c for _, _, c, _ in poly.int_terms):
+        return False
+    (lo, hi), chain = witness.variable_range, [poly]
+    for end, x0, other in ((witness.left, lo, hi), (witness.right, hi, lo)):
+        m, width = end.vanishing_order, end.strip_width
+        while len(chain) <= m:
+            chain.append(chain[-1].derivative("t"))
+        signs = [_sign_at(chain[j], x0) for j in range(m + 1)]
+        value = end.method == "positive-value" and m == width == 0 and signs[0] > 0
+        strip = (end.method == "taylor-strip" and m > 0 and width > 0
+                 and signs[m] * (1 if other > x0 else -1) ** m > 0
+                 and _strip_holds(poly, chain[m], x0, signs[m], m, width))
+        if end.endpoint != x0 or any(signs[:m]) or not (value or strip):
+            return False
+    edge = lo + witness.left.strip_width
+    for c, h in witness.samples:
+        if h <= 0 or c - h != edge or not _sample_holds(poly, c, h):
+            return False
+        edge = c + h
+    return edge == hi - witness.right.strip_width

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import re
+from dataclasses import replace
 from fractions import Fraction
 from typing import Optional
 
@@ -38,7 +39,14 @@ from sphertet.families import (
 )
 from sphertet.geometry import PythagoreanQuadruple, realizability, volume
 from sphertet.records import load_family_fixture
-from sphertet.trigpoly import AngleForm, PositivityError, TrigPoly, positive_on_open_interval
+from sphertet.trigpoly import (
+    AngleForm,
+    EndpointAnalysis,
+    PositivityError,
+    TrigPoly,
+    positive_on_open_interval,
+    recheck_positivity,
+)
 
 
 def quad(p, q, r, s):
@@ -100,45 +108,45 @@ def test_segment_domain_certificates_have_witnesses(domain_certificates):
 
 
 # The positivity witnesses of the 34 segment rows, one string per sum of
-# gram_sums: "<bisection segments> <left end> <right end>", where an end
-# is "v" (positive value) or "s<vanishing order>@<strip width>" (Taylor
+# gram_sums: "<cover samples> <left end> <right end>", where an end is
+# "v" (positive value) or "s<vanishing order>@<strip width>" (Taylor
 # strip).  Any change to the exact signs, the derivative order or the
-# interval enclosures that moves a decision shows here.
+# Taylor cover that moves a decision shows here.
 _SEGMENT_WITNESSES = {
     1: ('1 v v', '1 v v', '1 v v', '1 v v'),
-    2: ('1 v s1@1/24', '1 v v', '1 v v', '4 v s1@1/24'),
+    2: ('1 v s1@1/24', '1 v v', '1 v v', '1 v s1@1/24'),
     3: ('1 v v', '1 v v', '1 v v', '1 v v'),
     4: ('1 s1@1/24 v', '1 v v', '1 v v', '1 s1@1/24 v'),
-    5: ('1 v v', '1 v v', '1 v v', '2 v v'),
+    5: ('1 v v', '1 v v', '1 v v', '1 v v'),
     6: ('1 v v', '1 v v', '1 v v', '1 v v'),
-    7: ('2 v v', '1 v v', '1 v v', '1 v v'),
-    8: ('1 v s1@1/24', '1 v v', '1 v v', '3 v s1@1/24'),
-    9: ('1 v v', '1 v v', '1 v v', '2 v v'),
+    7: ('1 v v', '1 v v', '1 v v', '1 v v'),
+    8: ('1 v s1@1/24', '1 v v', '1 v v', '1 v s1@1/24'),
+    9: ('1 v v', '1 v v', '1 v v', '1 v v'),
     10: ('1 v s1@1/24', '1 v v', '1 v v', '1 v s1@1/24'),
-    11: ('4 v s1@1/24', '1 v v', '1 v v', '1 v s1@1/24'),
+    11: ('1 v s1@1/24', '1 v v', '1 v v', '1 v s1@1/24'),
     12: ('1 v v', '1 v s1@1/24', '1 v v', '1 v s1@1/24'),
     13: ('1 v v', '1 v v', '1 v v', '1 v v'),
     14: ('1 v v', '1 v v', '1 v v', '1 v v'),
-    15: ('3 v s1@1/24', '1 v v', '1 v v', '1 v s1@1/24'),
-    16: ('1 v v', '1 v s1@1/24', '1 v v', '4 v s1@1/24'),
-    17: ('1 v v', '1 v s1@1/24', '1 v v', '4 v s1@1/24'),
-    18: ('4 v s1@1/24', '1 v v', '1 v v', '1 v s1@1/24'),
-    19: ('1 v v', '1 v s1@1/24', '1 v v', '3 v s1@1/24'),
-    20: ('1 v s2@1/24', '1 v v', '1 v v', '1 v s2@1/24'),
-    21: ('1 v v', '1 v v', '1 v v', '2 v v'),
-    22: ('1 v s1@1/24', '1 v v', '1 v v', '4 v s1@1/24'),
+    15: ('1 v s1@1/24', '1 v v', '1 v v', '1 v s1@1/24'),
+    16: ('1 v v', '1 v s1@1/24', '1 v v', '1 v s1@1/24'),
+    17: ('1 v v', '1 v s1@1/24', '1 v v', '1 v s1@1/24'),
+    18: ('1 v s1@1/24', '1 v v', '1 v v', '1 v s1@1/24'),
+    19: ('1 v v', '1 v s1@1/24', '1 v v', '1 v s1@1/24'),
+    20: ('3 v s2@1/24', '1 v v', '1 v v', '3 v s2@1/24'),
+    21: ('1 v v', '1 v v', '1 v v', '1 v v'),
+    22: ('1 v s1@1/24', '1 v v', '1 v v', '1 v s1@1/24'),
     23: ('1 v v', '1 v v', '1 v v', '1 v v'),
     24: ('1 s1@1/24 v', '1 v v', '1 v v', '1 s1@1/24 v'),
     25: ('1 v v', '1 v s1@1/24', '1 v v', '1 v s1@1/24'),
-    26: ('1 v v', '4 v s1@1/24', '1 v v', '1 v s1@1/24'),
-    27: ('2 v v', '1 v v', '1 v v', '1 v v'),
-    28: ('1 v v', '1 v v', '1 v v', '2 v v'),
-    29: ('3 v s1@1/24', '1 v v', '1 v v', '1 v s1@1/24'),
+    26: ('1 v v', '1 v s1@1/24', '1 v v', '1 v s1@1/24'),
+    27: ('1 v v', '1 v v', '1 v v', '1 v v'),
+    28: ('1 v v', '1 v v', '1 v v', '1 v v'),
+    29: ('1 v s1@1/24', '1 v v', '1 v v', '1 v s1@1/24'),
     30: ('1 v s1@1/24', '1 v v', '1 v v', '1 v s1@1/24'),
-    31: ('1 v v', '1 v s1@1/24', '1 v v', '3 v s1@1/24'),
-    32: ('1 v s1@1/24', '1 v v', '1 v v', '3 v s1@1/24'),
+    31: ('1 v v', '1 v s1@1/24', '1 v v', '1 v s1@1/24'),
+    32: ('1 v s1@1/24', '1 v v', '1 v v', '1 v s1@1/24'),
     33: ('1 v v', '1 v v', '1 v v', '1 v v'),
-    34: ('1 v v', '4 v s1@1/24', '1 v v', '1 v s1@1/24'),
+    34: ('1 v v', '1 v s1@1/24', '1 v v', '1 v s1@1/24'),
 }
 
 
@@ -158,6 +166,45 @@ def test_segment_witnesses_match_the_golden_table(domain_certificates):
     assert got == _SEGMENT_WITNESSES
 
 
+def test_every_certificate_rechecks_from_its_witness(domain_certificates):
+    """Each positivity witness passes recheck_positivity, and each product
+    witness is the one a fresh proof derives."""
+    for fam in builtin_families():
+        cert = domain_certificates[fam.family_id]
+        for total, w in zip(gram_sums(fam), cert.witnesses, strict=True):
+            if fam.two_param:
+                assert families._proved_product.__wrapped__(total.key, fam.domain) == w
+            else:
+                assert recheck_positivity(total, w), fam.family_id
+
+
+def _mutations(w):
+    """Family 20's first witness (a vanishing right end of order 2 and
+    three samples), each time changed in one place.  Merging the last two
+    pieces keeps the tiling; the merged piece fails its exact rows."""
+    (c0, h0), (c1, h1), (c2, h2) = w.samples
+    merged = (c1 + c2) / 2, h1 + h2
+    return {
+        "half-width doubled": replace(w, samples=((c0, h0), (c1, 2 * h1), (c2, h2))),
+        "strip width doubled": replace(w, right=replace(w.right, strip_width=2 * w.right.strip_width)),
+        "sample dropped": replace(w, samples=((c0, h0), (c2, h2))),
+        "pieces merged": replace(w, samples=((c0, h0), merged)),
+        "order too low": replace(w, right=replace(w.right, vanishing_order=1)),
+        "pi bound below pi": replace(w, pi_upper=Fraction(3)),
+        "end moved": replace(w, left=EndpointAnalysis(Fraction(1, 7), "positive-value", 0, Fraction(0))),
+    }
+
+
+@pytest.mark.parametrize("mutation", [
+    "half-width doubled", "strip width doubled", "sample dropped", "pieces merged",
+    "order too low", "pi bound below pi", "end moved"])
+def test_a_mutated_witness_fails_the_recheck(domain_certificates, mutation):
+    total, w = gram_sums(family_by_id(20))[0], domain_certificates[20].witnesses[0]
+    assert (w.right.vanishing_order, len(w.samples)) == (2, 3)
+    assert recheck_positivity(total, w)
+    assert not recheck_positivity(total, _mutations(w)[mutation])
+
+
 def test_verify_families_prints_the_golden_segment_counts(capsys):
     assert main(["verify-families"]) == EXIT_OK
     printed = dict(re.findall(r"family +(\d+):.*segments=(\d+)", capsys.readouterr().out))
@@ -168,11 +215,13 @@ def test_verify_families_prints_the_golden_segment_counts(capsys):
 
 def test_families_verify_without_interval_refinement(monkeypatch, cold_proofs):
     """Every exact sign behind the 42 certificates is proved by the
-    float64 filter: with interval refinement refused, all still verify."""
-    def refuse(self, bits=64):
-        raise AssertionError("float_interval reached")
+    float64 filter, and no proof evaluates an interval: with interval
+    refinement and TrigPoly.eval_interval refused, all still verify."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("interval arithmetic reached")
 
     monkeypatch.setattr(CyclotomicNumber, "float_interval", refuse)
+    monkeypatch.setattr(TrigPoly, "eval_interval", refuse)
     for fam in builtin_families():
         assert verify_identity(fam) and verify_volume_form(fam)
         assert verify_domain(fam).valid
@@ -201,7 +250,7 @@ def test_twin_rows_share_their_witnesses(cold_proofs):
 def test_a_full_pass_proves_each_distinct_sum_once(monkeypatch, cold_proofs):
     """136 segment sums are 67 distinct polynomials; the 32 two-parameter
     sums are 11, one of them in both regions, so 12 (sum, region) proofs."""
-    calls = {"eval_interval": 0, "_sign_at": 0}
+    calls = {"eval_interval": 0, "_sign_at": 0, "_row_signs": 0}
 
     def count(owner, name):
         real = getattr(owner, name)
@@ -213,13 +262,17 @@ def test_a_full_pass_proves_each_distinct_sum_once(monkeypatch, cold_proofs):
 
     count(TrigPoly, "eval_interval")
     count(trigpoly, "_sign_at")
+    count(trigpoly, "_row_signs")
     for fam in builtin_families():
         verify_domain(fam)
     positivity = trigpoly._proved_positive.cache_info()
     product = families._proved_product.cache_info()
     assert (positivity.misses, positivity.hits) == (67, 136 - 67)
     assert (product.misses, product.hits) == (12, 32 - 12)
-    assert calls == {"eval_interval": 130, "_sign_at": 157}
+    # 134 end values, 23 derivatives at the 21 vanishing ends and 4
+    # centres of pieces that were split; 71 samples and 21 strips add
+    # one exact row each
+    assert calls == {"eval_interval": 0, "_sign_at": 161, "_row_signs": 161 + 71 + 21}
 
 
 def test_a_full_pass_runs_each_distinct_zero_test_once(cold_proofs):

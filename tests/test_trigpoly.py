@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -38,12 +39,15 @@ from sphertet.families import (
     residual_poly,
 )
 from sphertet.trigpoly import (
+    PI_UPPER,
     AngleForm,
     PositivityError,
     TrigPoly,
+    _bound,
     _sign_at,
     det,
     positive_on_open_interval,
+    recheck_positivity,
 )
 
 params = st.fractions(min_value=Fraction(0), max_value=Fraction(1),
@@ -184,9 +188,10 @@ def test_positivity_memo_keys_on_the_polynomial_and_interval(cold_proofs):
     # equal terms and an int end share the entry of Fraction(0)
     again = TrigPoly.cos_of(f(Fraction(-1, 2), 1))
     assert positive_on_open_interval(again, Fraction(0), Fraction(1, 6)) is wide
-    assert positive_on_open_interval(poly, 0, Fraction(1, 6), precision=128) is not wide
+    # unreduced ends are reduced before they key the memo
+    assert positive_on_open_interval(poly, Fraction(0, 5), Fraction(2, 12)) is wide
     info = trigpoly._proved_positive.cache_info()
-    assert (info.misses, info.hits) == (4, 1)
+    assert (info.misses, info.hits) == (3, 2)
 
 
 def test_a_failed_positivity_proof_is_not_stored(cold_proofs):
@@ -212,6 +217,72 @@ def test_both_ends_share_one_derivative_chain(monkeypatch, cold_proofs):
     witness = positive_on_open_interval(s * s, Fraction(0), Fraction(1))
     assert (witness.left.vanishing_order, witness.right.vanishing_order) == (2, 2)
     assert calls == ["t", "t"]
+
+
+def test_a_non_positive_sample_raises(cold_proofs):
+    """cos^2 is 1 at both ends of (0, 1) and 0 at the centre of the first
+    piece of the middle."""
+    c = TrigPoly.cos_of(f(0, 1))
+    with pytest.raises(PositivityError, match=r"non-positive value at t = 1/2\*pi"):
+        positive_on_open_interval(c * c, 0, 1)
+    assert trigpoly._proved_positive.cache_info().currsize == 0
+
+
+def test_a_cover_that_never_closes_raises(cold_proofs):
+    """cos^2 + 10^-12 is positive, but no piece holding t = pi/2 closes
+    above the depth cap."""
+    c = TrigPoly.cos_of(f(0, 1))
+    poly = c * c + TrigPoly.constant(Fraction(1, 10 ** 12))
+    with pytest.raises(PositivityError, match="cover did not close"):
+        positive_on_open_interval(poly, 0, 1)
+
+
+def test_positivity_witnesses_recheck(cold_proofs):
+    s = TrigPoly.sin_of(f(0, 1))
+    for poly in (s, s * s, TrigPoly.cos_of(f(0, 1)) + TrigPoly.constant(2)):
+        witness = positive_on_open_interval(poly, 0, 1)
+        assert witness.pi_upper == PI_UPPER
+        assert witness.bisection_segments == len(witness.samples) > 0
+        assert recheck_positivity(poly, witness)
+        # the witness of another polynomial proves nothing about this one
+        assert not recheck_positivity(poly - TrigPoly.constant(3), witness)
+
+
+@pytest.mark.parametrize("width, holds", [(Fraction(3, 5), True), (Fraction(13, 20), False)])
+def test_recheck_bounds_a_strip_by_taylor(cold_proofs, width, holds):
+    """sin(pi t) on (0, 1): a strip of width w at 0 holds exactly while
+    1 - PI_UPPER*w/2 > 0, i.e. w < 0.6366; one sample tiles the rest."""
+    poly = TrigPoly.sin_of(f(0, 1))
+    witness = positive_on_open_interval(poly, 0, 1)
+    piece = ((width + Fraction(3, 4)) / 2, (Fraction(3, 4) - width) / 2)
+    wide = replace(witness, left=replace(witness.left, strip_width=width), samples=(piece,))
+    assert recheck_positivity(poly, wide) is holds
+
+
+def test_pi_upper_exceeds_pi():
+    """Against mpmath's 256-bit enclosure of pi, a test oracle only."""
+    with iv_precision(256):
+        pi = _iv_to_signed_interval(iv.pi, 256)
+    assert pi.hi < PI_UPPER < pi.lo + Fraction(27, 10 ** 8)
+
+
+@given(st.lists(st.tuples(forms, st.fractions(min_value=-3, max_value=3, max_denominator=7)),
+                min_size=1, max_size=4))
+@settings(max_examples=60)
+def test_derivative_bounds_dominate_on_a_dense_grid(terms):
+    """M_n = sum |k_i| |B_i|^n bounds |d^n g/dt^n| at 2001 points of
+    t in [-3, 3]*pi, for n = 0..4."""
+    poly = TrigPoly(terms)
+    grid = [-3 + 6 * i / 2000 for i in range(2001)]
+    deriv = poly
+    for n in range(5):
+        bound = _bound(poly, n) / (poly.coeff_den * poly.angle_den ** n)
+        d, k = deriv.angle_den, deriv.coeff_den
+        top = max((abs(sum(c * math.cos(math.pi * (a + b * x) / d)
+                           for a, b, _, c in deriv.int_terms)) / k for x in grid),
+                  default=0.0)
+        assert top <= bound * (1 + 1e-12) + 1e-12, (n, top, bound)
+        deriv = deriv.derivative("t")
 
 
 # -- input checks --------------------------------------------------------
@@ -262,8 +333,8 @@ def test_derivative_rejects_an_unknown_variable():
 
 @pytest.mark.parametrize("precision", [0, -5, True, 64.0])
 def test_precision_must_be_an_int_of_at_least_one_bit(monkeypatch, precision):
-    """Refused before mpmath is asked for anything: both interval entry
-    points would otherwise loop for ever on precision 0 or below."""
+    """Refused before mpmath is asked for anything: eval_interval would
+    otherwise loop for ever on precision 0 or below."""
     def no_mpmath(*args):
         raise AssertionError("mpmath called")
 
@@ -272,8 +343,6 @@ def test_precision_must_be_an_int_of_at_least_one_bit(monkeypatch, precision):
     poly = TrigPoly.cos_of(f(0, 1)) + TrigPoly.constant(2)
     with pytest.raises(ValueError, match="precision must be an int >= 1"):
         poly.eval_interval((0, Fraction(1, 6)), precision=precision)
-    with pytest.raises(ValueError, match="precision must be an int >= 1"):
-        positive_on_open_interval(poly, 0, Fraction(1, 6), precision=precision)
 
 
 # -- enclosures against the mpmath.iv evaluation ------------------------
