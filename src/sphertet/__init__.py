@@ -3,8 +3,9 @@ angles and rational volume.
 
 Everything numeric is decided exactly: angles are rational multiples of
 pi, cosines live in cyclotomic fields, volumes are rational multiples
-of pi^2, and every inequality is certified by interval arithmetic with
-explicit precision control (never by floating point alone).
+of pi^2, and every inequality is proven: by a float sum only where a
+proven error bound excludes zero, else by an exact integer enclosure
+(the cyclotomic core) or mpmath interval arithmetic (certify's links).
 """
 
 from __future__ import annotations

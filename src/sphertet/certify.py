@@ -29,16 +29,18 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
-from typing import Optional
+from typing import Iterator, Optional
 
 from mpmath import iv
+from mpmath.libmp import to_rational
 
 from .angles import RationalAngle, frac_obj, obj_frac
-from .cyclotomic import SignedInterval, _iv_to_signed_interval, iv_precision
+from .cyclotomic import SignedInterval
 from .geometry import PreconditionError, PythagoreanQuadruple, vertex_links
 
 
@@ -130,6 +132,21 @@ class LinkTriangle:
         return sum(x.frac for x in self.angles) - 1
 
 
+@contextmanager
+def iv_precision(bits: int) -> Iterator[None]:
+    """Run a block at mpmath interval precision bits: the one place that
+    sets and restores that global state."""
+    old, iv.prec = iv.prec, bits
+    try:
+        yield
+    finally:
+        iv.prec = old
+
+
+def _iv_to_signed_interval(x, precision: int) -> SignedInterval:
+    return SignedInterval(*(Fraction(*map(int, to_rational(v))) for v in x._mpi_), precision)
+
+
 def _iv_angle(x: RationalAngle):
     return iv.pi * iv.mpf(x.num) / iv.mpf(x.den)
 
@@ -138,15 +155,9 @@ def _clip_unit(x):
     """Intersect an enclosure with [0, 1]; used under a sqrt.
 
     Outward rounding can push 1 - cos^2 slightly negative even though
-    the true value is a square; clipping at exact rational endpoints
-    keeps the enclosure certified.
+    the true value is a square; clipping at 0 and 1 keeps it certified.
     """
-    s = _iv_to_signed_interval(x, iv.prec)
-    lo = max(s.lo, Fraction(0))
-    hi = min(max(s.hi, Fraction(0)), Fraction(1))
-    lo_iv = iv.mpf(lo.numerator) / iv.mpf(lo.denominator)
-    hi_iv = iv.mpf(hi.numerator) / iv.mpf(hi.denominator)
-    return iv.mpf([lo_iv.a, hi_iv.b])
+    return iv.mpf([max(x.a, 0), min(max(x.b, 0), 1)])
 
 
 def _side_cosines_iv(t: LinkTriangle):
@@ -174,9 +185,7 @@ def link_triangle_sides(t: LinkTriangle, precision: int = 64
     decreasing cosine instead.
     """
     with iv_precision(precision):
-        return tuple(
-            _iv_to_signed_interval(c, precision) for c in _side_cosines_iv(t)
-        )
+        return tuple(_iv_to_signed_interval(c, precision) for c in _side_cosines_iv(t))
 
 
 def _vertices_iv(t: LinkTriangle):

@@ -27,15 +27,14 @@ product is one big-int product of the two numerators, packed at a width
 that holds their convolution, reduced through the table.  Numerator
 tuples are unpacked only when an element is built.
 
-Signs.  Each order also keeps floats c[e] ~ cos(2*pi*e/N) for every
-e < N with a proven error E, built in integer fixed point.  The sign of
-a cosine sum sum_i k_i cos(2*pi*e_i/N) is taken from the float sum over
-that table when a proven bound on its error excludes zero
-(filter_signs); a real element is the sum with e_j = j over its power
-basis, so sign() runs the same filter on its numerator.  When the filter
-declines, certified interval evaluation at increasing precision
-(mpmath's interval context, outward rounding) is refined until zero is
-excluded, which terminates for a nonzero element.
+Signs.  Every sign reads one integer table: Z[e] within a proven d of
+2^P cos(2*pi*e/N), e < N, at any P, from integers only (_cosine_table).
+Each order keeps it at P = 96 as floats c[e] within E, and a cosine sum
+sum_i k_i cos(2*pi*e_i/N) takes its sign from the float sum over c when
+a proven bound on its error excludes zero (filter_signs); sign()
+filters a real element's numerator, the sum with e_j = j.  Otherwise
+float_interval, an integer dot product with Z, is refined until zero
+is excluded.
 """
 
 from __future__ import annotations
@@ -45,14 +44,10 @@ import math
 import operator
 import sys
 from array import array
-from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, Optional, Sequence, Union
-
-import mpmath
-from mpmath.libmp import to_rational
+from typing import Iterable, Optional, Sequence, Union
 
 from .angles import RationalAngle, _fraction
 
@@ -68,14 +63,12 @@ _SLOT_TERMS = 256
 # array typecodes of the unsigned machine integers, by width in bits.
 _UNSIGNED = {array(code).itemsize * 8: code for code in "BHILQ"}
 
-# When its float filter declines, sign() starts interval evaluation at
+# When its float filter declines, sign() starts float_interval at
 # this precision and doubles it up to the maximum.
 SIGN_START_BITS = 64
 SIGN_MAX_BITS = 1 << 20
 
-# The float cosine table of an order is built from a _TABLE_BITS
-# enclosure of zeta_N, in fixed point with _FIXED_BITS fraction bits.
-_TABLE_BITS = 128
+# Bits of the integer table that the float filter rounds.
 _FIXED_BITS = 96
 
 # Unit roundoff of float64.  The filter only takes coefficients below
@@ -218,43 +211,71 @@ def _reduction_rows(poly: Sequence[int], order: int, width: int
     return (rows, bound) if bound < limit else None
 
 
-def _float_cosines(order: int) -> tuple[list[float], float]:
-    """(c, E): floats c[e] ~ cos(2*pi*e/N) for every e < N, and
-    E >= max_e |c[e] - cos(2*pi*e/N)|.
+def _pi_fixed(bits: int) -> tuple[int, int]:
+    """(p, e) with |p - 2^bits pi| <= e, by Machin's formula
+    pi = 16 atan(1/5) - 4 atan(1/239).
 
-    One 128-bit interval enclosure of zeta = e^(2*pi*i/N) is rounded to a
-    fixed-point pair Z_1 in units of 2^-P; the powers
-    Z_j = floor(Z_(j-1) * Z_1 / 2^P) are exact integer products, for
-    j <= N/2.  With w_j = 2^P zeta^j, |Z_j - w_j| <= d_j holds by
-    induction: Z_(j-1) Z_1 / 2^P = w_j + e_(j-1) w_1 / 2^P
-    + w_(j-1) e_1 / 2^P + e_(j-1) e_1 / 2^P, |w_j| = 2^P, and the two
-    floors add less than sqrt(2) < 2.  Each c[j] is Re Z_j / 2^P rounded
-    to nearest, off by at most 2^-53, half an ulp of a float below 2, and
-    c[N - j] = c[j] as the cosines are equal.
+    Nested floors give a_k = floor(2^bits / x^(2k+1)), so each term
+    floor(a_k / (2k+1)) of atan(1/x) is off by less than 1, as is the
+    alternating tail after the first a_K = 0: K + 1, times |c|.
     """
-    scale = 1 << _FIXED_BITS
-    with iv_precision(_TABLE_BITS):
-        theta = 2 * mpmath.iv.pi / order
-        enclosures = (mpmath.iv.cos(theta), mpmath.iv.sin(theta))
-    z1, err1 = [], 0
-    for enc in enclosures:
-        ivl = _iv_to_signed_interval(enc, _TABLE_BITS)
-        lo, hi = ivl.lo * scale, ivl.hi * scale
-        z = round(ivl.midpoint * scale)
-        z1.append(z)
-        err1 += max(hi - z, z - lo)
+    p = e = 0
+    for c, x in ((16, 5), (-4, 239)):
+        a, k = (1 << bits) // x, 0
+        while a:
+            p += (-c if k & 1 else c) * (a // (2 * k + 1))
+            a //= x * x
+            k += 1
+        e += abs(c) * (k + 1)
+    return p, e
+
+
+def _root_fixed(order: int, bits: int) -> tuple[int, int, int]:
+    """(x, y, e): x and y within e of 2^bits cos(2*pi/N) and sin(2*pi/N).
+
+    T = floor(2p/N), p of _pi_fixed, is within 2e_pi + 1 of 2^bits 2pi/N.
+    The terms U_k = floor(U_(k-1) T / (k 2^bits)) of exp(i T / 2^bits) are
+    within E_k = ceil(E_(k-1) T / (k 2^bits)) + 1 of exact; once
+    k 2^bits >= 2T the terms at least halve, so the tail after U_K = 0 is
+    below U_K + E_K = E_K.
+    """
+    p, e = _pi_fixed(bits)
+    t, one, e = 2 * p // order, 1 << bits, 2 * e + 1
+    xy, u, err, k = [0, 0], one, 0, 0
+    while True:
+        xy[k & 1] += -u if k & 2 else u  # i^k t^k / k!
+        e += err
+        if not u and k * one >= 2 * t:
+            return (*xy, e + err)
+        k += 1
+        u = u * t // (k * one)
+        err = -(-err * t // (k * one)) + 1
+
+
+@lru_cache(maxsize=None)
+def _cosine_table(order: int, bits: int) -> tuple[tuple[int, ...], int]:
+    """(Z, d): ints Z[e] within d of 2^P cos(2*pi*e/N) for every e < N, P = bits.
+
+    _root_fixed at 64 + log2(P) guard bits, rounded to P, gives Z_1 = (x, y)
+    within d_1 of w_1; the powers Z_j = floor(Z_(j-1) Z_1 / 2^P), j <= N/2,
+    are exact integer products.  With w_j = 2^P zeta^j, |Z_j - w_j| <= d_j
+    by induction: Z_(j-1) Z_1 / 2^P = w_j + e_(j-1) w_1 / 2^P
+    + w_(j-1) e_1 / 2^P + e_(j-1) e_1 / 2^P, |w_j| = 2^P, and the two
+    floors add less than sqrt(2) < 2.  Z[N - j] = Z[j].  The guard bits
+    keep d_1 <= 2, so each step adds at most 5 and d < 5N/2.
+    """
+    guard = bits.bit_length() + 64
+    x, y, e = _root_fixed(order, bits + guard)
+    z1 = [(v + (1 << (guard - 1))) >> guard for v in (x, y)]
+    d1 = d = -(-(abs((z1[0] << guard) - x) + abs((z1[1] << guard) - y) + 2 * e) >> guard)
     x, y = z1
-    d1 = d = math.ceil(err1)  # |Z_1 - w_1| <= |Re| + |Im| errors
     half = order // 2
-    reals = [scale, x][:half + 1]  # Z_0 = 2^P exactly
+    reals = [1 << bits, x][:half + 1]  # Z_0 = 2^P exactly
     for _ in range(2, half + 1):
-        x, y = ((x * z1[0] - y * z1[1]) >> _FIXED_BITS,
-                (x * z1[1] + y * z1[0]) >> _FIXED_BITS)
-        d += d1 + (-(-d * d1 >> _FIXED_BITS)) + 2
+        x, y = ((x * z1[0] - y * z1[1]) >> bits, (x * z1[1] + y * z1[0]) >> bits)
+        d += d1 + (-(-d * d1 >> bits)) + 2
         reals.append(x)
-    err = Fraction(_UNIT_ROUNDOFF) + Fraction(d + 1, scale)
-    cos = [r / scale for r in reals]
-    return cos + cos[1:order - half][::-1], math.nextafter(float(err), math.inf)
+    return tuple(reals + reals[1:order - half][::-1]), d
 
 
 class _OrderData:
@@ -280,8 +301,11 @@ class _OrderData:
         self.width = width
         self.rows, self.row_max = built
         self.conjugates = self.rows[:1] + self.rows[:order - self.phi:-1]
-        self.cos, self.cos_err = _float_cosines(order)
-        self._cos_tables: dict[int, list] = {}
+        table, d = _cosine_table(order, _FIXED_BITS)
+        scale = 1 << _FIXED_BITS
+        self.cos = [z / scale for z in table]  # rounding adds <= 2^-53
+        err = Fraction(_UNIT_ROUNDOFF) + Fraction(d + 1, scale)
+        self.cos_err = math.nextafter(float(err), math.inf)
 
     def unpack(self, value: int) -> list[int]:
         """The numerator whose packed form (at the table's width) is value."""
@@ -309,17 +333,6 @@ class _OrderData:
                 num[j] += k * r
         return num
 
-    def cos_table(self, prec: int) -> list:
-        """Certified enclosures of cos(2*pi*j/N) for j < phi, at prec bits."""
-        table = self._cos_tables.get(prec)
-        if table is None:
-            ctx = mpmath.iv
-            with iv_precision(prec):
-                two_pi = 2 * ctx.pi
-                table = [ctx.cos(two_pi * j / self.order) for j in range(self.phi)]
-            self._cos_tables[prec] = table
-        return table
-
 
 @lru_cache(maxsize=None)
 def _order_data(order: int) -> _OrderData:
@@ -341,21 +354,6 @@ def common_order(*orders: int) -> int:
                 f"combined order {n} exceeds the supported maximum {MAX_ORDER}"
             )
     return n
-
-
-@contextmanager
-def iv_precision(bits: int) -> Iterator[None]:
-    """Run a block with mpmath's interval context at the given precision.
-
-    iv.prec is global state; this is the one place that sets and
-    restores it.
-    """
-    old = mpmath.iv.prec
-    mpmath.iv.prec = bits
-    try:
-        yield
-    finally:
-        mpmath.iv.prec = old
 
 
 @dataclass(frozen=True)
@@ -389,15 +387,6 @@ class SignedInterval:
 
     def __contains__(self, value) -> bool:
         return self.lo <= _fraction(value, "interval member") <= self.hi
-
-
-def _iv_to_signed_interval(x, precision: int) -> SignedInterval:
-    lo, hi = x._mpi_
-    return SignedInterval(
-        Fraction(*(int(v) for v in to_rational(lo))),
-        Fraction(*(int(v) for v in to_rational(hi))),
-        precision,
-    )
 
 
 class CyclotomicNumber:
@@ -527,11 +516,6 @@ class CyclotomicNumber:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other) -> "CyclotomicNumber":
-        if isinstance(other, (int, Fraction)):
-            return self * (Fraction(1) / Fraction(other))
-        return NotImplemented
-
     def _conjugate_num(self) -> list[int]:
         """The numerator of the image under x^j -> x^(-j): within the
         packed bound, one sum of products with the rows of x^(-j)."""
@@ -579,18 +563,17 @@ class CyclotomicNumber:
     # -- numeric evaluation ----------------------------------------------
 
     def float_interval(self, bits: int = 64) -> SignedInterval:
-        """Certified enclosure of the value under the identity real embedding."""
+        """Certified enclosure (S -+ d sum_(j>0) |num_j|) / (den 2^P) of a
+        real element, S = num . Z at P = bits + log2(5N): Z[0] = 2^P, the
+        rest within d < 5N/2, so width <= 2^-bits sum|num_j| / den."""
         if not self.is_real():
             raise ValueError("interval evaluation needs a real element")
-        table = _order_data(self.order).cos_table(bits)
-        ctx = mpmath.iv
-        with iv_precision(bits):
-            total = ctx.mpf(0)
-            for c, cosv in zip(self.num, table):
-                if c:
-                    total += ctx.mpf(c) * cosv
-            total /= ctx.mpf(self.den)
-        return _iv_to_signed_interval(total, bits)
+        precision = bits + (5 * self.order).bit_length()
+        table, d = _cosine_table(self.order, precision)
+        total = sum(map(operator.mul, self.num, table))
+        slack = d * sum(map(abs, self.num[1:]))
+        scale = self.den << precision
+        return SignedInterval(Fraction(total - slack, scale), Fraction(total + slack, scale), bits)
 
     def __float__(self) -> float:
         ivl = self.float_interval(64)
@@ -688,7 +671,7 @@ def filter_signs(order: int, sums: Sequence[Terms]) -> list[Optional[int]]:
     With every |k_i| below 2^53 (so each converts to float64 exactly), the
     filter (Shewchuk 1997; Bronnimann, Burnikel and Pion 2001) computes
     S~ = sum_i k_i c[e_i] in order over the order's table
-    (_float_cosines), whose entries are within E of the cosines.  The
+    (_OrderData.cos), whose entries are within E of the cosines.  The
     table error adds at most E * sum|k_i|, and by Higham, "Accuracy and
     Stability of Numerical Algorithms", ch. 3, the float64 dot product of
     n terms adds at most gamma_n * sum|k_i c_i|, with
@@ -728,9 +711,9 @@ def sign(x: CyclotomicNumber) -> int:
     that is not real raises ValueError.  Otherwise the float filter of
     filter_signs runs on the numerator as the cosine sum
     sum_j num_j cos(2*pi*j/N), the value times den.  When it declines,
-    interval evaluation is refined (doubling precision from
-    SIGN_START_BITS) until zero is excluded, which must happen for a
-    nonzero algebraic number.
+    float_interval, from the same integer cosine table, is refined
+    (doubling precision from SIGN_START_BITS) until zero is excluded,
+    which must happen for a nonzero algebraic number.
     """
     if x.is_zero():
         return 0

@@ -28,15 +28,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .angles import ZERO, RationalAngle
-from .cyclotomic import (
-    CyclotomicNumber,
-    angle_exponents,
-    cos_as_cyclotomic,
-    cosine_sum,
-    sign,
+from .angles import PI, ZERO, RationalAngle
+from .cyclotomic import CyclotomicNumber, angle_exponents, cos_as_cyclotomic, cosine_sum
+from .geometry import (
+    PreconditionError,
+    PythagoreanQuadruple,
+    VolumeCoefficient,
+    quadruple_residual,
+    volume,
 )
-from .geometry import PreconditionError, PythagoreanQuadruple, VolumeCoefficient
 from .search import (
     SearchConfig,
     cosine_join,
@@ -132,9 +132,8 @@ def search_rational_lambert_cubes(
     cubes.sort(key=lambda cu: tuple(x.frac for x in cu.angles), reverse=True)
     # the would-be parametric pattern needs a third angle with cosine -1,
     # i.e. y = pi, excluded by the open window; verified exactly:
-    no_family = not any(y.frac == 1 for y in ys) and sign(
-        cos_as_cyclotomic(RationalAngle(1, 1)) + Fraction(1)
-    ) == 0
+    no_family = (not any(y.frac == 1 for y in ys)
+                 and (cos_as_cyclotomic(PI) + 1).is_zero())
     n = len(ys)
     return LambertSearchReport(
         cubes=tuple(cubes),
@@ -169,12 +168,8 @@ def companion_tetrahedra() -> tuple[CompanionTetrahedron, CompanionTetrahedron]:
         s = RationalAngle(s_num, s_den)
         half = RationalAngle(1, 2)
         quad = PythagoreanQuadruple.of(half, half, half, s)
-        from .geometry import quadruple_residual
-
         residual = quadruple_residual(quad)
         if residual.is_zero():
-            from .geometry import volume
-
             vol = volume(quad)
             route = "four-cosine"
         else:

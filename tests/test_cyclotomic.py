@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
+import random
+import struct
 from fractions import Fraction
 
 import pytest
@@ -11,6 +14,7 @@ from mpmath import iv
 
 from sphertet import cyclotomic
 from sphertet.angles import RationalAngle, angle
+from sphertet.certify import _iv_to_signed_interval, iv_precision
 from sphertet.cyclotomic import (
     CyclotomicNumber,
     _OrderData,
@@ -20,7 +24,6 @@ from sphertet.cyclotomic import (
     cosine_sum,
     cyclotomic_polynomial,
     filter_signs,
-    iv_precision,
     key_numerator,
     sign,
     sin_as_cyclotomic,
@@ -403,8 +406,80 @@ def test_float_cosine_table_is_within_its_bound():
         with iv_precision(256):
             encs = [iv.cos(2 * iv.pi * e / order) for e in range(order)]
         for e, (c, enc) in enumerate(zip(table, encs)):
-            ivl = cyclotomic._iv_to_signed_interval(enc, 256)
+            ivl = _iv_to_signed_interval(enc, 256)
             assert ivl.lo - err <= Fraction(c) <= ivl.hi + err, (order, e)
+
+
+DIVISORS_2520 = [d for d in range(1, 2521) if 2520 % d == 0]
+
+
+def _contains(lo, hi, enc) -> bool:
+    return lo <= enc.lo and enc.hi <= hi
+
+
+def test_integer_seeds_enclose_pi_and_the_root_of_unity():
+    """The Machin and Taylor enclosures contain mpmath's 256-bit
+    enclosures, a test oracle only, and are tight: off by at most 2^16
+    units of 2^-bits."""
+    with iv_precision(256):
+        pi = _iv_to_signed_interval(iv.pi, 256)
+        roots = {n: [_iv_to_signed_interval(f(2 * iv.pi / n), 256) for f in (iv.cos, iv.sin)]
+                 for n in DIVISORS_2520}
+    for bits in (64, 192):
+        scale = 1 << bits
+        p, e = cyclotomic._pi_fixed(bits)
+        assert e < 1 << 16 and _contains(Fraction(p - e, scale), Fraction(p + e, scale), pi)
+        for n, encs in roots.items():
+            x, y, e = cyclotomic._root_fixed(n, bits)
+            assert e < 1 << 16
+            for v, enc in zip((x, y), encs):
+                assert _contains(Fraction(v - e, scale), Fraction(v + e, scale), enc), (n, bits)
+
+
+def test_float_cosine_tables_are_bit_identical_to_the_mpmath_seeded_ones():
+    """The float tables of every divisor of 2520 hash as they did when
+    the table was seeded from a 128-bit mpmath enclosure, so the filter
+    decides exactly as it did then; the error bound is no larger than
+    that seed's, 2^-53 + (d + 1) / 2^96 with d = max(1, 4 floor(N/2) - 3)."""
+    digest = hashlib.sha256()
+    for n in DIVISORS_2520:
+        od = _OrderData(n)
+        digest.update(struct.pack(f"<{n}d", *od.cos))
+        d = max(1, 4 * (n // 2) - 3)
+        seeded = Fraction(2.0**-53) + Fraction(d + 1, 1 << 96)
+        assert od.cos_err <= math.nextafter(float(seeded), math.inf), n
+    assert digest.hexdigest() == (
+        "9d886bdae3b39b3c3804df04b822b88ad28d9c3a9999ac431129c52d00d05af4")
+
+
+@pytest.mark.parametrize("bits", [64, 128, 256, 512])
+def test_float_interval_encloses_mpmath_on_the_criterion_10b_pool(bits):
+    """On the 10000 sums of criterion 10b, float_interval(bits) contains
+    an enclosure summed from mpmath's interval cosines at 64 more bits,
+    a test oracle only, so it overlaps mpmath's and holds the value (a
+    rational value exactly), and it is no wider than
+    2^-bits * sum|num_j| / den."""
+    pool = [angle(n, d) for d in (3, 4, 5, 6, 10, 12, 15, 20, 30, 60)
+            for n in range(1, d) if math.gcd(n, d) == 1]
+    with iv_precision(bits + 64):
+        oracle = {x: _iv_to_signed_interval(iv.cos(iv.pi * x.num / x.den), bits + 64)
+                  for x in pool}
+    cached = {x: cos_as_cyclotomic(x) for x in pool}
+    rng = random.Random(17)
+    for _ in range(10_000):
+        terms = rng.sample(pool, 3)
+        signs = [1] + [1 if rng.random() < 0.5 else -1 for _ in terms[1:]]
+        x = sum((s * cached[t] for s, t in zip(signs, terms)), CyclotomicNumber.zero())
+        lo = sum(oracle[t].lo if s > 0 else -oracle[t].hi for s, t in zip(signs, terms))
+        hi = sum(oracle[t].hi if s > 0 else -oracle[t].lo for s, t in zip(signs, terms))
+        enc = x.float_interval(bits)
+        assert enc.precision == bits
+        r = x.rational_value
+        if r is not None:  # exact: cos 0 = 1 carries no table error
+            assert enc.lo == enc.hi == r and lo <= r <= hi, terms
+        else:
+            assert enc.lo <= lo and hi <= enc.hi, terms
+        assert enc.width <= Fraction(sum(map(abs, x.num)), x.den << bits), terms
 
 
 def _near_misses():

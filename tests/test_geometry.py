@@ -12,6 +12,7 @@ from mpmath import iv
 
 from sphertet import cyclotomic, geometry
 from sphertet.angles import RationalAngle, angle
+from sphertet.certify import iv_precision
 from sphertet.cyclotomic import (
     MAX_ORDER,
     CyclotomicNumber,
@@ -19,7 +20,6 @@ from sphertet.cyclotomic import (
     angle_exponents,
     cos_as_cyclotomic,
     cosine_sum,
-    iv_precision,
     sign,
 )
 from sphertet.families import builtin_families, instantiate

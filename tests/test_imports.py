@@ -1,5 +1,6 @@
-"""Every import in src/, tests/ and scripts/ is used, and the package
-imports nothing beyond the standard library and mpmath's numpy-free core.
+"""Every import in src/, tests/ and scripts/ is used, the package
+imports nothing beyond the standard library and mpmath's numpy-free core,
+and only certify and trigpoly import mpmath.
 
 A name bound by an import counts as used when the module reads it: as a
 name, as the root of an attribute chain, inside a string annotation, or
@@ -79,10 +80,34 @@ def _imported_modules(tree: ast.Module) -> set[str]:
     return roots
 
 
-@pytest.mark.parametrize("path", sorted((ROOT / "src").rglob("*.py")),
-                         ids=lambda p: str(p.relative_to(ROOT)))
+PACKAGE = sorted((ROOT / "src").rglob("*.py"))
+
+# certify encloses its link geometry in mpmath's interval context.
+# trigpoly keeps mpmath only because the benchmark's traced run pins
+# TrigPoly.eval_interval and its libmp enclosure (ROADMAP item 1).
+MPMATH_IMPORTERS = {"certify.py", "trigpoly.py"}
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: str(p.relative_to(ROOT)))
 def test_the_package_does_not_import_numpy(path):
     assert "numpy" not in _imported_modules(ast.parse(path.read_text()))
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: str(p.relative_to(ROOT)))
+def test_only_certify_and_trigpoly_import_mpmath(path):
+    imported = "mpmath" in _imported_modules(ast.parse(path.read_text()))
+    assert not imported or path.name in MPMATH_IMPORTERS
+
+
+def test_the_cyclotomic_core_loads_no_mpmath():
+    """sphertet.cyclotomic and what it imports, loaded without the
+    package __init__ (which imports certify), leave mpmath unloaded."""
+    code = ("import sys, types; pkg = types.ModuleType('sphertet');"
+            "pkg.__path__ = ['src/sphertet']; sys.modules['sphertet'] = pkg;"
+            "import sphertet.cyclotomic; print(sorted(m for m in sys.modules if 'mpmath' in m))")
+    done = subprocess.run([sys.executable, "-c", code], cwd=ROOT, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert done.stdout.split() == ["[]"]
 
 
 def test_setup_leaves_numpy_unimported():

@@ -23,13 +23,12 @@ from mpmath.libmp.libmpi import mpi_pi
 
 from sphertet import cyclotomic, trigpoly
 from sphertet.angles import RationalAngle
+from sphertet.certify import _iv_to_signed_interval, iv_precision
 from sphertet.cyclotomic import (
     SignedInterval,
-    _iv_to_signed_interval,
     angle_exponents,
     cos_as_cyclotomic,
     cosine_sum,
-    iv_precision,
     sign,
 )
 from sphertet.families import (
