@@ -69,7 +69,6 @@ from .lambert import (
     search_rational_lambert_cubes,
 )
 from .search import (
-    DenominatorProfile,
     SearchConfig,
     SearchReport,
     SporadicRow,

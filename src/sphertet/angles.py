@@ -132,7 +132,7 @@ def angle(num: int, den: int = 1) -> RationalAngle:
 
 def frac_obj(f: _Scalar) -> dict:
     """The JSON form {"num": int, "den": int} of an exact fraction."""
-    f = Fraction(f)
+    f = _fraction(f, "fraction")
     return {"num": f.numerator, "den": f.denominator}
 
 

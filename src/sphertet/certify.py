@@ -39,7 +39,7 @@ from typing import Iterator, Optional
 from mpmath import iv
 from mpmath.libmp import to_rational
 
-from .angles import RationalAngle, frac_obj, obj_frac
+from .angles import RationalAngle, _fraction, frac_obj, obj_frac
 from .cyclotomic import SignedInterval
 from .geometry import PreconditionError, PythagoreanQuadruple, vertex_links
 
@@ -232,8 +232,8 @@ class DiameterCertificate:
 
 
 def diameter_certificate(t: LinkTriangle, center: RationalAngle,
-                         radius: RationalAngle, start_bits: int = 64,
-                         max_bits: int = 1024) -> DiameterCertificate:
+                         radius: RationalAngle, max_bits: int = 1024
+                         ) -> DiameterCertificate:
     """Certify whether all three vertices lie within `radius` of `center`.
 
     The center is a point on the equator given by its longitude; the
@@ -245,7 +245,7 @@ def diameter_certificate(t: LinkTriangle, center: RationalAngle,
     Success is monotone in the radius: a certificate at some radius
     implies one at every larger radius (cos(radius) only decreases).
     """
-    bits = start_bits
+    bits = 64
     while True:
         with iv_precision(bits):
             verts = _vertices_iv(t)
@@ -315,7 +315,7 @@ def area_diophantine(target) -> Optional[tuple[int, int, int]]:
     side is integral.
     """
     w0, w1, w2 = area_weights()
-    target = Fraction(target)
+    target = _fraction(target, "area target")
     if target < 0 or target.denominator != 1:
         return None
     total = int(target)
@@ -408,18 +408,20 @@ def _center_candidates(t: LinkTriangle, radius: RationalAngle,
     return [c for _, c in out[:8]]
 
 
+# The radius of the obstruction's ball: a link strictly inside a ball of
+# radius pi/4 has diameter < pi/2, so it contains no D(2,2,n).
+BALL_RADIUS = RationalAngle(1, 4)
+
+
 def nondecomposability_certificate(
     quad: PythagoreanQuadruple,
-    radius: RationalAngle = RationalAngle(1, 4),
     center: Optional[RationalAngle] = None,
-    start_bits: int = 64,
-    max_bits: int = 1024,
 ) -> Optional[ObstructionCertificate]:
     """Try to certify that `quad` has no decomposition into Coxeter cells.
 
     Each distinct vertex link is tried in turn: its area must make the
     Diophantine equation infeasible, and it must fit strictly inside a
-    certified ball of the given radius.  Two vertices share each link
+    certified ball of radius BALL_RADIUS.  Two vertices share each link
     triangle, and a repeated angle triple would repeat the same verdicts,
     so it is skipped; a certificate keeps the index of the first vertex
     with its link.  A suggested center longitude is tried first when
@@ -439,14 +441,12 @@ def nondecomposability_certificate(
         target = normalized_area(t)
         if area_diophantine(target) is not None:
             continue
-        candidates = _center_candidates(t, radius)
+        candidates = _center_candidates(t, BALL_RADIUS)
         if center is not None:
             candidates = [center] + [c for c in candidates if c != center]
         for c in candidates:
             try:
-                cert = diameter_certificate(t, c, radius,
-                                            start_bits=start_bits,
-                                            max_bits=max_bits)
+                cert = diameter_certificate(t, c, BALL_RADIUS)
             except CertificationInconclusive:
                 continue
             if cert.holds:
@@ -455,7 +455,7 @@ def nondecomposability_certificate(
                     vertex_index=idx,
                     triangle=t,
                     center=c,
-                    radius=radius,
+                    radius=BALL_RADIUS,
                     margins=cert.margins,
                     precision=cert.precision,
                     area_target=target,
@@ -509,11 +509,13 @@ def lifted_volume_fraction(f3: Fraction, n: int) -> Fraction:
     f_n = f_3 / 2^(n-3).  `f3` is the fraction of S^3, i.e. the volume
     divided by 2 pi^2.
     """
+    if not isinstance(n, int):
+        raise TypeError(f"suspension dimension must be an int, got {n!r}")
     if n < 3:
         raise PreconditionError(f"suspension dimension {n} below 3")
-    return Fraction(f3) / 2 ** (n - 3)
+    return _fraction(f3, "volume fraction") / 2 ** (n - 3)
 
 
 def volume_fraction(vol_coefficient: Fraction) -> Fraction:
     """Convert a volume coefficient of pi^2 into a fraction of S^3."""
-    return Fraction(vol_coefficient) / 2
+    return _fraction(vol_coefficient, "volume coefficient") / 2

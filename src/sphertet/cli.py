@@ -13,19 +13,16 @@ Each stage command runs its stage, checks the result against the golden
 fixtures and the paper's claims, and returns an exit code;
 scripts/reproduce_classification.py runs them in turn through main().
 
-Configuration precedence is flags > config file (--config, a JSON
-object whose one key is "out") > defaults.  The default output
-directory comes from SPHERTET_OUT_DIR; without it no files are written
-and results go to stdout only.  Results are one canonical JSON record
-per line; the sporadic stage also writes its table as CSV.  The
-searches have no settings: each decides every grid point exactly.
+The one setting is the output directory: --out, else SPHERTET_OUT_DIR;
+without either no files are written and results go to stdout only.
+Results are one canonical JSON record per line; the sporadic stage also
+writes its table as CSV.  The searches have no settings: each decides
+every point of the fixed grid exactly.
 
 Exit codes: 0 success, 2 verification mismatch against the golden
 fixtures or the paper, 3 internal invariant violation, 4 IO failure,
-5 usage error (a flag or argument the parser rejects, a config file
-that is not a JSON object or has an unknown key or a bad value, an
-unknown family id, certify without --paper-example or --lift, --lift
-below 3).
+5 usage error (a flag or argument the parser rejects, an unknown family
+id, certify without --paper-example or --lift, --lift below 3).
 """
 
 from __future__ import annotations
@@ -54,14 +51,13 @@ EXIT_IO = 4
 EXIT_USAGE = 5
 
 OUT_DIR_ENV = "SPHERTET_OUT_DIR"
-CONFIG_KEYS = ("out",)
 
 # The one nontrivial solution of cos p cos q + cos r = 0 on the grid.
 PAPER_TRIPLE = (RationalAngle(1, 4), RationalAngle(1, 4), RationalAngle(2, 3))
 
 
 class UsageError(Exception):
-    """A command line or config file the program cannot act on."""
+    """A command line the program cannot act on."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -71,30 +67,9 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
-def _load_config_file(path: Optional[str]) -> dict:
-    if not path:
-        return {}
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise UsageError(f"config file {path} is not valid JSON: {exc}")
-    if not isinstance(data, dict):
-        raise UsageError(f"config file {path} must hold a JSON object")
-    for key in data:
-        if key not in CONFIG_KEYS:
-            raise UsageError(f"config file {path}: unknown key {key!r} "
-                             f"(allowed: {', '.join(CONFIG_KEYS)})")
-    if not isinstance(data.get("out", ""), str):
-        raise UsageError(f"config file {path}: 'out' must be a string")
-    return data
-
-
 def _out_dir(args) -> Optional[Path]:
-    """--out, else the config file's "out", else $SPHERTET_OUT_DIR."""
-    file_cfg = _load_config_file(args.config)
-    out = args.out if args.out is not None else file_cfg.get(
-        "out", os.environ.get(OUT_DIR_ENV))
+    """--out, else $SPHERTET_OUT_DIR."""
+    out = args.out if args.out is not None else os.environ.get(OUT_DIR_ENV)
     return Path(out) if out else None
 
 
@@ -221,8 +196,7 @@ def cmd_verify_families(args) -> int:
 
 def cmd_search_lambert(args) -> int:
     out = _out_dir(args)
-    cfg = SearchConfig()
-    report = lambert_mod.search_rational_lambert_cubes(cfg)
+    report = lambert_mod.search_rational_lambert_cubes()
     for cube, vol in zip(report.cubes, report.volumes):
         print(f"{cube}  volume {vol.value} * pi^2")
     print(f"scanned {report.candidates_scanned} triples, "
@@ -232,7 +206,7 @@ def cmd_search_lambert(args) -> int:
     for t in companions:
         print(f"companion {t.quadruple}  volume {t.vol.value} * pi^2 "
               f"via {t.volume_route} (k = {t.coxeter_parameter})")
-    prov = records_mod.make_provenance(cfg)
+    prov = records_mod.make_provenance(SearchConfig())
     _write(records_mod.lambert_records(report.cubes, report.volumes, prov),
            out, "lambert")
     if not records_mod.lambert_comparison(report, companions)["match"]:
@@ -341,7 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--config", help="JSON config file")
         p.add_argument("--out", help="output directory "
                                      f"(default ${OUT_DIR_ENV})")
 

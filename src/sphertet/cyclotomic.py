@@ -424,7 +424,7 @@ class CyclotomicNumber:
 
     @classmethod
     def from_rational(cls, value) -> "CyclotomicNumber":
-        f = Fraction(value)
+        f = _fraction(value, "rational value")
         return cls(1, (f.numerator,), f.denominator)
 
     @classmethod

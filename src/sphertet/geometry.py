@@ -30,7 +30,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
-from .angles import RationalAngle
+from .angles import RationalAngle, _fraction
 from .cyclotomic import (
     CyclotomicNumber,
     Terms,
@@ -136,6 +136,8 @@ class VolumeCoefficient:
     value: Fraction
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "value",
+                           _fraction(self.value, "volume coefficient"))
         if not (0 < self.value < 2):
             raise ValueError(f"volume coefficient {self.value} outside (0, 2)")
 

@@ -13,7 +13,7 @@ Squaring doubles the angles:  cos^2 x = (1 + cos 2x)/2 turns the
 constraint into the three-cosine equation cos 2a + cos 2b + cos 2c = -1
 with rational target, which the vanishing-sums classification makes
 finite: substituting y = 2*pi - 2x maps the window x in (pi/2, pi) onto
-y in (0, pi), so the standard denominator grid applies, and the exact
+y in (0, pi), so the search's GRID_DENOMINATORS apply, and the exact
 cosine join of the four-cosine search decides cos y1 + cos y2 =
 -(cos y3 + 1) on it.  The search returns exactly two cubes.  No
 continuous family exists: the only parameter-bearing sub-sum available
@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .angles import PI, ZERO, RationalAngle
 from .cyclotomic import CyclotomicNumber, angle_exponents, cos_as_cyclotomic, cosine_sum
@@ -38,7 +37,7 @@ from .geometry import (
     volume,
 )
 from .search import (
-    SearchConfig,
+    GRID_DENOMINATORS,
     cosine_join,
     field_order,
     grid_angles,
@@ -106,9 +105,7 @@ class LambertSearchReport:
     volumes: tuple[VolumeCoefficient, ...]
 
 
-def search_rational_lambert_cubes(
-    cfg: Optional[SearchConfig] = None,
-) -> LambertSearchReport:
+def search_rational_lambert_cubes() -> LambertSearchReport:
     """Exhaustive search for rational Lambert cubes; returns both found.
 
     Joins the pair sums cos y1 + cos y2 with -(cos y3 + 1) exactly over
@@ -116,13 +113,11 @@ def search_rational_lambert_cubes(
     each unordered triple counts once, then maps back to essential
     angles.
     """
-    cfg = cfg or SearchConfig()
-    dens = cfg.profile.union_denominators()
-    ys = grid_angles(dens, Fraction(0), Fraction(1))
+    ys = grid_angles(GRID_DENOMINATORS, Fraction(0), Fraction(1))
     matches = cosine_join(
         pair_terms(unordered_pairs(ys)),
         [(y3, ((-1, y3), (-1, ZERO))) for y3 in ys],  # cos 0 = 1
-        field_order(dens),
+        field_order(GRID_DENOMINATORS),
     )
     cubes = [
         LambertCube(*(RationalAngle.from_fraction(1 - y.frac / 2)

@@ -22,7 +22,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable, Optional
 
-from .angles import frac_obj, obj_frac
+from .angles import _fraction, frac_obj, obj_frac
 from .geometry import PythagoreanQuadruple
 from .lambert import CompanionTetrahedron, LambertSearchReport
 from .search import SearchConfig, SearchReport, SporadicRow, TripleReport
@@ -40,7 +40,7 @@ _JSON_KW = dict(sort_keys=True, separators=(",", ":"))
 
 
 def frac_str(f) -> str:
-    f = Fraction(f)
+    f = _fraction(f, "fraction")
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 

@@ -5,11 +5,11 @@ confines the angles of any sporadic solution of
 
     cos a + cos b + cos c + cos d = 0
 
-to reduced denominators in {1, 2, 3, 5, 7, 15} (the union of the lists
-attached to each rational length; length-4 relations never vanish, which
-the search re-verifies at startup from the four known denominator-21
-relations).  That makes the solution set finite up to the continuous
-families, and a grid search over
+to reduced denominators in GRID_DENOMINATORS = {1, 2, 3, 5, 7, 15}, a
+fixed grid that no caller can shrink (length-4 relations never vanish,
+which the search re-verifies at startup from the four known
+denominator-21 relations).  That makes the solution set finite up to the
+continuous families, and a grid search over
 
     a in (0, 2pi), b in {0} union (0, pi), c >= d in (0, pi),
     a > b, a + b < 2pi
@@ -18,10 +18,10 @@ families, and a grid search over
 "infinite denominator" case p = q) reaches every canonical quadruple
 p = (a+b)/2, q = (a-b)/2, r = c, s = d with p >= q, r >= s.
 
-Every grid cosine lies in Q(zeta_N), N = lcm(2*den) over the grid's
-denominators (420 for the default grid), and twice a cosine sum is an
-integer vector in that field's canonical power basis, packed into one
-int (cyclotomic.cosine_key), so equal ints mean equal numbers.  The
+Every grid cosine lies in Q(zeta_420), 420 = lcm(2*den) over the grid's
+denominators, and twice a cosine sum is an integer vector in that
+field's canonical power basis, packed into one int
+(cyclotomic.cosine_key), so equal ints mean equal numbers.  The
 equation is therefore decided by an exact hash join (cosine_join): the
 keys of cos a + cos b are looked up among those of -(cos c + cos d), and
 no float test decides anything.  The exact solutions are deduplicated,
@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import InitVar, dataclass, field
+from dataclasses import InitVar, dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -63,36 +63,18 @@ _LENGTH4_RELATIONS = (
 )
 
 
-@dataclass(frozen=True)
-class DenominatorProfile:
-    """Denominator lists per rational length of a vanishing sub-sum.
-
-    length1 covers fully rational cosines (the zero angle plays the role
-    of the infinite denominator and is toggled by include_zero); length2
-    and the two length3 lists come with the sporadic relations of the
-    cosine classification.
-    """
-
-    length1: tuple[int, ...] = (1, 2, 3)
-    length2: tuple[int, ...] = (3, 5)
-    length3_a: tuple[int, ...] = (3, 7)
-    length3_b: tuple[int, ...] = (3, 5, 15)
-    include_zero: bool = True
-
-    def union_denominators(self) -> tuple[int, ...]:
-        return tuple(
-            sorted(set(self.length1) | set(self.length2)
-                   | set(self.length3_a) | set(self.length3_b))
-        )
-
-    @classmethod
-    def length1_only(cls) -> "DenominatorProfile":
-        return cls(length2=(), length3_a=(), length3_b=())
+# The union of the denominator lists the Conway-Jones classification
+# attaches to each rational length of a vanishing sub-sum: {1, 2, 3} for
+# rational cosines, {3, 5} for length 2, {3, 7} and {3, 5, 15} for the
+# two length-3 relations (Conway and Jones 1976).  b = 0, the "infinite
+# denominator", is always on the grid besides.
+GRID_DENOMINATORS = (1, 2, 3, 5, 7, 15)
 
 
 @dataclass(frozen=True)
 class SearchConfig:
-    profile: DenominatorProfile = field(default_factory=DenominatorProfile)
+    """Provenance of a search: the fixed grid, described for config_hash."""
+
     # not stored: perfbench/workloads.py still passes workers=1
     workers: InitVar[int] = 1
 
@@ -102,10 +84,7 @@ class SearchConfig:
                 f"the search runs in one process; got workers={workers}")
 
     def describe(self) -> dict:
-        return {
-            "denominators": list(self.profile.union_denominators()),
-            "include_zero": self.profile.include_zero,
-        }
+        return {"denominators": list(GRID_DENOMINATORS), "include_zero": True}
 
 
 def grid_angles(dens: Sequence[int], lo: Fraction, hi: Fraction) -> list[RationalAngle]:
@@ -218,14 +197,10 @@ def verify_no_length4_solutions() -> bool:
 # -- the sporadic pipeline ---------------------------------------------------
 
 
-def _search_grids(profile: DenominatorProfile):
-    dens = profile.union_denominators()
-    a_vals = grid_angles(dens, Fraction(0), Fraction(2))
-    b_vals = grid_angles(dens, Fraction(0), Fraction(1))
-    if profile.include_zero:
-        b_vals = [RationalAngle(0)] + b_vals
-    cd_vals = grid_angles(dens, Fraction(0), Fraction(1))
-    return a_vals, b_vals, cd_vals
+def _search_grids():
+    cd_vals = grid_angles(GRID_DENOMINATORS, Fraction(0), Fraction(1))
+    a_vals = grid_angles(GRID_DENOMINATORS, Fraction(0), Fraction(2))
+    return a_vals, [RationalAngle(0)] + cd_vals, cd_vals
 
 
 _TWO_PI = RationalAngle(2)
@@ -246,23 +221,22 @@ def unordered_pairs(vals: Sequence[RationalAngle]
     return [(x, y) for i, x in enumerate(vals) for y in vals[: i + 1]]
 
 
-def candidate_count(profile: DenominatorProfile) -> int:
+def candidate_count() -> int:
     """Size of the extended candidate grid (used as a cross-check)."""
-    a_vals, b_vals, cd_vals = _search_grids(profile)
+    a_vals, b_vals, cd_vals = _search_grids()
     return len(_pair_candidates(a_vals, b_vals)) * len(unordered_pairs(cd_vals))
 
 
-def zero_sum_tuples(profile: DenominatorProfile
-                    ) -> list[tuple[RationalAngle, ...]]:
+def zero_sum_tuples() -> list[tuple[RationalAngle, ...]]:
     """Grid tuples (a, b, c, d), c >= d, with cos a + cos b + cos c + cos d = 0.
 
     Exact: the (a, b) pair sums are joined with the negated (c, d) pair
     sums.  b = 0 needs no special case, as cos 0 = 1 has its own vector.
     """
-    a_vals, b_vals, cd_vals = _search_grids(profile)
+    a_vals, b_vals, cd_vals = _search_grids()
     matches = cosine_join(pair_terms(_pair_candidates(a_vals, b_vals)),
                           pair_terms(unordered_pairs(cd_vals), -1),
-                          field_order(profile.union_denominators()))
+                          field_order(GRID_DENOMINATORS))
     return [ab + cd for ab, cd in matches]
 
 
@@ -287,15 +261,24 @@ class SearchReport:
     """Size of the grid the join covers."""
     prefilter_hits: int
     """Grid tuples whose exact cosine sum is zero."""
-    raw_solution_count: int
-    realizable_count: int
-    family_member_count: int
     sporadic: tuple[SporadicRow, ...]
     raw_solutions: tuple[PythagoreanQuadruple, ...]
     realizable: tuple[PythagoreanQuadruple, ...]
     length4_skip_verified: bool
     elapsed_seconds: float
     notes: tuple[str, ...] = ()
+
+    @property
+    def raw_solution_count(self) -> int:
+        return len(self.raw_solutions)
+
+    @property
+    def realizable_count(self) -> int:
+        return len(self.realizable)
+
+    @property
+    def family_member_count(self) -> int:
+        return len(self.realizable) - len(self.sporadic)
 
     @property
     def sporadic_count(self) -> int:
@@ -319,14 +302,13 @@ def run_sporadic_search(cfg: Optional[SearchConfig] = None) -> SearchReport:
         raise ArithmeticError(
             "length-4 relations failed exact verification; search space invalid"
         )
-    solutions = zero_sum_tuples(cfg.profile)
+    solutions = zero_sum_tuples()
     raw_quads = exact_quadruples(solutions)
 
     realizable = [q for q in raw_quads if realizability(q).realizable]
 
     sporadic_quads = [q for q in realizable
                       if classify_quadruple(q, extent="curve") is None]
-    member_count = len(realizable) - len(sporadic_quads)
 
     rows = tuple(
         SporadicRow(q, edge_lengths(q, checked=False), volume(q, checked=False))
@@ -341,11 +323,8 @@ def run_sporadic_search(cfg: Optional[SearchConfig] = None) -> SearchReport:
         )
     return SearchReport(
         config=cfg,
-        candidates_scanned=candidate_count(cfg.profile),
+        candidates_scanned=candidate_count(),
         prefilter_hits=len(solutions),
-        raw_solution_count=len(raw_quads),
-        realizable_count=len(realizable),
-        family_member_count=member_count,
         sporadic=rows,
         raw_solutions=raw_quads,
         realizable=tuple(realizable),
@@ -393,10 +372,10 @@ def search_triples(cfg: Optional[SearchConfig] = None) -> TripleReport:
     """
     cfg = cfg or SearchConfig()
     t0 = time.monotonic()
-    a_vals, b_vals, c_vals = _search_grids(cfg.profile)
+    a_vals, b_vals, c_vals = _search_grids()
     matches = cosine_join(pair_terms(_pair_candidates(a_vals, b_vals)),
                           [(c, ((-2, c),)) for c in c_vals],
-                          field_order(cfg.profile.union_denominators()))
+                          field_order(GRID_DENOMINATORS))
     canonical: dict[tuple[Fraction, ...], set] = {}
     trivial = 0
     for (a, b), c in matches:

@@ -52,7 +52,6 @@ from sphertet.records import (
     ResultRecord,
 )
 from sphertet.search import (
-    DenominatorProfile,
     SearchConfig,
     candidate_count,
     search_triples,
@@ -253,10 +252,9 @@ def test_criterion_10a_prefilter_rejects_are_certified_nonzero(capsys):
     enclosure contains zero and its cosine sum, added up as
     CyclotomicNumbers, is zero.
     """
-    profile = DenominatorProfile()
-    a_vals, b_vals, cd_vals = _search_grids(profile)
+    a_vals, b_vals, cd_vals = _search_grids()
     cd_pairs = unordered_pairs(cd_vals)
-    hits = set(zero_sum_tuples(profile))
+    hits = set(zero_sum_tuples())
     enc64 = {x: cos_as_cyclotomic(x).float_interval(64)
              for x in set(a_vals) | set(b_vals) | set(cd_vals)}
 
@@ -280,7 +278,7 @@ def test_criterion_10a_prefilter_rejects_are_certified_nonzero(capsys):
             zeros += is_zero
             if ((a, b, c, d) in hits) != is_zero:
                 wrong.append((a, b, c, d))
-    ok = (not wrong and checked == candidate_count(profile) == 111804
+    ok = (not wrong and checked == candidate_count() == 111804
           and zeros == len(hits))
     detail = (f"all {checked} grid candidates checked: the exact join keeps "
               f"exactly the {zeros} with a zero cosine sum ({straddlers} "
@@ -371,8 +369,8 @@ def test_criterion_10c_every_record_round_trips_byte_identically(
 
 # prints the exact-solution stage of the default search, one row a line
 _RAW_STAGE = """
-from sphertet.search import DenominatorProfile, exact_quadruples, zero_sum_tuples
-for quad in exact_quadruples(zero_sum_tuples(DenominatorProfile())):
+from sphertet.search import exact_quadruples, zero_sum_tuples
+for quad in exact_quadruples(zero_sum_tuples()):
     print(*quad.fractions)
 """
 

@@ -7,8 +7,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sphertet.angles import HALF_PI, PI, ZERO, RationalAngle, angle
-from sphertet.geometry import PythagoreanQuadruple
+from sphertet import records
+from sphertet.angles import HALF_PI, PI, ZERO, RationalAngle, angle, frac_obj
+from sphertet.certify import area_diophantine, lifted_volume_fraction, volume_fraction
+from sphertet.cyclotomic import CyclotomicNumber
+from sphertet.geometry import PythagoreanQuadruple, VolumeCoefficient
 
 fractions = st.fractions(
     min_value=Fraction(-4), max_value=Fraction(4), max_denominator=360
@@ -152,3 +155,20 @@ def test_floats_are_rejected(make):
 def test_quadruple_from_floats_is_rejected():
     with pytest.raises(TypeError, match="0.4"):
         PythagoreanQuadruple.from_fractions(0.4, 0.4, 0.6, 0.2)
+
+
+@pytest.mark.parametrize("call, value", [
+    (lambda: lifted_volume_fraction(Fraction(1, 4), 4.0), "4.0"),
+    (lambda: area_diophantine(20.0), "20.0"),
+    (lambda: volume_fraction(0.25), "0.25"),
+    (lambda: VolumeCoefficient(0.5), "0.5"),
+    (lambda: frac_obj(0.1), "0.1"),
+    (lambda: CyclotomicNumber.from_rational(0.1), "0.1"),
+    (lambda: records.frac_str(0.5), "0.5"),
+], ids=["lifted_volume_fraction", "area_diophantine", "volume_fraction",
+        "VolumeCoefficient", "frac_obj", "from_rational", "frac_str"])
+def test_exact_entry_points_reject_floats(call, value):
+    """Fraction(0.1) is the dyadic 3602879701896397/2^55, which no later
+    check can tell from an exact input, so the float is refused at once."""
+    with pytest.raises(TypeError, match=value):
+        call()

@@ -96,7 +96,7 @@ def test_lambert_continuous_family_is_a_mismatch(monkeypatch, capsys):
     real = lambert_mod.search_rational_lambert_cubes
     monkeypatch.setattr(
         lambert_mod, "search_rational_lambert_cubes",
-        lambda cfg: dataclasses.replace(real(cfg), no_continuous_family=False))
+        lambda: dataclasses.replace(real(), no_continuous_family=False))
     assert main(["search-lambert"]) == EXIT_MISMATCH
     assert "continuous family" in capsys.readouterr().err
 
@@ -144,39 +144,15 @@ def test_reproduce_script_runs_the_cli_stages(tmp_path, monkeypatch, capsys):
     assert "FAILED: Lambert cubes (exit 2) in " in capsys.readouterr().out
 
 
-def test_missing_config_file_is_an_io_error(tmp_path, capsys):
-    rc = main(["search-lambert", "--config", str(tmp_path / "nope.json")])
-    assert rc == EXIT_IO
-
-
-def test_bad_config_shape_is_an_invariant_error(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text("[1,2]")
-    assert main(["search-lambert", "--config", str(cfg)]) == EXIT_USAGE
-    assert "JSON object" in capsys.readouterr().err
-
-
-def test_invalid_json_config_is_a_usage_error(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text("{out: results")
-    assert main(["catalog", "--config", str(cfg)]) == EXIT_USAGE
-    err = capsys.readouterr().err
-    assert str(cfg) in err and "not valid JSON" in err
-
-
-@pytest.mark.parametrize("key", ["tolernce", "tolerance", "workers",
-                                 "out", "format"])
-def test_unknown_config_key_or_bad_value_is_a_usage_error(tmp_path, capsys,
-                                                          key):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({key: 1}))
-    assert main(["catalog", "--config", str(cfg)]) == EXIT_USAGE
-    err = capsys.readouterr().err
-    assert str(cfg) in err and repr(key) in err
+def test_out_dir_under_a_regular_file_is_an_io_error(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main(["catalog", "--out", str(blocker / "results")]) == EXIT_IO
+    assert capsys.readouterr().err.startswith("io error:")
 
 
 @pytest.mark.parametrize("flag", ["--tolerance", "--workers", "--format",
-                                  "--triples"])
+                                  "--triples", "--config"])
 def test_search_flags_are_gone(flag, capsys):
     assert main(["search-quadruples", flag, "1"]) == EXIT_USAGE
     assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
@@ -202,10 +178,3 @@ def test_help_exits_zero(capsys):
 def test_unknown_family_is_a_usage_error(capsys):
     assert main(["verify-families", "--family", "99"]) == EXIT_USAGE
     assert "--family 99" in capsys.readouterr().err
-
-
-def test_config_file_supplies_the_out_dir(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"out": str(tmp_path / "results")}))
-    assert main(["catalog", "--config", str(cfg)]) == EXIT_OK
-    assert (tmp_path / "results" / "catalog.json").exists()

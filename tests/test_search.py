@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from sphertet.angles import angle
 from sphertet.cyclotomic import cos_as_cyclotomic, key_numerator
 from sphertet.search import (
-    DenominatorProfile,
+    GRID_DENOMINATORS,
     SearchConfig,
     candidate_count,
     field_order,
@@ -25,11 +25,8 @@ from sphertet.search import (
     _search_grids,
 )
 
-PROFILE = DenominatorProfile()
-
-
 def test_union_denominators():
-    assert PROFILE.union_denominators() == (1, 2, 3, 5, 7, 15)
+    assert GRID_DENOMINATORS == (1, 2, 3, 5, 7, 15)
 
 
 def test_grid_angles_open_range():
@@ -41,7 +38,7 @@ def test_grid_angles_open_range():
 
 
 def test_grid_sizes_match_the_denominator_lists():
-    a_vals, b_vals, cd_vals = _search_grids(PROFILE)
+    a_vals, b_vals, cd_vals = _search_grids()
     assert len(a_vals) == 43  # (0, 2pi) over the union list
     assert len(b_vals) == 22  # [0, pi), zero included
     assert len(cd_vals) == 21  # (0, pi)
@@ -49,10 +46,10 @@ def test_grid_sizes_match_the_denominator_lists():
 
 def test_candidate_count():
     # 231 unordered {c, d} pairs times the admissible (a, b) pairs
-    a_vals, b_vals, _ = _search_grids(PROFILE)
+    a_vals, b_vals, _ = _search_grids()
     pairs = _pair_candidates(a_vals, b_vals)
-    assert candidate_count(PROFILE) == len(pairs) * (21 * 22 // 2)
-    assert candidate_count(PROFILE) == 111804
+    assert candidate_count() == len(pairs) * (21 * 22 // 2)
+    assert candidate_count() == 111804
 
 
 def test_search_config_pins_a_single_process():
@@ -84,12 +81,12 @@ def test_no_length_four_relations():
     assert verify_no_length4_solutions()
 
 
-_A_VALS, _B_VALS, _CD_VALS = _search_grids(PROFILE)
+_A_VALS, _B_VALS, _CD_VALS = _search_grids()
 
 
 @lru_cache(maxsize=None)
 def _join_output() -> frozenset:
-    return frozenset(zero_sum_tuples(PROFILE))
+    return frozenset(zero_sum_tuples())
 
 
 def test_confirm_zero_accepts_known_solution():
@@ -124,7 +121,7 @@ def test_prefilter_never_discards_exact_zeros(ab, cd):
 def test_join_vectors_are_the_embedded_cosines(order):
     """Each join key packs 2 cos x embedded from Q(zeta_(2 den)) into
     Q(zeta_order), for every angle of the default grid."""
-    dens = PROFILE.union_denominators()
+    dens = GRID_DENOMINATORS
     assert field_order(dens) == 420
     for x in [angle(0)] + grid_angles(dens, Fraction(0), Fraction(2)):
         twice = (cos_as_cyclotomic(x) * 2).embed(order)
