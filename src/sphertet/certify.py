@@ -39,7 +39,7 @@ from typing import Iterator, Optional
 from mpmath import iv
 from mpmath.libmp import to_rational
 
-from .angles import RationalAngle, _fraction, frac_obj, obj_frac
+from .angles import ZERO, RationalAngle, _fraction, frac_obj, obj_frac
 from .cyclotomic import SignedInterval
 from .geometry import PreconditionError, PythagoreanQuadruple, vertex_links
 
@@ -61,18 +61,24 @@ class CoxeterCell:
     vol_rule: Optional[str] = None
 
     def volume(self, k: Optional[int] = None, l: Optional[int] = None) -> Fraction:
-        """Volume as a coefficient of pi^2."""
+        """Volume as a coefficient of pi^2; a parametric cell takes the
+        orders k (and l) of its dihedral factors, ints of at least 2."""
         if self.vol is not None:
             return self.vol
         if self.vol_rule == "1/(2kl)":
-            if k is None or l is None:
-                raise PreconditionError(f"{self.symbol} needs both parameters")
+            if not _coxeter_order(k) or not _coxeter_order(l):
+                raise PreconditionError(f"{self.symbol} needs two ints k, l >= 2")
             return Fraction(1, 2 * k * l)
         if self.vol_rule == "1/(4k)":
-            if k is None:
-                raise PreconditionError(f"{self.symbol} needs its parameter")
+            if not _coxeter_order(k):
+                raise PreconditionError(f"{self.symbol} needs an int k >= 2")
             return Fraction(1, 4 * k)
         raise PreconditionError(f"no volume rule for {self.symbol}")
+
+
+def _coxeter_order(k) -> bool:
+    """k is the order of a dihedral group I2(k): an int of at least 2."""
+    return type(k) is int and k >= 2
 
 
 def coxeter_catalog() -> tuple[CoxeterCell, ...]:
@@ -469,34 +475,35 @@ def recheck_obstruction(payload: dict) -> bool:
 
     Reconstructs the quadruple, re-derives the link triangle from it,
     re-solves the area equation, and re-runs the certified diameter
-    check at the recorded center and radius.  Nothing is trusted from
-    the payload beyond the identity of the tetrahedron and the chosen
-    ball.
+    check at the recorded center and radius, which must lie in
+    (0, BALL_RADIUS] for the ball to exclude a D(2,2,n).  Nothing is
+    trusted from the payload beyond the identity of the tetrahedron and
+    the chosen ball, and a malformed payload rechecks False.
     """
-    if payload.get("kind") != "nondecomposability-obstruction":
-        return False
-
     def angle(d: dict) -> RationalAngle:
         return RationalAngle.from_fraction(obj_frac(d))
 
-    quad = PythagoreanQuadruple.of(*(angle(d) for d in payload["quadruple"]))
-    idx = payload["vertex_index"]
-    links = vertex_links(quad)
-    if not 0 <= idx < len(links):
+    if payload.get("kind") != "nondecomposability-obstruction":
         return False
-    t = LinkTriangle(*links[idx])
-    if [a.frac for a in t.angles] != [obj_frac(d) for d in payload["triangle"]]:
+    try:
+        quad = PythagoreanQuadruple.of(*(angle(d) for d in payload["quadruple"]))
+        idx, links = payload["vertex_index"], vertex_links(quad)
+        if type(idx) is not int or not 0 <= idx < len(links):
+            return False
+        t = LinkTriangle(*links[idx])
+        triangle = [obj_frac(d) for d in payload["triangle"]]
+        center, radius = angle(payload["center"]), angle(payload["radius"])
+        weights = tuple(payload["weights"])
+        target = obj_frac(payload["area_target"])
+    except (KeyError, TypeError, ValueError, ZeroDivisionError):
         return False
-    if tuple(payload["weights"]) != area_weights():
+    if not ZERO < radius <= BALL_RADIUS:
         return False
-    target = normalized_area(t)
-    if target != obj_frac(payload["area_target"]):
+    if [a.frac for a in t.angles] != triangle or weights != area_weights():
         return False
-    if area_diophantine(target) is not None:
+    if normalized_area(t) != target or area_diophantine(target) is not None:
         return False
-    cert = diameter_certificate(t, angle(payload["center"]),
-                                angle(payload["radius"]))
-    return cert.holds
+    return diameter_certificate(t, center, radius).holds
 
 
 # -- suspension lifts ---------------------------------------------------------

@@ -35,7 +35,6 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
-from . import certify as certify_mod
 from . import families as families_mod
 from . import lambert as lambert_mod
 from . import records as records_mod
@@ -231,6 +230,8 @@ def _reference_instance() -> tuple[PythagoreanQuadruple, RationalAngle]:
 
 
 def cmd_certify(args) -> int:
+    from . import certify as certify_mod  # the one stage that needs mpmath
+
     out = _out_dir(args)
     if args.lift is not None and args.lift < 3:
         raise UsageError(f"--lift {args.lift}: the suspension dimension "
@@ -286,6 +287,8 @@ def cmd_certify(args) -> int:
 
 
 def cmd_catalog(args) -> int:
+    from . import certify as certify_mod
+
     out = _out_dir(args)
     data = families_mod.export_catalog()
     cox = [{"index": c.index, "symbol": c.symbol,

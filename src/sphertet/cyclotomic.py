@@ -651,11 +651,6 @@ def cos_as_cyclotomic(theta: RationalAngle) -> CyclotomicNumber:
     return cosine_sum(2 * theta.den, ((1, theta.num),)).collapse()
 
 
-def sin_as_cyclotomic(theta: RationalAngle) -> CyclotomicNumber:
-    """sin(theta) = cos(theta - pi/2), exactly."""
-    return cos_as_cyclotomic(theta - RationalAngle(1, 2))
-
-
 # -- signs ---------------------------------------------------------------------
 
 

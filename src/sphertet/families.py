@@ -115,25 +115,19 @@ class VolumeForm:
         return (self.c_tt, self.c_tu, self.c_uu, self.c_t, self.c_u, self.c_1)
 
 
-def volume_form_from_angles(p: AngleForm, q: AngleForm,
-                            r: AngleForm, s: AngleForm) -> VolumeForm:
-    """The tetrahedron volume as a polynomial in the parameters.
+def _volume_numerators(forms: Sequence[AngleForm]) -> tuple[tuple[int, ...], int]:
+    """The tetrahedron volume as a polynomial in the parameters: its
+    coefficients in VolumeForm's field order, as integers over one
+    denominator.
 
     Expands Vol = (pi*r - r^2/2 + p^2 + q^2 + pi*s - s^2/2 - pi^2) / 2
-    with the angles substituted by their linear forms, in one pass over
-    integers: with the four forms over one denominator L, the square of
+    with the angles (p, q, r, s) substituted by their linear forms: with
+    the four forms over one denominator L, the square of
     (a*pi + b*t + c*u)/L contributes b^2, 2bc, c^2, 2ab, 2ac and a^2 to
     (t^2, tu, u^2, pi t, pi u, pi^2) over L^2, weighted 1/2 for p and q
     and -1/4 for r and s, and pi*r/2, pi*s/2 add b/2, c/2 and a/2 over L.
-    Everything is summed over 4L^2 and divided once.
+    Everything is summed over 4L^2.
     """
-    nums, den = _volume_numerators((p, q, r, s))
-    return VolumeForm(*(Fraction(v, den) for v in nums))
-
-
-def _volume_numerators(forms: Sequence[AngleForm]) -> tuple[tuple[int, ...], int]:
-    """The coefficients of volume_form_from_angles, in VolumeForm's field
-    order, as integers over one denominator."""
     den = math.lcm(*(f.d for f in forms))
     tt = tu = uu = t = u = 0
     one = -2 * den * den

@@ -47,26 +47,6 @@ class PreconditionError(ValueError):
 
 
 @dataclass(frozen=True)
-class RawQuadruple:
-    """Angles (a, b, c, d) in (0, pi) entering the four-cosine equation."""
-
-    a: RationalAngle
-    b: RationalAngle
-    c: RationalAngle
-    d: RationalAngle
-
-    def __post_init__(self) -> None:
-        for name in ("a", "b", "c", "d"):
-            v: RationalAngle = getattr(self, name)
-            if not v.in_open_0_pi():
-                raise ValueError(f"angle {name} = {v} outside (0, pi)")
-
-    @property
-    def angles(self) -> tuple[RationalAngle, ...]:
-        return (self.a, self.b, self.c, self.d)
-
-
-@dataclass(frozen=True)
 class PythagoreanQuadruple:
     """Dihedral angles (p, q, r, s), canonical: p >= q and r >= s.
 

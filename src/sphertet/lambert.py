@@ -34,7 +34,6 @@ from .geometry import (
     PythagoreanQuadruple,
     VolumeCoefficient,
     quadruple_residual,
-    volume,
 )
 from .search import (
     GRID_DENOMINATORS,
@@ -163,23 +162,16 @@ def companion_tetrahedra() -> tuple[CompanionTetrahedron, CompanionTetrahedron]:
         s = RationalAngle(s_num, s_den)
         half = RationalAngle(1, 2)
         quad = PythagoreanQuadruple.of(half, half, half, s)
-        residual = quadruple_residual(quad)
-        if residual.is_zero():
-            vol = volume(quad)
-            route = "four-cosine"
-        else:
-            # residual = cos(s)/2 exactly; cross-checked here
-            order, (e,) = angle_exponents((s,))
-            expected = cosine_sum(order, ((1, e),), den=2)
-            if not (residual - expected).is_zero():
-                raise ArithmeticError("unexpected residual shape for companion")
-            vol = VolumeCoefficient(s.frac / 4)
-            route = "coxeter-parametric"
+        # residual = cos(s)/2 exactly, nonzero; cross-checked here
+        order, (e,) = angle_exponents((s,))
+        expected = cosine_sum(order, ((1, e),), den=2)
+        if not (quadruple_residual(quad) - expected).is_zero():
+            raise ArithmeticError("unexpected residual shape for companion")
         out.append(
             CompanionTetrahedron(
                 quadruple=quad,
-                vol=vol,
-                volume_route=route,
+                vol=VolumeCoefficient(s.frac / 4),
+                volume_route="coxeter-parametric",
                 coxeter_parameter=1 / s.frac,
             )
         )

@@ -45,7 +45,6 @@ from .families import classify_quadruple
 from .geometry import (
     EdgeLengths,
     PythagoreanQuadruple,
-    RawQuadruple,
     VolumeCoefficient,
     edge_lengths,
     pair_to_quadruple,
@@ -149,38 +148,6 @@ def pair_terms(pairs: Iterable[tuple[RationalAngle, RationalAngle]],
                k: int = 1) -> list:
     """Join entries for k * (cos x + cos y), one per pair (x, y)."""
     return [((x, y), ((k, x), (k, y))) for x, y in pairs]
-
-
-# -- rational length -------------------------------------------------------
-
-
-def rational_length(raw: RawQuadruple) -> Optional[int]:
-    """Size of the largest minimal rational sub-sum of cos a + ... + cos d.
-
-    A sub-sum is minimal-rational when it is rational but none of its
-    proper nonempty sub-sums is.  Returns None when no sub-sum at all is
-    rational.  (Values 1..4 are possible for arbitrary inputs; vanishing
-    sums never have length 4.)
-    """
-    order = field_order(x.den for x in raw.angles)
-    rational_mask = []
-    for mask in range(1, 16):
-        terms = [(1, x) for i, x in enumerate(raw.angles) if mask & (1 << i)]
-        if not any(key_numerator(order, twice_cosine_sum(terms, order))[1:]):
-            rational_mask.append(mask)
-    rational_set = set(rational_mask)
-    best: Optional[int] = None
-    for mask in rational_mask:
-        proper_rational = any(
-            sub in rational_set
-            for sub in range(1, mask)
-            if sub & mask == sub and sub != mask
-        )
-        if not proper_rational:
-            size = bin(mask).count("1")
-            if best is None or size > best:
-                best = size
-    return best
 
 
 def verify_no_length4_solutions() -> bool:

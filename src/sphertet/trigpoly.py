@@ -58,18 +58,6 @@ from functools import lru_cache
 from operator import itemgetter
 from typing import Iterable, Sequence, Union
 
-from mpmath.libmp import (
-    fzero,
-    from_rational,
-    mpi_add,
-    mpi_cos,
-    mpi_mul,
-    round_ceiling,
-    round_floor,
-    to_rational,
-)
-from mpmath.libmp.libmpi import mpi_pi
-
 from .angles import _fraction
 from .cyclotomic import (
     CyclotomicNumber,
@@ -369,10 +357,14 @@ class TrigPoly:
         term's angle ranges over pi*(A + B*t_range + C*u_range).
 
         A range must run from its lower to its upper end, and precision
-        must be an int of at least one bit (ValueError otherwise).  No
-        proof calls it; kept because perfbench/layers.py traces it."""
+        must be an int of at least one bit (ValueError otherwise), checked
+        before mpmath is imported.  No proof calls it; kept because
+        perfbench/layers.py traces it."""
         if type(precision) is not int or precision < 1:
             raise ValueError(f"precision must be an int >= 1, got {precision!r}")
+        from mpmath.libmp import fzero, mpi_add, mpi_cos, mpi_mul, to_rational
+        from mpmath.libmp.libmpi import mpi_pi
+
         (t1, t2, tq), (u1, u2, uq) = (_over_one_denominator(lo, hi)
                                       for lo, hi in (t_range, u_range))
         if t1 > t2 or u1 > u2:
@@ -467,6 +459,8 @@ def _over_one_denominator(lo: Rat, hi: Rat) -> tuple[int, int, int]:
 
 def _outward(lo: int, hi: int, den: int, precision: int):
     """The libmp interval [lo/den, hi/den] with its ends rounded outward."""
+    from mpmath.libmp import from_rational, round_ceiling, round_floor
+
     return (from_rational(lo, den, precision, round_floor),
             from_rational(hi, den, precision, round_ceiling))
 

@@ -12,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sphertet import certify
-from sphertet.angles import RationalAngle, angle
+from sphertet.angles import RationalAngle, angle, frac_obj
 from sphertet.certify import (
     CertificationInconclusive,
     LinkTriangle,
@@ -65,6 +65,19 @@ def test_parametric_cell_volumes():
         product.volume(9)
     with pytest.raises(PreconditionError):
         prism.volume()
+
+
+@pytest.mark.parametrize("k, l", [(0, 9), (-3, 9), (1, 1), (9, 1), (9.0, 9), (True, 9),
+                                  (Fraction(9), 9)])
+def test_parametric_cell_volumes_need_dihedral_orders(k, l):
+    """k and l are orders of dihedral groups, ints of at least 2."""
+    by_symbol = {c.symbol: c for c in coxeter_catalog()}
+    with pytest.raises(PreconditionError):
+        by_symbol["I2(k)xI2(l)"].volume(k, l)
+    if l != 9:
+        return
+    with pytest.raises(PreconditionError):
+        by_symbol["I2(k)xA1x2"].volume(k)
 
 
 # -- link triangles and their sides -------------------------------------------
@@ -224,6 +237,74 @@ def test_reference_quadruple_is_certified_nondecomposable():
     tampered = copy.deepcopy(payload)
     tampered["radius"] = {"num": 1, "den": 12}
     assert not recheck_obstruction(tampered)
+
+
+def _forged_payload(quad, idx, center, radius):
+    """A payload for the link at vertex idx with a ball it never proved."""
+    t = LinkTriangle(*vertex_links(quad)[idx])
+    return {"kind": "nondecomposability-obstruction",
+            "quadruple": [frac_obj(a.frac) for a in quad.angles],
+            "vertex_index": idx,
+            "triangle": [frac_obj(a.frac) for a in t.angles],
+            "center": frac_obj(center), "radius": frac_obj(radius),
+            "area_target": frac_obj(normalized_area(t)),
+            "weights": list(area_weights())}
+
+
+ROW_26 = PythagoreanQuadruple.of(angle(4, 7), angle(2, 7), angle(4, 7), angle(1, 3))
+
+
+@pytest.mark.parametrize("center, radius", [(0, Fraction(1, 2)), (0, Fraction(-1, 2)),
+                                            (Fraction(1, 15), Fraction(1, 3))])
+def test_a_ball_wider_than_a_quarter_circle_is_refused(center, radius):
+    """Row 26 has no certificate, and its vertex-0 link has an infeasible
+    area; each of these balls contains that link, but only a radius in
+    (0, pi/4] excludes a D(2,2,n)."""
+    assert nondecomposability_certificate(ROW_26) is None
+    t = LinkTriangle(*vertex_links(ROW_26)[0])
+    assert area_diophantine(normalized_area(t)) is None
+    assert diameter_certificate(t, RationalAngle.from_fraction(center),
+                                RationalAngle.from_fraction(radius)).holds
+    assert not recheck_obstruction(_forged_payload(ROW_26, 0, center, radius))
+
+
+def test_no_sporadic_row_without_a_certificate_rechecks_a_forged_ball():
+    for row in load_sporadic_fixture():
+        quad = PythagoreanQuadruple.of(*(RationalAngle.from_fraction(row[k])
+                                         for k in "pqrs"))
+        if nondecomposability_certificate(quad) is not None:
+            continue
+        for idx in range(4):
+            for radius in (Fraction(1, 2), Fraction(-1, 2)):
+                payload = _forged_payload(quad, idx, 0, radius)
+                assert not recheck_obstruction(payload), (row["no"], idx, radius)
+
+
+def _malformed(payload):
+    yield {"kind": "nondecomposability-obstruction"}
+    # the keys a recheck reads; it recomputes the margins and their precision
+    for key in ("kind", "quadruple", "vertex_index", "triangle", "center", "radius",
+                "area_target", "weights"):
+        yield {k: v for k, v in payload.items() if k != key}
+    for key, value in (("vertex_index", "0"), ("vertex_index", True),
+                       ("vertex_index", 9), ("vertex_index", 0.0),
+                       ("quadruple", payload["quadruple"][:3]),
+                       ("quadruple", [frac_obj(Fraction(1, 10))] * 4),  # no link
+                       ("radius", {"num": 1, "den": 0}),
+                       ("radius", {"num": 0.25, "den": 1}),
+                       ("center", "0"), ("weights", 10)):
+        yield dict(payload, **{key: value})
+    zero_angle = copy.deepcopy(payload)
+    zero_angle["quadruple"][3] = {"num": 0, "den": 1}
+    yield zero_angle
+
+
+def test_a_malformed_payload_rechecks_false():
+    cert = nondecomposability_certificate(REFERENCE_QUAD, center=RationalAngle(4, 25))
+    payload = json.loads(json.dumps(cert.to_payload()))
+    assert recheck_obstruction(payload)
+    for bad in _malformed(payload):
+        assert recheck_obstruction(bad) is False, bad
 
 
 def test_all_right_quadruple_has_no_obstruction():

@@ -26,7 +26,6 @@ from sphertet.cyclotomic import (
     filter_signs,
     key_numerator,
     sign,
-    sin_as_cyclotomic,
     totient,
 )
 
@@ -137,11 +136,6 @@ def test_roots_of_unity():
     assert CyclotomicNumber.root_of_unity(2, 1).rational_value == -1
     z = CyclotomicNumber.root_of_unity(10, 2)  # e^(2i pi/5)
     assert (z * z * z * z * z).rational_value == 1
-
-
-def test_sin_as_shifted_cos():
-    assert sin_as_cyclotomic(angle(1, 2)).rational_value == 1
-    assert sin_as_cyclotomic(angle(1, 6)).rational_value == Fraction(1, 2)
 
 
 # -- the classical vanishing-sum relations ----------------------------------

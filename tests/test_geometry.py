@@ -26,7 +26,6 @@ from sphertet.families import builtin_families, instantiate
 from sphertet.geometry import (
     PreconditionError,
     PythagoreanQuadruple,
-    RawQuadruple,
     edge_lengths,
     is_pythagorean,
     is_realizable,
@@ -506,8 +505,3 @@ def test_vertex_links_shape():
     p, q, r, s = ROW_1.angles
     assert links[0] == (p, q, s)
     assert links[2] == (p, q, r)
-
-
-def test_raw_quadruple_round_trip():
-    raw = RawQuadruple(angle(2, 3), angle(1, 3), angle(3, 5), angle(1, 5))
-    assert len(raw.angles) == 4

@@ -1,18 +1,22 @@
 """Every import in src/, tests/ and scripts/ is used, the package
 imports nothing beyond the standard library and mpmath's numpy-free core,
-and only certify and trigpoly import mpmath.
+only certify and trigpoly import mpmath, and only the code that calls
+mpmath loads it: the package root, the searches and verify-families run
+without it.
 
 A name bound by an import counts as used when the module reads it: as a
 name, as the root of an attribute chain, inside a string annotation, or
-in __all__.  Package __init__ modules are exempt, since their imports
-are the package's re-exports.
+in __all__.
 """
 
 from __future__ import annotations
 
 import ast
+import os
+import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -20,7 +24,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted(
     path for top in ("src", "tests", "scripts")
-    for path in (ROOT / top).rglob("*.py") if path.name != "__init__.py")
+    for path in (ROOT / top).rglob("*.py"))
 
 
 def _imported_names(tree: ast.Module) -> dict[str, int]:
@@ -83,8 +87,8 @@ def _imported_modules(tree: ast.Module) -> set[str]:
 PACKAGE = sorted((ROOT / "src").rglob("*.py"))
 
 # certify encloses its link geometry in mpmath's interval context.
-# trigpoly keeps mpmath only because the benchmark's traced run pins
-# TrigPoly.eval_interval and its libmp enclosure (ROADMAP item 1).
+# trigpoly imports libmp inside TrigPoly.eval_interval only, kept
+# because the benchmark's traced run pins it (ROADMAP item 1).
 MPMATH_IMPORTERS = {"certify.py", "trigpoly.py"}
 
 
@@ -99,15 +103,50 @@ def test_only_certify_and_trigpoly_import_mpmath(path):
     assert not imported or path.name in MPMATH_IMPORTERS
 
 
+def _fresh(code: str, *args: str) -> list[str]:
+    """The printed words of code run in a fresh interpreter on src/."""
+    env = {k: v for k, v in os.environ.items() if k != "SPHERTET_OUT_DIR"}
+    done = subprocess.run([sys.executable, "-c", code, *args], cwd=ROOT / "src", env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    return done.stdout.split()
+
+
+def test_the_package_root_loads_no_module():
+    assert _fresh("import sys, sphertet; print(sorted(m for m in sys.modules"
+                  " if m.startswith(('sphertet.', 'mpmath'))))") == ["[]"]
+
+
 def test_the_cyclotomic_core_loads_no_mpmath():
-    """sphertet.cyclotomic and what it imports, loaded without the
-    package __init__ (which imports certify), leave mpmath unloaded."""
-    code = ("import sys, types; pkg = types.ModuleType('sphertet');"
-            "pkg.__path__ = ['src/sphertet']; sys.modules['sphertet'] = pkg;"
-            "import sphertet.cyclotomic; print(sorted(m for m in sys.modules if 'mpmath' in m))")
-    done = subprocess.run([sys.executable, "-c", code], cwd=ROOT, capture_output=True,
-                          text=True, timeout=120, check=True)
-    assert done.stdout.split() == ["[]"]
+    assert _fresh("import sys, sphertet.cyclotomic;"
+                  "print(any(m.startswith('mpmath') for m in sys.modules))") == ["False"]
+
+
+# Run the command line in-process with its stdout silenced, then report
+# whether it exited 0 and whether mpmath was loaded.
+_CLI = ("import contextlib, io, sys; from sphertet import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()): rc = cli.main(sys.argv[1:])\n"
+        "print(rc, 'mpmath' in sys.modules)")
+
+
+@pytest.mark.parametrize("command", ["verify-families", "search-quadruples",
+                                     "search-triples", "search-lambert"])
+def test_the_searches_and_family_checks_leave_mpmath_unloaded(command):
+    assert _fresh(_CLI, command) == ["0", "False"]
+
+
+def test_the_certificate_loads_mpmath_and_rechecks():
+    assert _fresh(_CLI, "certify", "--paper-example") == ["0", "True"]
+
+
+def test_the_readme_library_example_runs():
+    """The README's python block, run as written, gives pi^2/162."""
+    readme = (ROOT / "README.md").read_text()
+    (block,) = re.findall(r"```python\n(.*?)```", readme, re.S)
+    scope: dict = {}
+    exec(block, scope)
+    assert scope["volume"](scope["quad"]).value == Fraction(1, 162)
+    assert scope["inst"].vol.value == Fraction(1, 162)
+    assert scope["recheck_obstruction"](scope["cert"].to_payload())
 
 
 def test_setup_leaves_numpy_unimported():

@@ -15,7 +15,6 @@ from sphertet.search import (
     candidate_count,
     field_order,
     grid_angles,
-    rational_length,
     search_triples,
     twice_cosine_sum,
     unordered_pairs,
@@ -57,24 +56,6 @@ def test_search_config_pins_a_single_process():
     assert "workers" not in SearchConfig().describe()
     with pytest.raises(ValueError):
         SearchConfig(workers=2)
-
-
-def test_rational_length_of_structured_sums():
-    from sphertet.geometry import RawQuadruple
-
-    # all singletons rational: the largest minimal sub-sum is a singleton
-    singles = RawQuadruple(angle(1, 2), angle(1, 3), angle(2, 3), angle(1, 2))
-    assert rational_length(singles) == 1
-    # a supplement pair sums to zero while neither cosine is rational
-    pair = RawQuadruple(angle(1, 5), angle(4, 5), angle(1, 7), angle(1, 2))
-    assert rational_length(pair) == 2
-    # cos(pi/7) + cos(5pi/7) + cos(3pi/7) = 1/2 is minimal of length 3
-    triple = RawQuadruple(angle(1, 7), angle(5, 7), angle(3, 7), angle(1, 2))
-    assert rational_length(triple) == 3
-    # nothing rational at all
-    assert rational_length(
-        RawQuadruple(angle(1, 7), angle(1, 5), angle(1, 9), angle(2, 9))
-    ) is None
 
 
 def test_no_length_four_relations():

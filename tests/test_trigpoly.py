@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import mpmath.libmp.libmpi
 from mpmath import iv
 from mpmath.libmp import (
     from_rational,
@@ -337,8 +338,9 @@ def test_precision_must_be_an_int_of_at_least_one_bit(monkeypatch, precision):
     def no_mpmath(*args):
         raise AssertionError("mpmath called")
 
-    for name in ("mpi_pi", "mpi_cos", "from_rational"):
-        monkeypatch.setattr(trigpoly, name, no_mpmath)
+    for name in ("mpi_cos", "from_rational"):
+        monkeypatch.setattr(mpmath.libmp, name, no_mpmath)
+    monkeypatch.setattr(mpmath.libmp.libmpi, "mpi_pi", no_mpmath)
     poly = TrigPoly.cos_of(f(0, 1)) + TrigPoly.constant(2)
     with pytest.raises(ValueError, match="precision must be an int >= 1"):
         poly.eval_interval((0, Fraction(1, 6)), precision=precision)
