@@ -483,7 +483,8 @@ def recheck_obstruction(payload: dict) -> bool:
     def angle(d: dict) -> RationalAngle:
         return RationalAngle.from_fraction(obj_frac(d))
 
-    if payload.get("kind") != "nondecomposability-obstruction":
+    if (not isinstance(payload, dict)
+            or payload.get("kind") != "nondecomposability-obstruction"):
         return False
     try:
         quad = PythagoreanQuadruple.of(*(angle(d) for d in payload["quadruple"]))

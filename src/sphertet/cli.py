@@ -204,7 +204,7 @@ def cmd_search_lambert(args) -> int:
     companions = lambert_mod.companion_tetrahedra()
     for t in companions:
         print(f"companion {t.quadruple}  volume {t.vol.value} * pi^2 "
-              f"via {t.volume_route} (k = {t.coxeter_parameter})")
+              f"via coxeter-parametric (k = {t.coxeter_parameter})")
     prov = records_mod.make_provenance(SearchConfig())
     _write(records_mod.lambert_records(report.cubes, report.volumes, prov),
            out, "lambert")

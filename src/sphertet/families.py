@@ -25,17 +25,14 @@ it is an exact sum-to-product identity 2|c| cos X cos Y and the sign of
 each factor, read off the range of its linear argument over the
 region's vertices.
 
-Membership is decided by an index built once, on first use.  Each
+Membership is two or three integer linear equations per family.  Each
 family's angle map x = alpha + tau*beta + mu*gamma (x = (p, q, r, s) in
-pi units) is inverted: its directions have full rank, so a point of the
-family's line or plane determines tau and mu as affine functions of one
-or two fixed coordinates.  The 42 rows fall into 18 spans of their
-directions (16 lines carrying the 34 segment rows, 2 planes carrying
-the 8 two-parameter rows), and within a span they are keyed by alpha
-projected along it, in integers over one denominator.  A quadruple is
-on a family exactly when its own projection has that family's key, so
-finding its families costs one projection and one dict lookup per span
-and per coordinate swap tried.
+pi units) has directions of full rank, so its line or plane is cut out
+by 3 or 2 equations in x's numerators over one denominator, derived
+once per family by Cramer's rule; a quadruple is on the family exactly
+when it satisfies them all, and only then are tau and mu solved.
+Classifying a quadruple walks the catalog in order and stops at the
+first family (and coordinate swap) whose equations hold.
 
 Families come in twin pairs related by swapping r and s; both members
 are kept because the tables list them separately, and membership tests
@@ -178,9 +175,9 @@ class FamilySpec:
         return 0 <= tau <= mu and tau + mu <= 1
 
     @cached_property
-    def _inverse(self) -> "_FamilyInverse":
-        """The angle map inverted (computed once per spec)."""
-        return _invert(self)
+    def _equations(self) -> "_Equations":
+        """The membership equations (computed once per spec)."""
+        return _family_equations(self)
 
     def interior_parameters(self, tau: Rat, mu: Rat = 0) -> bool:
         tau, mu = _parameters(tau, mu)
@@ -496,122 +493,59 @@ class FamilyMembership:
     swapped_rs: bool
 
 
-@dataclass(frozen=True)
-class _Span:
-    """The span of a family's directions (a catalog row has one or two,
-    beta and gamma).  pivots are the pivot coordinates of its reduced row
-    echelon basis E; projection has one integer row per other coordinate
-    k, scale * (e_k - sum_j E[j][k] e_pivots[j]), which maps x to scale
-    times x minus the span vector that agrees with x at the pivots."""
+class _Equations(NamedTuple):
+    """A family's line or plane as integer equations on x = nums/den: x is
+    on it iff c . nums == d * den for every (*c, d) in rows, and then
+    det*den*tau and det*den*mu are c . nums - d * den for (*c, d) = tau, mu."""
 
-    pivots: tuple[int, ...]
-    projection: tuple[tuple[int, ...], ...]
-    scale: int
-
-    def key(self, nums: Sequence[int], den: int) -> tuple[int, ...]:
-        """The projection of nums/den as reduced integer numerators and
-        their denominator: two points share a key iff their difference
-        lies in the span."""
-        out = [sum(map(operator.mul, row, nums)) for row in self.projection]
-        den *= self.scale
-        g = math.gcd(den, *out)
-        return (*[v // g for v in out], den // g)
-
-
-@dataclass(frozen=True)
-class _FamilyInverse:
-    """A family's angle map x = alpha + tau*beta + mu*gamma, inverted: x is
-    on the family's line or plane iff span.key(x) == key, and then
-    (tau, mu) = coeffs @ (x - alpha) read at the span's pivots."""
-
-    fam: FamilySpec
-    span: _Span
-    key: tuple[int, ...]
-    alpha: tuple[Fraction, ...]
-    coeffs: tuple[tuple[Fraction, ...], tuple[Fraction, ...]]
+    rows: tuple[tuple[int, int, int, int, int], ...]
+    tau: tuple[int, int, int, int, int]
+    mu: tuple[int, int, int, int, int]
+    det: int
 
     def parameters(self, nums: Sequence[int], den: int) -> tuple[Fraction, Fraction]:
-        d = [Fraction(nums[p], den) - self.alpha[p] for p in self.span.pivots]
-        tau, mu = (sum((c * v for c, v in zip(row, d)), Fraction(0))
-                   for row in self.coeffs)
-        return tau, mu
+        return tuple(Fraction(sum(map(operator.mul, row, nums)) - row[4] * den,
+                              self.det * den) for row in (self.tau, self.mu))
 
 
-def _over_common_denominator(pairs: Sequence[tuple[int, int]]) -> tuple[list[int], int]:
-    """Numerators over the least common denominator of num/den pairs."""
-    den = math.lcm(*(d for _, d in pairs))
-    return [n * (den // d) for n, d in pairs], den
+def _family_equations(fam: FamilySpec) -> _Equations:
+    """Membership equations of the angle map L*x = A + tau*B + mu*G.
 
-
-def _invert(fam: FamilySpec) -> _FamilyInverse:
-    """Invert the family's angle map by Gauss-Jordan elimination on its
-    directions, each row carrying the combination of directions it is.
-
-    The reduced rows E and combinations C (E = C @ directions) give, for x
-    on the family, x - alpha = sum_j (x - alpha)[pivot j] * E[j], so the
-    parameters are C^T @ (x - alpha) at the pivots.  Raises ValueError
-    when the directions are linearly dependent (the parameters would not
-    be determined by the angles).
+    The four forms are written over their common denominator L, with
+    integer vectors A, B, G (G = 0 on a segment row), so on the family
+    y = L*nums - A*den is den*(tau*B + mu*G).  A line pivots on the first
+    i with det = B_i != 0: det*den*tau = y_i, and each other k gives
+    det*y_k - B_k*y_i = 0.  A plane pivots on the first pair (i, j) with
+    det = B_i*G_j - B_j*G_i != 0: Cramer's rule gives det*den*tau =
+    G_j*y_i - G_i*y_j and det*den*mu = B_i*y_j - B_j*y_i, and each other
+    k gives det*y_k = B_k*det*den*tau + G_k*det*den*mu.  Weights w on y
+    give the row (L*w, w . A); equations are reduced by their gcd.  Raises
+    ValueError when the directions are linearly dependent.
     """
     forms = fam.angle_forms
-    alpha = tuple(f.pi_part for f in forms)
-    dirs = [[f.t_part for f in forms]]
+    L = math.lcm(*(f.d for f in forms))
+    A, B, G = ([getattr(f, part) * (L // f.d) for f in forms] for part in "abc")
     if fam.two_param:
-        dirs.append([f.u_part for f in forms])
-    n = len(dirs)
-    rows = [d + [Fraction(int(i == j)) for j in range(n)] for i, d in enumerate(dirs)]
-    pivots: list[int] = []
-    for col in range(4):
-        r = len(pivots)
-        pick = next((i for i in range(r, n) if rows[i][col]), None)
-        if pick is None:
-            continue
-        rows[r], rows[pick] = rows[pick], rows[r]
-        rows[r] = [v / rows[r][col] for v in rows[r]]
-        for i in range(n):
-            f = rows[i][col]
-            if i != r and f:
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(col)
-        if len(pivots) == n:
-            break
-    if len(pivots) < n:
+        i, j = next(((i, j) for i in range(4) for j in range(i + 1, 4)
+                     if B[i] * G[j] != B[j] * G[i]), (0, 1))
+        det = B[i] * G[j] - B[j] * G[i]
+        weights = [{k: det, i: G[k] * B[j] - B[k] * G[j], j: B[k] * G[i] - G[k] * B[i]}
+                   for k in range(4) if k not in (i, j)]
+        tau, mu = {i: G[j], j: -G[i]}, {i: -B[j], j: B[i]}
+    else:
+        i = next((k for k in range(4) if B[k]), 0)
+        det = B[i]
+        weights = [{k: det, i: -B[k]} for k in range(4) if k != i]
+        tau, mu = {i: 1}, {}
+    if not det:
         raise ValueError(f"family {fam.family_id} has dependent directions")
-    scale = math.lcm(*(v.denominator for row in rows for v in row[:4]))
-    projection = []
-    for k in range(4):
-        if k not in pivots:
-            proj = [Fraction(int(i == k)) for i in range(4)]
-            for p, row in zip(pivots, rows):
-                proj[p] -= row[k]
-            projection.append(tuple(int(scale * v) for v in proj))
-    span = _Span(tuple(pivots), tuple(projection), scale)
-    params = [tuple(row[4 + k] for row in rows) for k in range(n)]
-    if n == 1:
-        params.append((Fraction(0),))
-    alpha_key = span.key(*_over_common_denominator(
-        [(a.numerator, a.denominator) for a in alpha]))
-    return _FamilyInverse(fam, span, alpha_key, alpha, tuple(params))
 
+    def row(w: dict[int, int]) -> tuple[int, ...]:
+        return (*(L * w.get(m, 0) for m in range(4)), sum(v * A[m] for m, v in w.items()))
 
-@lru_cache(maxsize=1)
-def _family_index() -> tuple[tuple[_Span, dict], ...]:
-    """The catalog grouped by span; within a span, the families of each
-    key as (catalog position, inverse), in catalog order."""
-    groups: dict[_Span, dict] = {}
-    for position, fam in enumerate(builtin_families()):
-        inv = fam._inverse
-        groups.setdefault(inv.span, {}).setdefault(inv.key, []).append((position, inv))
-    return tuple(groups.items())
-
-
-class _Target(NamedTuple):
-    """An angle vector to match, as integer numerators over one denominator."""
-
-    nums: list[int]
-    den: int
-    swapped_pq: bool
-    swapped_rs: bool
+    rows = [row(w) for w in weights]
+    return _Equations(tuple(tuple(v // math.gcd(*r) for v in r) for r in rows),
+                      row(tau), row(mu), det)
 
 
 # Coordinate orders of the p<->q / r<->s swaps, in the order they are tried.
@@ -619,35 +553,42 @@ _SWAPS = (((0, 1, 2, 3), False, False), ((0, 1, 3, 2), False, True),
           ((1, 0, 2, 3), True, False), ((1, 0, 3, 2), True, True))
 
 
-def _targets(quad: PythagoreanQuadruple, extent: str) -> list[_Target]:
-    """The quadruple itself for extent="curve", its four swaps for
-    extent="domain"."""
+def _first_member(fams: Sequence[FamilySpec], quad: PythagoreanQuadruple,
+                  extent: str) -> Optional[FamilyMembership]:
+    """The first family of fams, and its first swap, whose equations the
+    quadruple's angles satisfy (inside the closed domain for "domain")."""
     if extent not in ("curve", "domain"):
         raise ValueError(f"unknown extent {extent!r}")
-    nums, den = _over_common_denominator([(a.num, a.den) for a in quad.angles])
-    return [_Target([nums[i] for i in perm], den, spq, srs)
-            for perm, spq, srs in (_SWAPS[:1] if extent == "curve" else _SWAPS)]
-
-
-def _membership(inv: _FamilyInverse, target: _Target,
-                extent: str) -> Optional[FamilyMembership]:
-    tau, mu = inv.parameters(target.nums, target.den)
-    if extent == "domain" and not inv.fam.contains_parameters(tau, mu):
-        return None
-    return FamilyMembership(inv.fam.family_id, RationalAngle.from_fraction(tau),
-                            RationalAngle.from_fraction(mu),
-                            target.swapped_pq, target.swapped_rs)
+    den = math.lcm(*(a.den for a in quad.angles))
+    nums = [a.num * (den // a.den) for a in quad.angles]
+    targets = [([nums[i] for i in perm], spq, srs)
+               for perm, spq, srs in (_SWAPS[:1] if extent == "curve" else _SWAPS)]
+    for fam in fams:
+        eqs = fam._equations
+        for x, spq, srs in targets:
+            x0, x1, x2, x3 = x
+            for c0, c1, c2, c3, d in eqs.rows:
+                if c0 * x0 + c1 * x1 + c2 * x2 + c3 * x3 != d * den:
+                    break
+            else:
+                tau, mu = eqs.parameters(x, den)
+                if extent == "curve" or fam.contains_parameters(tau, mu):
+                    return FamilyMembership(
+                        fam.family_id, RationalAngle.from_fraction(tau),
+                        RationalAngle.from_fraction(mu), spq, srs)
+    return None
 
 
 def member_of(quad: PythagoreanQuadruple, fam: FamilySpec,
               extent: str = "domain") -> Optional[FamilyMembership]:
     """Parameters placing the quadruple inside the family, if any.
 
-    The family's angle map is inverted once (its directions have full
-    rank, so the parameters are unique): the quadruple is on the family
-    exactly when its projection along the span of the directions equals
-    that of the constant part, and the parameters are then read off at
-    fixed pivot coordinates.
+    The family's line or plane is two or three integer linear equations
+    in the angles' numerators over one denominator, derived once per
+    family (its directions have full rank, so the parameters are
+    unique): the quadruple is on the family exactly when it satisfies
+    them all, and only then are the parameters solved, by Cramer's rule
+    at fixed pivot coordinates.
 
     extent="domain" restricts to the closed (tightened) tabulated
     domain and tries all four combinations of the p<->q and r<->s
@@ -664,37 +605,17 @@ def member_of(quad: PythagoreanQuadruple, fam: FamilySpec,
     folded branch are deliberately not matched.  That convention is
     what separates the sporadic list from the families.
     """
-    inv = fam._inverse
-    for target in _targets(quad, extent):
-        if inv.span.key(target.nums, target.den) == inv.key:
-            hit = _membership(inv, target, extent)
-            if hit is not None:
-                return hit
-    return None
+    return _first_member((fam,), quad, extent)
 
 
 def classify_quadruple(quad: PythagoreanQuadruple,
                        extent: str = "domain") -> Optional[FamilyMembership]:
     """First family containing the quadruple, in catalog order (and, for
     one family, the first swap in member_of's order): member_of over the
-    catalog, answered from the family index.
-
-    The index, built once, groups the 42 rows by the span of their
-    directions (16 lines and 2 planes) and keys each group by the
-    projection of the constant parts along the span, so each angle vector
-    to match costs one projection and one dict lookup per span.
+    catalog, with the quadruple's numerators and swaps built once and
+    each family's equations tried in that order.
     """
-    targets = _targets(quad, extent)
-    found = []
-    for k, target in enumerate(targets):
-        for span, table in _family_index():
-            found += [(position, k, inv) for position, inv
-                      in table.get(span.key(target.nums, target.den), ())]
-    for _, k, inv in sorted(found, key=lambda hit: hit[:2]):
-        hit = _membership(inv, targets[k], extent)
-        if hit is not None:
-            return hit
-    return None
+    return _first_member(builtin_families(), quad, extent)
 
 
 @dataclass(frozen=True)

@@ -151,7 +151,6 @@ class CompanionTetrahedron:
 
     quadruple: PythagoreanQuadruple
     vol: VolumeCoefficient
-    volume_route: str
     coxeter_parameter: Fraction  # the k of the I2(k) x A1 x A1 pattern
 
 
@@ -171,7 +170,6 @@ def companion_tetrahedra() -> tuple[CompanionTetrahedron, CompanionTetrahedron]:
             CompanionTetrahedron(
                 quadruple=quad,
                 vol=VolumeCoefficient(s.frac / 4),
-                volume_route="coxeter-parametric",
                 coxeter_parameter=1 / s.frac,
             )
         )

@@ -307,6 +307,14 @@ def test_a_malformed_payload_rechecks_false():
         assert recheck_obstruction(bad) is False, bad
 
 
+@pytest.mark.parametrize("payload", [[], "x", None])
+def test_a_payload_that_is_not_an_object_rechecks_false(payload):
+    """A certificate file line holding a JSON array, string or null."""
+    cert = nondecomposability_certificate(REFERENCE_QUAD, center=RationalAngle(4, 25))
+    assert recheck_obstruction(json.loads(json.dumps(cert.to_payload())))
+    assert recheck_obstruction(payload) is False
+
+
 def test_all_right_quadruple_has_no_obstruction():
     quad = PythagoreanQuadruple.of(angle(1, 2), angle(1, 2),
                                    angle(1, 2), angle(1, 2))

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import replace
 from fractions import Fraction
@@ -24,7 +25,6 @@ from sphertet.families import (
     FamilyMembership,
     FamilySpec,
     VolumeForm,
-    _family_index,
     builtin_families,
     classify_quadruple,
     export_catalog,
@@ -516,17 +516,46 @@ def _assert_membership_matches_oracle(q):
     assert classify_quadruple(q, extent="domain") == _first(d for _, d in oracle), q
 
 
-def test_family_index_groups_the_catalog_by_span():
-    """18 spans: 16 lines carry the 34 segment rows and 2 planes the 8
-    two-parameter rows; every catalog row is in exactly one group."""
-    index = _family_index()
-    rows = {1: [], 2: []}
-    for span, table in index:
-        ids = [inv.fam.family_id for group in table.values() for _, inv in group]
-        rows[len(span.pivots)].append(ids)
-    assert (len(rows[1]), len(rows[2])) == (16, 2)
-    assert sorted(i for ids in rows[1] for i in ids) == list(range(1, 35))
-    assert sorted(i for ids in rows[2] for i in ids) == list(range(35, 43))
+def _numerators(fracs):
+    den = math.lcm(*(f.denominator for f in fracs))
+    return [f.numerator * (den // f.denominator) for f in fracs], den
+
+
+def _satisfies(eqs, nums, den):
+    return all(sum(c * x for c, x in zip(row, nums)) == row[4] * den
+               for row in eqs.rows)
+
+
+_INTERIOR = {DOMAIN_SEGMENT: (Fraction(1, 12), 0), DOMAIN_A: (Fraction(1, 3), Fraction(1, 6)),
+             DOMAIN_B: (Fraction(1, 6), Fraction(1, 3))}
+
+
+@pytest.mark.parametrize("fam_id", range(1, 43))
+def test_membership_equations_cut_out_the_family(fam_id):
+    """A segment row is 3 integer equations and a plane row 2.  The
+    constant part and an interior member satisfy them and solve to their
+    own parameters; moving one angle by 1/den leaves the family (as the
+    oracle's elimination agrees) for at least as many angles as there
+    are equations."""
+    fam = family_by_id(fam_id)
+    eqs = fam._equations
+    assert len(eqs.rows) == (2 if fam.two_param else 3)
+    tau, mu = _INTERIOR[fam.domain]
+    member = instantiate(fam, tau, mu)
+    for params in ((0, 0), (tau, mu)):
+        x = [f.value_in_pi_units(*params) for f in fam.angle_forms]
+        nums, den = _numerators(x)
+        assert _satisfies(eqs, nums, den), params
+        assert eqs.parameters(nums, den) == params
+    assert sorted(x) == sorted(member.quadruple.fractions)
+    broken = 0
+    for k in range(4):
+        moved = nums[:k] + [nums[k] + 1] + nums[k + 1:]
+        on = _satisfies(eqs, moved, den)
+        assert on == (_solve_linear([(f.t_part, f.u_part, Fraction(n, den) - f.pi_part)
+                                     for f, n in zip(fam.angle_forms, moved)]) is not None)
+        broken += not on
+    assert broken >= len(eqs.rows)
 
 
 def test_membership_matches_the_oracle_on_raw_solutions(sporadic_report):
@@ -600,6 +629,22 @@ def test_unknown_extent_is_rejected():
         member_of(q, family_by_id(11), extent="line")
     with pytest.raises(ValueError, match="unknown extent"):
         classify_quadruple(q, extent="line")
+
+
+def test_classification_never_hashes_a_family_spec(monkeypatch, sporadic_report):
+    """The equations live on each spec, not in a cache keyed by it: a
+    curve pass over the realizable quadruples looks them up 8,736 times,
+    and hashing the frozen spec with its nested forms on each lookup
+    made the search measurably slower."""
+    probe = instantiate(family_by_id(40), Fraction(1, 6), Fraction(1, 3)).quadruple
+
+    def unhashable(self):
+        raise AssertionError("a FamilySpec was hashed")
+
+    monkeypatch.setattr(FamilySpec, "__hash__", unhashable)
+    curve = [classify_quadruple(q, extent="curve") for q in sporadic_report.realizable]
+    assert (len(curve), sum(hit is not None for hit in curve)) == (208, 149)
+    assert classify_quadruple(probe, extent="domain") is not None
 
 
 def test_curve_and_domain_membership_differ_by_three_points_of_family_9(sporadic_report):
