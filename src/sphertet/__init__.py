@@ -5,7 +5,7 @@ Everything numeric is decided exactly: angles are rational multiples of
 pi, cosines live in cyclotomic fields, volumes are rational multiples
 of pi^2, and every inequality is proven: by a float sum only where a
 proven error bound excludes zero, else by an exact integer enclosure
-(the cyclotomic core) or mpmath interval arithmetic (certify's links).
+(the cyclotomic core, and certify's link geometry).
 
 The package namespace holds only __version__: import each name from
 its module (sphertet.angles, .geometry, .families, .certify, ...), so

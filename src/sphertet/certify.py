@@ -16,9 +16,13 @@ decomposition:
     When that Diophantine equation has no solution, no tiling by the
     three right triangles exists either.
 
-Everything here is decided in exact rational arithmetic or in certified
-interval arithmetic with explicit precision control; an enclosure that
-stays inconclusive after refinement raises rather than guessing.
+Everything here is decided in exact rational arithmetic or on
+fixed-point enclosures in Python integers: the link geometry and the
+ball's margins are built from cosines and sines of rational multiples
+of pi with a proven error (cyclotomic._root_fixed), and every product,
+quotient and square root is rounded outward.  The precision doubles
+from 64 bits until a comparison is decided; an enclosure that stays
+inconclusive after refinement raises rather than guessing.
 
 The module also houses the finite catalog of 4-dimensional spherical
 Coxeter cells with their exact volumes, and the suspension lift that
@@ -29,18 +33,14 @@ from __future__ import annotations
 
 import json
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
-from typing import Iterator, Optional
-
-from mpmath import iv
-from mpmath.libmp import to_rational
+from typing import Optional
 
 from .angles import ZERO, RationalAngle, _fraction, frac_obj, obj_frac
-from .cyclotomic import SignedInterval
+from .cyclotomic import SignedInterval, _root_fixed
 from .geometry import PreconditionError, PythagoreanQuadruple, vertex_links
 
 
@@ -138,47 +138,97 @@ class LinkTriangle:
         return sum(x.frac for x in self.angles) - 1
 
 
-@contextmanager
-def iv_precision(bits: int) -> Iterator[None]:
-    """Run a block at mpmath interval precision bits: the one place that
-    sets and restores that global state."""
-    old, iv.prec = iv.prec, bits
-    try:
-        yield
-    finally:
-        iv.prec = old
+# -- fixed-point enclosures ---------------------------------------------------
+#
+# An enclosure at w bits of a real v is a pair of ints (lo, hi) with
+# lo <= 2^w v <= hi.  Each operation below rounds its endpoints outward
+# (floor for lo, ceil for hi) from the exact result at its operands'
+# endpoints, so it encloses the exact result of any values its operands
+# enclose; the only approximation is that of the cosines and sines.
+
+Enclosure = tuple[int, int]
 
 
-def _iv_to_signed_interval(x, precision: int) -> SignedInterval:
-    return SignedInterval(*(Fraction(*map(int, to_rational(v))) for v in x._mpi_), precision)
+def _cos_sin(x: RationalAngle, w: int) -> tuple[Enclosure, Enclosure]:
+    """Enclosures at w bits of cos x and sin x, for x = pi n/d of any sign.
 
-
-def _iv_angle(x: RationalAngle):
-    return iv.pi * iv.mpf(x.num) / iv.mpf(x.den)
-
-
-def _clip_unit(x):
-    """Intersect an enclosure with [0, 1]; used under a sqrt.
-
-    Outward rounding can push 1 - cos^2 slightly negative even though
-    the true value is a square; clipping at 0 and 1 keeps it certified.
+    x is 2 pi k / 2d modulo 2 pi with k = n mod 2d, exactly; k > d folds
+    to 2d - k, which keeps the cosine and negates the sine, and
+    _root_fixed then gives both within e.
     """
-    return iv.mpf([max(x.a, 0), min(max(x.b, 0), 1)])
+    k, order = x.num % (2 * x.den), 2 * x.den
+    c, s, e = _root_fixed(order, w, min(k, order - k))
+    if k > x.den:
+        s = -s
+    return (c - e, c + e), (s - e, s + e)
 
 
-def _side_cosines_iv(t: LinkTriangle):
-    """Enclosures of cos of the sides opposite alpha, beta, gamma.
+def _add(a: Enclosure, b: Enclosure) -> Enclosure:
+    return a[0] + b[0], a[1] + b[1]
+
+
+def _mul(a: Enclosure, b: Enclosure, w: int) -> Enclosure:
+    """a b: its extremes are among the four endpoint products."""
+    ends = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
+    return min(ends) >> w, -(-max(ends) >> w)
+
+
+def _div(a: Enclosure, b: Enclosure, w: int) -> Enclosure:
+    """a / b for b certified positive: a low end over either end of b
+    gives the low end, a high end the high end."""
+    if b[0] <= 0:
+        raise ArithmeticError("divisor enclosure is not positive")
+    lo, hi = a[0] << w, a[1] << w
+    return min(lo // b[0], lo // b[1]), -min(-hi // b[0], -hi // b[1])
+
+
+def _sin_from_cos(c: Enclosure, w: int) -> Enclosure:
+    """sqrt(1 - c^2) for the cosine c of an angle in [0, pi].
+
+    The square's enclosure is clipped to [0, 1], which holds the true
+    value, and math.isqrt of 2^w times each end is rounded outward.
+    """
+    one, squares = 1 << w, (c[0] * c[0], c[1] * c[1])
+    low = 0 if c[0] <= 0 <= c[1] else min(squares) >> w
+    high = -(-max(squares) >> w)
+    lo, hi = (max(0, min(one, one - v)) << w for v in (high, low))
+    root = math.isqrt(hi)
+    return math.isqrt(lo), root + (root * root < hi)
+
+
+def _working_bits(t: LinkTriangle, bits: int) -> int:
+    """The working precision w for a link at bits: 32 guard bits for the
+    error e of each cosine and sine (below 2^16 units of 2^-w, as a test
+    checks), plus twice the bit length of the largest angle denominator
+    d.  sin(pi n/d) >= sin(pi/d) >= 2/d for 0 < n < d, so every sine
+    enclosure is positive, and the quotient by sin(beta) sin(gamma) >=
+    4/d^2 magnifies the error by less than those extra bits."""
+    return bits + 32 + 2 * max(x.den for x in t.angles).bit_length()
+
+
+def _side_cosines(trig: list[tuple[Enclosure, Enclosure]], w: int
+                  ) -> tuple[Enclosure, Enclosure, Enclosure]:
+    """Enclosures at w bits of cos of the sides opposite alpha, beta, gamma,
+    from those of (cos, sin) of the three angles.
 
     Dual law of cosines: cos l_alpha = (cos alpha + cos beta cos gamma)
     / (sin beta sin gamma), and cyclically.
     """
-    ca, cb, cg = (iv.cos(_iv_angle(x)) for x in t.angles)
-    sa, sb, sg = (iv.sin(_iv_angle(x)) for x in t.angles)
+    (ca, sa), (cb, sb), (cg, sg) = trig
     return (
-        (ca + cb * cg) / (sb * sg),
-        (cb + cg * ca) / (sg * sa),
-        (cg + ca * cb) / (sa * sb),
+        _div(_add(ca, _mul(cb, cg, w)), _mul(sb, sg, w), w),
+        _div(_add(cb, _mul(cg, ca, w)), _mul(sg, sa, w), w),
+        _div(_add(cg, _mul(ca, cb, w)), _mul(sa, sb, w), w),
     )
+
+
+def _signed(e: Enclosure, w: int, bits: int) -> SignedInterval:
+    return SignedInterval(Fraction(e[0], 1 << w), Fraction(e[1], 1 << w), bits)
+
+
+def _check_bits(value, least: int, what: str) -> None:
+    if type(value) is not int or value < least:
+        raise ValueError(f"{what} must be an int >= {least}, got {value!r}")
 
 
 def link_triangle_sides(t: LinkTriangle, precision: int = 64
@@ -188,30 +238,40 @@ def link_triangle_sides(t: LinkTriangle, precision: int = 64
     Cosine space is the native certified representation here: interval
     arccosine is not available, and every comparison of sides against
     rational-multiple-of-pi thresholds can be done through the strictly
-    decreasing cosine instead.
+    decreasing cosine instead.  precision is an int of at least one bit
+    (ValueError otherwise).
     """
-    with iv_precision(precision):
-        return tuple(_iv_to_signed_interval(c, precision) for c in _side_cosines_iv(t))
+    _check_bits(precision, 1, "precision")
+    w = _working_bits(t, precision)
+    trig = [_cos_sin(x, w) for x in t.angles]
+    return tuple(_signed(c, w, precision) for c in _side_cosines(trig, w))
 
 
-def _vertices_iv(t: LinkTriangle):
-    """Certified coordinates of the three vertices on S^2.
+def _vertices(t: LinkTriangle, w: int) -> tuple[tuple[Enclosure, Enclosure], ...]:
+    """Enclosures at w bits of the x and y coordinates of the vertices.
 
     A sits at (1, 0, 0); B along the equator at side-length l_gamma;
     C in the upper half space, reached from A by rotating the equator
-    direction by the angle alpha.
+    direction by the angle alpha.  An equatorial center never reads z.
     """
-    cos_la, cos_lb, cos_lg = _side_cosines_iv(t)
-    sin_lg = iv.sqrt(_clip_unit(1 - cos_lg * cos_lg))
-    sin_lb = iv.sqrt(_clip_unit(1 - cos_lb * cos_lb))
-    ca = iv.cos(_iv_angle(t.alpha))
-    sa = iv.sin(_iv_angle(t.alpha))
-    one = iv.mpf(1)
-    zero = iv.mpf(0)
-    a = (one, zero, zero)
-    b = (cos_lg, sin_lg, zero)
-    c = (cos_lb, sin_lb * ca, sin_lb * sa)
-    return a, b, c
+    trig = [_cos_sin(x, w) for x in t.angles]
+    _, cos_lb, cos_lg = _side_cosines(trig, w)
+    ca = trig[0][0]
+    one = 1 << w
+    return ((one, one), (0, 0)), (cos_lg, _sin_from_cos(cos_lg, w)), (
+        cos_lb, _mul(_sin_from_cos(cos_lb, w), ca, w))
+
+
+def _margins(t: LinkTriangle, center: RationalAngle, radius: RationalAngle,
+             bits: int) -> tuple[SignedInterval, SignedInterval, SignedInterval]:
+    """Enclosures of cos(dist(center, v)) - cos(radius) for the vertices v,
+    the dot products with (cos center, sin center, 0)."""
+    w = _working_bits(t, bits)
+    cl, sl = _cos_sin(center, w)
+    cos_r, _ = _cos_sin(radius, w)
+    below = (-cos_r[1], -cos_r[0])
+    return tuple(_signed(_add(_add(_mul(x, cl, w), _mul(y, sl, w)), below), w, bits)
+                 for x, y in _vertices(t, w))
 
 
 class CertificationInconclusive(ArithmeticError):
@@ -242,32 +302,24 @@ def diameter_certificate(t: LinkTriangle, center: RationalAngle,
                          ) -> DiameterCertificate:
     """Certify whether all three vertices lie within `radius` of `center`.
 
-    The center is a point on the equator given by its longitude; the
-    triangle is positioned canonically by :func:`_vertices_iv`.  Strict
-    distance comparisons happen in cosine space and are refined by
-    doubling the working precision until decided; exhausting the cap
-    raises :class:`CertificationInconclusive`.
+    The center is a point on the equator given by its longitude, any
+    rational multiple of pi; the triangle is positioned canonically by
+    :func:`_vertices`.  Strict distance comparisons happen in cosine
+    space and are refined from 64 bits by doubling the precision until
+    decided; exhausting max_bits, an int of at least 64 (ValueError
+    otherwise), raises :class:`CertificationInconclusive`.
 
     Success is monotone in the radius: a certificate at some radius
     implies one at every larger radius (cos(radius) only decreases).
     """
+    _check_bits(max_bits, 64, "max_bits")
     bits = 64
     while True:
-        with iv_precision(bits):
-            verts = _vertices_iv(t)
-            cl = iv.cos(_iv_angle(center))
-            sl = iv.sin(_iv_angle(center))
-            cos_r = iv.cos(_iv_angle(radius))
-            margins = []
-            for v in verts:
-                dot = v[0] * cl + v[1] * sl  # center has no z component
-                margins.append(_iv_to_signed_interval(dot - cos_r, bits))
+        margins = _margins(t, center, radius, bits)
         if all(m.sign == 1 for m in margins):
-            return DiameterCertificate(t, center, radius, True,
-                                       tuple(margins), bits)
+            return DiameterCertificate(t, center, radius, True, margins, bits)
         if any(m.sign == -1 for m in margins):
-            return DiameterCertificate(t, center, radius, False,
-                                       tuple(margins), bits)
+            return DiameterCertificate(t, center, radius, False, margins, bits)
         if bits >= max_bits:
             raise CertificationInconclusive(
                 f"diameter check undecided at {bits} bits for {t}"

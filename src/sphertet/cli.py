@@ -230,7 +230,7 @@ def _reference_instance() -> tuple[PythagoreanQuadruple, RationalAngle]:
 
 
 def cmd_certify(args) -> int:
-    from . import certify as certify_mod  # the one stage that needs mpmath
+    from . import certify as certify_mod  # imported by its two commands only
 
     out = _out_dir(args)
     if args.lift is not None and args.lift < 3:

@@ -211,6 +211,7 @@ def _reduction_rows(poly: Sequence[int], order: int, width: int
     return (rows, bound) if bound < limit else None
 
 
+@lru_cache(maxsize=None)
 def _pi_fixed(bits: int) -> tuple[int, int]:
     """(p, e) with |p - 2^bits pi| <= e, by Machin's formula
     pi = 16 atan(1/5) - 4 atan(1/239).
@@ -230,26 +231,28 @@ def _pi_fixed(bits: int) -> tuple[int, int]:
     return p, e
 
 
-def _root_fixed(order: int, bits: int) -> tuple[int, int, int]:
-    """(x, y, e): x and y within e of 2^bits cos(2*pi/N) and sin(2*pi/N).
+def _root_fixed(order: int, bits: int, k: int = 1) -> tuple[int, int, int]:
+    """(x, y, e): x and y within e of 2^bits cos(2*pi*k/N) and
+    sin(2*pi*k/N), for 0 <= k < N.
 
-    T = floor(2p/N), p of _pi_fixed, is within 2e_pi + 1 of 2^bits 2pi/N.
-    The terms U_k = floor(U_(k-1) T / (k 2^bits)) of exp(i T / 2^bits) are
-    within E_k = ceil(E_(k-1) T / (k 2^bits)) + 1 of exact; once
-    k 2^bits >= 2T the terms at least halve, so the tail after U_K = 0 is
-    below U_K + E_K = E_K.
+    T = floor(2kp/N), p of _pi_fixed, is within 2k e_pi / N + 1 < 2e_pi + 1
+    of 2^bits 2pi k/N, and exp(i theta) is 1-Lipschitz, so that bound
+    carries to x and y.  The terms U_j = floor(U_(j-1) T / (j 2^bits)) of
+    exp(i T / 2^bits) are within E_j = ceil(E_(j-1) T / (j 2^bits)) + 1 of
+    exact; once j 2^bits >= 2T the terms at least halve, so the tail after
+    U_J = 0 is below U_J + E_J = E_J.
     """
     p, e = _pi_fixed(bits)
-    t, one, e = 2 * p // order, 1 << bits, 2 * e + 1
-    xy, u, err, k = [0, 0], one, 0, 0
+    t, one, e = 2 * k * p // order, 1 << bits, 2 * e + 1
+    xy, u, err, j = [0, 0], one, 0, 0
     while True:
-        xy[k & 1] += -u if k & 2 else u  # i^k t^k / k!
+        xy[j & 1] += -u if j & 2 else u  # i^j t^j / j!
         e += err
-        if not u and k * one >= 2 * t:
+        if not u and j * one >= 2 * t:
             return (*xy, e + err)
-        k += 1
-        u = u * t // (k * one)
-        err = -(-err * t // (k * one)) + 1
+        j += 1  # floor(floor(a / 2^bits) / j) = floor(a / (j 2^bits))
+        u = (u * t >> bits) // j
+        err = -((-err * t >> bits) // j) + 1
 
 
 @lru_cache(maxsize=None)

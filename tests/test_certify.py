@@ -10,10 +10,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from mpmath import iv
 
+from iv_oracle import _iv_to_signed_interval, iv_precision
 from sphertet import certify
 from sphertet.angles import RationalAngle, angle, frac_obj
 from sphertet.certify import (
+    BALL_RADIUS,
     CertificationInconclusive,
     LinkTriangle,
     ObstructionCertificate,
@@ -28,6 +31,7 @@ from sphertet.certify import (
     recheck_obstruction,
     volume_fraction,
 )
+from sphertet.cyclotomic import SignedInterval
 from sphertet.families import builtin_families, instantiate
 from sphertet.geometry import PreconditionError, PythagoreanQuadruple, vertex_links
 from sphertet.lambert import companion_tetrahedra
@@ -110,6 +114,135 @@ def test_reference_link_sides_are_strictly_short():
     # pi/6 < side < pi/2 iff 0 < cos(side) < sqrt(3)/2
     for enc in link_triangle_sides(REFERENCE_LINK):
         assert 0 < enc.lo and enc.hi * enc.hi < Fraction(3, 4)
+
+
+@pytest.mark.parametrize("bad", [0, -5, True, 64.0])
+def test_link_sides_need_an_int_precision_of_at_least_one_bit(bad):
+    """At precision 0 the enclosures held no side cosine at all."""
+    with pytest.raises(ValueError, match="precision must be an int >= 1"):
+        link_triangle_sides(REFERENCE_LINK, bad)
+
+
+@pytest.mark.parametrize("bad", [8, 63, 0, True, 128.0])
+def test_the_precision_cap_is_an_int_of_at_least_64_bits(bad):
+    """The refinement starts at 64 bits, so a lower cap cannot hold."""
+    with pytest.raises(ValueError, match="max_bits must be an int >= 64"):
+        diameter_certificate(REFERENCE_LINK, RationalAngle(4, 25), BALL_RADIUS,
+                             max_bits=bad)
+
+
+# -- the integer enclosures against mpmath's ------------------------------------
+
+
+def _iv_cos_sin(x: RationalAngle):
+    a = iv.pi * iv.mpf(x.num) / iv.mpf(x.den)
+    return iv.cos(a), iv.sin(a)
+
+
+def _iv_link(t: LinkTriangle):
+    """Side cosines and vertex (x, y) coordinates of the link in mpmath
+    interval arithmetic at its current precision: the same formulas,
+    evaluated independently of the integer enclosures."""
+    def sin_from_cos(c):
+        square = 1 - c * c
+        return iv.sqrt(iv.mpf([max(square.a, 0), min(max(square.b, 0), 1)]))
+
+    (ca, sa), (cb, sb), (cg, sg) = (_iv_cos_sin(x) for x in t.angles)
+    sides = ((ca + cb * cg) / (sb * sg), (cb + cg * ca) / (sg * sa),
+             (cg + ca * cb) / (sa * sb))
+    _, cos_lb, cos_lg = sides
+    vertices = ((iv.mpf(1), iv.mpf(0)), (cos_lg, sin_from_cos(cos_lg)),
+                (cos_lb, sin_from_cos(cos_lb) * ca))
+    return sides, vertices
+
+
+def _iv_margins(t: LinkTriangle, centers, bits: int):
+    """(side cosines, {center: margins}) from mpmath at bits."""
+    with iv_precision(bits):
+        sides, vertices = _iv_link(t)
+        cos_r, _ = _iv_cos_sin(BALL_RADIUS)
+        margins = {}
+        for c in centers:
+            cl, sl = _iv_cos_sin(c)
+            margins[c] = [_iv_to_signed_interval(x * cl + y * sl - cos_r, bits)
+                          for x, y in vertices]
+        return [_iv_to_signed_interval(x, bits) for x in sides], margins
+
+
+def _verdict(margins):
+    if all(m.sign == 1 for m in margins):
+        return True
+    return False if any(m.sign == -1 for m in margins) else None
+
+
+def _oracle_links() -> list[LinkTriangle]:
+    """The distinct valid vertex links of the 59 sporadic rows, the two
+    Lambert companions and the paper's example."""
+    quads = [PythagoreanQuadruple.of(*(RationalAngle.from_fraction(row[k]) for k in "pqrs"))
+             for row in load_sporadic_fixture()]
+    quads += [c.quadruple for c in companion_tetrahedra()] + [REFERENCE_QUAD]
+    links = {}
+    for quad in quads:
+        for angles in vertex_links(quad):
+            try:
+                links.setdefault(angles, LinkTriangle(*angles))
+            except PreconditionError:
+                continue
+    return list(links.values())
+
+
+# mpmath's own 256-bit enclosures are wider than the integer ones at 256
+# bits, so the oracle that every enclosure must contain runs at 512.
+ORACLE_BITS = 512
+
+
+def _contains(got, want) -> bool:
+    return got.lo <= want.lo and want.hi <= got.hi
+
+
+def test_integer_link_enclosures_contain_mpmaths_and_decide_as_it_does():
+    """At 64, 128 and 256 bits, at the paper's center and at every center
+    the scan proposes, each integer side cosine and margin contains
+    mpmath's enclosure, is no wider than 2^-bits, and its verdict is
+    mpmath's at the same precision wherever mpmath decides."""
+    paper = RationalAngle(4, 25)
+    links = _oracle_links()
+    assert REFERENCE_LINK in links and len(links) > 59
+    verdicts = set()
+    for t in links:
+        centers = [paper] + [c for c in certify._center_candidates(t, BALL_RADIUS)
+                             if c != paper]
+        want_sides, want_margins = _iv_margins(t, centers, ORACLE_BITS)
+        for bits in (64, 128, 256):
+            _, iv_margins = _iv_margins(t, centers, bits)
+            for got, want in zip(link_triangle_sides(t, bits), want_sides):
+                assert _contains(got, want) and got.width <= Fraction(1, 1 << bits), (t, bits)
+            for c in centers:
+                got = certify._margins(t, c, BALL_RADIUS, bits)
+                for m, want in zip(got, want_margins[c]):
+                    assert _contains(m, want) and m.width <= Fraction(1, 1 << bits), (t, c, bits)
+                expected = _verdict(iv_margins[c])
+                if expected is not None:
+                    assert _verdict(got) is expected, (t, c, bits)
+                    verdicts.add(expected)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("den", [1, 2, 3, 7, 25, 2520])
+def test_any_rational_angle_reduces_to_its_cosine_and_sine_exactly(den):
+    """cos and sin of pi n/d for n over three turns each way are those of
+    n mod 2d, bit for bit, and contain mpmath's 256-bit enclosures."""
+    w = 96
+    with iv_precision(256):
+        oracle = {n: [_iv_to_signed_interval(f(iv.pi * n / den), 256) for f in (iv.cos, iv.sin)]
+                  for n in range(2 * den)}
+    for n in range(-6 * den, 6 * den + 1, max(1, den // 60)):
+        x = RationalAngle(n, den)
+        got = certify._cos_sin(x, w)
+        assert got == certify._cos_sin(RationalAngle(n % (2 * den), den), w), x
+        for (lo, hi), want in zip(got, oracle[n % (2 * den)]):
+            assert _contains(SignedInterval(Fraction(lo, 1 << w), Fraction(hi, 1 << w), w),
+                             want), x
 
 
 # -- certified diameter bounds -------------------------------------------------
@@ -237,6 +370,18 @@ def test_reference_quadruple_is_certified_nondecomposable():
     tampered = copy.deepcopy(payload)
     tampered["radius"] = {"num": 1, "den": 12}
     assert not recheck_obstruction(tampered)
+
+
+@pytest.mark.parametrize("turns", [-1, 1, 2])
+def test_a_center_shifted_by_whole_turns_gives_the_same_ball(turns):
+    """The paper's center moved by 2 pi j: the recheck holds, and the
+    verdict, margins and precision are those at 4 pi/25."""
+    cert = nondecomposability_certificate(REFERENCE_QUAD, center=RationalAngle(4, 25))
+    shifted = Fraction(4, 25) + 2 * turns
+    payload = dict(cert.to_payload(), center=frac_obj(shifted))
+    assert recheck_obstruction(json.loads(json.dumps(payload)))
+    at = diameter_certificate(cert.triangle, RationalAngle.from_fraction(shifted), BALL_RADIUS)
+    assert (at.holds, at.margins, at.precision) == (True, cert.margins, 64)
 
 
 def _forged_payload(quad, idx, center, radius):

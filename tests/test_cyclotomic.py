@@ -14,7 +14,7 @@ from mpmath import iv
 
 from sphertet import cyclotomic
 from sphertet.angles import RationalAngle, angle
-from sphertet.certify import _iv_to_signed_interval, iv_precision
+from iv_oracle import _iv_to_signed_interval, iv_precision
 from sphertet.cyclotomic import (
     CyclotomicNumber,
     _OrderData,
@@ -428,6 +428,22 @@ def test_integer_seeds_enclose_pi_and_the_root_of_unity():
             assert e < 1 << 16
             for v, enc in zip((x, y), encs):
                 assert _contains(Fraction(v - e, scale), Fraction(v + e, scale), enc), (n, bits)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 12, 60, 2520])
+def test_the_root_encloses_every_power_of_the_root_of_unity(n):
+    """_root_fixed(N, bits, k) contains mpmath's 256-bit enclosures of
+    cos and sin of 2 pi k/N for every k < N, within e < 2^16 units."""
+    with iv_precision(256):
+        roots = [[_iv_to_signed_interval(f(2 * iv.pi * k / n), 256) for f in (iv.cos, iv.sin)]
+                 for k in range(n)]
+    for bits in (64, 192):
+        scale = 1 << bits
+        for k, encs in enumerate(roots):
+            x, y, e = cyclotomic._root_fixed(n, bits, k)
+            assert e < 1 << 16
+            for v, enc in zip((x, y), encs):
+                assert _contains(Fraction(v - e, scale), Fraction(v + e, scale), enc), (k, bits)
 
 
 def test_float_cosine_tables_are_bit_identical_to_the_mpmath_seeded_ones():

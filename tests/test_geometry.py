@@ -12,7 +12,7 @@ from mpmath import iv
 
 from sphertet import cyclotomic, geometry
 from sphertet.angles import RationalAngle, angle
-from sphertet.certify import iv_precision
+from iv_oracle import iv_precision
 from sphertet.cyclotomic import (
     MAX_ORDER,
     CyclotomicNumber,

@@ -1,8 +1,7 @@
 """Every import in src/, tests/ and scripts/ is used, the package
 imports nothing beyond the standard library and mpmath's numpy-free core,
-only certify and trigpoly import mpmath, and only the code that calls
-mpmath loads it: the package root, the searches and verify-families run
-without it.
+only trigpoly imports mpmath, and only the code that calls mpmath loads
+it: every command runs with mpmath hidden from the import system.
 
 A name bound by an import counts as used when the module reads it: as a
 name, as the root of an attribute chain, inside a string annotation, or
@@ -86,10 +85,9 @@ def _imported_modules(tree: ast.Module) -> set[str]:
 
 PACKAGE = sorted((ROOT / "src").rglob("*.py"))
 
-# certify encloses its link geometry in mpmath's interval context.
 # trigpoly imports libmp inside TrigPoly.eval_interval only, kept
 # because the benchmark's traced run pins it (ROADMAP item 1).
-MPMATH_IMPORTERS = {"certify.py", "trigpoly.py"}
+MPMATH_IMPORTERS = {"trigpoly.py"}
 
 
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: str(p.relative_to(ROOT)))
@@ -129,13 +127,21 @@ _CLI = ("import contextlib, io, sys; from sphertet import cli\n"
 
 
 @pytest.mark.parametrize("command", ["verify-families", "search-quadruples",
-                                     "search-triples", "search-lambert"])
+                                     "search-triples", "search-lambert", "catalog"])
 def test_the_searches_and_family_checks_leave_mpmath_unloaded(command):
     assert _fresh(_CLI, command) == ["0", "False"]
 
 
 def test_the_certificate_loads_mpmath_and_rechecks():
-    assert _fresh(_CLI, "certify", "--paper-example") == ["0", "True"]
+    assert _fresh(_CLI, "certify", "--paper-example") == ["0", "False"]
+
+
+@pytest.mark.parametrize("command", [
+    ["certify", "--paper-example"], ["catalog"], ["verify-families"],
+    ["search-quadruples"], ["search-triples"], ["search-lambert"]], ids=lambda c: c[0])
+def test_every_command_runs_with_mpmath_hidden(command):
+    """A None entry in sys.modules makes every import of mpmath raise."""
+    assert _fresh("import sys; sys.modules['mpmath'] = None\n" + _CLI, *command)[0] == "0"
 
 
 def test_the_readme_library_example_runs():

@@ -24,7 +24,7 @@ from mpmath.libmp.libmpi import mpi_pi
 
 from sphertet import cyclotomic, trigpoly
 from sphertet.angles import RationalAngle
-from sphertet.certify import _iv_to_signed_interval, iv_precision
+from iv_oracle import _iv_to_signed_interval, iv_precision
 from sphertet.cyclotomic import (
     SignedInterval,
     angle_exponents,
