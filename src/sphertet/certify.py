@@ -31,17 +31,16 @@ transports a volume fraction of S^3 to volume fractions of S^n.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from importlib import resources
 from typing import Optional
 
 from .angles import ZERO, RationalAngle, _fraction, frac_obj, obj_frac
-from .cyclotomic import SignedInterval, _root_fixed
+from .cyclotomic import SignedInterval, _check_bits, _root_fixed
 from .geometry import PreconditionError, PythagoreanQuadruple, vertex_links
+from .records import load_coxeter_fixture
 
 
 # -- Coxeter cell catalog ----------------------------------------------------
@@ -82,23 +81,13 @@ def _coxeter_order(k) -> bool:
 
 
 def coxeter_catalog() -> tuple[CoxeterCell, ...]:
-    """All eleven spherical Coxeter 3-simplex types with exact volumes."""
-    path = resources.files("sphertet") / "fixtures" / "coxeter_volumes.json"
-    data = json.loads(path.read_text())
-    cells = []
-    for row in data["rows"]:
-        vol = row.get("vol")
-        cells.append(
-            CoxeterCell(
-                index=row["index"],
-                symbol=row["symbol"],
-                vol=obj_frac(vol) if vol else None,
-                vol_rule=row.get("vol_formula"),
-            )
-        )
-    if len(cells) != data["count"]:
-        raise ValueError("catalog fixture row count mismatch")
-    return tuple(cells)
+    """All eleven spherical Coxeter 3-simplex types with exact volumes,
+    built afresh from the golden rows of records.load_coxeter_fixture: a
+    fixed volume as its fraction of pi^2, a parametric one as its rule."""
+    return tuple(CoxeterCell(row["index"], row["symbol"],
+                             obj_frac(row["vol"]) if "vol" in row else None,
+                             row.get("vol_formula"))
+                 for row in load_coxeter_fixture()["rows"])
 
 
 # -- link triangles ----------------------------------------------------------
@@ -224,11 +213,6 @@ def _side_cosines(trig: list[tuple[Enclosure, Enclosure]], w: int
 
 def _signed(e: Enclosure, w: int, bits: int) -> SignedInterval:
     return SignedInterval(Fraction(e[0], 1 << w), Fraction(e[1], 1 << w), bits)
-
-
-def _check_bits(value, least: int, what: str) -> None:
-    if type(value) is not int or value < least:
-        raise ValueError(f"{what} must be an int >= {least}, got {value!r}")
 
 
 def link_triangle_sides(t: LinkTriangle, precision: int = 64

@@ -230,7 +230,7 @@ def _reference_instance() -> tuple[PythagoreanQuadruple, RationalAngle]:
 
 
 def cmd_certify(args) -> int:
-    from . import certify as certify_mod  # imported by its two commands only
+    from . import certify as certify_mod  # imported by this command only
 
     out = _out_dir(args)
     if args.lift is not None and args.lift < 3:
@@ -287,13 +287,11 @@ def cmd_certify(args) -> int:
 
 
 def cmd_catalog(args) -> int:
-    from . import certify as certify_mod
-
     out = _out_dir(args)
     data = families_mod.export_catalog()
-    cox = [{"index": c.index, "symbol": c.symbol,
-            "vol": records_mod.frac_obj(c.vol) if c.vol is not None else None,
-            "vol_rule": c.vol_rule} for c in certify_mod.coxeter_catalog()]
+    cox = [{"index": r["index"], "symbol": r["symbol"], "vol": r.get("vol"),
+            "vol_rule": r.get("vol_formula")}
+           for r in records_mod.load_coxeter_fixture()["rows"]]
     blob = json.dumps({"families": data, "coxeter": cox},
                       sort_keys=True, separators=(",", ":"))
     if out is not None:

@@ -359,6 +359,12 @@ def common_order(*orders: int) -> int:
     return n
 
 
+def _check_bits(value, least: int, what: str) -> None:
+    """The one guard of an interval precision: value is an int >= least."""
+    if type(value) is not int or value < least:
+        raise ValueError(f"{what} must be an int >= {least}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SignedInterval:
     """A certified rational enclosure [lo, hi] computed at some precision."""
@@ -568,7 +574,9 @@ class CyclotomicNumber:
     def float_interval(self, bits: int = 64) -> SignedInterval:
         """Certified enclosure (S -+ d sum_(j>0) |num_j|) / (den 2^P) of a
         real element, S = num . Z at P = bits + log2(5N): Z[0] = 2^P, the
-        rest within d < 5N/2, so width <= 2^-bits sum|num_j| / den."""
+        rest within d < 5N/2, so width <= 2^-bits sum|num_j| / den.  bits
+        must be an int of at least one (ValueError otherwise)."""
+        _check_bits(bits, 1, "bits")
         if not self.is_real():
             raise ValueError("interval evaluation needs a real element")
         precision = bits + (5 * self.order).bit_length()

@@ -6,6 +6,12 @@ uses {"num": int, "den": int} objects, CSV uses "num/den" strings laid
 out like the published tables for human diffing.  Serialization is
 canonical (sorted keys, fixed separators) so serialize -> parse ->
 serialize is byte-identical.
+
+The module is the one reader of the golden tables under fixtures/, and
+at run time it depends on no package module but angles: the search,
+Lambert and geometry types below name annotations only, so any layer,
+the obstruction code included, can load the goldens without importing
+the searches.
 """
 
 from __future__ import annotations
@@ -18,19 +24,19 @@ import uuid
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
-from importlib import resources
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 
 from .angles import _fraction, frac_obj, obj_frac
-from .geometry import PythagoreanQuadruple
-from .lambert import CompanionTetrahedron, LambertSearchReport
-from .search import SearchConfig, SearchReport, SporadicRow, TripleReport
+
+if TYPE_CHECKING:
+    from .geometry import PythagoreanQuadruple
+    from .lambert import CompanionTetrahedron, LambertSearchReport
+    from .search import SearchConfig, SearchReport, SporadicRow, TripleReport
 
 RECORD_KINDS = (
     "sporadic",
     "family",
-    "family-instance",
     "lambert",
     "certificate",
     "triple",
@@ -109,17 +115,23 @@ def quadruple_payload(quad: PythagoreanQuadruple) -> dict:
             "r": frac_obj(r.frac), "s": frac_obj(s.frac)}
 
 
+# The sporadic row: its number, then nine fractions (angles p, q, r, s,
+# edge lengths lp..ls of pi, and the volume of pi^2), in the published
+# column order shared by records, the CSV table and the golden fixture.
+_SPORADIC_COLUMNS = ("no", "p", "q", "r", "s", "lp", "lq", "lr", "ls", "vol")
+
+
+def _sporadic_row(no: int, values: Iterable, convert) -> dict:
+    return {"no": no, **{c: convert(v) for c, v in zip(_SPORADIC_COLUMNS[1:], values)}}
+
+
 def sporadic_records(report: SearchReport, provenance: dict
                      ) -> list[ResultRecord]:
     out = []
     for i, row in enumerate(report.sporadic, start=1):
-        payload = {"no": i}
-        payload.update(quadruple_payload(row.quadruple))
-        lp, lq, lr, ls = row.lengths.lengths
-        payload.update({"lp": frac_obj(lp.frac), "lq": frac_obj(lq.frac),
-                        "lr": frac_obj(lr.frac), "ls": frac_obj(ls.frac),
-                        "vol": frac_obj(row.vol.value)})
-        out.append(ResultRecord("sporadic", payload, provenance))
+        values = (*row.quadruple.fractions, *(x.frac for x in row.lengths.lengths),
+                  row.vol.value)
+        out.append(ResultRecord("sporadic", _sporadic_row(i, values, frac_obj), provenance))
     return out
 
 
@@ -174,9 +186,6 @@ def family_records(results: Iterable[dict], provenance: dict
 
 # -- CSV tables --------------------------------------------------------------
 
-_SPORADIC_COLUMNS = ("no", "p", "q", "r", "s", "lp", "lq", "lr", "ls", "vol")
-
-
 def sporadic_csv(records: Iterable[ResultRecord]) -> str:
     """CSV mirroring the published table layout, fractions as strings."""
     buf = io.StringIO()
@@ -191,14 +200,8 @@ def sporadic_csv(records: Iterable[ResultRecord]) -> str:
 
 
 def parse_sporadic_csv(text: str) -> list[dict]:
-    rows = []
-    reader = csv.DictReader(io.StringIO(text))
-    for raw in reader:
-        row = {"no": int(raw["no"])}
-        for c in _SPORADIC_COLUMNS[1:]:
-            row[c] = Fraction(raw[c])
-        rows.append(row)
-    return rows
+    return [_sporadic_row(int(raw["no"]), (raw[c] for c in _SPORADIC_COLUMNS[1:]), Fraction)
+            for raw in csv.DictReader(io.StringIO(text))]
 
 
 # -- file IO -----------------------------------------------------------------
@@ -223,28 +226,23 @@ def read_records(path: Path) -> list[ResultRecord]:
 
 
 def _fixture(name: str) -> dict:
-    path = resources.files("sphertet") / "fixtures" / name
-    return json.loads(path.read_text())
+    """The golden table fixtures/name, read afresh on every call; a table
+    whose stated count is not its number of rows raises ValueError."""
+    data = json.loads((Path(__file__).parent / "fixtures" / name).read_text())
+    if "rows" in data and data["count"] != len(data["rows"]):
+        raise ValueError(f"{name} states {data['count']} rows but has {len(data['rows'])}")
+    return data
 
 
 def load_sporadic_fixture() -> list[dict]:
     """The 59 reference rows, all values as Fractions."""
-    data = _fixture("sporadic_quadruples.json")
-    rows = []
-    for raw in data["rows"]:
-        row = {"no": raw["no"]}
-        for key in ("p", "q", "r", "s", "lp", "lq", "lr", "ls", "vol"):
-            row[key] = obj_frac(raw[key])
-        rows.append(row)
-    if len(rows) != data["count"]:
-        raise ValueError("sporadic fixture count mismatch")
-    return rows
+    return [_sporadic_row(raw["no"], (raw[c] for c in _SPORADIC_COLUMNS[1:]), obj_frac)
+            for raw in _fixture("sporadic_quadruples.json")["rows"]]
 
 
 def load_lambert_fixture() -> list[dict]:
-    data = _fixture("lambert_cubes.json")
     rows = []
-    for raw in data["rows"]:
+    for raw in _fixture("lambert_cubes.json")["rows"]:
         rows.append({
             "name": raw["name"],
             "angles": tuple(sorted(

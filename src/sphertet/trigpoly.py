@@ -63,6 +63,7 @@ from .cyclotomic import (
     CyclotomicNumber,
     CyclotomicOrderError,
     SignedInterval,
+    _check_bits,
     _order_data,
     common_order,
     cosine_numerator,
@@ -360,8 +361,7 @@ class TrigPoly:
         must be an int of at least one bit (ValueError otherwise), checked
         before mpmath is imported.  No proof calls it; kept because
         perfbench/layers.py traces it."""
-        if type(precision) is not int or precision < 1:
-            raise ValueError(f"precision must be an int >= 1, got {precision!r}")
+        _check_bits(precision, 1, "precision")
         from mpmath.libmp import fzero, mpi_add, mpi_cos, mpi_mul, to_rational
         from mpmath.libmp.libmpi import mpi_pi
 

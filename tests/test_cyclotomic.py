@@ -349,6 +349,14 @@ def test_sign_agrees_with_certified_enclosure(x):
             assert enc.sign == s
 
 
+@pytest.mark.parametrize("bad", [0, -5, True, 64.0])
+def test_float_interval_needs_an_int_precision_of_at_least_one_bit(bad):
+    """0 and -5 used to label enclosures with those precisions, True
+    counted as 1 and 64.0 raised AttributeError."""
+    with pytest.raises(ValueError, match="bits must be an int >= 1"):
+        cos_as_cyclotomic(RationalAngle(1, 5)).float_interval(bad)
+
+
 def test_sign_rejects_a_non_real_element():
     with pytest.raises(ValueError):
         sign(CyclotomicNumber.root_of_unity(6, 1))  # e^(i pi/3)

@@ -96,7 +96,7 @@ def test_the_package_does_not_import_numpy(path):
 
 
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: str(p.relative_to(ROOT)))
-def test_only_certify_and_trigpoly_import_mpmath(path):
+def test_only_trigpoly_imports_mpmath(path):
     imported = "mpmath" in _imported_modules(ast.parse(path.read_text()))
     assert not imported or path.name in MPMATH_IMPORTERS
 
@@ -119,6 +119,16 @@ def test_the_cyclotomic_core_loads_no_mpmath():
                   "print(any(m.startswith('mpmath') for m in sys.modules))") == ["False"]
 
 
+_LOADED = "print(*sorted(m for m in sys.modules if m.startswith('sphertet.')))"
+
+
+def test_records_sits_on_angles_alone():
+    """The search, Lambert and geometry types in records name annotations
+    only, so the fixture reader loads no other package module."""
+    assert _fresh("import sys, sphertet.records\n" + _LOADED) == [
+        "sphertet.angles", "sphertet.records"]
+
+
 # Run the command line in-process with its stdout silenced, then report
 # whether it exited 0 and whether mpmath was loaded.
 _CLI = ("import contextlib, io, sys; from sphertet import cli\n"
@@ -132,8 +142,14 @@ def test_the_searches_and_family_checks_leave_mpmath_unloaded(command):
     assert _fresh(_CLI, command) == ["0", "False"]
 
 
-def test_the_certificate_loads_mpmath_and_rechecks():
+def test_the_certificate_leaves_mpmath_unloaded():
     assert _fresh(_CLI, "certify", "--paper-example") == ["0", "False"]
+
+
+def test_the_catalog_leaves_the_obstruction_code_unloaded():
+    """catalog reads the Coxeter rows through records, not through certify."""
+    assert _fresh(_CLI + "\nprint('sphertet.certify' in sys.modules)", "catalog") == [
+        "0", "False", "False"]
 
 
 @pytest.mark.parametrize("command", [
@@ -165,3 +181,14 @@ def test_setup_leaves_numpy_unimported():
     done = subprocess.run([sys.executable, "-c", code], cwd=ROOT, capture_output=True,
                           text=True, timeout=120, check=True)
     assert done.stdout.split() == ["False"]
+
+
+def test_setup_loads_no_search_and_no_certificate_code():
+    """The benchmark worker's set-up loads the fixtures and the family
+    catalog: the modules they need and no search, Lambert, certify or cli."""
+    code = ("import sys; from pathlib import Path; sys.path.insert(0, '.');"
+            "from perfbench import worker; worker.setup(Path('.').resolve())\n" + _LOADED)
+    done = subprocess.run([sys.executable, "-c", code], cwd=ROOT, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert done.stdout.split() == [f"sphertet.{m}" for m in (
+        "angles", "cyclotomic", "families", "geometry", "records", "trigpoly")]

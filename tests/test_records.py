@@ -1,13 +1,18 @@
 from __future__ import annotations
 
+import importlib.util
+import json
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from sphertet import records
 from sphertet.angles import RationalAngle
+from sphertet.certify import coxeter_catalog
 from sphertet.geometry import EdgeLengths, PythagoreanQuadruple, VolumeCoefficient
 from sphertet.records import (
     ResultRecord,
@@ -108,6 +113,13 @@ def test_unknown_kind_is_rejected():
         ResultRecord("misc", {}, {})
 
 
+def test_a_family_instance_line_is_rejected():
+    """Nothing writes the kind, so reading one back is an error."""
+    line = '{"kind":"family-instance","payload":{},"provenance":{}}'
+    with pytest.raises(ValueError, match="unknown record kind"):
+        ResultRecord.from_json(line)
+
+
 def test_file_round_trip(tmp_path):
     recs = [
         ResultRecord("triple", {"i": i, "f": frac_obj(Fraction(i, 7))}, {"run_id": "r"})
@@ -170,6 +182,36 @@ def test_other_fixtures_load():
     fam = load_family_fixture()
     assert len(fam["families"]) == 42
     assert obj_frac(fam["segment_end"]) == Fraction(1, 6)
+
+
+@pytest.mark.parametrize("name, load", [
+    ("sporadic_quadruples.json", load_sporadic_fixture),
+    ("lambert_cubes.json", load_lambert_fixture),
+    ("coxeter_volumes.json", load_coxeter_fixture),
+    ("coxeter_volumes.json", coxeter_catalog),
+], ids=["sporadic", "lambert", "coxeter", "coxeter-catalog"])
+def test_a_fixture_that_miscounts_its_rows_raises(name, load, tmp_path, monkeypatch):
+    """records._fixture, pointed at a copy whose count is one too many,
+    fails every loader of that table."""
+    data = records._fixture(name)
+    data["count"] += 1
+    (tmp_path / "fixtures").mkdir()
+    (tmp_path / "fixtures" / name).write_text(json.dumps(data))
+    monkeypatch.setattr(records, "__file__", str(tmp_path / "records.py"))
+    with pytest.raises(ValueError, match=f"{name} states {data['count']} rows"):
+        load()
+
+
+def test_the_generator_rebuilds_the_committed_fixtures():
+    """scripts/make_fixtures.py, imported without running main, builds
+    exactly the committed golden tables."""
+    path = Path(__file__).resolve().parent.parent / "scripts" / "make_fixtures.py"
+    spec = importlib.util.spec_from_file_location("make_fixtures", path)
+    make_fixtures = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(make_fixtures)
+    assert make_fixtures.build_sporadic() == records._fixture("sporadic_quadruples.json")
+    assert make_fixtures.build_lambert() == records._fixture("lambert_cubes.json")
+    assert make_fixtures.build_coxeter() == records._fixture("coxeter_volumes.json")
 
 
 # -- comparison against the golden rows -----------------------------------------
