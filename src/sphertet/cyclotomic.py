@@ -25,7 +25,11 @@ multiplied or embedded.  Embedding into Q(zeta_(m*N)) sends x^j to
 x^(j*m) and conjugation sends x^j to x^(-j), both combinations too; a
 product is one big-int product of the two numerators, packed at a width
 that holds their convolution, reduced through the table.  Numerator
-tuples are unpacked only when an element is built.
+tuples are unpacked only when an element is built.  Only rad(N) rows
+need a reduction: Phi_N(x) = Phi_rad(N)(x^s), s = N/rad(N), so
+R[s q] has nonzero digits only at multiples of s, below phi, and
+R[s q + j] = R[s q] shifted j digits for j < s.  A table builds the
+rows R[s q] and makes each other row, one shift, when it is first read.
 
 Signs.  Every sign reads one integer table: Z[e] within a proven d of
 2^P cos(2*pi*e/N), e < N, at any P, from integers only (_cosine_table).
@@ -46,7 +50,7 @@ import sys
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Optional, Sequence, Union
 
 from .angles import RationalAngle, _fraction
@@ -179,17 +183,21 @@ def _unpack(value: int, width: int, count: int) -> list[int]:
     return [d - half for d in digits]
 
 
-def _reduction_rows(poly: Sequence[int], order: int, width: int
+def _reduction_rows(poly: Sequence[int], order: int, stride: int, width: int
                     ) -> Optional[tuple[list[int], int]]:
-    """(rows, bound): rows[e] = x^e mod Phi_N packed in width-bit digits
-    for e < N, and a bound on every |entry|; None when that bound reaches
-    2^(width-1) / _SLOT_TERMS.
+    """(rows, bound): rows[q] = x^(s q) mod Phi_N packed in width-bit
+    digits for q < N/s, s = stride = N/rad(N), and a bound on every
+    |entry|; None when that bound reaches 2^(width-1) / _SLOT_TERMS.
 
-    x^e = x * x^(e-1): the row moves up one digit, and the digit c that
-    lands on x^phi is read off and folded back by subtracting c * Phi_N.
-    That changes each entry by at most |c| h, h the height of Phi_N, so
-    1 + h * sum|c| bounds every entry so far.  While it stays below
-    2^(width-1) no digit wraps and every c is read exactly.
+    Phi_N(x) = Phi_rad(N)(x^s) has nonzero coefficients only at multiples
+    of s, and so, by induction, does each row: x^(s q) = x^s * x^(s(q-1))
+    moves the row up s digits, the one digit c that lands on x^phi is
+    read off and folded back by subtracting c * Phi_N.  That changes each
+    entry by at most |c| h, h the height of Phi_N, so 1 + h * sum|c|
+    bounds every entry so far.  While it stays below 2^(width-1) no digit
+    wraps and every c is read exactly.  The rows x^(s q + j), 0 < j < s,
+    are these rows shifted j digits with no digit past x^(phi-1): the same
+    entries, so the bound covers them too.
     """
     phi = len(poly) - 1
     height = max(map(abs, poly))
@@ -197,10 +205,11 @@ def _reduction_rows(poly: Sequence[int], order: int, width: int
     top = width * phi
     half_top = 1 << (top - 1)
     limit = (1 << (width - 1)) // _SLOT_TERMS
-    rows = [1 << (width * j) for j in range(min(phi, order))]
+    step = width * stride
+    rows = [1 << (step * q) for q in range(phi // stride)]
     row, bound = rows[-1], 1
-    for _ in range(len(rows), order):
-        row <<= width
+    for _ in range(len(rows), order // stride):
+        row <<= step
         c = (row + half_top) >> top  # the digit at x^phi
         if c:
             row -= c * fold
@@ -285,30 +294,49 @@ class _OrderData:
     """The packed reduction table and the float cosine table of one order.
 
     rows[e] = x^e mod Phi_N for e < N, packed in width-bit digits, with
-    every entry at most row_max in absolute value; conjugates[j] is the
-    row of x^(-j) for j < phi; cos[e] is within cos_err of
-    cos(2*pi*e/N).
+    every entry at most row_max in absolute value.  Only the rows at
+    multiples of the stride s = N/rad(N) are built (_reduction_rows);
+    rows[s q + j] is rows[s q] shifted j digits, and is None until row()
+    first reads it.  conjugates[j] is the row of x^(-j) for j < phi, made
+    on the first conjugation from the same row objects.  cos[e] is within
+    cos_err of cos(2*pi*e/N).
     """
 
     def __init__(self, order: int):
         poly = cyclotomic_polynomial(order)
         self.order = order
         self.phi = len(poly) - 1
+        self.stride = order // math.prod(_prime_factors(order))
         for width in _SLOT_WIDTHS:
-            built = _reduction_rows(poly, order, width)
+            built = _reduction_rows(poly, order, self.stride, width)
             if built is not None:
                 break
         else:
             raise ArithmeticError(
                 f"no digit width in {_SLOT_WIDTHS} holds x^e mod Phi_{order}")
         self.width = width
-        self.rows, self.row_max = built
-        self.conjugates = self.rows[:1] + self.rows[:order - self.phi:-1]
-        table, d = _cosine_table(order, _FIXED_BITS)
+        kernel_rows, self.row_max = built
+        self.rows: list[Optional[int]] = [None] * order
+        self.rows[::self.stride] = kernel_rows
+        # the 96-bit ints are read once here: round the uncached table
+        table, d = _cosine_table.__wrapped__(order, _FIXED_BITS)
         scale = 1 << _FIXED_BITS
         self.cos = [z / scale for z in table]  # rounding adds <= 2^-53
         err = Fraction(_UNIT_ROUNDOFF) + Fraction(d + 1, scale)
         self.cos_err = math.nextafter(float(err), math.inf)
+
+    def row(self, e: int) -> int:
+        """rows[e], 0 <= e < N, made from its kernel row on first read."""
+        value = self.rows[e]
+        if value is None:
+            j = e % self.stride
+            value = self.rows[e] = self.rows[e - j] << (self.width * j)
+        return value
+
+    @cached_property
+    def conjugates(self) -> list[int]:
+        n = self.order
+        return [self.row(-j % n) for j in range(self.phi)]
 
     def unpack(self, value: int) -> list[int]:
         """The numerator whose packed form (at the table's width) is value."""
@@ -321,7 +349,12 @@ class _OrderData:
         if self.row_max * sum(abs(k) for k, _ in terms) >> (self.width - 1):
             return None
         rows, n = self.rows, self.order
-        return sum(k * rows[e % n] for k, e in terms)
+        try:
+            return sum(k * rows[e % n] for k, e in terms)
+        except TypeError:  # k * None: a row not yet made
+            for _, e in terms:
+                self.row(e % n)
+            return sum(k * rows[e % n] for k, e in terms)
 
     def powers(self, terms: Terms) -> list[int]:
         """Numerator of sum_i k_i x^(e_i) over the (k_i, e_i) terms: one
@@ -332,7 +365,7 @@ class _OrderData:
             return self.unpack(value)
         num = [0] * self.phi
         for k, e in terms:
-            for j, r in enumerate(self.unpack(self.rows[e % self.order])):
+            for j, r in enumerate(self.unpack(self.row(e % self.order))):
                 num[j] += k * r
         return num
 

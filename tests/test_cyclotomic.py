@@ -284,7 +284,7 @@ def _reference_powers(order: int) -> list[list[int]]:
 @pytest.mark.parametrize("order", (1, 2, 12, 105, 420))
 def test_reduction_table_rows_are_powers_of_x(order):
     od = _OrderData(order)
-    rows = [od.unpack(row) for row in od.rows]
+    rows = [od.unpack(od.row(e)) for e in range(order)]
     assert rows == _reference_powers(order)
     assert od.row_max >= max(abs(c) for row in rows for c in row)
 
@@ -299,7 +299,7 @@ def test_reduction_table_refuses_entries_past_its_limit(monkeypatch):
         _OrderData(385)
     od = _OrderData(105)
     assert od.width == 8
-    assert [od.unpack(row) for row in od.rows] == _reference_powers(105)
+    assert [od.unpack(od.row(e)) for e in range(105)] == _reference_powers(105)
 
 
 def test_narrow_digits_never_wrap(request):
@@ -323,6 +323,89 @@ def test_narrow_digits_never_wrap(request):
     assert results() == expected
     with pytest.raises(ArithmeticError):
         cosine_key(420, terms_x)
+
+
+def _reference_bound(order: int, rows: list[list[int]]) -> int:
+    """The entry bound of the step-1 recurrence that built the rows:
+    1 + h * sum|c| over the digits c it folded back, the top entry of
+    each row but the last, h the height of Phi_N."""
+    height = max(map(abs, cyclotomic_polynomial(order)))
+    return 1 + height * sum(abs(row[-1]) for row in rows[:-1])
+
+
+@pytest.mark.parametrize("order, stride", ((36, 6), (384, 64), (720, 24), (1008, 24), (2520, 12)))
+def test_kernel_built_tables_equal_the_step_one_table(order, stride):
+    """Built from the rows at stride N/rad(N), every row read through
+    row(), every conjugate row, the entry bound and the digit width
+    equal the step-1 table's."""
+    od = _OrderData(order)
+    assert od.stride == stride
+    rows = _reference_powers(order)
+    assert [od.unpack(od.row(e)) for e in range(order)] == rows
+    assert [od.unpack(row) for row in od.conjugates] == [rows[-j % order] for j in range(od.phi)]
+    assert od.row_max == _reference_bound(order, rows)
+    limits = [(1 << (w - 1)) // cyclotomic._SLOT_TERMS for w in cyclotomic._SLOT_WIDTHS]
+    assert od.width == next(w for w, lim in zip(cyclotomic._SLOT_WIDTHS, limits)
+                            if od.row_max < lim)
+
+
+def test_the_stride_keeps_the_digit_bound(monkeypatch):
+    """With only 8-bit digits and no headroom, an order is refused or
+    built exactly as its squarefree kernel is: 1925 = 5^2 7 11 like 385,
+    and 315 = 3^2 5 7 at 8 bits with the entry bound of 105."""
+    monkeypatch.setattr(cyclotomic, "_SLOT_WIDTHS", (8,))
+    monkeypatch.setattr(cyclotomic, "_SLOT_TERMS", 1)
+    for order in (385, 1925):
+        with pytest.raises(ArithmeticError):
+            _OrderData(order)
+    od = _OrderData(315)
+    assert (od.stride, od.width, od.row_max) == (3, 8, _OrderData(105).row_max)
+    assert [od.unpack(od.row(e)) for e in range(315)] == _reference_powers(315)
+
+
+def test_narrow_digits_never_wrap_across_row_gaps(request):
+    """As test_narrow_digits_never_wrap, at order 2520, whose table has
+    rows only at multiples of 12 until others are read: with 8-bit
+    digits and no headroom a one-row sum stays packed and every longer
+    sum is summed unpacked, and every result equals the default one."""
+    terms_x, terms_y = ((1, 1), (3, 7), (-5, 1000)), ((2, 5), (1, 2519))
+
+    def results():
+        x, y = cosine_sum(2520, terms_x), cosine_sum(2520, terms_y)
+        return (x, y, x * y, x - y, x.conjugate(), x.is_real(), sign(x - y),
+                cos_as_cyclotomic(angle(1, 9)).embed(2520),
+                CyclotomicNumber.root_of_unity(360, 7).embed(2520),
+                CyclotomicNumber.root_of_unity(2520, 13) * CyclotomicNumber.root_of_unity(2520, 1))
+
+    expected = results()
+    request.getfixturevalue("narrow_slots")
+    od = cyclotomic._order_data(2520)
+    assert od.width == 8
+    assert od.packed(((1, 7),)) is not None
+    assert od.packed(cyclotomic._cosine_powers(terms_x)) is None
+    assert results() == expected
+
+
+def _made(od: _OrderData) -> list[int]:
+    return [row for row in od.rows if row is not None]
+
+
+def test_a_table_holds_its_kernel_rows_until_others_are_read():
+    """Structure, not timing: a table of order 2520 = 12 * 210 holds the
+    210 rows at multiples of 12 and no more, a squarefree order all of
+    its rows; a 4-term cosine sum makes at most its 8 rows (here all 8
+    lie off the multiples of 12); conjugates
+    holds the table's own row objects; and the 96-bit cosine table that
+    the float table rounds is not kept."""
+    cyclotomic._cosine_table.cache_clear()
+    od = _OrderData(2520)
+    assert cyclotomic._cosine_table.cache_info().currsize == 0
+    assert len(_made(od)) == 210
+    assert len(_made(_OrderData(210))) == 210
+    od.powers(cyclotomic._cosine_powers(((1, 1), (2, 5), (-3, 7), (1, 1000))))
+    assert len(_made(od)) == 210 + 8
+    conjugates = od.conjugates
+    assert {id(row) for row in conjugates} <= {id(row) for row in _made(od)}
 
 
 # -- certified numerics ------------------------------------------------------
