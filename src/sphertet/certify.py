@@ -22,7 +22,12 @@ ball's margins are built from cosines and sines of rational multiples
 of pi with a proven error (cyclotomic._root_fixed), and every product,
 quotient and square root is rounded outward.  The precision doubles
 from 64 bits until a comparison is decided; an enclosure that stays
-inconclusive after refinement raises rather than guessing.
+inconclusive after refinement raises rather than guessing.  Each sign is
+read from the integer ends of an enclosure; a Fraction is built only
+for a returned value.  A link triangle keeps its vertex enclosures per
+working precision, so each further candidate center costs only the
+cosine and sine of its longitude and of the radius; the recheck builds
+its own link and so shares none of them.
 
 The module also houses the finite catalog of 4-dimensional spherical
 Coxeter cells with their exact volumes, and the suspension lift that
@@ -100,7 +105,12 @@ class LinkTriangle:
     Existence on S^2 means the polar-dual side lengths pi - angle
     satisfy the strict triangle inequalities, i.e. the angle sum
     exceeds pi and each angle is smaller than pi plus the sum of the
-    other two minus pi.  Checked exactly.
+    other two minus pi.  Checked exactly, as integer inequalities on the
+    numerators of the angles over the lcm of their denominators.
+
+    Each instance keeps the enclosures of its vertices per working
+    precision (_vertices), so a search over centers builds them once; a
+    new instance, as the recheck makes, shares none of them.
     """
 
     alpha: RationalAngle
@@ -108,15 +118,18 @@ class LinkTriangle:
     gamma: RationalAngle
 
     def __post_init__(self) -> None:
-        a, b, c = (x.frac for x in self.angles)
-        for x in (a, b, c):
-            if not 0 < x < 1:
-                raise PreconditionError(f"link angle {x}*pi outside (0, pi)")
-        if a + b + c <= 1:
+        den = math.lcm(*(x.den for x in self.angles))
+        a, b, c = nums = [x.num * (den // x.den) for x in self.angles]
+        for x in nums:
+            if not 0 < x < den:
+                raise PreconditionError(f"link angle {Fraction(x, den)}*pi outside (0, pi)")
+        if a + b + c <= den:
             raise PreconditionError("degenerate link: angle sum at most pi")
         for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
-            if x + y - z >= 1:
+            if x + y - z >= den:
                 raise PreconditionError("no spherical triangle with these angles")
+        object.__setattr__(self, "_excess", (a + b + c - den, den))
+        object.__setattr__(self, "_vertex_memo", {})
 
     @property
     def angles(self) -> tuple[RationalAngle, RationalAngle, RationalAngle]:
@@ -124,7 +137,7 @@ class LinkTriangle:
 
     def excess(self) -> Fraction:
         """Area of the triangle as a coefficient of pi."""
-        return sum(x.frac for x in self.angles) - 1
+        return Fraction(*self._excess)
 
 
 # -- fixed-point enclosures ---------------------------------------------------
@@ -232,30 +245,41 @@ def link_triangle_sides(t: LinkTriangle, precision: int = 64
 
 
 def _vertices(t: LinkTriangle, w: int) -> tuple[tuple[Enclosure, Enclosure], ...]:
-    """Enclosures at w bits of the x and y coordinates of the vertices.
+    """Enclosures at w bits of the x and y coordinates of the vertices,
+    built on the first call per w and kept on the triangle.
 
     A sits at (1, 0, 0); B along the equator at side-length l_gamma;
     C in the upper half space, reached from A by rotating the equator
     direction by the angle alpha.  An equatorial center never reads z.
     """
-    trig = [_cos_sin(x, w) for x in t.angles]
-    _, cos_lb, cos_lg = _side_cosines(trig, w)
-    ca = trig[0][0]
-    one = 1 << w
-    return ((one, one), (0, 0)), (cos_lg, _sin_from_cos(cos_lg, w)), (
-        cos_lb, _mul(_sin_from_cos(cos_lb, w), ca, w))
+    memo = t._vertex_memo
+    if w not in memo:
+        trig = [_cos_sin(x, w) for x in t.angles]
+        _, cos_lb, cos_lg = _side_cosines(trig, w)
+        ca = trig[0][0]
+        one = 1 << w
+        memo[w] = ((one, one), (0, 0)), (cos_lg, _sin_from_cos(cos_lg, w)), (
+            cos_lb, _mul(_sin_from_cos(cos_lb, w), ca, w))
+    return memo[w]
 
 
-def _margins(t: LinkTriangle, center: RationalAngle, radius: RationalAngle,
-             bits: int) -> tuple[SignedInterval, SignedInterval, SignedInterval]:
-    """Enclosures of cos(dist(center, v)) - cos(radius) for the vertices v,
-    the dot products with (cos center, sin center, 0)."""
+def _margin_ends(t: LinkTriangle, center: RationalAngle, radius: RationalAngle,
+                 bits: int) -> tuple[int, list[Enclosure]]:
+    """(w, enclosures at w bits of cos(dist(center, v)) - cos(radius) for
+    the vertices v), the dot products with (cos center, sin center, 0)."""
     w = _working_bits(t, bits)
     cl, sl = _cos_sin(center, w)
     cos_r, _ = _cos_sin(radius, w)
     below = (-cos_r[1], -cos_r[0])
-    return tuple(_signed(_add(_add(_mul(x, cl, w), _mul(y, sl, w)), below), w, bits)
-                 for x, y in _vertices(t, w))
+    return w, [_add(_add(_mul(x, cl, w), _mul(y, sl, w)), below)
+               for x, y in _vertices(t, w)]
+
+
+def _margins(t: LinkTriangle, center: RationalAngle, radius: RationalAngle,
+             bits: int) -> tuple[SignedInterval, SignedInterval, SignedInterval]:
+    """The margins of _margin_ends as intervals labelled bits."""
+    w, ends = _margin_ends(t, center, radius, bits)
+    return tuple(_signed(e, w, bits) for e in ends)
 
 
 class CertificationInconclusive(ArithmeticError):
@@ -299,11 +323,11 @@ def diameter_certificate(t: LinkTriangle, center: RationalAngle,
     _check_bits(max_bits, 64, "max_bits")
     bits = 64
     while True:
-        margins = _margins(t, center, radius, bits)
-        if all(m.sign == 1 for m in margins):
-            return DiameterCertificate(t, center, radius, True, margins, bits)
-        if any(m.sign == -1 for m in margins):
-            return DiameterCertificate(t, center, radius, False, margins, bits)
+        w, ends = _margin_ends(t, center, radius, bits)
+        holds = all(lo > 0 for lo, _ in ends)
+        if holds or any(hi < 0 for _, hi in ends):
+            margins = tuple(_signed(e, w, bits) for e in ends)
+            return DiameterCertificate(t, center, radius, holds, margins, bits)
         if bits >= max_bits:
             raise CertificationInconclusive(
                 f"diameter check undecided at {bits} bits for {t}"
@@ -346,7 +370,8 @@ def area_weights() -> tuple[int, int, int]:
 
 def normalized_area(t: LinkTriangle) -> Fraction:
     """Triangle area in units of pi/60 (exact)."""
-    return t.excess() * 60
+    num, den = t._excess
+    return Fraction(60 * num, den)
 
 
 def area_diophantine(target) -> Optional[tuple[int, int, int]]:
@@ -427,27 +452,37 @@ def _float_vertices(t: LinkTriangle):
 
 
 @lru_cache(maxsize=None)
-def _longitudes(den: int) -> tuple[tuple[int, float, float], ...]:
-    """(j, cos, sin) of the longitudes pi*j/den, 0 <= j < den."""
+def _longitudes(den: int, radius: RationalAngle
+                ) -> tuple[float, tuple[tuple[int, float, float], ...]]:
+    """(cos radius, the (j, cos, sin) of the longitudes pi*j/den,
+    0 <= j < den, whose cosine exceeds it), in floats."""
+    cos_r = math.cos(float(radius))
     out = []
     for j in range(den):
         lam = math.pi * j / den
-        out.append((j, math.cos(lam), math.sin(lam)))
-    return tuple(out)
+        cl = math.cos(lam)
+        if cl > cos_r:
+            out.append((j, cl, math.sin(lam)))
+    return cos_r, tuple(out)
 
 
 def _center_candidates(t: LinkTriangle, radius: RationalAngle,
                        den: int = 120) -> list[RationalAngle]:
-    """Cheap float scan for promising equatorial center longitudes."""
-    (a0, a1, _), (b0, b1, _), (c0, c1, _) = _float_vertices(t)
-    cos_r = math.cos(float(radius))
+    """Cheap float scan for promising equatorial center longitudes.
+
+    Vertex A is (1, 0), so its term is the longitude's cosine itself: a
+    longitude whose cosine is at most cos radius never passes, and the
+    scan reads only the others (_longitudes).
+    """
+    _, (b0, b1, _), (c0, c1, _) = _float_vertices(t)
+    cos_r, longitudes = _longitudes(den, radius)
     out = []
-    for j, cl, sl in _longitudes(den):
-        worst = min(a0 * cl + a1 * sl, b0 * cl + b1 * sl, c0 * cl + c1 * sl)
+    for j, cl, sl in longitudes:
+        worst = min(cl, b0 * cl + b1 * sl, c0 * cl + c1 * sl)
         if worst > cos_r:
-            out.append((worst - cos_r, RationalAngle(j, den)))
+            out.append((worst - cos_r, j))
     out.sort(key=lambda pair: -pair[0])
-    return [c for _, c in out[:8]]
+    return [RationalAngle(j, den) for _, j in out[:8]]
 
 
 # The radius of the obstruction's ball: a link strictly inside a ball of

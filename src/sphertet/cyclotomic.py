@@ -269,12 +269,16 @@ def _cosine_table(order: int, bits: int) -> tuple[tuple[int, ...], int]:
     """(Z, d): ints Z[e] within d of 2^P cos(2*pi*e/N) for every e < N, P = bits.
 
     _root_fixed at 64 + log2(P) guard bits, rounded to P, gives Z_1 = (x, y)
-    within d_1 of w_1; the powers Z_j = floor(Z_(j-1) Z_1 / 2^P), j <= N/2,
-    are exact integer products.  With w_j = 2^P zeta^j, |Z_j - w_j| <= d_j
-    by induction: Z_(j-1) Z_1 / 2^P = w_j + e_(j-1) w_1 / 2^P
+    within d_1 of w_1; the powers Z_j = floor(Z_(j-1) Z_1 / 2^P) are exact
+    integer products.  With w_j = 2^P zeta^j, |Z_j - w_j| <= d_j by
+    induction: Z_(j-1) Z_1 / 2^P = w_j + e_(j-1) w_1 / 2^P
     + w_(j-1) e_1 / 2^P + e_(j-1) e_1 / 2^P, |w_j| = 2^P, and the two
-    floors add less than sqrt(2) < 2.  Z[N - j] = Z[j].  The guard bits
-    keep d_1 <= 2, so each step adds at most 5 and d < 5N/2.
+    floors add less than sqrt(2) < 2.  The guard bits keep d_1 <= 2, so
+    each step adds at most 5.  The recurrence runs to j = N/2 for an odd
+    N; for an even N only to j = floor(N/4), and the half turn
+    cos(pi - t) = -cos t fills the rest, Z[N/2 - j] = -Z[j], with no
+    further error.  So d < 5N/2 for an odd N and d < 5N/4 for an even
+    one.  Z[N - j] = Z[j].
     """
     guard = bits.bit_length() + 64
     x, y, e = _root_fixed(order, bits + guard)
@@ -282,11 +286,14 @@ def _cosine_table(order: int, bits: int) -> tuple[tuple[int, ...], int]:
     d1 = d = -(-(abs((z1[0] << guard) - x) + abs((z1[1] << guard) - y) + 2 * e) >> guard)
     x, y = z1
     half = order // 2
-    reals = [1 << bits, x][:half + 1]  # Z_0 = 2^P exactly
-    for _ in range(2, half + 1):
+    steps = half if order % 2 else order // 4
+    reals = [1 << bits, x][:steps + 1]  # Z_0 = 2^P exactly
+    for _ in range(2, steps + 1):
         x, y = ((x * z1[0] - y * z1[1]) >> bits, (x * z1[1] + y * z1[0]) >> bits)
         d += d1 + (-(-d * d1 >> bits)) + 2
         reals.append(x)
+    if not order % 2:
+        reals += [-z for z in reals[half - steps - 1::-1]]
     return tuple(reals + reals[1:order - half][::-1]), d
 
 
@@ -320,8 +327,9 @@ class _OrderData:
         self.rows[::self.stride] = kernel_rows
         # the 96-bit ints are read once here: round the uncached table
         table, d = _cosine_table.__wrapped__(order, _FIXED_BITS)
-        scale = 1 << _FIXED_BITS
-        self.cos = [z / scale for z in table]  # rounding adds <= 2^-53
+        scale, half = 1 << _FIXED_BITS, order // 2
+        cos = [z / scale for z in table[:half + 1]]  # rounding adds <= 2^-53
+        self.cos = cos + cos[1:order - half][::-1]  # the table's Z[N - j] = Z[j]
         err = Fraction(_UNIT_ROUNDOFF) + Fraction(d + 1, scale)
         self.cos_err = math.nextafter(float(err), math.inf)
 

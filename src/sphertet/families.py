@@ -645,15 +645,14 @@ def instantiate(fam: FamilySpec, tau: Rat, mu: Rat = 0) -> FamilyInstance:
     )
     quad = PythagoreanQuadruple.of(*angles)
     vol_table = fam.vol.evaluate(tau, mu)
-    vol_formula = volume(quad, checked=False).value
-    if vol_table != vol_formula:
+    vol = volume(quad, checked=False)
+    if vol_table != vol.value:
         raise ArithmeticError(
             f"volume mismatch in family {fam.family_id} at ({tau}, {mu}): "
-            f"table {vol_table}, formula {vol_formula}"
+            f"table {vol_table}, formula {vol.value}"
         )
     return FamilyInstance(fam.family_id, RationalAngle.from_fraction(tau),
-                          RationalAngle.from_fraction(mu), quad,
-                          VolumeCoefficient(vol_formula))
+                          RationalAngle.from_fraction(mu), quad, vol)
 
 
 # -- catalog export ---------------------------------------------------------

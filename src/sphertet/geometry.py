@@ -25,6 +25,7 @@ cyclotomic.sign on the exact element, which refines certified intervals.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -35,6 +36,7 @@ from .cyclotomic import (
     CyclotomicNumber,
     Terms,
     angle_exponents,
+    cosine_key,
     cosine_numerator,
     cosine_sum,
     filter_signs,
@@ -146,19 +148,25 @@ class RealizabilityCertificate:
 # -- residuals ------------------------------------------------------------
 
 
-def quadruple_residual(quad: PythagoreanQuadruple) -> CyclotomicNumber:
-    """cos p cos q + cos((r+s)/2) cos((r-s)/2), exactly.
-
-    By the product-to-sum identity it is
+def _residual_terms(quad: PythagoreanQuadruple) -> tuple[int, Terms]:
+    """(N, terms): by the product-to-sum identity the residual
+    cos p cos q + cos((r+s)/2) cos((r-s)/2) is
     (cos(p+q) + cos(p-q) + cos r + cos s)/2, half the four-cosine
-    residual of the (a, b, c, d) form, and one cosine sum.
-    """
+    residual of the (a, b, c, d) form, and one cosine sum."""
     order, (p, q, r, s) = angle_exponents(quad.angles)
-    return cosine_sum(order, ((1, p + q), (1, p - q), (1, r), (1, s)), den=2)
+    return order, ((1, p + q), (1, p - q), (1, r), (1, s))
+
+
+def quadruple_residual(quad: PythagoreanQuadruple) -> CyclotomicNumber:
+    """cos p cos q + cos((r+s)/2) cos((r-s)/2), exactly."""
+    order, terms = _residual_terms(quad)
+    return cosine_sum(order, terms, den=2)
 
 
 def is_pythagorean(quad: PythagoreanQuadruple) -> bool:
-    return quadruple_residual(quad).is_zero()
+    """Whether the residual is zero: its packed key is 0, a canonical
+    test that builds no element (four unit cosines always fit a key)."""
+    return cosine_key(*_residual_terms(quad)) == 0
 
 
 # -- coordinate changes ----------------------------------------------------
@@ -284,13 +292,16 @@ def volume(quad: PythagoreanQuadruple, checked: bool = True) -> VolumeCoefficien
 
         Vol = 1/2 ( r(2pi - r)/2 + p^2 + q^2 + s(2pi - s)/2 - pi^2 ).
 
-    With angles x = f*pi this is pure Fraction arithmetic on the f's.
+    With angles x = X pi / D over the lcm D of the denominators this is
+    (R(2D - R) + 2P^2 + 2Q^2 + S(2D - S) - 2D^2) / (4D^2): integer
+    arithmetic and one Fraction.
     """
     if checked:
         _require_tetrahedron(quad, "volume")
-    p, q, r, s = quad.fractions
-    v = (r * (2 - r) / 2 + p * p + q * q + s * (2 - s) / 2 - 1) / 2
-    return VolumeCoefficient(v)
+    den = math.lcm(*(x.den for x in quad.angles))
+    p, q, r, s = (x.num * (den // x.den) for x in quad.angles)
+    num = r * (2 * den - r) + 2 * (p * p + q * q) + s * (2 * den - s) - 2 * den * den
+    return VolumeCoefficient(Fraction(num, 4 * den * den))
 
 
 def edge_lengths(quad: PythagoreanQuadruple, checked: bool = True) -> EdgeLengths:

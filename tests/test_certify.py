@@ -96,6 +96,60 @@ def test_link_triangle_rejects_degenerate_angles():
         LinkTriangle(angle(1, 1), angle(1, 2), angle(1, 2))
 
 
+def _fraction_verdict(angles) -> str:
+    """The existence conditions of a link in Fractions of pi: the message
+    LinkTriangle raises, or "" for a triangle."""
+    a, b, c = (x.frac for x in angles)
+    for x in (a, b, c):
+        if not 0 < x < 1:
+            return f"link angle {x}*pi outside (0, pi)"
+    if a + b + c <= 1:
+        return "degenerate link: angle sum at most pi"
+    if any(x + y - z >= 1 for x, y, z in ((a, b, c), (b, c, a), (c, a, b))):
+        return "no spherical triangle with these angles"
+    return ""
+
+
+def _integer_verdict(angles) -> str:
+    try:
+        t = LinkTriangle(*angles)
+    except PreconditionError as exc:
+        return str(exc)
+    a, b, c = (x.frac for x in angles)
+    assert t.excess() == a + b + c - 1
+    assert normalized_area(t) == (a + b + c - 1) * 60
+    return ""
+
+
+link_angles = st.builds(RationalAngle, st.integers(min_value=-1, max_value=61),
+                        st.sampled_from((1, 2, 3, 4, 5, 6, 9, 10, 12, 18, 25, 60)))
+
+
+@pytest.mark.parametrize("angles, verdict", [
+    ((angle(1, 2), angle(1, 4), angle(1, 4)), "degenerate link: angle sum at most pi"),
+    ((angle(1, 3), angle(1, 3), angle(1, 3)), "degenerate link: angle sum at most pi"),
+    ((angle(2, 3), angle(2, 3), angle(1, 3)), "no spherical triangle with these angles"),
+    ((angle(1, 2), angle(9, 10), angle(2, 5)), "no spherical triangle with these angles"),
+    ((angle(3, 4), angle(1, 4), angle(1, 2)), "no spherical triangle with these angles"),
+    ((angle(1, 60), angle(1, 3), angle(13, 20)), "degenerate link: angle sum at most pi"),
+    ((angle(0), angle(1, 2), angle(2, 3)), "link angle 0*pi outside (0, pi)"),
+    ((angle(1, 2), angle(1), angle(2, 3)), "link angle 1*pi outside (0, pi)"),
+    ((angle(1, 2), angle(2, 3), angle(-1, 6)), "link angle -1/6*pi outside (0, pi)"),
+    ((angle(1, 2), angle(1, 2), angle(1, 60)), ""),
+    ((angle(5, 18), angle(2, 9), angle(11, 18)), ""),
+])
+def test_integer_link_checks_decide_the_boundaries_as_fractions_do(angles, verdict):
+    """Angle sum exactly pi, x + y - z exactly pi and an angle of 0 or pi
+    are refused, with the message of the Fraction definition."""
+    assert _fraction_verdict(angles) == verdict
+    assert _integer_verdict(angles) == verdict
+
+
+@given(st.tuples(link_angles, link_angles, link_angles))
+def test_integer_link_checks_accept_and_reject_as_fractions_do(angles):
+    assert _integer_verdict(angles) == _fraction_verdict(angles)
+
+
 def test_octant_triangle_has_quarter_circle_sides():
     for enc in link_triangle_sides(OCTANT):
         assert enc.lo <= 0 <= enc.hi
@@ -472,6 +526,72 @@ def test_polar_vertex_quadruple_has_no_obstruction():
     assert nondecomposability_certificate(quad) is None
 
 
+def _count_roots(monkeypatch) -> list[tuple[int, int, int]]:
+    """The (order, bits, k) of every _root_fixed call certify makes."""
+    calls = []
+    real = certify._root_fixed
+
+    def counted(order, bits, k=1):
+        calls.append((order, bits, k))
+        return real(order, bits, k)
+
+    monkeypatch.setattr(certify, "_root_fixed", counted)
+    return calls
+
+
+def _link_roots(t: LinkTriangle) -> set[tuple[int, int]]:
+    """(order, k) of the roots _cos_sin reads for the link's angles."""
+    return {(2 * x.den, min(x.num % (2 * x.den), 2 * x.den - x.num % (2 * x.den)))
+            for x in t.angles}
+
+
+def test_a_link_builds_its_vertices_once_per_precision(monkeypatch):
+    """With every diameter check made to fail, all the link's candidate
+    centers are tried: the three angle roots are computed once, and each
+    center costs only its own root and the radius's.  Refined to 128 and
+    256 bits, each further precision computes them once more."""
+    real = certify.diameter_certificate
+    tried = []
+
+    def failing(tri, c, radius, **kw):
+        cert = real(tri, c, radius, **kw)
+        tried.append(cert.precision)
+        return dataclasses.replace(cert, holds=False)
+
+    monkeypatch.setattr(certify, "diameter_certificate", failing)
+    roots = _count_roots(monkeypatch)
+    assert nondecomposability_certificate(REFERENCE_QUAD) is None
+    link = _link_roots(REFERENCE_LINK)
+    assert len(link) == 3 and len(tried) > 3 and set(tried) == {64}
+    assert sorted((order, k) for order, _, k in roots if (order, k) in link) == sorted(link)
+    assert len(roots) == 3 + 2 * len(tried)
+
+    t = LinkTriangle(*REFERENCE_LINK.angles)  # a fresh instance: nothing kept yet
+    centers = certify._center_candidates(t, BALL_RADIUS)
+    roots.clear()
+    for bits in (64, 128, 256):
+        for c in centers:
+            certify._margins(t, c, BALL_RADIUS, bits)
+    per_precision = {}
+    for order, w, k in roots:
+        if (order, k) in link:
+            per_precision.setdefault(w, []).append((order, k))
+    assert len(per_precision) == 3
+    assert all(sorted(v) == sorted(link) for v in per_precision.values())
+    assert len(roots) == 3 * (3 + 2 * len(centers))
+
+
+def test_the_recheck_computes_its_own_roots(monkeypatch):
+    """A certificate made earlier in the process leaves nothing the
+    recheck reuses: it builds the link's roots itself."""
+    cert = nondecomposability_certificate(REFERENCE_QUAD)
+    payload = json.loads(json.dumps(cert.to_payload()))
+    roots = _count_roots(monkeypatch)
+    assert recheck_obstruction(payload)
+    w = certify._working_bits(cert.triangle, cert.precision)
+    assert {(order, k) for order, bits, k in roots if bits == w} >= _link_roots(cert.triangle)
+
+
 def test_a_given_center_is_tried_once_per_link(monkeypatch):
     # every diameter check is made to fail, so each candidate of the
     # link is tried; a suggested center the scan also proposes must not
@@ -511,6 +631,25 @@ def _reference_candidates(t, radius, den=120):
             out.append((worst - cos_r, RationalAngle(j, den)))
     out.sort(key=lambda pair: -pair[0])
     return [c for _, c in out[:8]]
+
+
+def test_the_center_scan_is_the_full_scan():
+    """Skipping the longitudes that vertex A already rules out leaves the
+    proposals of the scan over all 120 longitudes, in the same order, on
+    every oracle link and on the links of family members up to order 2520."""
+    links = _oracle_links()
+    rng = random.Random(29)
+    for order in (60, 420, 1260, 2520):
+        for fam in builtin_families():
+            for angles in vertex_links(_member_at_order(fam, order, rng)):
+                try:
+                    links.append(LinkTriangle(*angles))
+                except PreconditionError:
+                    continue
+    assert len(links) > 59 + 4 * 42
+    for t in links:
+        for radius in (BALL_RADIUS, RationalAngle(1, 3)):
+            assert certify._center_candidates(t, radius) == _reference_candidates(t, radius), t
 
 
 def _reference_weights():

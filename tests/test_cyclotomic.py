@@ -553,6 +553,28 @@ def test_float_cosine_tables_are_bit_identical_to_the_mpmath_seeded_ones():
         "9d886bdae3b39b3c3804df04b822b88ad28d9c3a9999ac431129c52d00d05af4")
 
 
+@pytest.mark.parametrize("bits", [64, 96, 256])
+@pytest.mark.parametrize("n", [1, 3, 15, 315, 2, 6, 30, 630, 48, 1008, 1680])
+def test_the_integer_cosine_table_encloses_mpmath(n, bits):
+    """Z[e] within d of 2^P cos(2 pi e/N) for every e < N, against
+    mpmath's enclosures at 64 more bits, for odd N, N = 2 mod 4 and
+    orders that do not divide 2520; d stays below 5N/4 when the half
+    turn fills an even table and below 5N/2 otherwise; Z[N - e] = Z[e],
+    and for an even N, Z[N/2 - j] = -Z[j] exactly, j != N/4."""
+    table, d = cyclotomic._cosine_table.__wrapped__(n, bits)
+    assert len(table) == n and table[0] == 1 << bits
+    assert 4 * d < 5 * n if n % 2 == 0 else 2 * d < 5 * n
+    with iv_precision(bits + 64):
+        encs = [_iv_to_signed_interval(iv.cos(2 * iv.pi * e / n), bits + 64) for e in range(n)]
+    scale = 1 << bits
+    for e, (z, enc) in enumerate(zip(table, encs)):
+        assert _contains(Fraction(z - d, scale), Fraction(z + d, scale), enc), (n, e)
+        assert table[-e] == z
+    if n % 2 == 0:
+        # but Z[N/4], the one rounded value near cos(pi/2) = 0, is its own mirror
+        assert all(table[n // 2 - j] == -table[j] for j in range(n // 2 + 1) if 4 * j != n)
+
+
 @pytest.mark.parametrize("bits", [64, 128, 256, 512])
 def test_float_interval_encloses_mpmath_on_the_criterion_10b_pool(bits):
     """On the 10000 sums of criterion 10b, float_interval(bits) contains

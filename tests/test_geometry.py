@@ -23,6 +23,7 @@ from sphertet.cyclotomic import (
     sign,
 )
 from sphertet.families import builtin_families, instantiate
+from sphertet.records import load_sporadic_fixture
 from sphertet.geometry import (
     PreconditionError,
     PythagoreanQuadruple,
@@ -113,6 +114,72 @@ def test_volumes_of_reference_rows(q, expected):
 def test_volume_requires_a_solution():
     with pytest.raises(PreconditionError):
         volume(quad((1, 3), (1, 3), (1, 2), (1, 2)))
+
+
+# angles whose denominators divide 1260, so every quadruple lives in an
+# order dividing 2520
+wide_angles = st.builds(
+    RationalAngle,
+    st.integers(min_value=1, max_value=1259),
+    st.sampled_from((2, 3, 4, 5, 6, 7, 9, 10, 12, 14, 35, 36, 60, 84, 90, 126, 140,
+                     180, 252, 315, 420, 630, 1260)),
+).filter(lambda a: a.in_open_0_pi())
+
+# (pi/2, q, r, pi - r) has residual cos q * 0 + cos(pi/2) cos(r - pi/2) = 0
+wide_solutions = st.builds(
+    lambda q, r: PythagoreanQuadruple.of(angle(1, 2), q, r, r.supplement()),
+    wide_angles, wide_angles)
+wide_quadruples = st.one_of(
+    wide_solutions,
+    st.builds(PythagoreanQuadruple.of, wide_angles, wide_angles, wide_angles, wide_angles))
+
+
+def _fraction_volume(q: PythagoreanQuadruple) -> Fraction:
+    p, q, r, s = q.fractions
+    return (r * (2 - r) / 2 + p * p + q * q + s * (2 - s) / 2 - 1) / 2
+
+
+def _check_residual_and_volume(q: PythagoreanQuadruple) -> bool:
+    """is_pythagorean is the element's zero test, and the unchecked
+    volume is the closed form in Fractions (refused outside (0, 2))."""
+    zero = quadruple_residual(q).is_zero()
+    assert is_pythagorean(q) is zero, q
+    want = _fraction_volume(q)
+    if 0 < want < 2:
+        assert volume(q, checked=False).value == want, q
+    else:
+        with pytest.raises(ValueError):
+            volume(q, checked=False)
+    return zero
+
+
+@given(wide_quadruples)
+def test_the_key_test_and_the_integer_volume_agree_with_the_element_and_fractions(q):
+    _check_residual_and_volume(q)
+
+
+def test_the_key_test_and_the_integer_volume_on_solutions_up_to_order_2520():
+    """The sporadic rows and family members at orders up to 2520, every
+    one a solution, and each with its last angle nudged within its
+    order, none of them."""
+    quads = [PythagoreanQuadruple.from_fractions(*(row[k] for k in "pqrs"))
+             for row in load_sporadic_fixture()]
+    rng = random.Random(31)
+    for fam in builtin_families():
+        while len(quads) < 59 + 3 * fam.family_id:
+            m = rng.choice((12, 35, 90, 126, 210, 315, 630, 1260))
+            tau = Fraction(rng.randrange(1, m), m)
+            mu = Fraction(rng.randrange(1, m), m) if fam.two_param else Fraction(0)
+            if fam.interior_parameters(tau, mu):
+                quads.append(instantiate(fam, tau, mu).quadruple)
+    assert max(angle_exponents(q.angles)[0] for q in quads) == 2520
+    assert all(_check_residual_and_volume(q) for q in quads)
+    # s moved by pi / D, D the lcm of the denominators: the same order
+    steps = [angle(1, math.lcm(*(x.den for x in q.angles))) for q in quads]
+    nudged = [PythagoreanQuadruple.of(q.p, q.q, q.r, q.s + d)
+              for q, d in zip(quads, steps) if q.s + d < q.r]
+    assert len(nudged) > len(quads) // 2
+    assert not any(_check_residual_and_volume(q) for q in nudged)
 
 
 def test_edge_lengths_pattern():
