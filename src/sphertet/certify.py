@@ -22,12 +22,7 @@ ball's margins are built from cosines and sines of rational multiples
 of pi with a proven error (cyclotomic._root_fixed), and every product,
 quotient and square root is rounded outward.  The precision doubles
 from 64 bits until a comparison is decided; an enclosure that stays
-inconclusive after refinement raises rather than guessing.  Each sign is
-read from the integer ends of an enclosure; a Fraction is built only
-for a returned value.  A link triangle keeps its vertex enclosures per
-working precision, so each further candidate center costs only the
-cosine and sine of its longitude and of the radius; the recheck builds
-its own link and so shares none of them.
+inconclusive after refinement raises rather than guessing.
 
 The module also houses the finite catalog of 4-dimensional spherical
 Coxeter cells with their exact volumes, and the suspension lift that
@@ -107,10 +102,6 @@ class LinkTriangle:
     exceeds pi and each angle is smaller than pi plus the sum of the
     other two minus pi.  Checked exactly, as integer inequalities on the
     numerators of the angles over the lcm of their denominators.
-
-    Each instance keeps the enclosures of its vertices per working
-    precision (_vertices), so a search over centers builds them once; a
-    new instance, as the recheck makes, shares none of them.
     """
 
     alpha: RationalAngle
@@ -129,7 +120,6 @@ class LinkTriangle:
             if x + y - z >= den:
                 raise PreconditionError("no spherical triangle with these angles")
         object.__setattr__(self, "_excess", (a + b + c - den, den))
-        object.__setattr__(self, "_vertex_memo", {})
 
     @property
     def angles(self) -> tuple[RationalAngle, RationalAngle, RationalAngle]:
@@ -245,41 +235,30 @@ def link_triangle_sides(t: LinkTriangle, precision: int = 64
 
 
 def _vertices(t: LinkTriangle, w: int) -> tuple[tuple[Enclosure, Enclosure], ...]:
-    """Enclosures at w bits of the x and y coordinates of the vertices,
-    built on the first call per w and kept on the triangle.
+    """Enclosures at w bits of the x and y coordinates of the vertices.
 
     A sits at (1, 0, 0); B along the equator at side-length l_gamma;
     C in the upper half space, reached from A by rotating the equator
     direction by the angle alpha.  An equatorial center never reads z.
     """
-    memo = t._vertex_memo
-    if w not in memo:
-        trig = [_cos_sin(x, w) for x in t.angles]
-        _, cos_lb, cos_lg = _side_cosines(trig, w)
-        ca = trig[0][0]
-        one = 1 << w
-        memo[w] = ((one, one), (0, 0)), (cos_lg, _sin_from_cos(cos_lg, w)), (
-            cos_lb, _mul(_sin_from_cos(cos_lb, w), ca, w))
-    return memo[w]
-
-
-def _margin_ends(t: LinkTriangle, center: RationalAngle, radius: RationalAngle,
-                 bits: int) -> tuple[int, list[Enclosure]]:
-    """(w, enclosures at w bits of cos(dist(center, v)) - cos(radius) for
-    the vertices v), the dot products with (cos center, sin center, 0)."""
-    w = _working_bits(t, bits)
-    cl, sl = _cos_sin(center, w)
-    cos_r, _ = _cos_sin(radius, w)
-    below = (-cos_r[1], -cos_r[0])
-    return w, [_add(_add(_mul(x, cl, w), _mul(y, sl, w)), below)
-               for x, y in _vertices(t, w)]
+    trig = [_cos_sin(x, w) for x in t.angles]
+    _, cos_lb, cos_lg = _side_cosines(trig, w)
+    ca = trig[0][0]
+    one = 1 << w
+    return ((one, one), (0, 0)), (cos_lg, _sin_from_cos(cos_lg, w)), (
+        cos_lb, _mul(_sin_from_cos(cos_lb, w), ca, w))
 
 
 def _margins(t: LinkTriangle, center: RationalAngle, radius: RationalAngle,
              bits: int) -> tuple[SignedInterval, SignedInterval, SignedInterval]:
-    """The margins of _margin_ends as intervals labelled bits."""
-    w, ends = _margin_ends(t, center, radius, bits)
-    return tuple(_signed(e, w, bits) for e in ends)
+    """Enclosures of cos(dist(center, v)) - cos(radius) for the vertices v,
+    the dot products with (cos center, sin center, 0)."""
+    w = _working_bits(t, bits)
+    cl, sl = _cos_sin(center, w)
+    cos_r, _ = _cos_sin(radius, w)
+    below = (-cos_r[1], -cos_r[0])
+    return tuple(_signed(_add(_add(_mul(x, cl, w), _mul(y, sl, w)), below), w, bits)
+                 for x, y in _vertices(t, w))
 
 
 class CertificationInconclusive(ArithmeticError):
@@ -323,11 +302,11 @@ def diameter_certificate(t: LinkTriangle, center: RationalAngle,
     _check_bits(max_bits, 64, "max_bits")
     bits = 64
     while True:
-        w, ends = _margin_ends(t, center, radius, bits)
-        holds = all(lo > 0 for lo, _ in ends)
-        if holds or any(hi < 0 for _, hi in ends):
-            margins = tuple(_signed(e, w, bits) for e in ends)
-            return DiameterCertificate(t, center, radius, holds, margins, bits)
+        margins = _margins(t, center, radius, bits)
+        if all(m.sign == 1 for m in margins):
+            return DiameterCertificate(t, center, radius, True, margins, bits)
+        if any(m.sign == -1 for m in margins):
+            return DiameterCertificate(t, center, radius, False, margins, bits)
         if bits >= max_bits:
             raise CertificationInconclusive(
                 f"diameter check undecided at {bits} bits for {t}"

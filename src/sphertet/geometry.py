@@ -165,8 +165,13 @@ def quadruple_residual(quad: PythagoreanQuadruple) -> CyclotomicNumber:
 
 def is_pythagorean(quad: PythagoreanQuadruple) -> bool:
     """Whether the residual is zero: its packed key is 0, a canonical
-    test that builds no element (four unit cosines always fit a key)."""
-    return cosine_key(*_residual_terms(quad)) == 0
+    test that builds no element; a sum too large for a key is summed
+    unpacked instead."""
+    order, terms = _residual_terms(quad)
+    try:
+        return cosine_key(order, terms) == 0
+    except ArithmeticError:
+        return not any(cosine_numerator(order, terms))
 
 
 # -- coordinate changes ----------------------------------------------------

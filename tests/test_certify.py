@@ -545,42 +545,6 @@ def _link_roots(t: LinkTriangle) -> set[tuple[int, int]]:
             for x in t.angles}
 
 
-def test_a_link_builds_its_vertices_once_per_precision(monkeypatch):
-    """With every diameter check made to fail, all the link's candidate
-    centers are tried: the three angle roots are computed once, and each
-    center costs only its own root and the radius's.  Refined to 128 and
-    256 bits, each further precision computes them once more."""
-    real = certify.diameter_certificate
-    tried = []
-
-    def failing(tri, c, radius, **kw):
-        cert = real(tri, c, radius, **kw)
-        tried.append(cert.precision)
-        return dataclasses.replace(cert, holds=False)
-
-    monkeypatch.setattr(certify, "diameter_certificate", failing)
-    roots = _count_roots(monkeypatch)
-    assert nondecomposability_certificate(REFERENCE_QUAD) is None
-    link = _link_roots(REFERENCE_LINK)
-    assert len(link) == 3 and len(tried) > 3 and set(tried) == {64}
-    assert sorted((order, k) for order, _, k in roots if (order, k) in link) == sorted(link)
-    assert len(roots) == 3 + 2 * len(tried)
-
-    t = LinkTriangle(*REFERENCE_LINK.angles)  # a fresh instance: nothing kept yet
-    centers = certify._center_candidates(t, BALL_RADIUS)
-    roots.clear()
-    for bits in (64, 128, 256):
-        for c in centers:
-            certify._margins(t, c, BALL_RADIUS, bits)
-    per_precision = {}
-    for order, w, k in roots:
-        if (order, k) in link:
-            per_precision.setdefault(w, []).append((order, k))
-    assert len(per_precision) == 3
-    assert all(sorted(v) == sorted(link) for v in per_precision.values())
-    assert len(roots) == 3 * (3 + 2 * len(centers))
-
-
 def test_the_recheck_computes_its_own_roots(monkeypatch):
     """A certificate made earlier in the process leaves nothing the
     recheck reuses: it builds the link's roots itself."""

@@ -182,6 +182,31 @@ def test_the_key_test_and_the_integer_volume_on_solutions_up_to_order_2520():
     assert not any(_check_residual_and_volume(q) for q in nudged)
 
 
+def test_the_key_test_falls_back_to_the_unpacked_sum(request):
+    """With 8-bit digits and no headroom (narrow_slots), the residual of
+    an order-2520 quadruple fails the packed bound, and is_pythagorean,
+    volume and edge_lengths still decide it as the element does."""
+    fam = builtin_families()[0]
+    rng = random.Random(37)
+    while True:
+        tau = Fraction(rng.randrange(1, 1260), 1260)
+        mu = Fraction(rng.randrange(1, 1260), 1260) if fam.two_param else Fraction(0)
+        if fam.interior_parameters(tau, mu):
+            solution = instantiate(fam, tau, mu).quadruple
+            if angle_exponents(solution.angles)[0] == 2520:
+                break
+    nudged = PythagoreanQuadruple.of(solution.p, solution.q, solution.r,
+                                     solution.s + angle(1, 1260))
+    request.getfixturevalue("narrow_slots")
+    order, terms = geometry._residual_terms(solution)
+    with pytest.raises(ArithmeticError):
+        cyclotomic.cosine_key(order, terms)
+    assert is_pythagorean(solution) and quadruple_residual(solution).is_zero()
+    assert not is_pythagorean(nudged) and not quadruple_residual(nudged).is_zero()
+    assert volume(solution).value == _fraction_volume(solution)
+    assert edge_lengths(solution).lp == solution.p
+
+
 def test_edge_lengths_pattern():
     lengths = edge_lengths(ROW_1)
     assert lengths.lp == ROW_1.p
