@@ -13,9 +13,8 @@ Squaring doubles the angles:  cos^2 x = (1 + cos 2x)/2 turns the
 constraint into the three-cosine equation cos 2a + cos 2b + cos 2c = -1
 with rational target, which the vanishing-sums classification makes
 finite: substituting y = 2*pi - 2x maps the window x in (pi/2, pi) onto
-y in (0, pi), so the search's GRID_DENOMINATORS apply, and the exact
-cosine join of the four-cosine search decides cos y1 + cos y2 =
--(cos y3 + 1) on it.  The search returns exactly two cubes.  No
+y in (0, pi), so the search's PAPER_GRID applies, and its exact join
+(Grid.join) decides cos y1 + cos y2 = -(cos y3 + 1) on it.  The search returns exactly two cubes.  No
 continuous family exists: the only parameter-bearing sub-sum available
 to a target of -1 with unit coefficients is the pair
 cos t + cos(pi - t) = 0, which would force a third cosine equal to -1
@@ -35,14 +34,7 @@ from .geometry import (
     VolumeCoefficient,
     quadruple_residual,
 )
-from .search import (
-    GRID_DENOMINATORS,
-    cosine_join,
-    field_order,
-    grid_angles,
-    pair_terms,
-    unordered_pairs,
-)
+from .search import PAPER_GRID, pair_terms
 
 
 @dataclass(frozen=True)
@@ -112,12 +104,9 @@ def search_rational_lambert_cubes() -> LambertSearchReport:
     each unordered triple counts once, then maps back to essential
     angles.
     """
-    ys = grid_angles(GRID_DENOMINATORS, Fraction(0), Fraction(1))
-    matches = cosine_join(
-        pair_terms(unordered_pairs(ys)),
-        [(y3, ((-1, y3), (-1, ZERO))) for y3 in ys],  # cos 0 = 1
-        field_order(GRID_DENOMINATORS),
-    )
+    ys = PAPER_GRID.angles_pi
+    matches = PAPER_GRID.join(pair_terms(PAPER_GRID.cd_pairs),
+                              [(y3, ((-1, y3), (-1, ZERO))) for y3 in ys])  # cos 0 = 1
     cubes = [
         LambertCube(*(RationalAngle.from_fraction(1 - y.frac / 2)
                       for y in (y1, y2, y3)))

@@ -5,11 +5,11 @@ confines the angles of any sporadic solution of
 
     cos a + cos b + cos c + cos d = 0
 
-to reduced denominators in GRID_DENOMINATORS = {1, 2, 3, 5, 7, 15}, a
-fixed grid that no caller can shrink (length-4 relations never vanish,
-which the search re-verifies at startup from the four known
-denominator-21 relations).  That makes the solution set finite up to the
-continuous families, and a grid search over
+to the reduced denominators of PAPER_GRID, a fixed grid that no caller
+can shrink (length-4 relations never vanish, which the search
+re-verifies at startup from the four known denominator-21 relations).
+That makes the solution set finite up to the continuous families, and a
+grid search over
 
     a in (0, 2pi), b in {0} union (0, pi), c >= d in (0, pi),
     a > b, a + b < 2pi
@@ -18,17 +18,18 @@ continuous families, and a grid search over
 "infinite denominator" case p = q) reaches every canonical quadruple
 p = (a+b)/2, q = (a-b)/2, r = c, s = d with p >= q, r >= s.
 
-Every grid cosine lies in Q(zeta_420), 420 = lcm(2*den) over the grid's
-denominators, and twice a cosine sum is an integer vector in that
-field's canonical power basis, packed into one int
+A Grid holds its angles, their exponents in Q(zeta_420) (420 =
+lcm(2*den) over the grid's denominators) and the candidate pair lists,
+each built once.  Twice a cosine sum over the grid is an integer vector
+in that field's canonical power basis, packed into one int
 (cyclotomic.cosine_key), so equal ints mean equal numbers.  The
-equation is therefore decided by an exact hash join (cosine_join): the
+equation is therefore decided by an exact hash join (Grid.join): the
 keys of cos a + cos b are looked up among those of -(cos c + cos d), and
 no float test decides anything.  The exact solutions are deduplicated,
 filtered through the exact Gram positive-definiteness test, and matched
 against the continuous-family catalog; what remains is the sporadic
 list.  The three-cosine search below and the Lambert search use the same
-join.
+grid and join.
 """
 
 from __future__ import annotations
@@ -37,10 +38,11 @@ import math
 import time
 from dataclasses import InitVar, dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
-from .angles import HALF_PI, RationalAngle
-from .cyclotomic import common_order, cosine_key, key_numerator
+from .angles import HALF_PI, ZERO, RationalAngle
+from .cyclotomic import angle_exponents, common_order, cosine_key, cosine_numerator
 from .families import classify_quadruple
 from .geometry import (
     EdgeLengths,
@@ -62,12 +64,81 @@ _LENGTH4_RELATIONS = (
 )
 
 
+_TWO_PI = RationalAngle(2)
+
+
+@dataclass(frozen=True)
+class Grid:
+    """The angles nu/den*pi, den in `denominators` and nu/den reduced, that
+    a search scans, and its candidate lists.  Each value is built on first
+    read, once per instance.
+
+    Every grid cosine lies in Q(zeta_order), order = lcm(2*den), and the
+    angle x is 2*pi*exponents[x]/order there.
+    """
+
+    denominators: tuple[int, ...]
+
+    @cached_property
+    def order(self) -> int:
+        return common_order(*(2 * den for den in self.denominators))
+
+    @cached_property
+    def angles_2pi(self) -> list[RationalAngle]:
+        """The grid angles in (0, 2pi), sorted."""
+        return sorted({RationalAngle(nu, den) for den in self.denominators
+                       for nu in range(1, 2 * den) if math.gcd(nu, den) == 1})
+
+    @cached_property
+    def angles_pi(self) -> list[RationalAngle]:
+        """The grid angles in (0, pi), sorted."""
+        return [x for x in self.angles_2pi if x.num < x.den]
+
+    @cached_property
+    def exponents(self) -> dict[RationalAngle, int]:
+        """x -> e with x = 2*pi*e/order, for 0 and the angles in (0, 2pi)."""
+        return {x: x.num * (self.order // (2 * x.den))
+                for x in (ZERO, *self.angles_2pi)}
+
+    @cached_property
+    def ab_pairs(self) -> list[tuple[RationalAngle, RationalAngle]]:
+        """(a, b) with a in (0, 2pi), b in {0} union (0, pi), a > b and
+        a + b < 2pi."""
+        return [(a, b) for a in self.angles_2pi for b in (ZERO, *self.angles_pi)
+                if a > b and a + b < _TWO_PI]
+
+    @cached_property
+    def cd_pairs(self) -> list[tuple[RationalAngle, RationalAngle]]:
+        """(c, d), c >= d in (0, pi): each unordered pair once."""
+        vals = self.angles_pi
+        return [(x, y) for i, x in enumerate(vals) for y in vals[: i + 1]]
+
+    def join(self, left: Sequence[tuple], right: Sequence[tuple]) -> list[tuple]:
+        """All (l, r) whose cosine sums are exactly equal.
+
+        left and right hold (item, terms) entries, the terms (k, x) for
+        k * cos x with x on the grid (KeyError otherwise).  Each sum is
+        keyed by cyclotomic.cosine_key in the canonical power basis of
+        Q(zeta_order), so equal keys mean equal sums.  The matches come
+        in left order, each left item's matches in right order, so the
+        result does not depend on hashing.
+        """
+        def key(terms):
+            return cosine_key(self.order, [(k, self.exponents[x]) for k, x in terms])
+
+        index: dict[int, list] = {}
+        for item, terms in right:
+            index.setdefault(key(terms), []).append(item)
+        return [(item, match) for item, terms in left
+                for match in index.get(key(terms), ())]
+
+
 # The union of the denominator lists the Conway-Jones classification
 # attaches to each rational length of a vanishing sub-sum: {1, 2, 3} for
 # rational cosines, {3, 5} for length 2, {3, 7} and {3, 5, 15} for the
 # two length-3 relations (Conway and Jones 1976).  b = 0, the "infinite
 # denominator", is always on the grid besides.
-GRID_DENOMINATORS = (1, 2, 3, 5, 7, 15)
+PAPER_GRID = Grid((1, 2, 3, 5, 7, 15))
 
 
 @dataclass(frozen=True)
@@ -83,65 +154,7 @@ class SearchConfig:
                 f"the search runs in one process; got workers={workers}")
 
     def describe(self) -> dict:
-        return {"denominators": list(GRID_DENOMINATORS), "include_zero": True}
-
-
-def grid_angles(dens: Sequence[int], lo: Fraction, hi: Fraction) -> list[RationalAngle]:
-    """All angles nu/den*pi with reduced denominator in dens, lo < nu/den < hi."""
-    out = set()
-    for den in dens:
-        nu = 1
-        while Fraction(nu, den) < hi:
-            if Fraction(nu, den) > lo and math.gcd(nu, den) == 1:
-                out.add(RationalAngle(nu, den))
-            nu += 1
-    return sorted(out)
-
-
-# -- exact cosine sums -------------------------------------------------------
-
-CosineTerms = Iterable[tuple[int, RationalAngle]]
-
-
-def field_order(dens: Iterable[int]) -> int:
-    """N such that Q(zeta_N) holds cos(nu/den*pi) for every den in dens."""
-    return common_order(*(2 * den for den in dens))
-
-
-def _exponent(x: RationalAngle, order: int) -> int:
-    """e with x = 2*pi*e/order; ValueError when cos x is not in Q(zeta_order)."""
-    e, rest = divmod(x.num * order, 2 * x.den)
-    if rest:
-        raise ValueError(f"cos({x}) is not in Q(zeta_{order})")
-    return e
-
-
-def twice_cosine_sum(terms: CosineTerms, order: int) -> int:
-    """2 * sum(k * cos x) over the (k, x) terms, as one packed int.
-
-    The int packs the coordinates in the power basis of Q(zeta_order)
-    (cyclotomic.cosine_key; key_numerator unpacks them), which is
-    canonical: two sums are equal exactly when their ints are, and a sum
-    is rational exactly when all coordinates after the first are zero
-    (the first is then twice its value).
-    """
-    return cosine_key(order, [(k, _exponent(x, order)) for k, x in terms])
-
-
-def cosine_join(left: Sequence[tuple[object, CosineTerms]],
-                right: Sequence[tuple[object, CosineTerms]],
-                order: int) -> list[tuple]:
-    """All (l, r) whose cosine sums are exactly equal.
-
-    left and right hold (item, terms) entries, the terms as for
-    twice_cosine_sum.  The matches come in left order, each left item's
-    matches in right order, so the result does not depend on hashing.
-    """
-    index: dict[int, list] = {}
-    for item, terms in right:
-        index.setdefault(twice_cosine_sum(terms, order), []).append(item)
-    return [(item, match) for item, terms in left
-            for match in index.get(twice_cosine_sum(terms, order), ())]
+        return {"denominators": list(PAPER_GRID.denominators), "include_zero": True}
 
 
 def pair_terms(pairs: Iterable[tuple[RationalAngle, RationalAngle]],
@@ -153,9 +166,8 @@ def pair_terms(pairs: Iterable[tuple[RationalAngle, RationalAngle]],
 def verify_no_length4_solutions() -> bool:
     """The four length-4 relations each sum to 1/2 exactly, hence never 0."""
     for relation in _LENGTH4_RELATIONS:
-        terms = [(k, RationalAngle(num, den)) for k, (num, den) in relation]
-        order = field_order(x.den for _, x in terms)
-        twice = key_numerator(order, twice_cosine_sum(terms, order))
+        order, exps = angle_exponents([RationalAngle(*x) for _, x in relation])
+        twice = cosine_numerator(order, [(k, e) for (k, _), e in zip(relation, exps)])
         if twice[0] != 1 or any(twice[1:]):
             return False
     return True
@@ -164,34 +176,9 @@ def verify_no_length4_solutions() -> bool:
 # -- the sporadic pipeline ---------------------------------------------------
 
 
-def _search_grids():
-    cd_vals = grid_angles(GRID_DENOMINATORS, Fraction(0), Fraction(1))
-    a_vals = grid_angles(GRID_DENOMINATORS, Fraction(0), Fraction(2))
-    return a_vals, [RationalAngle(0)] + cd_vals, cd_vals
-
-
-_TWO_PI = RationalAngle(2)
-
-
-def _pair_candidates(a_vals, b_vals):
-    pairs = []
-    for a in a_vals:
-        for b in b_vals:
-            if a > b and a + b < _TWO_PI:
-                pairs.append((a, b))
-    return pairs
-
-
-def unordered_pairs(vals: Sequence[RationalAngle]
-                    ) -> list[tuple[RationalAngle, RationalAngle]]:
-    """Pairs (x, y), x >= y, of a sorted grid: each unordered pair once."""
-    return [(x, y) for i, x in enumerate(vals) for y in vals[: i + 1]]
-
-
 def candidate_count() -> int:
     """Size of the extended candidate grid (used as a cross-check)."""
-    a_vals, b_vals, cd_vals = _search_grids()
-    return len(_pair_candidates(a_vals, b_vals)) * len(unordered_pairs(cd_vals))
+    return len(PAPER_GRID.ab_pairs) * len(PAPER_GRID.cd_pairs)
 
 
 def zero_sum_tuples() -> list[tuple[RationalAngle, ...]]:
@@ -200,10 +187,8 @@ def zero_sum_tuples() -> list[tuple[RationalAngle, ...]]:
     Exact: the (a, b) pair sums are joined with the negated (c, d) pair
     sums.  b = 0 needs no special case, as cos 0 = 1 has its own vector.
     """
-    a_vals, b_vals, cd_vals = _search_grids()
-    matches = cosine_join(pair_terms(_pair_candidates(a_vals, b_vals)),
-                          pair_terms(unordered_pairs(cd_vals), -1),
-                          field_order(GRID_DENOMINATORS))
+    matches = PAPER_GRID.join(pair_terms(PAPER_GRID.ab_pairs),
+                              pair_terms(PAPER_GRID.cd_pairs, -1))
     return [ab + cd for ab, cd in matches]
 
 
@@ -339,10 +324,8 @@ def search_triples(cfg: Optional[SearchConfig] = None) -> TripleReport:
     """
     cfg = cfg or SearchConfig()
     t0 = time.monotonic()
-    a_vals, b_vals, c_vals = _search_grids()
-    matches = cosine_join(pair_terms(_pair_candidates(a_vals, b_vals)),
-                          [(c, ((-2, c),)) for c in c_vals],
-                          field_order(GRID_DENOMINATORS))
+    matches = PAPER_GRID.join(pair_terms(PAPER_GRID.ab_pairs),
+                              [(c, ((-2, c),)) for c in PAPER_GRID.angles_pi])
     canonical: dict[tuple[Fraction, ...], set] = {}
     trivial = 0
     for (a, b), c in matches:

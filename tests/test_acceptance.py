@@ -52,13 +52,11 @@ from sphertet.records import (
     ResultRecord,
 )
 from sphertet.search import (
+    PAPER_GRID,
     SearchConfig,
     candidate_count,
     search_triples,
-    unordered_pairs,
     zero_sum_tuples,
-    _pair_candidates,
-    _search_grids,
 )
 
 
@@ -252,11 +250,10 @@ def test_criterion_10a_prefilter_rejects_are_certified_nonzero(capsys):
     enclosure contains zero and its cosine sum, added up as
     CyclotomicNumbers, is zero.
     """
-    a_vals, b_vals, cd_vals = _search_grids()
-    cd_pairs = unordered_pairs(cd_vals)
+    cd_pairs = PAPER_GRID.cd_pairs
     hits = set(zero_sum_tuples())
     enc64 = {x: cos_as_cyclotomic(x).float_interval(64)
-             for x in set(a_vals) | set(b_vals) | set(cd_vals)}
+             for x in PAPER_GRID.exponents}
 
     def enclose(x, y):
         return enc64[x].lo + enc64[y].lo, enc64[x].hi + enc64[y].hi
@@ -264,7 +261,7 @@ def test_criterion_10a_prefilter_rejects_are_certified_nonzero(capsys):
     cd_enclosures = [enclose(c, d) for c, d in cd_pairs]
     checked = straddlers = zeros = 0
     wrong = []
-    for a, b in _pair_candidates(a_vals, b_vals):
+    for a, b in PAPER_GRID.ab_pairs:
         ab_lo, ab_hi = enclose(a, b)
         for (c, d), (cd_lo, cd_hi) in zip(cd_pairs, cd_enclosures):
             checked += 1

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
@@ -7,48 +8,74 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sphertet import lambert, search
 from sphertet.angles import angle
-from sphertet.cyclotomic import cos_as_cyclotomic, key_numerator
+from sphertet.cyclotomic import cos_as_cyclotomic, cosine_key, key_numerator
+from sphertet.lambert import search_rational_lambert_cubes
 from sphertet.search import (
-    GRID_DENOMINATORS,
+    PAPER_GRID,
+    Grid,
     SearchConfig,
     candidate_count,
-    field_order,
-    grid_angles,
+    run_sporadic_search,
     search_triples,
-    twice_cosine_sum,
-    unordered_pairs,
     verify_no_length4_solutions,
     zero_sum_tuples,
-    _pair_candidates,
-    _search_grids,
 )
 
 def test_union_denominators():
-    assert GRID_DENOMINATORS == (1, 2, 3, 5, 7, 15)
+    assert PAPER_GRID.denominators == (1, 2, 3, 5, 7, 15)
+    assert PAPER_GRID.order == 420
+    assert SearchConfig().describe()["denominators"] == [1, 2, 3, 5, 7, 15]
 
 
 def test_grid_angles_open_range():
-    third = grid_angles((3,), Fraction(0), Fraction(1))
-    assert third == [angle(1, 3), angle(2, 3)]
-    wide = grid_angles((2,), Fraction(0), Fraction(2))
-    assert wide == [angle(1, 2), angle(3, 2)]
-    assert angle(1, 1) not in grid_angles((1,), Fraction(0), Fraction(1))
+    assert Grid((3,)).angles_pi == [angle(1, 3), angle(2, 3)]
+    assert Grid((2,)).angles_2pi == [angle(1, 2), angle(3, 2)]
+    assert Grid((1,)).angles_pi == []
+    assert Grid((1,)).angles_2pi == [angle(1, 1)]
 
 
 def test_grid_sizes_match_the_denominator_lists():
-    a_vals, b_vals, cd_vals = _search_grids()
-    assert len(a_vals) == 43  # (0, 2pi) over the union list
-    assert len(b_vals) == 22  # [0, pi), zero included
-    assert len(cd_vals) == 21  # (0, pi)
+    assert len(PAPER_GRID.angles_2pi) == 43  # (0, 2pi) over the union list
+    assert len(PAPER_GRID.exponents) == 44  # and zero
+    assert len(PAPER_GRID.angles_pi) == 21  # (0, pi)
+    assert len(PAPER_GRID.ab_pairs) == 484
+    assert len(PAPER_GRID.cd_pairs) == 21 * 22 // 2
 
 
 def test_candidate_count():
     # 231 unordered {c, d} pairs times the admissible (a, b) pairs
-    a_vals, b_vals, _ = _search_grids()
-    pairs = _pair_candidates(a_vals, b_vals)
-    assert candidate_count() == len(pairs) * (21 * 22 // 2)
+    assert candidate_count() == len(PAPER_GRID.ab_pairs) * (21 * 22 // 2)
     assert candidate_count() == 111804
+
+
+_GRID_VALUES = ("order", "angles_2pi", "angles_pi", "exponents", "ab_pairs", "cd_pairs")
+
+
+def test_the_searches_build_each_grid_value_once(monkeypatch):
+    """The quadruple, triple and Lambert searches share PAPER_GRID's
+    lists: with its values forgotten, the three build each one once."""
+    builds = Counter()
+    for name in _GRID_VALUES:
+        prop = vars(Grid)[name]
+
+        def counted(grid, build=prop.func, name=name):
+            builds[name] += 1
+            return build(grid)
+
+        monkeypatch.setattr(prop, "func", counted)
+        monkeypatch.delitem(vars(PAPER_GRID), name, raising=False)
+    run_sporadic_search()
+    search_triples()
+    search_rational_lambert_cubes()
+    assert builds == Counter(_GRID_VALUES)
+
+
+def test_lambert_reads_the_grid_value_of_search():
+    assert lambert.PAPER_GRID is search.PAPER_GRID
+    assert not hasattr(lambert, "GRID_DENOMINATORS")
+    assert not hasattr(search, "GRID_DENOMINATORS")
 
 
 def test_search_config_pins_a_single_process():
@@ -60,9 +87,6 @@ def test_search_config_pins_a_single_process():
 
 def test_no_length_four_relations():
     assert verify_no_length4_solutions()
-
-
-_A_VALS, _B_VALS, _CD_VALS = _search_grids()
 
 
 @lru_cache(maxsize=None)
@@ -83,8 +107,7 @@ def test_confirm_zero_rejects_non_solution():
     assert not any(sorted(t) == sorted(miss) for t in _join_output())
 
 
-@given(st.sampled_from(_pair_candidates(_A_VALS, _B_VALS)),
-       st.sampled_from(unordered_pairs(_CD_VALS)))
+@given(st.sampled_from(PAPER_GRID.ab_pairs), st.sampled_from(PAPER_GRID.cd_pairs))
 # b = 0: cos 2pi/3 + cos 0 + cos 2pi/3 + cos pi/2 = 0
 @example((angle(2, 3), angle(0)), (angle(2, 3), angle(1, 2)))
 @settings(max_examples=200)
@@ -98,21 +121,21 @@ def test_prefilter_never_discards_exact_zeros(ab, cd):
     assert ((a, b, c, d) in _join_output()) == total.is_zero()
 
 
-@pytest.mark.parametrize("order", [420, 2520])
-def test_join_vectors_are_the_embedded_cosines(order):
+def test_join_vectors_are_the_embedded_cosines():
     """Each join key packs 2 cos x embedded from Q(zeta_(2 den)) into
-    Q(zeta_order), for every angle of the default grid."""
-    dens = GRID_DENOMINATORS
-    assert field_order(dens) == 420
-    for x in [angle(0)] + grid_angles(dens, Fraction(0), Fraction(2)):
+    Q(zeta_420), for every angle of the paper's grid."""
+    order = PAPER_GRID.order
+    for x, e in PAPER_GRID.exponents.items():
         twice = (cos_as_cyclotomic(x) * 2).embed(order)
         assert twice.den == 1
-        assert key_numerator(order, twice_cosine_sum(((1, x),), order)) == twice.num, x
+        assert key_numerator(order, cosine_key(order, ((1, e),))) == twice.num, x
 
 
-def test_join_vectors_need_the_field_of_the_angle():
-    with pytest.raises(ValueError):
-        twice_cosine_sum(((1, angle(1, 8)),), 420)
+def test_join_rejects_an_angle_off_the_grid():
+    with pytest.raises(KeyError):
+        PAPER_GRID.join([(None, ((1, angle(1, 8)),))], [])
+    with pytest.raises(KeyError):
+        PAPER_GRID.join([], [(None, ((1, angle(1, 8)),))])
 
 
 def test_search_pipeline_counts(sporadic_report):
