@@ -528,7 +528,9 @@ def recheck_obstruction(payload: dict) -> bool:
     check at the recorded center and radius, which must lie in
     (0, BALL_RADIUS] for the ball to exclude a D(2,2,n).  Nothing is
     trusted from the payload beyond the identity of the tetrahedron and
-    the chosen ball, and a malformed payload rechecks False.
+    the chosen ball.  A malformed payload rechecks False, and so does a
+    ball whose margins no precision up to the cap decides (a vertex on
+    its boundary).
     """
     def angle(d: dict) -> RationalAngle:
         return RationalAngle.from_fraction(obj_frac(d))
@@ -554,7 +556,10 @@ def recheck_obstruction(payload: dict) -> bool:
         return False
     if normalized_area(t) != target or area_diophantine(target) is not None:
         return False
-    return diameter_certificate(t, center, radius).holds
+    try:
+        return diameter_certificate(t, center, radius).holds
+    except CertificationInconclusive:
+        return False
 
 
 # -- suspension lifts ---------------------------------------------------------

@@ -506,6 +506,18 @@ def test_a_malformed_payload_rechecks_false():
         assert recheck_obstruction(bad) is False, bad
 
 
+def test_a_ball_with_a_vertex_on_its_boundary_rechecks_false():
+    """Vertex A lies exactly pi/4 from longitude pi/4, so its margin is 0
+    at every precision: the recheck cannot confirm the ball."""
+    cert = nondecomposability_certificate(REFERENCE_QUAD, center=RationalAngle(4, 25))
+    payload = dict(json.loads(json.dumps(cert.to_payload())),
+                   center={"num": 1, "den": 4})
+    t = LinkTriangle(*vertex_links(REFERENCE_QUAD)[payload["vertex_index"]])
+    with pytest.raises(CertificationInconclusive):
+        diameter_certificate(t, RationalAngle(1, 4), BALL_RADIUS)
+    assert recheck_obstruction(payload) is False
+
+
 @pytest.mark.parametrize("payload", [[], "x", None])
 def test_a_payload_that_is_not_an_object_rechecks_false(payload):
     """A certificate file line holding a JSON array, string or null."""
