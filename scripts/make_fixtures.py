@@ -22,6 +22,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from sphertet.angles import frac_obj  # noqa: E402
+from sphertet.families import export_catalog  # noqa: E402
 from sphertet.geometry import (  # noqa: E402
     PythagoreanQuadruple,
     edge_lengths,
@@ -194,12 +195,7 @@ def main() -> None:
     dump(FIXTURE_DIR / "sporadic_quadruples.json", build_sporadic())
     dump(FIXTURE_DIR / "lambert_cubes.json", build_lambert())
     dump(FIXTURE_DIR / "coxeter_volumes.json", build_coxeter())
-    try:
-        from sphertet.families import export_catalog
-
-        dump(FIXTURE_DIR / "continuous_families.json", export_catalog())
-    except ImportError:
-        print("families module not ready; skipped continuous_families.json")
+    dump(FIXTURE_DIR / "continuous_families.json", export_catalog())
 
 
 if __name__ == "__main__":
