@@ -14,11 +14,11 @@ constraint into the three-cosine equation cos 2a + cos 2b + cos 2c = -1
 with rational target, which the vanishing-sums classification makes
 finite: substituting y = 2*pi - 2x maps the window x in (pi/2, pi) onto
 y in (0, pi), so the search's PAPER_GRID applies, and its exact join
-(Grid.join) decides cos y1 + cos y2 = -(cos y3 + 1) on it.  The search returns exactly two cubes.  No
-continuous family exists: the only parameter-bearing sub-sum available
-to a target of -1 with unit coefficients is the pair
-cos t + cos(pi - t) = 0, which would force a third cosine equal to -1
-and hence an angle outside the open window.
+(Grid.join) decides cos y1 + cos y2 = -(cos y3 + 1) on it.  The search
+returns exactly two cubes.  No continuous family exists: the only
+parameter-bearing sub-sum available to a target of -1 with unit
+coefficients is the pair cos t + cos(pi - t) = 0, which would force a
+third cosine equal to -1 and hence an angle outside the open window.
 """
 
 from __future__ import annotations
