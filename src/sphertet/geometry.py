@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional
 
 from .angles import RationalAngle, _fraction
 from .cyclotomic import (
@@ -174,20 +173,56 @@ def is_pythagorean(quad: PythagoreanQuadruple) -> bool:
         return not any(cosine_numerator(order, terms))
 
 
-# -- coordinate changes ----------------------------------------------------
+# -- the Gram symmetry group -------------------------------------------------
+
+Numerators = tuple[int, int, int, int]
 
 
-def pair_to_quadruple(a: RationalAngle, b: RationalAngle, c: RationalAngle,
-                      d: RationalAngle) -> Optional[PythagoreanQuadruple]:
-    """Map (a, b, c, d) to the canonical (p, q, r, s) = ((a+b)/2, (a-b)/2,
-    c, d), or None when the image leaves the open range (e.g. q = 0 for
-    a = b).  Accepts the search ranges a in (0, 2pi), b in [0, pi)."""
-    p = (a + b) / 2
-    q = (a - b) / 2
-    for v in (p, q, c, d):
-        if not v.in_open_0_pi():
-            return None
-    return PythagoreanQuadruple.of(p, q, c, d)
+def _canonical(p: int, q: int, r: int, s: int) -> Numerators:
+    return (max(p, q), min(p, q), max(r, s), min(r, s))
+
+
+def gram_orbit(angles: Numerators, den: int) -> frozenset[Numerators]:
+    """The orbit of (p, q, r, s) = angles * pi / den under the group
+    generated by the swaps p <-> q and r <-> s and the maps
+
+        A: (p, q, r, s) -> (pi - p, pi - q, r, s),
+        B: (p, q, r, s) -> (pi - p, q, pi - s, pi - r),
+
+    on integer numerators over den (pi <-> den), each image canonical
+    (p >= q, r >= s).  Every map keeps the angles in (0, pi) and the
+    denominator, so a search applies them to its grid exponents directly.
+
+    Each map sends the residual cos p cos q + cos((r+s)/2) cos((r-s)/2)
+    to +-residual: A and the swaps leave it unchanged, and B negates it
+    (cos p -> -cos p, cos((r+s)/2) -> -cos((r+s)/2), cos((r-s)/2) fixed).
+    In realizability's notation
+    M+- = [[1 -+ cos r, -(cos p +- cos q)], [., 1 -+ cos s]]:
+    A turns cos p +- cos q into -(cos p +- cos q), so det M+ and det M-
+    do not change.  B sends 1 -+ cos r to 1 +- cos s, 1 -+ cos s to
+    1 +- cos r and cos p +- cos q to -(cos p -+ cos q), so it swaps
+    det M+ and det M-.  p <-> q negates Q = cos p - cos q, and r <-> s
+    swaps the diagonal entries.  So every map preserves both "is a
+    solution" and "det M+ > 0 and det M- > 0": the orbit is all
+    solutions or none, and all realizable or none.  On the certificate
+    signs (S- - P, S- + P, S+ - Q, S+ + Q) A acts by the permutation
+    (1, 0, 3, 2), B by (3, 2, 1, 0), p <-> q by (0, 1, 3, 2), and r <-> s
+    fixes them.
+
+    A and r <-> s commute with every map, and (p <-> q) B (p <-> q) = A B,
+    so A and B applied to canonical quadruples reach the whole orbit.
+    """
+    orbit: set[Numerators] = set()
+    todo = [_canonical(*angles)]
+    while todo:
+        x = todo.pop()
+        if x in orbit:
+            continue
+        orbit.add(x)
+        p, q, r, s = x
+        todo += (_canonical(den - p, den - q, r, s),
+                 _canonical(den - p, q, den - s, den - r))
+    return frozenset(orbit)
 
 
 # -- realizability ---------------------------------------------------------

@@ -20,7 +20,6 @@ import csv
 import hashlib
 import io
 import json
-import uuid
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
@@ -99,8 +98,11 @@ def config_hash(cfg: SearchConfig) -> str:
 
 def make_provenance(cfg: Optional[SearchConfig] = None,
                     run_id: Optional[str] = None) -> dict:
+    if not run_id:
+        import uuid  # loads platform and _uuid: only runs without an id pay
+        run_id = uuid.uuid4().hex
     return {
-        "run_id": run_id or uuid.uuid4().hex,
+        "run_id": run_id,
         "config_hash": config_hash(cfg) if cfg else "",
         "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
     }

@@ -5,11 +5,12 @@ confines the angles of any sporadic solution of
 
     cos a + cos b + cos c + cos d = 0
 
-to the reduced denominators of PAPER_GRID, a fixed grid that no caller
-can shrink (length-4 relations never vanish, which the search
-re-verifies at startup from the four known denominator-21 relations).
-That makes the solution set finite up to the continuous families, and a
-grid search over
+to the reduced denominators of PAPER_GRID, the grid that the command
+line and the reproduction always scan; a library caller may pass a
+wider one, such as MANN_GRID (length-4 relations never vanish, which the
+search re-verifies at startup from the four known denominator-21
+relations).  That makes the solution set finite up to the continuous
+families, and a grid search over
 
     a in (0, 2pi), b in {0} union (0, pi), c >= d in (0, pi),
     a > b, a + b < 2pi
@@ -19,17 +20,24 @@ grid search over
 p = (a+b)/2, q = (a-b)/2, r = c, s = d with p >= q, r >= s.
 
 A Grid holds its angles, their exponents in Q(zeta_420) (420 =
-lcm(2*den) over the grid's denominators) and the candidate pair lists,
-each built once.  Twice a cosine sum over the grid is an integer vector
-in that field's canonical power basis, packed into one int
-(cyclotomic.cosine_key), so equal ints mean equal numbers.  The
-equation is therefore decided by an exact hash join (Grid.join): the
-keys of cos a + cos b are looked up among those of -(cos c + cos d), and
-no float test decides anything.  The exact solutions are deduplicated,
-filtered through the exact Gram positive-definiteness test, and matched
-against the continuous-family catalog; what remains is the sporadic
-list.  The three-cosine search below and the Lambert search use the same
-grid and join.
+lcm(2*den) over the grid's denominators), the packed key of each
+angle's cosine and the candidate pair lists, each built once.  Twice a
+cosine sum over the grid is an integer vector in that field's canonical
+power basis, packed into one int (cyclotomic.cosine_key), so equal ints
+mean equal numbers; the packing is linear, so a sum's key is the sum of
+its angles' keys.  The equation is therefore decided by an exact hash
+join (Grid.join): the keys of cos a + cos b are looked up among those of
+-(cos c + cos d), and no float test decides anything.
+
+The exact solutions are deduplicated on integers: with x = 2*pi*e_x/420,
+(p, q, r, s) is (e_a + e_b, e_a - e_b, 2 e_c, 2 e_d) * pi/420.  The Gram
+positive-definiteness test (geometry.realizability) is constant on each
+orbit of the Gram symmetry group (geometry.gram_orbit), so it is decided
+once per orbit, for the orbit's first solution in sorted order, and the
+verdict goes to every member.  The realizable solutions are matched
+against the continuous-family catalog one by one; what remains is the
+sporadic list.  The three-cosine search below and the Lambert search use
+the same grid and join.
 """
 
 from __future__ import annotations
@@ -46,10 +54,11 @@ from .cyclotomic import angle_exponents, common_order, cosine_key, cosine_numera
 from .families import classify_quadruple
 from .geometry import (
     EdgeLengths,
+    Numerators,
     PythagoreanQuadruple,
     VolumeCoefficient,
     edge_lengths,
-    pair_to_quadruple,
+    gram_orbit,
     realizability,
     volume,
 )
@@ -62,9 +71,6 @@ _LENGTH4_RELATIONS = (
     ((-1, (2, 7)), (1, (3, 7)), (1, (4, 21)), (1, (10, 21))),
     ((-1, (1, 15)), (1, (2, 15)), (1, (4, 15)), (-1, (7, 15))),
 )
-
-
-_TWO_PI = RationalAngle(2)
 
 
 @dataclass(frozen=True)
@@ -101,11 +107,19 @@ class Grid:
                 for x in (ZERO, *self.angles_2pi)}
 
     @cached_property
+    def cosine_keys(self) -> dict[RationalAngle, int]:
+        """x -> cyclotomic.cosine_key of cos x, for 0 and the angles in
+        (0, 2pi)."""
+        return {x: cosine_key(self.order, ((1, e),)) for x, e in self.exponents.items()}
+
+    @cached_property
     def ab_pairs(self) -> list[tuple[RationalAngle, RationalAngle]]:
         """(a, b) with a in (0, 2pi), b in {0} union (0, pi), a > b and
         a + b < 2pi."""
-        return [(a, b) for a in self.angles_2pi for b in (ZERO, *self.angles_pi)
-                if a > b and a + b < _TWO_PI]
+        exp, order = self.exponents, self.order
+        bs = [(b, exp[b]) for b in (ZERO, *self.angles_pi)]
+        return [(a, b) for a in self.angles_2pi for b, eb in bs
+                if eb < exp[a] < order - eb]
 
     @cached_property
     def cd_pairs(self) -> list[tuple[RationalAngle, RationalAngle]]:
@@ -117,20 +131,30 @@ class Grid:
         """All (l, r) whose cosine sums are exactly equal.
 
         left and right hold (item, terms) entries, the terms (k, x) for
-        k * cos x with x on the grid (KeyError otherwise).  Each sum is
-        keyed by cyclotomic.cosine_key in the canonical power basis of
-        Q(zeta_order), so equal keys mean equal sums.  The matches come
-        in left order, each left item's matches in right order, so the
-        result does not depend on hashing.
+        k * cos x with x on the grid (KeyError otherwise).  A sum is
+        keyed by sum k * cosine_keys[x]: the packed sum is linear, so
+        that is the int cyclotomic.cosine_key returns for the whole sum
+        in the canonical power basis of Q(zeta_order), and equal keys
+        mean equal sums.  That holds while the coefficients stay within
+        cosine_key's digit bound, which depends on a sum only through
+        its weight sum |k|; so keying w * cos 0 for the largest weight w
+        checks every sum, and raises ArithmeticError past the bound
+        before any match is returned.  The matches come in left order,
+        each left item's matches in right order, so the result does not
+        depend on hashing.
         """
+        keys, weights = self.cosine_keys, set()
+
         def key(terms):
-            return cosine_key(self.order, [(k, self.exponents[x]) for k, x in terms])
+            weights.add(sum(abs(k) for k, _ in terms))
+            return sum(k * keys[x] for k, x in terms)
 
         index: dict[int, list] = {}
         for item, terms in right:
             index.setdefault(key(terms), []).append(item)
-        return [(item, match) for item, terms in left
-                for match in index.get(key(terms), ())]
+        probes = [(item, key(terms)) for item, terms in left]
+        cosine_key(self.order, ((max(weights, default=0), 0),))
+        return [(item, match) for item, k in probes for match in index.get(k, ())]
 
 
 # The union of the denominator lists the Conway-Jones classification
@@ -139,6 +163,13 @@ class Grid:
 # two length-3 relations (Conway and Jones 1976).  b = 0, the "infinite
 # denominator", is always on the grid besides.
 PAPER_GRID = Grid((1, 2, 3, 5, 7, 15))
+
+# A wider grid for cross-checks: the denominators dividing 210 = 2*3*5*7.
+# Four cosines are a sum of eight roots of unity, and Mann's theorem
+# (H. B. Mann, "On linear relations between roots of unity", Mathematika
+# 12, 1965) admits only the primes up to 7 in the order of a minimal
+# vanishing sum of eight.  It contains PAPER_GRID and has its order, 420.
+MANN_GRID = Grid(tuple(den for den in range(1, 211) if 210 % den == 0))
 
 
 @dataclass(frozen=True)
@@ -176,27 +207,51 @@ def verify_no_length4_solutions() -> bool:
 # -- the sporadic pipeline ---------------------------------------------------
 
 
-def candidate_count() -> int:
+def candidate_count(grid: Grid = PAPER_GRID) -> int:
     """Size of the extended candidate grid (used as a cross-check)."""
-    return len(PAPER_GRID.ab_pairs) * len(PAPER_GRID.cd_pairs)
+    return len(grid.ab_pairs) * len(grid.cd_pairs)
 
 
-def zero_sum_tuples() -> list[tuple[RationalAngle, ...]]:
+def zero_sum_tuples(grid: Grid = PAPER_GRID) -> list[tuple[RationalAngle, ...]]:
     """Grid tuples (a, b, c, d), c >= d, with cos a + cos b + cos c + cos d = 0.
 
     Exact: the (a, b) pair sums are joined with the negated (c, d) pair
     sums.  b = 0 needs no special case, as cos 0 = 1 has its own vector.
     """
-    matches = PAPER_GRID.join(pair_terms(PAPER_GRID.ab_pairs),
-                              pair_terms(PAPER_GRID.cd_pairs, -1))
+    matches = grid.join(pair_terms(grid.ab_pairs), pair_terms(grid.cd_pairs, -1))
     return [ab + cd for ab, cd in matches]
+
+
+def _solution_numerators(tuples: Iterable[Sequence[RationalAngle]],
+                         grid: Grid) -> list[Numerators]:
+    """The distinct canonical (p, q, r, s) of grid tuples (a, b, c, d) as
+    integer numerators over grid.order (pi <-> order), sorted.
+
+    With x = 2*pi*e_x/order, p = (a+b)/2, q = (a-b)/2, r = c and s = d
+    are (e_a + e_b, e_a - e_b, 2 e_c, 2 e_d) * pi/order.  A tuple whose
+    image leaves (0, pi), as q = 0 for a = b, has no quadruple.
+    """
+    exp, den = grid.exponents, grid.order
+    found = set()
+    for a, b, c, d in tuples:
+        ea, eb, ec, ed = exp[a], exp[b], exp[c], exp[d]
+        nums = (ea + eb, ea - eb, 2 * max(ec, ed), 2 * min(ec, ed))
+        if 0 < min(nums) and max(nums) < den:
+            found.add(nums)
+    return sorted(found)
+
+
+def _quadruples(nums: Iterable[Numerators], den: int) -> list[PythagoreanQuadruple]:
+    """The quadruples (p, q, r, s) * pi/den, sharing one angle per numerator."""
+    angles = [RationalAngle(n, den) for n in range(den)]
+    return [PythagoreanQuadruple(*(angles[n] for n in x)) for x in nums]
 
 
 def exact_quadruples(tuples: Iterable[Sequence[RationalAngle]]
                      ) -> tuple[PythagoreanQuadruple, ...]:
-    """Distinct canonical quadruples of zero-sum grid tuples, sorted."""
-    quads = {pair_to_quadruple(*t) for t in tuples} - {None}
-    return tuple(sorted(quads, key=lambda q: q.sort_key()))
+    """Distinct canonical quadruples of zero-sum PAPER_GRID tuples, sorted."""
+    return tuple(_quadruples(_solution_numerators(tuples, PAPER_GRID),
+                             PAPER_GRID.order))
 
 
 @dataclass(frozen=True)
@@ -214,8 +269,13 @@ class SearchReport:
     prefilter_hits: int
     """Grid tuples whose exact cosine sum is zero."""
     sporadic: tuple[SporadicRow, ...]
+    """The realizable solutions on no catalog family, with their edge
+    lengths and volumes."""
     raw_solutions: tuple[PythagoreanQuadruple, ...]
+    """The distinct canonical quadruples of the zero-sum tuples, sorted."""
     realizable: tuple[PythagoreanQuadruple, ...]
+    """The raw solutions with a positive definite Gram matrix, in raw
+    order; decided once per Gram-symmetry orbit."""
     length4_skip_verified: bool
     elapsed_seconds: float
     notes: tuple[str, ...] = ()
@@ -246,7 +306,17 @@ class SearchReport:
         raise ValueError(f"unknown stage {stage!r}")
 
 
-def run_sporadic_search(cfg: Optional[SearchConfig] = None) -> SearchReport:
+def run_sporadic_search(cfg: Optional[SearchConfig] = None, *,
+                        grid: Grid = PAPER_GRID) -> SearchReport:
+    """The sporadic pipeline on grid: exact solutions, the realizable
+    ones, and those on no catalog family.
+
+    realizability is decided once per orbit of the Gram symmetry group,
+    for the first solution of the orbit in sorted order, and its verdict
+    goes to every member (geometry.gram_orbit proves it constant on
+    orbits).  Family membership is decided per quadruple, because the
+    catalog is not closed under the group.
+    """
     cfg = cfg or SearchConfig()
     t0 = time.monotonic()
     length4_ok = verify_no_length4_solutions()
@@ -254,10 +324,18 @@ def run_sporadic_search(cfg: Optional[SearchConfig] = None) -> SearchReport:
         raise ArithmeticError(
             "length-4 relations failed exact verification; search space invalid"
         )
-    solutions = zero_sum_tuples()
-    raw_quads = exact_quadruples(solutions)
+    solutions = zero_sum_tuples(grid)
+    den = grid.order
+    nums = _solution_numerators(solutions, grid)
+    quads = dict(zip(nums, _quadruples(nums, den)))
+    raw_quads = tuple(quads.values())
 
-    realizable = [q for q in raw_quads if realizability(q).realizable]
+    verdicts: dict[Numerators, bool] = {}
+    for x, q in quads.items():
+        if x not in verdicts:
+            verdicts.update(dict.fromkeys(gram_orbit(x, den),
+                                          realizability(q).realizable))
+    realizable = [q for x, q in quads.items() if verdicts[x]]
 
     sporadic_quads = [q for q in realizable
                       if classify_quadruple(q, extent="curve") is None]
@@ -275,7 +353,7 @@ def run_sporadic_search(cfg: Optional[SearchConfig] = None) -> SearchReport:
         )
     return SearchReport(
         config=cfg,
-        candidates_scanned=candidate_count(),
+        candidates_scanned=candidate_count(grid),
         prefilter_hits=len(solutions),
         sporadic=rows,
         raw_solutions=raw_quads,

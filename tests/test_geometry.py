@@ -28,9 +28,9 @@ from sphertet.geometry import (
     PreconditionError,
     PythagoreanQuadruple,
     edge_lengths,
+    gram_orbit,
     is_pythagorean,
     is_realizable,
-    pair_to_quadruple,
     quadruple_residual,
     realizability,
     vertex_links,
@@ -85,9 +85,7 @@ def test_pair_form_matches_four_cosine_form(a, b):
     if a <= b or a.frac + b.frac >= 2:
         return
     c, d = angle(1, 3), angle(3, 5)
-    q = pair_to_quadruple(a, b, c, d)
-    if q is None:
-        return
+    q = PythagoreanQuadruple.of((a + b) / 2, (a - b) / 2, c, d)
     lhs = sum(
         (cos_as_cyclotomic(x) for x in (a, b, c, d)),
         cos_as_cyclotomic(angle(0)) * 0,
@@ -589,6 +587,93 @@ def test_realizability_needs_no_interval_refinement(sporadic_report, monkeypatch
     certs = [realizability.__wrapped__(q) for q in sporadic_report.raw_solutions]
     assert len(certs) == 790
     assert sum(c.realizable for c in certs) == 208
+
+
+# -- the Gram symmetry group ---------------------------------------------------
+
+# Each map on (p, q, r, s) * pi/den, with the sign it puts on the residual
+# and the permutation it applies to the certificate signs
+# (S- - P, S- + P, S+ - Q, S+ + Q), as gram_orbit's docstring derives.
+_GRAM_MAPS = {
+    "A": (lambda p, q, r, s, d: (d - p, d - q, r, s), 1, (1, 0, 3, 2)),
+    "B": (lambda p, q, r, s, d: (d - p, q, d - s, d - r), -1, (3, 2, 1, 0)),
+    "p<->q": (lambda p, q, r, s, d: (q, p, r, s), 1, (0, 1, 3, 2)),
+    "r<->s": (lambda p, q, r, s, d: (p, q, s, r), 1, (0, 1, 2, 3)),
+}
+
+
+def _numerators(q: PythagoreanQuadruple, den: Optional[int] = None):
+    """(numerators, den) of q's angles over den, by default their lcm."""
+    den = den or math.lcm(*(x.den for x in q.angles))
+    return tuple(x.num * (den // x.den) for x in q.angles), den
+
+
+def _over(nums, den: int) -> PythagoreanQuadruple:
+    return PythagoreanQuadruple.of(*(RationalAngle(n, den) for n in nums))
+
+
+def _check_gram_maps(q: PythagoreanQuadruple) -> None:
+    """Each map sends the residual to +-residual, and permutes the
+    certificate signs as derived; canonicalizing an image with p < q
+    applies p <-> q once more."""
+    nums, den = _numerators(q)
+    residual, cert = quadruple_residual(q), realizability(q)
+    swap_pq = _GRAM_MAPS["p<->q"][2]
+    for name, (image_of, residual_sign, perm) in _GRAM_MAPS.items():
+        image = image_of(*nums, den)
+        moved = _over(image, den)
+        expected = residual if residual_sign > 0 else -residual
+        assert quadruple_residual(moved) == expected, (name, q)
+        assert is_pythagorean(moved) is is_pythagorean(q)
+        signs = tuple(cert.signs[i] for i in perm)
+        if image[0] < image[1]:
+            signs = tuple(signs[i] for i in swap_pq)
+        assert realizability(moved).signs == signs, (name, q)
+        assert realizability(moved).realizable is cert.realizable
+
+
+def _orbit_oracle(nums, den: int) -> frozenset:
+    """The closure of nums under the four maps, canonicalized."""
+    seen, todo = set(), [nums]
+    while todo:
+        x = todo.pop()
+        if x not in seen:
+            seen.add(x)
+            todo += [image_of(*x, den) for image_of, _, _ in _GRAM_MAPS.values()]
+    return frozenset(_numerators(_over(x, den), den)[0] for x in seen)
+
+
+@given(wide_quadruples)
+def test_gram_maps_act_as_derived(q):
+    """At orders up to 2520, on solutions and on arbitrary quadruples;
+    the orbit over a multiple of the denominator is the same one."""
+    _check_gram_maps(q)
+    nums, den = _numerators(q)
+    orbit = gram_orbit(nums, den)
+    assert orbit == _orbit_oracle(nums, den)
+    doubled = gram_orbit(_numerators(q, 2 * den)[0], 2 * den)
+    assert doubled == {tuple(2 * n for n in x) for x in orbit}
+
+
+def test_gram_maps_on_the_paper_solutions(sporadic_report):
+    for q in sporadic_report.raw_solutions:
+        assert is_pythagorean(q)
+        _check_gram_maps(q)
+
+
+def test_gram_orbits_of_the_paper_solutions(sporadic_report):
+    """790 solutions in 262 orbits of 1 to 4, each inside the raw set;
+    the 208 realizable ones fill 89 of them."""
+    raw = {_numerators(q, 420)[0] for q in sporadic_report.raw_solutions}
+    realizable = {_numerators(q, 420)[0] for q in sporadic_report.realizable}
+    orbits = {gram_orbit(x, 420) for x in raw}
+    assert len(raw) == 790 and len(orbits) == 262
+    assert {len(o) for o in orbits} == {1, 2, 3, 4}
+    assert all(o <= raw for o in orbits)
+    assert all(x in gram_orbit(x, 420) for x in raw)
+    met = {o for o in orbits if o & realizable}
+    assert len(realizable) == 208 and len(met) == 89
+    assert all(o <= realizable for o in met)
 
 
 def test_vertex_links_shape():

@@ -8,15 +8,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sphertet import lambert, search
+from sphertet import cyclotomic, lambert, search
 from sphertet.angles import angle
 from sphertet.cyclotomic import cos_as_cyclotomic, cosine_key, key_numerator
+from sphertet.geometry import realizability
 from sphertet.lambert import search_rational_lambert_cubes
 from sphertet.search import (
+    MANN_GRID,
     PAPER_GRID,
     Grid,
     SearchConfig,
     candidate_count,
+    exact_quadruples,
+    pair_terms,
     run_sporadic_search,
     search_triples,
     verify_no_length4_solutions,
@@ -50,7 +54,8 @@ def test_candidate_count():
     assert candidate_count() == 111804
 
 
-_GRID_VALUES = ("order", "angles_2pi", "angles_pi", "exponents", "ab_pairs", "cd_pairs")
+_GRID_VALUES = ("order", "angles_2pi", "angles_pi", "exponents", "cosine_keys",
+                "ab_pairs", "cd_pairs")
 
 
 def test_the_searches_build_each_grid_value_once(monkeypatch):
@@ -131,6 +136,46 @@ def test_join_vectors_are_the_embedded_cosines():
         assert key_numerator(order, cosine_key(order, ((1, e),))) == twice.num, x
 
 
+def test_join_keys_are_the_keys_of_the_whole_sums():
+    """The join keys a pair sum as the sum of its angles' keys; the
+    packing is linear, so that is cosine_key of the whole sum."""
+    order, exp, keys = PAPER_GRID.order, PAPER_GRID.exponents, PAPER_GRID.cosine_keys
+    for pairs, k in ((PAPER_GRID.ab_pairs, 1), (PAPER_GRID.cd_pairs, -1)):
+        for (x, y), terms in pair_terms(pairs, k):
+            assert (sum(j * keys[z] for j, z in terms)
+                    == cosine_key(order, [(j, exp[z]) for j, z in terms])), (x, y)
+
+
+def test_join_raises_where_the_whole_sum_has_no_key(request):
+    """With 8-bit digits and no headroom (narrow_slots) the order-60 pair
+    sums still have keys and join as with the default tables, while a
+    sum whose coefficients pass cosine_key's bound makes the join raise,
+    even where its per-angle keys would sum to a match."""
+    dens = (1, 2, 3, 5)
+    entries = (pair_terms(Grid(dens).ab_pairs), pair_terms(Grid(dens).cd_pairs, -1))
+    expected = Grid(dens).join(*entries)
+    request.getfixturevalue("narrow_slots")
+    grid = Grid(dens)
+    order, x = grid.order, angle(1, 3)
+    assert cyclotomic._order_data(order).width == 8
+    assert grid.join(*entries) == expected
+    raised = []
+    for w in range(1, 10):
+        for terms in (((w, x),), ((w - 1, x), (1, x)), ((w, x), (-w, x))):
+            try:
+                key = cosine_key(order, [(k, grid.exponents[y]) for k, y in terms])
+            except ArithmeticError:
+                key = None
+            try:
+                matches = grid.join([("l", terms)], [("r", terms)])
+            except ArithmeticError:
+                matches = None
+            assert (matches is None) == (key is None), terms
+            assert matches in (None, [("l", "r")])
+            raised.append(matches is None)
+    assert any(raised) and not all(raised)
+
+
 def test_join_rejects_an_angle_off_the_grid():
     with pytest.raises(KeyError):
         PAPER_GRID.join([(None, ((1, angle(1, 8)),))], [])
@@ -169,3 +214,62 @@ def test_triples_search_finds_the_unique_nontrivial_solution():
     assert rep.trivial_hits == 21
     key = (Fraction(1, 4), Fraction(1, 4), Fraction(2, 3))
     assert rep.orbit_sizes[key] == 3
+
+
+def test_realizable_stage_matches_the_direct_decision(sporadic_report):
+    """The verdict given to each orbit is the one realizability reaches
+    on every member by itself, uncached."""
+    rep = sporadic_report
+    assert rep.realizable == tuple(q for q in rep.raw_solutions
+                                   if realizability.__wrapped__(q).realizable)
+
+
+def _counted_realizability(monkeypatch) -> list:
+    """search.realizability wrapped, as the benchmark wraps it, to record
+    each quadruple it is asked about."""
+    calls = []
+
+    def counted(q, decide=search.realizability):
+        calls.append(q)
+        return decide(q)
+
+    monkeypatch.setattr(search, "realizability", counted)
+    return calls
+
+
+def test_the_search_decides_realizability_once_per_orbit(monkeypatch, sporadic_report):
+    calls = _counted_realizability(monkeypatch)
+    rep = run_sporadic_search()
+    assert len(calls) == len(set(calls)) == 262
+    assert rep.raw_solutions == sporadic_report.raw_solutions
+    assert rep.realizable == sporadic_report.realizable
+    # each orbit is decided at its first member in sorted order
+    assert calls == sorted(calls, key=lambda q: q.sort_key())
+    assert calls[0] == rep.raw_solutions[0]
+
+
+def test_exact_quadruples_canonicalize_and_deduplicate(sporadic_report):
+    """Repeated tuples count once, c < d is swapped, and a = b (q = 0)
+    has no quadruple."""
+    tuples = zero_sum_tuples()
+    swapped = [(a, b, d, c) for a, b, c, d in tuples]
+    degenerate = (angle(1, 2),) * 4
+    assert exact_quadruples(tuples) == sporadic_report.raw_solutions
+    assert (exact_quadruples([degenerate, *swapped[::-1], *tuples])
+            == sporadic_report.raw_solutions)
+
+
+def test_mann_grid_funnel(monkeypatch):
+    """The divisors-of-210 grid: 967,774,500 candidates, 66,136 exact
+    solutions, 11,496 realizable, 91 on no catalog family, with one
+    realizability decision per each of the 22,074 orbits."""
+    assert MANN_GRID.denominators == tuple(d for d in range(1, 211) if 210 % d == 0)
+    assert set(PAPER_GRID.denominators) < set(MANN_GRID.denominators)
+    assert MANN_GRID.order == PAPER_GRID.order == 420
+    calls = _counted_realizability(monkeypatch)
+    rep = run_sporadic_search(grid=MANN_GRID)
+    assert rep.candidates_scanned == candidate_count(MANN_GRID) == 967_774_500
+    assert rep.raw_solution_count == 66_136
+    assert rep.realizable_count == 11_496
+    assert rep.sporadic_count == 91
+    assert len(calls) == 22_074
