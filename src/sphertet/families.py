@@ -34,9 +34,11 @@ when it satisfies them all, and only then are tau and mu solved.
 Classifying a quadruple walks the catalog in order and stops at the
 first family (and coordinate swap) whose equations hold.
 
-Families come in twin pairs related by swapping r and s; both members
-are kept because the tables list them separately, and membership tests
-always try all coordinate swaps, so deduplication is never load-bearing.
+Families come in r<->s twin pairs: the same p, q, volume form and domain
+with r and s exchanged (rows 1, 13, 14 and 20 are their own twin).  The
+table prints one row per pair and builtin_families generates the twin.
+Both stay in the catalog: extent="curve" tries only the identity swap,
+so 11 of the 149 curve matches on the paper grid are twins.
 """
 
 from __future__ import annotations
@@ -195,8 +197,9 @@ def _vol(c_tt=0, c_t=0, c_1=0, c_tu=0, c_uu=0, c_u=0) -> VolumeForm:
 
 _F = Fraction
 
-# (id, p, q, r, s, volume, twin).  Angles are (alpha, beta[, gamma]) for
-# alpha*pi + beta*t [+ gamma*u]; volumes are (c_tt, c_t, c_1) for the
+# (id, p, q, r, s, volume, twin), one row per r<->s twin pair (the lower
+# id; builtin_families adds the twin).  Angles are (alpha, beta[, gamma])
+# for alpha*pi + beta*t [+ gamma*u]; volumes are (c_tt, c_t, c_1) for the
 # one-parameter rows.
 _SEGMENT_ROWS = (
     (1, (_F(1, 2), 1), (_F(1, 2),), (_F(1, 2),), (_F(1, 2),),
@@ -231,42 +234,12 @@ _SEGMENT_ROWS = (
      _vol(_F(1, 4), _F(-1, 6), _F(1, 48)), 29),
     (16, (_F(3, 4), _F(1, 2)), (_F(1, 4), _F(1, 2)), (_F(1, 3), -1), (_F(1, 3), 1),
      _vol(_F(-1, 4), _F(1, 2), _F(13, 144)), 17),
-    (17, (_F(3, 4), _F(1, 2)), (_F(1, 4), _F(1, 2)), (_F(1, 3), 1), (_F(1, 3), -1),
-     _vol(_F(-1, 4), _F(1, 2), _F(13, 144)), 16),
-    (18, (_F(1, 4), _F(1, 2)), (_F(1, 4), _F(-1, 2)), (_F(2, 3), -1), (_F(2, 3), 1),
-     _vol(_F(-1, 4), 0, _F(1, 144)), 11),
     (19, (_F(2, 3), 1), (_F(1, 3),), (_F(1, 3), -1), (_F(1, 2),),
      _vol(_F(1, 4), _F(1, 3), _F(5, 48)), 31),
     (20, (_F(1, 2),), (_F(1, 6), -1), (_F(1, 2),), (_F(1, 2),),
      _vol(_F(1, 2), _F(-1, 6), _F(1, 72)), 20),
-    (21, (_F(2, 3),), (_F(1, 3), 1), (_F(1, 2),), (_F(1, 3), 1),
-     _vol(_F(1, 4), _F(2, 3), _F(5, 48)), 9),
-    (22, (_F(3, 4), _F(-1, 2)), (_F(1, 4), _F(-1, 2)), (_F(1, 3), 1), (_F(1, 3), -1),
-     _vol(_F(-1, 4), _F(-1, 2), _F(13, 144)), 2),
-    (23, (_F(1, 2),), (_F(1, 2), -1), (_F(2, 3), -1), (_F(1, 3), 1),
-     _vol(0, _F(-1, 3), _F(1, 9)), 6),
-    (24, (_F(1, 2),), (_F(1, 6), 1), (_F(1, 3), 1), (_F(2, 3), -1),
-     _vol(0, _F(1, 3), 0), 4),
-    (25, (_F(1, 2), 1), (_F(1, 2),), (_F(2, 3), 1), (_F(1, 3), -1),
-     _vol(0, _F(1, 3), _F(1, 9)), 12),
     (26, (_F(3, 4), _F(1, 2)), (_F(3, 4), _F(-1, 2)), (_F(2, 3), -1), (_F(2, 3), 1),
      _vol(_F(-1, 4), 0, _F(73, 144)), 34),
-    (27, (_F(1, 3), 1), (_F(1, 3),), (_F(2, 3), -1), (_F(1, 2),),
-     _vol(_F(1, 4), _F(1, 6), _F(1, 48)), 7),
-    (28, (_F(2, 3), -1), (_F(1, 3),), (_F(1, 2),), (_F(1, 3), 1),
-     _vol(_F(1, 4), _F(-1, 3), _F(5, 48)), 5),
-    (29, (_F(1, 3),), (_F(1, 3), -1), (_F(1, 2),), (_F(2, 3), 1),
-     _vol(_F(1, 4), _F(-1, 6), _F(1, 48)), 15),
-    (30, (_F(1, 2),), (_F(1, 2), -1), (_F(2, 3), 1), (_F(1, 3), -1),
-     _vol(0, _F(-2, 3), _F(1, 9)), 10),
-    (31, (_F(2, 3), 1), (_F(1, 3),), (_F(1, 2),), (_F(1, 3), -1),
-     _vol(_F(1, 4), _F(1, 3), _F(5, 48)), 19),
-    (32, (_F(2, 3),), (_F(1, 3), -1), (_F(1, 3), -1), (_F(1, 2),),
-     _vol(_F(1, 4), _F(-2, 3), _F(5, 48)), 8),
-    (33, (_F(1, 2), 1), (_F(1, 2),), (_F(2, 3), -1), (_F(1, 3), 1),
-     _vol(0, _F(2, 3), _F(1, 9)), 3),
-    (34, (_F(3, 4), _F(1, 2)), (_F(3, 4), _F(-1, 2)), (_F(2, 3), 1), (_F(2, 3), -1),
-     _vol(_F(-1, 4), 0, _F(73, 144)), 26),
 )
 
 # Two-parameter rows: angles are (alpha, beta, gamma); volume includes
@@ -274,33 +247,25 @@ _SEGMENT_ROWS = (
 _TWO_PARAM_ROWS = (
     (35, (_F(1, 2), 0, 0), (_F(1, 2), 0, -1), (1, -1, 0), (0, 1, 0),
      _vol(_F(-1, 2), _F(1, 2), 0, 0, _F(1, 2), _F(-1, 2)), DOMAIN_A, 36),
-    (36, (_F(1, 2), 0, 0), (_F(1, 2), 0, -1), (0, 1, 0), (1, -1, 0),
-     _vol(_F(-1, 2), _F(1, 2), 0, 0, _F(1, 2), _F(-1, 2)), DOMAIN_A, 35),
     (37, (_F(1, 2), 0, 1), (_F(1, 2), 0, 0), (1, -1, 0), (0, 1, 0),
      _vol(_F(-1, 2), _F(1, 2), 0, 0, _F(1, 2), _F(1, 2)), DOMAIN_A, 38),
-    (38, (_F(1, 2), 0, 1), (_F(1, 2), 0, 0), (0, 1, 0), (1, -1, 0),
-     _vol(_F(-1, 2), _F(1, 2), 0, 0, _F(1, 2), _F(1, 2)), DOMAIN_A, 37),
     (39, (_F(1, 2), 0, 0), (_F(1, 2), -1, 0), (1, 0, -1), (0, 0, 1),
      _vol(_F(1, 2), _F(-1, 2), 0, 0, _F(-1, 2), _F(1, 2)), DOMAIN_B, 40),
-    (40, (_F(1, 2), 0, 0), (_F(1, 2), -1, 0), (0, 0, 1), (1, 0, -1),
-     _vol(_F(1, 2), _F(-1, 2), 0, 0, _F(-1, 2), _F(1, 2)), DOMAIN_B, 39),
     (41, (_F(1, 2), 1, 0), (_F(1, 2), 0, 0), (1, 0, -1), (0, 0, 1),
      _vol(_F(1, 2), _F(1, 2), 0, 0, _F(-1, 2), _F(1, 2)), DOMAIN_B, 42),
-    (42, (_F(1, 2), 1, 0), (_F(1, 2), 0, 0), (0, 0, 1), (1, 0, -1),
-     _vol(_F(1, 2), _F(1, 2), 0, 0, _F(-1, 2), _F(1, 2)), DOMAIN_B, 41),
 )
 
 
 @lru_cache(maxsize=1)
 def builtin_families() -> tuple[FamilySpec, ...]:
     out = []
-    for fid, p, q, r, s, vol, twin in _SEGMENT_ROWS:
-        forms = (AngleForm(*f) for f in (p, q, r, s))
-        out.append(FamilySpec(fid, *forms, vol, DOMAIN_SEGMENT, twin))
-    for fid, p, q, r, s, vol, dom, twin in _TWO_PARAM_ROWS:
-        forms = (AngleForm(*f) for f in (p, q, r, s))
-        out.append(FamilySpec(fid, *forms, vol, dom, twin))
-    return tuple(out)
+    rows = [(*row[:6], DOMAIN_SEGMENT, row[6]) for row in _SEGMENT_ROWS]
+    for fid, p, q, r, s, vol, dom, twin in rows + list(_TWO_PARAM_ROWS):
+        p, q, r, s = (AngleForm(*f) for f in (p, q, r, s))
+        out.append(FamilySpec(fid, p, q, r, s, vol, dom, twin))
+        if twin != fid:
+            out.append(FamilySpec(twin, p, q, s, r, vol, dom, fid))
+    return tuple(sorted(out, key=lambda fam: fam.family_id))
 
 
 def family_by_id(family_id: int) -> FamilySpec:
@@ -426,23 +391,18 @@ def _cos_sign_over_region(form: AngleForm, domain: str
     return ((-1) ** k if inside else 0), (Fraction(lo, m), Fraction(hi, m))
 
 
-def _product_witness(total: TrigPoly, domain: str) -> ProductWitness:
-    """Prove total > 0 on the open region by sum-to-product.
+@lru_cache(maxsize=None)
+def _proved_product(key: Key, domain: str) -> ProductWitness:
+    """Prove the sum keyed `key` positive on the open region by sum-to-product.
 
-    total must be a constant group that vanishes plus c cos A +- c cos B;
+    The sum must be a constant group that vanishes plus c cos A +- c cos B;
     with cos A - cos B = cos A + cos(B + pi) and a negative c absorbed as
     pi into x, it is 2|c| cos(x) cos(y) with x, y = (A +- B)/2, which
     TrigPoly.is_zero checks exactly.
 
     Each proof runs once per process: the witness is memoised under
-    (total.key, domain), and a proof that raises stores nothing.
+    (key, domain), and a proof that raises stores nothing.
     """
-    return _proved_product(total.key, domain)
-
-
-@lru_cache(maxsize=None)
-def _proved_product(key: Key, domain: str) -> ProductWitness:
-    """The memoised proof of _product_witness."""
     total = TrigPoly._of(*key)
     pi = AngleForm(1)
     varying = [(form, c) for form, c in total.terms if not form.is_constant]
@@ -475,7 +435,7 @@ def verify_domain(fam: FamilySpec) -> DomainCertificate:
     if fam.two_param:
         return DomainCertificate(
             fam.family_id, "sine-factorization", fam.domain,
-            tuple(_product_witness(s, fam.domain) for s in sums))
+            tuple(_proved_product(s.key, fam.domain) for s in sums))
     return DomainCertificate(
         fam.family_id, "interval-bisection", fam.domain,
         tuple(positive_on_open_interval(s, 0, SEGMENT_END) for s in sums))

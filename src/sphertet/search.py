@@ -263,7 +263,8 @@ class SporadicRow:
 
 @dataclass(frozen=True)
 class SearchReport:
-    config: SearchConfig
+    config: Optional[SearchConfig]
+    """None for a grid other than PAPER_GRID, which it does not describe."""
     candidates_scanned: int
     """Size of the grid the join covers."""
     prefilter_hits: int
@@ -315,9 +316,13 @@ def run_sporadic_search(cfg: Optional[SearchConfig] = None, *,
     for the first solution of the orbit in sorted order, and its verdict
     goes to every member (geometry.gram_orbit proves it constant on
     orbits).  Family membership is decided per quadruple, because the
-    catalog is not closed under the group.
+    catalog is not closed under the group.  A cfg describes PAPER_GRID
+    only, so another grid takes none and reports config None.
     """
-    cfg = cfg or SearchConfig()
+    if grid == PAPER_GRID:
+        cfg = cfg or SearchConfig()
+    elif cfg is not None:
+        raise ValueError("a SearchConfig describes PAPER_GRID only")
     t0 = time.monotonic()
     length4_ok = verify_no_length4_solutions()
     if not length4_ok:

@@ -68,6 +68,8 @@ def test_twin_map_is_an_involution_swapping_r_and_s():
         assert twin.twin_id == f.family_id
         assert twin.p == f.p and twin.q == f.q
         assert (twin.r, twin.s) == (f.s, f.r)
+        assert twin.vol == f.vol
+        assert twin.domain == f.domain
 
 
 @pytest.mark.parametrize("fam_id", range(1, 43))

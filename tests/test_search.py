@@ -273,3 +273,16 @@ def test_mann_grid_funnel(monkeypatch):
     assert rep.realizable_count == 11_496
     assert rep.sporadic_count == 91
     assert len(calls) == 22_074
+    assert rep.config is None
+
+
+def test_a_search_config_describes_only_the_paper_grid(sporadic_report):
+    """An explicit cfg with another grid is refused before any search; a
+    grid equal to PAPER_GRID keeps it, as the default run does."""
+    with pytest.raises(ValueError, match="PAPER_GRID"):
+        run_sporadic_search(SearchConfig(), grid=MANN_GRID)
+    with pytest.raises(ValueError, match="PAPER_GRID"):
+        run_sporadic_search(SearchConfig(), grid=Grid((1, 2, 3)))
+    assert sporadic_report.config == SearchConfig()
+    rep = run_sporadic_search(SearchConfig(), grid=Grid(PAPER_GRID.denominators))
+    assert rep.config == SearchConfig()
