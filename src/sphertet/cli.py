@@ -21,8 +21,9 @@ every point of the fixed grid exactly.
 
 Exit codes: 0 success, 2 verification mismatch against the golden
 fixtures or the paper, 3 internal invariant violation, 4 IO failure,
-5 usage error (a flag or argument the parser rejects, an unknown family
-id, certify without --paper-example or --lift, --lift below 3).
+5 usage error (a flag or argument the parser rejects, an empty --out,
+an unknown family id, certify without --paper-example or --lift, --lift
+below 3).
 """
 
 from __future__ import annotations
@@ -67,7 +68,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _out_dir(args) -> Optional[Path]:
-    """--out, else $SPHERTET_OUT_DIR."""
+    """--out, else $SPHERTET_OUT_DIR; an empty --out is refused, an empty
+    $SPHERTET_OUT_DIR counts as unset."""
+    if args.out == "":
+        raise UsageError("--out: expected a directory, got an empty path")
     out = args.out if args.out is not None else os.environ.get(OUT_DIR_ENV)
     return Path(out) if out else None
 

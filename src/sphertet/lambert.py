@@ -13,8 +13,9 @@ Squaring doubles the angles:  cos^2 x = (1 + cos 2x)/2 turns the
 constraint into the three-cosine equation cos 2a + cos 2b + cos 2c = -1
 with rational target, which the vanishing-sums classification makes
 finite: substituting y = 2*pi - 2x maps the window x in (pi/2, pi) onto
-y in (0, pi), so the search's PAPER_GRID applies, and its exact join
-(Grid.join) decides cos y1 + cos y2 = -(cos y3 + 1) on it.  The search
+y in (0, pi) and the constraint onto cos y3 + cos 0 + cos y1 + cos y2 = 0,
+so the cubes are the slice b = 0 of the search's zero-sum tuples
+(a, b, c, d) = (y3, 0, y1, y2) (Grid.zero_sum_tuples).  The search
 returns exactly two cubes.  No continuous family exists: the only
 parameter-bearing sub-sum available to a target of -1 with unit
 coefficients is the pair cos t + cos(pi - t) = 0, which would force a
@@ -34,7 +35,7 @@ from .geometry import (
     VolumeCoefficient,
     quadruple_residual,
 )
-from .search import PAPER_GRID, pair_terms
+from .search import PAPER_GRID
 
 
 @dataclass(frozen=True)
@@ -99,18 +100,14 @@ class LambertSearchReport:
 def search_rational_lambert_cubes() -> LambertSearchReport:
     """Exhaustive search for rational Lambert cubes; returns both found.
 
-    Joins the pair sums cos y1 + cos y2 with -(cos y3 + 1) exactly over
-    the folded grid y = 2*pi - 2x in (0, pi), keeping y1 >= y2 >= y3 so
-    each unordered triple counts once, then maps back to essential
-    angles.
+    Keeps the zero-sum tuples (y3, 0, y1, y2) with y3 <= y2 <= y1, each
+    unordered triple in (0, pi) once, and maps y = 2*pi - 2x back.
     """
     ys = PAPER_GRID.angles_pi
-    matches = PAPER_GRID.join(pair_terms(PAPER_GRID.cd_pairs),
-                              [(y3, ((-1, y3), (-1, ZERO))) for y3 in ys])  # cos 0 = 1
     cubes = [
         LambertCube(*(RationalAngle.from_fraction(1 - y.frac / 2)
                       for y in (y1, y2, y3)))
-        for (y1, y2), y3 in matches if y3 <= y2
+        for y3, b, y1, y2 in PAPER_GRID.zero_sum_tuples if b == ZERO and y3 <= y2
     ]
     cubes.sort(key=lambda cu: tuple(x.frac for x in cu.angles), reverse=True)
     # the would-be parametric pattern needs a third angle with cosine -1,

@@ -45,8 +45,7 @@ _JSON_KW = dict(sort_keys=True, separators=(",", ":"))
 
 
 def frac_str(f) -> str:
-    f = _fraction(f, "fraction")
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+    return str(_fraction(f, "fraction"))
 
 
 @dataclass(frozen=True)

@@ -21,13 +21,14 @@ p = (a+b)/2, q = (a-b)/2, r = c, s = d with p >= q, r >= s.
 
 A Grid holds its angles, their exponents in Q(zeta_420) (420 =
 lcm(2*den) over the grid's denominators), the packed key of each
-angle's cosine and the candidate pair lists, each built once.  Twice a
-cosine sum over the grid is an integer vector in that field's canonical
-power basis, packed into one int (cyclotomic.cosine_key), so equal ints
-mean equal numbers; the packing is linear, so a sum's key is the sum of
-its angles' keys.  The equation is therefore decided by an exact hash
-join (Grid.join): the keys of cos a + cos b are looked up among those of
--(cos c + cos d), and no float test decides anything.
+angle's cosine, the candidate pair lists and the zero-sum tuples, each
+built once.  Twice a cosine sum over the grid is an integer vector in
+that field's canonical power basis, packed into one int
+(cyclotomic.cosine_key), so equal ints mean equal numbers; the packing
+is linear, so a sum's key is the sum of its angles' keys.  The equation
+is therefore decided by one exact hash join (Grid.zero_sum_tuples): the
+keys of cos a + cos b are looked up among those of -(cos c + cos d),
+and no float test decides anything.
 
 The exact solutions are deduplicated on integers: with x = 2*pi*e_x/420,
 (p, q, r, s) is (e_a + e_b, e_a - e_b, 2 e_c, 2 e_d) * pi/420.  The Gram
@@ -36,20 +37,27 @@ orbit of the Gram symmetry group (geometry.gram_orbit), so it is decided
 once per orbit, for the orbit's first solution in sorted order, and the
 verdict goes to every member.  The realizable solutions are matched
 against the continuous-family catalog one by one; what remains is the
-sporadic list.  The three-cosine search below and the Lambert search use
-the same grid and join.
+sporadic list.
+
+The other two equations are slices of the same zero-sum tuples.  With
+s = r the residual cos p cos q + cos((r+s)/2) cos((r-s)/2) is
+cos p cos q + cos r, so the Pythagorean triples below are the tuples
+with c = d.  The Lambert search (lambert.py) folds y = 2*pi - 2x, which
+turns cos 2a + cos 2b + cos 2c = -1 into cos y3 + cos 0 + cos y1 +
+cos y2 = 0, so its cubes are the tuples with b = 0.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from collections import Counter
 from dataclasses import InitVar, dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
-from .angles import HALF_PI, ZERO, RationalAngle
+from .angles import ZERO, RationalAngle
 from .cyclotomic import angle_exponents, common_order, cosine_key, cosine_numerator
 from .families import classify_quadruple
 from .geometry import (
@@ -127,34 +135,26 @@ class Grid:
         vals = self.angles_pi
         return [(x, y) for i, x in enumerate(vals) for y in vals[: i + 1]]
 
-    def join(self, left: Sequence[tuple], right: Sequence[tuple]) -> list[tuple]:
-        """All (l, r) whose cosine sums are exactly equal.
+    @cached_property
+    def zero_sum_tuples(self) -> list[tuple[RationalAngle, ...]]:
+        """The (a, b, c, d), (a, b) in ab_pairs and (c, d) in cd_pairs,
+        with cos a + cos b + cos c + cos d = 0: an exact hash join of the
+        (a, b) pair sums against the negated (c, d) pair sums.
 
-        left and right hold (item, terms) entries, the terms (k, x) for
-        k * cos x with x on the grid (KeyError otherwise).  A sum is
-        keyed by sum k * cosine_keys[x]: the packed sum is linear, so
-        that is the int cyclotomic.cosine_key returns for the whole sum
-        in the canonical power basis of Q(zeta_order), and equal keys
-        mean equal sums.  That holds while the coefficients stay within
-        cosine_key's digit bound, which depends on a sum only through
-        its weight sum |k|; so keying w * cos 0 for the largest weight w
-        checks every sum, and raises ArithmeticError past the bound
-        before any match is returned.  The matches come in left order,
-        each left item's matches in right order, so the result does not
-        depend on hashing.
+        A pair sum is keyed by the sum of its angles' cosine_keys, which
+        by linearity is cosine_key of the whole sum while its coefficients
+        stay within the digit bound.  The bound depends on a sum only
+        through its weight, 2 for every pair, so keying 2 cos 0 checks
+        them all and raises ArithmeticError before any match is returned.
+        The matches come in ab_pairs order, each pair's in cd_pairs order.
         """
-        keys, weights = self.cosine_keys, set()
-
-        def key(terms):
-            weights.add(sum(abs(k) for k, _ in terms))
-            return sum(k * keys[x] for k, x in terms)
-
+        keys = self.cosine_keys
+        cosine_key(self.order, ((2, 0),))
         index: dict[int, list] = {}
-        for item, terms in right:
-            index.setdefault(key(terms), []).append(item)
-        probes = [(item, key(terms)) for item, terms in left]
-        cosine_key(self.order, ((max(weights, default=0), 0),))
-        return [(item, match) for item, k in probes for match in index.get(k, ())]
+        for c, d in self.cd_pairs:
+            index.setdefault(-keys[c] - keys[d], []).append((c, d))
+        return [(a, b, c, d) for a, b in self.ab_pairs
+                for c, d in index.get(keys[a] + keys[b], ())]
 
 
 # The union of the denominator lists the Conway-Jones classification
@@ -188,12 +188,6 @@ class SearchConfig:
         return {"denominators": list(PAPER_GRID.denominators), "include_zero": True}
 
 
-def pair_terms(pairs: Iterable[tuple[RationalAngle, RationalAngle]],
-               k: int = 1) -> list:
-    """Join entries for k * (cos x + cos y), one per pair (x, y)."""
-    return [((x, y), ((k, x), (k, y))) for x, y in pairs]
-
-
 def verify_no_length4_solutions() -> bool:
     """The four length-4 relations each sum to 1/2 exactly, hence never 0."""
     for relation in _LENGTH4_RELATIONS:
@@ -210,16 +204,6 @@ def verify_no_length4_solutions() -> bool:
 def candidate_count(grid: Grid = PAPER_GRID) -> int:
     """Size of the extended candidate grid (used as a cross-check)."""
     return len(grid.ab_pairs) * len(grid.cd_pairs)
-
-
-def zero_sum_tuples(grid: Grid = PAPER_GRID) -> list[tuple[RationalAngle, ...]]:
-    """Grid tuples (a, b, c, d), c >= d, with cos a + cos b + cos c + cos d = 0.
-
-    Exact: the (a, b) pair sums are joined with the negated (c, d) pair
-    sums.  b = 0 needs no special case, as cos 0 = 1 has its own vector.
-    """
-    matches = grid.join(pair_terms(grid.ab_pairs), pair_terms(grid.cd_pairs, -1))
-    return [ab + cd for ab, cd in matches]
 
 
 def _solution_numerators(tuples: Iterable[Sequence[RationalAngle]],
@@ -329,7 +313,7 @@ def run_sporadic_search(cfg: Optional[SearchConfig] = None, *,
         raise ArithmeticError(
             "length-4 relations failed exact verification; search space invalid"
         )
-    solutions = zero_sum_tuples(grid)
+    solutions = grid.zero_sum_tuples
     den = grid.order
     nums = _solution_numerators(solutions, grid)
     quads = dict(zip(nums, _quadruples(nums, den)))
@@ -381,54 +365,37 @@ class TripleReport:
     elapsed_seconds: float
 
 
-def _fold_triple(p: RationalAngle, q: RationalAngle, r: RationalAngle):
-    """Canonical representative under complements and the p<->q swap.
-
-    cos p cos q + cos r = 0 is preserved by (p,q,r) -> (pi-p, q, pi-r)
-    and (p, pi-q, pi-r); folding puts p, q in (0, pi/2].
-    """
-    if p > HALF_PI:
-        p, r = p.supplement(), r.supplement()
-    if q > HALF_PI:
-        q, r = q.supplement(), r.supplement()
-    if p < q:
-        p, q = q, p
-    return (p, q, r)
-
-
 def search_triples(cfg: Optional[SearchConfig] = None) -> TripleReport:
     """All rational solutions of cos p cos q + cos r = 0 with angles in
     (0, pi), reported as canonical complement-orbit representatives.
 
-    With a = p + q and b = p - q the equation reads
-    cos a + cos b = -2 cos c, which the exact join decides over the grid.
-    The trivial family p = pi/2 (or q = pi/2), which forces r = pi/2, is
-    counted but excluded from the nontrivial list.
+    They are the zero-sum tuples with c = d (see above).  The trivial
+    family p = pi/2 (or q = pi/2), which forces r = pi/2, is counted but
+    excluded from the nontrivial list; the others are folded by the
+    symmetries (p, q, r) -> (pi-p, q, pi-r), (p, pi-q, pi-r) and p <-> q
+    to p >= q in (0, pi/2].
     """
     cfg = cfg or SearchConfig()
     t0 = time.monotonic()
-    matches = PAPER_GRID.join(pair_terms(PAPER_GRID.ab_pairs),
-                              [(c, ((-2, c),)) for c in PAPER_GRID.angles_pi])
-    canonical: dict[tuple[Fraction, ...], set] = {}
+    n = PAPER_GRID.order  # numerators over n, pi <-> n
+    tuples = [t for t in PAPER_GRID.zero_sum_tuples if t[2] == t[3]]
+    orbits: Counter = Counter()
     trivial = 0
-    for (a, b), c in matches:
-        p, q, r = (a + b) / 2, (a - b) / 2, c
-        if not (p.in_open_0_pi() and q.in_open_0_pi()):
-            continue
-        if p == HALF_PI or q == HALF_PI:
+    for p, q, r, _ in _solution_numerators(tuples, PAPER_GRID):
+        if n in (2 * p, 2 * q):
             trivial += 1
             continue
-        key_p, key_q, key_r = _fold_triple(p, q, r)
-        key = (key_p.frac, key_q.frac, key_r.frac)
-        canonical.setdefault(key, set()).add((p.frac, q.frac, r.frac))
-    nontrivial = tuple(
-        tuple(RationalAngle.from_fraction(f) for f in key)
-        for key in sorted(canonical)
-    )
+        if 2 * p > n:
+            p, r = n - p, n - r
+        if 2 * q > n:
+            q, r = n - q, n - r
+        orbits[max(p, q), min(p, q), r] += 1
     return TripleReport(
         config=cfg,
-        nontrivial=nontrivial,
+        nontrivial=tuple(tuple(RationalAngle(x, n) for x in key)
+                         for key in sorted(orbits)),
         trivial_hits=trivial,
-        orbit_sizes={key: len(v) for key, v in canonical.items()},
+        orbit_sizes={tuple(Fraction(x, n) for x in key): size
+                     for key, size in orbits.items()},
         elapsed_seconds=time.monotonic() - t0,
     )

@@ -491,6 +491,7 @@ def det(matrix: Sequence[Sequence[TrigPoly]]) -> TrigPoly:
 PI_UPPER = Fraction(355, 113)  # exceeds pi by less than 2.7e-7
 _PI_P, _PI_Q = PI_UPPER.numerator, PI_UPPER.denominator
 _COVER_DEPTH = 8  # most bisections of a middle, or halvings of a strip
+_ENDPOINT_ORDER = 8  # highest derivative tried at a zero endpoint
 _ZERO = Fraction(0)
 
 
@@ -571,8 +572,8 @@ def _sample_holds(poly: TrigPoly, c: Fraction, h: Fraction) -> bool:
     return all(s > 0 for s in _row_signs(terms, flip))
 
 
-def _endpoint_analysis(chain: list[TrigPoly], x0: Fraction, other: Fraction,
-                       max_order: int = 8) -> EndpointAnalysis:
+def _endpoint_analysis(chain: list[TrigPoly], x0: Fraction,
+                       other: Fraction) -> EndpointAnalysis:
     """poly(x0) > 0, or a strip from x0 towards other where poly vanishes
     at x0 and d^m is the first derivative that does not: the widest
     quarter/2^j of the interval whose double _strip_holds, which leaves
@@ -583,14 +584,14 @@ def _endpoint_analysis(chain: list[TrigPoly], x0: Fraction, other: Fraction,
         return EndpointAnalysis(x0, "positive-value", 0, _ZERO)
     if s < 0:
         raise PositivityError(f"negative value at endpoint t = {x0}*pi")
-    for m in range(1, max_order + 1):
+    for m in range(1, _ENDPOINT_ORDER + 1):
         if m == len(chain):
             chain.append(chain[-1].derivative("t"))
         s = _sign_at(chain[m], x0)
         if s != 0:
             break
     else:
-        raise PositivityError(f"no nonzero derivative of order <= {max_order}")
+        raise PositivityError(f"no nonzero derivative of order <= {_ENDPOINT_ORDER}")
     if s * (1 if other > x0 else -1) ** m <= 0:
         raise PositivityError(f"function decreases into the interval at t = {x0}*pi")
     width = abs(other - x0) / 4

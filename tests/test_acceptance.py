@@ -56,7 +56,6 @@ from sphertet.search import (
     SearchConfig,
     candidate_count,
     search_triples,
-    zero_sum_tuples,
 )
 
 
@@ -251,7 +250,7 @@ def test_criterion_10a_prefilter_rejects_are_certified_nonzero(capsys):
     CyclotomicNumbers, is zero.
     """
     cd_pairs = PAPER_GRID.cd_pairs
-    hits = set(zero_sum_tuples())
+    hits = set(PAPER_GRID.zero_sum_tuples)
     enc64 = {x: cos_as_cyclotomic(x).float_interval(64)
              for x in PAPER_GRID.exponents}
 
@@ -366,8 +365,8 @@ def test_criterion_10c_every_record_round_trips_byte_identically(
 
 # prints the exact-solution stage of the default search, one row a line
 _RAW_STAGE = """
-from sphertet.search import exact_quadruples, zero_sum_tuples
-for quad in exact_quadruples(zero_sum_tuples()):
+from sphertet.search import PAPER_GRID, exact_quadruples
+for quad in exact_quadruples(PAPER_GRID.zero_sum_tuples):
     print(*quad.fractions)
 """
 

@@ -151,6 +151,22 @@ def test_out_dir_under_a_regular_file_is_an_io_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("io error:")
 
 
+@pytest.mark.parametrize("command", ["catalog", "search-lambert"])
+def test_empty_out_dir_is_a_usage_error(command, tmp_path, monkeypatch, capsys):
+    """An empty --out is refused before the stage runs, so nothing is
+    printed or written; an empty SPHERTET_OUT_DIR still counts as unset."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv(cli.OUT_DIR_ENV, str(tmp_path / "env"))
+    assert main([command, "--out", ""]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage error: --out")
+    assert "directory" in err
+    assert list(tmp_path.iterdir()) == []
+    monkeypatch.setenv(cli.OUT_DIR_ENV, "")
+    assert main([command]) == EXIT_OK
+    assert capsys.readouterr().out and list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("flag", ["--tolerance", "--workers", "--format",
                                   "--triples", "--config"])
 def test_search_flags_are_gone(flag, capsys):

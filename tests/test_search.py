@@ -20,11 +20,9 @@ from sphertet.search import (
     SearchConfig,
     candidate_count,
     exact_quadruples,
-    pair_terms,
     run_sporadic_search,
     search_triples,
     verify_no_length4_solutions,
-    zero_sum_tuples,
 )
 
 def test_union_denominators():
@@ -55,12 +53,13 @@ def test_candidate_count():
 
 
 _GRID_VALUES = ("order", "angles_2pi", "angles_pi", "exponents", "cosine_keys",
-                "ab_pairs", "cd_pairs")
+                "ab_pairs", "cd_pairs", "zero_sum_tuples")
 
 
 def test_the_searches_build_each_grid_value_once(monkeypatch):
     """The quadruple, triple and Lambert searches share PAPER_GRID's
-    lists: with its values forgotten, the three build each one once."""
+    lists and its one join: with its values forgotten, the three build
+    each one once."""
     builds = Counter()
     for name in _GRID_VALUES:
         prop = vars(Grid)[name]
@@ -96,7 +95,7 @@ def test_no_length_four_relations():
 
 @lru_cache(maxsize=None)
 def _join_output() -> frozenset:
-    return frozenset(zero_sum_tuples())
+    return frozenset(PAPER_GRID.zero_sum_tuples)
 
 
 def test_confirm_zero_accepts_known_solution():
@@ -141,46 +140,31 @@ def test_join_keys_are_the_keys_of_the_whole_sums():
     packing is linear, so that is cosine_key of the whole sum."""
     order, exp, keys = PAPER_GRID.order, PAPER_GRID.exponents, PAPER_GRID.cosine_keys
     for pairs, k in ((PAPER_GRID.ab_pairs, 1), (PAPER_GRID.cd_pairs, -1)):
-        for (x, y), terms in pair_terms(pairs, k):
-            assert (sum(j * keys[z] for j, z in terms)
-                    == cosine_key(order, [(j, exp[z]) for j, z in terms])), (x, y)
+        for x, y in pairs:
+            assert (k * (keys[x] + keys[y])
+                    == cosine_key(order, ((k, exp[x]), (k, exp[y])))), (x, y)
 
 
-def test_join_raises_where_the_whole_sum_has_no_key(request):
+def test_join_raises_where_the_whole_sum_has_no_key(request, monkeypatch):
     """With 8-bit digits and no headroom (narrow_slots) the order-60 pair
-    sums still have keys and join as with the default tables, while a
-    sum whose coefficients pass cosine_key's bound makes the join raise,
-    even where its per-angle keys would sum to a match."""
+    sums still have keys and join as with the default tables; under a
+    digit bound that a single cosine meets and a pair sum of weight 2
+    exceeds, the join raises, although every angle has its key."""
     dens = (1, 2, 3, 5)
-    entries = (pair_terms(Grid(dens).ab_pairs), pair_terms(Grid(dens).cd_pairs, -1))
-    expected = Grid(dens).join(*entries)
+    expected = Grid(dens).zero_sum_tuples
     request.getfixturevalue("narrow_slots")
     grid = Grid(dens)
-    order, x = grid.order, angle(1, 3)
-    assert cyclotomic._order_data(order).width == 8
-    assert grid.join(*entries) == expected
-    raised = []
-    for w in range(1, 10):
-        for terms in (((w, x),), ((w - 1, x), (1, x)), ((w, x), (-w, x))):
-            try:
-                key = cosine_key(order, [(k, grid.exponents[y]) for k, y in terms])
-            except ArithmeticError:
-                key = None
-            try:
-                matches = grid.join([("l", terms)], [("r", terms)])
-            except ArithmeticError:
-                matches = None
-            assert (matches is None) == (key is None), terms
-            assert matches in (None, [("l", "r")])
-            raised.append(matches is None)
-    assert any(raised) and not all(raised)
-
-
-def test_join_rejects_an_angle_off_the_grid():
-    with pytest.raises(KeyError):
-        PAPER_GRID.join([(None, ((1, angle(1, 8)),))], [])
-    with pytest.raises(KeyError):
-        PAPER_GRID.join([], [(None, ((1, angle(1, 8)),))])
+    order = grid.order
+    table = cyclotomic._order_data(order)
+    assert table.width == 8
+    assert grid.zero_sum_tuples == expected
+    monkeypatch.setattr(table, "row_max", 1 << (table.width - 3))
+    grid = Grid(dens)
+    assert len(grid.cosine_keys) == len(grid.exponents)
+    with pytest.raises(ArithmeticError):
+        cosine_key(order, ((1, 1), (1, 2)))
+    with pytest.raises(ArithmeticError):
+        grid.zero_sum_tuples
 
 
 def test_search_pipeline_counts(sporadic_report):
@@ -251,7 +235,7 @@ def test_the_search_decides_realizability_once_per_orbit(monkeypatch, sporadic_r
 def test_exact_quadruples_canonicalize_and_deduplicate(sporadic_report):
     """Repeated tuples count once, c < d is swapped, and a = b (q = 0)
     has no quadruple."""
-    tuples = zero_sum_tuples()
+    tuples = PAPER_GRID.zero_sum_tuples
     swapped = [(a, b, d, c) for a, b, c, d in tuples]
     degenerate = (angle(1, 2),) * 4
     assert exact_quadruples(tuples) == sporadic_report.raw_solutions
