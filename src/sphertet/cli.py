@@ -203,7 +203,7 @@ def cmd_search_lambert(args) -> int:
     for cube, vol in zip(report.cubes, report.volumes):
         print(f"{cube}  volume {vol.value} * pi^2")
     print(f"scanned {report.candidates_scanned} triples, "
-          f"{report.prefilter_hits} with a zero cosine sum, "
+          f"{len(report.cubes)} with a zero cosine sum, "
           f"continuous family excluded: {report.no_continuous_family}")
     companions = lambert_mod.companion_tetrahedra()
     for t in companions:

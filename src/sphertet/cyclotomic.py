@@ -50,7 +50,7 @@ import sys
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Iterable, Optional, Sequence, Union
 
 from .angles import RationalAngle, _fraction
@@ -304,9 +304,7 @@ class _OrderData:
     every entry at most row_max in absolute value.  Only the rows at
     multiples of the stride s = N/rad(N) are built (_reduction_rows);
     rows[s q + j] is rows[s q] shifted j digits, and is None until row()
-    first reads it.  conjugates[j] is the row of x^(-j) for j < phi, made
-    on the first conjugation from the same row objects.  cos[e] is within
-    cos_err of cos(2*pi*e/N).
+    first reads it.  cos[e] is within cos_err of cos(2*pi*e/N).
     """
 
     def __init__(self, order: int):
@@ -340,11 +338,6 @@ class _OrderData:
             j = e % self.stride
             value = self.rows[e] = self.rows[e - j] << (self.width * j)
         return value
-
-    @cached_property
-    def conjugates(self) -> list[int]:
-        n = self.order
-        return [self.row(-j % n) for j in range(self.phi)]
 
     def unpack(self, value: int) -> list[int]:
         """The numerator whose packed form (at the table's width) is value."""
@@ -567,12 +560,9 @@ class CyclotomicNumber:
     __rmul__ = __mul__
 
     def _conjugate_num(self) -> list[int]:
-        """The numerator of the image under x^j -> x^(-j): within the
-        packed bound, one sum of products with the rows of x^(-j)."""
-        od = _order_data(self.order)
-        if od.row_max * sum(map(abs, self.num)) >> (od.width - 1):
-            return od.powers([(c, -j) for j, c in enumerate(self.num) if c])
-        return od.unpack(sum(map(operator.mul, self.num, od.conjugates)))
+        """The numerator of the image under x^j -> x^(-j): the combination
+        sum_j num_j x^(-j), formed by the table like any other."""
+        return _order_data(self.order).powers([(c, -j) for j, c in enumerate(self.num) if c])
 
     def conjugate(self) -> "CyclotomicNumber":
         """Complex conjugate (zeta -> zeta^-1)."""

@@ -90,10 +90,6 @@ class PythagoreanQuadruple:
     def fractions(self) -> tuple[Fraction, ...]:
         return tuple(a.frac for a in self.angles)
 
-    def sort_key(self) -> tuple[RationalAngle, ...]:
-        """The angles: they order like their fractions, without building any."""
-        return self.angles
-
     def __str__(self) -> str:
         return "(" + ", ".join(str(a.frac) for a in self.angles) + ")*pi"
 

@@ -15,7 +15,8 @@ with rational target, which the vanishing-sums classification makes
 finite: substituting y = 2*pi - 2x maps the window x in (pi/2, pi) onto
 y in (0, pi) and the constraint onto cos y3 + cos 0 + cos y1 + cos y2 = 0,
 so the cubes are the slice b = 0 of the search's zero-sum tuples
-(a, b, c, d) = (y3, 0, y1, y2) (Grid.zero_sum_tuples).  The search
+(a, b, c, d) = (y3, 0, y1, y2) (Grid.zero_sum_tuples), whose integer
+exponents map back to angles only for the cubes found.  The search
 returns exactly two cubes.  No continuous family exists: the only
 parameter-bearing sub-sum available to a target of -1 with unit
 coefficients is the pair cos t + cos(pi - t) = 0, which would force a
@@ -27,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .angles import PI, ZERO, RationalAngle
+from .angles import PI, RationalAngle
 from .cyclotomic import CyclotomicNumber, angle_exponents, cos_as_cyclotomic, cosine_sum
 from .geometry import (
     PreconditionError,
@@ -91,8 +92,6 @@ class LambertSearchReport:
     cubes: tuple[LambertCube, ...]
     candidates_scanned: int
     """Size of the grid the join covers: unordered triples (y1, y2, y3)."""
-    prefilter_hits: int
-    """Grid tuples whose exact cosine sum is zero."""
     no_continuous_family: bool
     volumes: tuple[VolumeCoefficient, ...]
 
@@ -101,24 +100,23 @@ def search_rational_lambert_cubes() -> LambertSearchReport:
     """Exhaustive search for rational Lambert cubes; returns both found.
 
     Keeps the zero-sum tuples (y3, 0, y1, y2) with y3 <= y2 <= y1, each
-    unordered triple in (0, pi) once, and maps y = 2*pi - 2x back.
+    unordered triple in (0, pi) once, and maps y = 2*pi - 2x back: the
+    exponent y over n = PAPER_GRID.order is the angle x = (n - y)/n * pi.
     """
-    ys = PAPER_GRID.angles_pi
+    n = PAPER_GRID.order
+    ys = [y for y in PAPER_GRID.exponents if 2 * y < n]
     cubes = [
-        LambertCube(*(RationalAngle.from_fraction(1 - y.frac / 2)
-                      for y in (y1, y2, y3)))
-        for y3, b, y1, y2 in PAPER_GRID.zero_sum_tuples if b == ZERO and y3 <= y2
+        LambertCube(*(RationalAngle(n - y, n) for y in (y1, y2, y3)))
+        for y3, b, y1, y2 in PAPER_GRID.zero_sum_tuples if b == 0 and y3 <= y2
     ]
     cubes.sort(key=lambda cu: tuple(x.frac for x in cu.angles), reverse=True)
     # the would-be parametric pattern needs a third angle with cosine -1,
     # i.e. y = pi, excluded by the open window; verified exactly:
-    no_family = (not any(y.frac == 1 for y in ys)
-                 and (cos_as_cyclotomic(PI) + 1).is_zero())
-    n = len(ys)
+    no_family = n // 2 not in ys and (cos_as_cyclotomic(PI) + 1).is_zero()
+    k = len(ys)
     return LambertSearchReport(
         cubes=tuple(cubes),
-        candidates_scanned=n * (n + 1) * (n + 2) // 6,
-        prefilter_hits=len(cubes),
+        candidates_scanned=k * (k + 1) * (k + 2) // 6,
         no_continuous_family=no_family,
         volumes=tuple(lambert_volume(cu) for cu in cubes),
     )

@@ -19,19 +19,21 @@ families, and a grid search over
 "infinite denominator" case p = q) reaches every canonical quadruple
 p = (a+b)/2, q = (a-b)/2, r = c, s = d with p >= q, r >= s.
 
-A Grid holds its angles, their exponents in Q(zeta_420) (420 =
-lcm(2*den) over the grid's denominators), the packed key of each
-angle's cosine, the candidate pair lists and the zero-sum tuples, each
-built once.  Twice a cosine sum over the grid is an integer vector in
-that field's canonical power basis, packed into one int
-(cyclotomic.cosine_key), so equal ints mean equal numbers; the packing
-is linear, so a sum's key is the sum of its angles' keys.  The equation
-is therefore decided by one exact hash join (Grid.zero_sum_tuples): the
-keys of cos a + cos b are looked up among those of -(cos c + cos d),
-and no float test decides anything.
+A Grid holds every value as an integer: the angle 2*pi*e/420 (420 =
+lcm(2*den) over the grid's denominators) is its exponent e in
+Q(zeta_420), and the grid keeps the sorted exponents, the packed key of
+each exponent's cosine, the candidate pair lists and the zero-sum
+tuples of exponents, each built once.  Twice a cosine sum over the grid
+is an integer vector in that field's canonical power basis, packed into
+one int (cyclotomic.cosine_key), so equal ints mean equal numbers; the
+packing is linear, so a sum's key is the sum of its angles' keys.  The
+equation is therefore decided by one exact hash join
+(Grid.zero_sum_tuples): the keys of cos a + cos b are looked up among
+those of -(cos c + cos d), and no float test decides anything.
 
-The exact solutions are deduplicated on integers: with x = 2*pi*e_x/420,
-(p, q, r, s) is (e_a + e_b, e_a - e_b, 2 e_c, 2 e_d) * pi/420.  The Gram
+The exact solutions are deduplicated on the same integers: the tuple
+(a, b, c, d) gives (p, q, r, s) = (a + b, a - b, 2c, 2d) * pi/420, and a
+RationalAngle is built only for a reported quadruple.  The Gram
 positive-definiteness test (geometry.realizability) is constant on each
 orbit of the Gram symmetry group (geometry.gram_orbit), so it is decided
 once per orbit, for the orbit's first solution in sorted order, and the
@@ -57,7 +59,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
-from .angles import ZERO, RationalAngle
+from .angles import RationalAngle
 from .cyclotomic import angle_exponents, common_order, cosine_key, cosine_numerator
 from .families import classify_quadruple
 from .geometry import (
@@ -87,8 +89,9 @@ class Grid:
     a search scans, and its candidate lists.  Each value is built on first
     read, once per instance.
 
-    Every grid cosine lies in Q(zeta_order), order = lcm(2*den), and the
-    angle x is 2*pi*exponents[x]/order there.
+    Every grid cosine lies in Q(zeta_order), order = lcm(2*den), and every
+    value is an integer there: the angle 2*pi*e/order is the exponent e,
+    which lies in (0, pi) when 2e < order.
     """
 
     denominators: tuple[int, ...]
@@ -98,45 +101,35 @@ class Grid:
         return common_order(*(2 * den for den in self.denominators))
 
     @cached_property
-    def angles_2pi(self) -> list[RationalAngle]:
-        """The grid angles in (0, 2pi), sorted."""
-        return sorted({RationalAngle(nu, den) for den in self.denominators
-                       for nu in range(1, 2 * den) if math.gcd(nu, den) == 1})
+    def exponents(self) -> list[int]:
+        """The e in (0, order) whose angle 2*pi*e/order has its reduced
+        denominator order // gcd(2e, order) among the denominators,
+        sorted: the grid angles in (0, 2pi)."""
+        n, dens = self.order, set(self.denominators)
+        return [e for e in range(1, n) if n // math.gcd(2 * e, n) in dens]
 
     @cached_property
-    def angles_pi(self) -> list[RationalAngle]:
-        """The grid angles in (0, pi), sorted."""
-        return [x for x in self.angles_2pi if x.num < x.den]
+    def cosine_keys(self) -> dict[int, int]:
+        """e -> cyclotomic.cosine_key of cos(2*pi*e/order), for 0 and the
+        exponents."""
+        return {e: cosine_key(self.order, ((1, e),)) for e in (0, *self.exponents)}
 
     @cached_property
-    def exponents(self) -> dict[RationalAngle, int]:
-        """x -> e with x = 2*pi*e/order, for 0 and the angles in (0, 2pi)."""
-        return {x: x.num * (self.order // (2 * x.den))
-                for x in (ZERO, *self.angles_2pi)}
-
-    @cached_property
-    def cosine_keys(self) -> dict[RationalAngle, int]:
-        """x -> cyclotomic.cosine_key of cos x, for 0 and the angles in
-        (0, 2pi)."""
-        return {x: cosine_key(self.order, ((1, e),)) for x, e in self.exponents.items()}
-
-    @cached_property
-    def ab_pairs(self) -> list[tuple[RationalAngle, RationalAngle]]:
+    def ab_pairs(self) -> list[tuple[int, int]]:
         """(a, b) with a in (0, 2pi), b in {0} union (0, pi), a > b and
-        a + b < 2pi."""
-        exp, order = self.exponents, self.order
-        bs = [(b, exp[b]) for b in (ZERO, *self.angles_pi)]
-        return [(a, b) for a in self.angles_2pi for b, eb in bs
-                if eb < exp[a] < order - eb]
+        a + b < 2pi; b < a < order - b already puts b below pi."""
+        n, bs = self.order, (0, *self.exponents)
+        return [(a, b) for a in self.exponents for b in bs if b < a < n - b]
 
     @cached_property
-    def cd_pairs(self) -> list[tuple[RationalAngle, RationalAngle]]:
+    def cd_pairs(self) -> list[tuple[int, int]]:
         """(c, d), c >= d in (0, pi): each unordered pair once."""
-        vals = self.angles_pi
+        n = self.order
+        vals = [e for e in self.exponents if 2 * e < n]
         return [(x, y) for i, x in enumerate(vals) for y in vals[: i + 1]]
 
     @cached_property
-    def zero_sum_tuples(self) -> list[tuple[RationalAngle, ...]]:
+    def zero_sum_tuples(self) -> list[tuple[int, int, int, int]]:
         """The (a, b, c, d), (a, b) in ab_pairs and (c, d) in cd_pairs,
         with cos a + cos b + cos c + cos d = 0: an exact hash join of the
         (a, b) pair sums against the negated (c, d) pair sums.
@@ -206,21 +199,20 @@ def candidate_count(grid: Grid = PAPER_GRID) -> int:
     return len(grid.ab_pairs) * len(grid.cd_pairs)
 
 
-def _solution_numerators(tuples: Iterable[Sequence[RationalAngle]],
-                         grid: Grid) -> list[Numerators]:
-    """The distinct canonical (p, q, r, s) of grid tuples (a, b, c, d) as
-    integer numerators over grid.order (pi <-> order), sorted.
+def _solution_numerators(tuples: Iterable[Sequence[int]],
+                         order: int) -> list[Numerators]:
+    """The distinct canonical (p, q, r, s) of grid tuples (a, b, c, d) of
+    exponents as integer numerators over order (pi <-> order), sorted.
 
-    With x = 2*pi*e_x/order, p = (a+b)/2, q = (a-b)/2, r = c and s = d
-    are (e_a + e_b, e_a - e_b, 2 e_c, 2 e_d) * pi/order.  A tuple whose
-    image leaves (0, pi), as q = 0 for a = b, has no quadruple.
+    The exponent e is the angle 2*pi*e/order, so p = (a+b)/2,
+    q = (a-b)/2, r = c and s = d are (a + b, a - b, 2c, 2d) * pi/order.
+    A tuple whose image leaves (0, pi), as q = 0 for a = b, has no
+    quadruple.
     """
-    exp, den = grid.exponents, grid.order
     found = set()
     for a, b, c, d in tuples:
-        ea, eb, ec, ed = exp[a], exp[b], exp[c], exp[d]
-        nums = (ea + eb, ea - eb, 2 * max(ec, ed), 2 * min(ec, ed))
-        if 0 < min(nums) and max(nums) < den:
+        nums = (a + b, a - b, 2 * max(c, d), 2 * min(c, d))
+        if 0 < min(nums) and max(nums) < order:
             found.add(nums)
     return sorted(found)
 
@@ -229,13 +221,6 @@ def _quadruples(nums: Iterable[Numerators], den: int) -> list[PythagoreanQuadrup
     """The quadruples (p, q, r, s) * pi/den, sharing one angle per numerator."""
     angles = [RationalAngle(n, den) for n in range(den)]
     return [PythagoreanQuadruple(*(angles[n] for n in x)) for x in nums]
-
-
-def exact_quadruples(tuples: Iterable[Sequence[RationalAngle]]
-                     ) -> tuple[PythagoreanQuadruple, ...]:
-    """Distinct canonical quadruples of zero-sum PAPER_GRID tuples, sorted."""
-    return tuple(_quadruples(_solution_numerators(tuples, PAPER_GRID),
-                             PAPER_GRID.order))
 
 
 @dataclass(frozen=True)
@@ -261,7 +246,6 @@ class SearchReport:
     realizable: tuple[PythagoreanQuadruple, ...]
     """The raw solutions with a positive definite Gram matrix, in raw
     order; decided once per Gram-symmetry orbit."""
-    length4_skip_verified: bool
     elapsed_seconds: float
     notes: tuple[str, ...] = ()
 
@@ -308,14 +292,13 @@ def run_sporadic_search(cfg: Optional[SearchConfig] = None, *,
     elif cfg is not None:
         raise ValueError("a SearchConfig describes PAPER_GRID only")
     t0 = time.monotonic()
-    length4_ok = verify_no_length4_solutions()
-    if not length4_ok:
+    if not verify_no_length4_solutions():
         raise ArithmeticError(
             "length-4 relations failed exact verification; search space invalid"
         )
     solutions = grid.zero_sum_tuples
     den = grid.order
-    nums = _solution_numerators(solutions, grid)
+    nums = _solution_numerators(solutions, den)
     quads = dict(zip(nums, _quadruples(nums, den)))
     raw_quads = tuple(quads.values())
 
@@ -347,7 +330,6 @@ def run_sporadic_search(cfg: Optional[SearchConfig] = None, *,
         sporadic=rows,
         raw_solutions=raw_quads,
         realizable=tuple(realizable),
-        length4_skip_verified=length4_ok,
         elapsed_seconds=time.monotonic() - t0,
         notes=tuple(notes),
     )
@@ -381,7 +363,7 @@ def search_triples(cfg: Optional[SearchConfig] = None) -> TripleReport:
     tuples = [t for t in PAPER_GRID.zero_sum_tuples if t[2] == t[3]]
     orbits: Counter = Counter()
     trivial = 0
-    for p, q, r, _ in _solution_numerators(tuples, PAPER_GRID):
+    for p, q, r, _ in _solution_numerators(tuples, n):
         if n in (2 * p, 2 * q):
             trivial += 1
             continue

@@ -247,12 +247,13 @@ def test_criterion_10a_prefilter_rejects_are_certified_nonzero(capsys):
 
     A candidate is in the join's output exactly when its certified 64-bit
     enclosure contains zero and its cosine sum, added up as
-    CyclotomicNumbers, is zero.
+    CyclotomicNumbers, is zero; the exponent e is the angle 2*pi*e/420.
     """
     cd_pairs = PAPER_GRID.cd_pairs
     hits = set(PAPER_GRID.zero_sum_tuples)
-    enc64 = {x: cos_as_cyclotomic(x).float_interval(64)
-             for x in PAPER_GRID.exponents}
+    cos = {e: cos_as_cyclotomic(RationalAngle(2 * e, PAPER_GRID.order))
+           for e in (0, *PAPER_GRID.exponents)}
+    enc64 = {e: x.float_interval(64) for e, x in cos.items()}
 
     def enclose(x, y):
         return enc64[x].lo + enc64[y].lo, enc64[x].hi + enc64[y].hi
@@ -268,9 +269,7 @@ def test_criterion_10a_prefilter_rejects_are_certified_nonzero(capsys):
                 is_zero = False
             else:
                 straddlers += 1
-                is_zero = (cos_as_cyclotomic(a) + cos_as_cyclotomic(b)
-                           + cos_as_cyclotomic(c) + cos_as_cyclotomic(d)
-                           ).is_zero()
+                is_zero = (cos[a] + cos[b] + cos[c] + cos[d]).is_zero()
             zeros += is_zero
             if ((a, b, c, d) in hits) != is_zero:
                 wrong.append((a, b, c, d))
@@ -365,8 +364,8 @@ def test_criterion_10c_every_record_round_trips_byte_identically(
 
 # prints the exact-solution stage of the default search, one row a line
 _RAW_STAGE = """
-from sphertet.search import PAPER_GRID, exact_quadruples
-for quad in exact_quadruples(PAPER_GRID.zero_sum_tuples):
+from sphertet.search import run_sporadic_search
+for quad in run_sporadic_search().raw_solutions:
     print(*quad.fractions)
 """
 

@@ -336,13 +336,12 @@ def _reference_bound(order: int, rows: list[list[int]]) -> int:
 @pytest.mark.parametrize("order, stride", ((36, 6), (384, 64), (720, 24), (1008, 24), (2520, 12)))
 def test_kernel_built_tables_equal_the_step_one_table(order, stride):
     """Built from the rows at stride N/rad(N), every row read through
-    row(), every conjugate row, the entry bound and the digit width
-    equal the step-1 table's."""
+    row(), the entry bound and the digit width equal the step-1
+    table's."""
     od = _OrderData(order)
     assert od.stride == stride
     rows = _reference_powers(order)
     assert [od.unpack(od.row(e)) for e in range(order)] == rows
-    assert [od.unpack(row) for row in od.conjugates] == [rows[-j % order] for j in range(od.phi)]
     assert od.row_max == _reference_bound(order, rows)
     limits = [(1 << (w - 1)) // cyclotomic._SLOT_TERMS for w in cyclotomic._SLOT_WIDTHS]
     assert od.width == next(w for w, lim in zip(cyclotomic._SLOT_WIDTHS, limits)
@@ -394,9 +393,8 @@ def test_a_table_holds_its_kernel_rows_until_others_are_read():
     """Structure, not timing: a table of order 2520 = 12 * 210 holds the
     210 rows at multiples of 12 and no more, a squarefree order all of
     its rows; a 4-term cosine sum makes at most its 8 rows (here all 8
-    lie off the multiples of 12); conjugates
-    holds the table's own row objects; and the 96-bit cosine table that
-    the float table rounds is not kept."""
+    lie off the multiples of 12); and the 96-bit cosine table that the
+    float table rounds is not kept."""
     cyclotomic._cosine_table.cache_clear()
     od = _OrderData(2520)
     assert cyclotomic._cosine_table.cache_info().currsize == 0
@@ -404,8 +402,6 @@ def test_a_table_holds_its_kernel_rows_until_others_are_read():
     assert len(_made(_OrderData(210))) == 210
     od.powers(cyclotomic._cosine_powers(((1, 1), (2, 5), (-3, 7), (1, 1000))))
     assert len(_made(od)) == 210 + 8
-    conjugates = od.conjugates
-    assert {id(row) for row in conjugates} <= {id(row) for row in _made(od)}
 
 
 # -- certified numerics ------------------------------------------------------

@@ -381,11 +381,11 @@ def test_stacked_rows_match_the_element_oracle(sporadic_report):
 
 def test_realizability_conjugates_nothing(sporadic_report, monkeypatch):
     """The stacked rows are real by construction, so no realness check
-    runs: with conjugation refused the default grid still gives 208."""
+    runs: with is_real refused the default grid still gives 208."""
     def refuse(self):
-        raise AssertionError("conjugation")
+        raise AssertionError("realness check")
 
-    monkeypatch.setattr(CyclotomicNumber, "conjugate", refuse)
+    monkeypatch.setattr(CyclotomicNumber, "is_real", refuse)
     certs = [realizability.__wrapped__(q) for q in sporadic_report.raw_solutions]
     assert sum(c.realizable for c in certs) == 208
 

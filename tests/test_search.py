@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sphertet import cyclotomic, lambert, search
-from sphertet.angles import angle
+from sphertet.angles import RationalAngle, angle
 from sphertet.cyclotomic import cos_as_cyclotomic, cosine_key, key_numerator
 from sphertet.geometry import realizability
 from sphertet.lambert import search_rational_lambert_cubes
@@ -18,8 +18,9 @@ from sphertet.search import (
     PAPER_GRID,
     Grid,
     SearchConfig,
+    _quadruples,
+    _solution_numerators,
     candidate_count,
-    exact_quadruples,
     run_sporadic_search,
     search_triples,
     verify_no_length4_solutions,
@@ -31,17 +32,26 @@ def test_union_denominators():
     assert SearchConfig().describe()["denominators"] == [1, 2, 3, 5, 7, 15]
 
 
-def test_grid_angles_open_range():
-    assert Grid((3,)).angles_pi == [angle(1, 3), angle(2, 3)]
-    assert Grid((2,)).angles_2pi == [angle(1, 2), angle(3, 2)]
-    assert Grid((1,)).angles_pi == []
-    assert Grid((1,)).angles_2pi == [angle(1, 1)]
+def _angle(e: int) -> RationalAngle:
+    """The PAPER_GRID angle 2*pi*e/order, built independently of the grid."""
+    return RationalAngle(2 * e, PAPER_GRID.order)
+
+
+def test_grid_exponents_open_range():
+    # order 6: pi/3, 2pi/3, 4pi/3, 5pi/3; the pairs c >= d in (0, pi)
+    assert Grid((3,)).exponents == [1, 2, 4, 5]
+    assert Grid((3,)).cd_pairs == [(1, 1), (2, 1), (2, 2)]
+    # order 4: pi/2, 3pi/2
+    assert Grid((2,)).exponents == [1, 3]
+    # order 2: pi, which is not below pi
+    assert Grid((1,)).exponents == [1]
+    assert Grid((1,)).cd_pairs == []
 
 
 def test_grid_sizes_match_the_denominator_lists():
-    assert len(PAPER_GRID.angles_2pi) == 43  # (0, 2pi) over the union list
-    assert len(PAPER_GRID.exponents) == 44  # and zero
-    assert len(PAPER_GRID.angles_pi) == 21  # (0, pi)
+    assert len(PAPER_GRID.exponents) == 43  # (0, 2pi) over the union list
+    assert len(PAPER_GRID.cosine_keys) == 44  # and zero
+    assert sum(2 * e < PAPER_GRID.order for e in PAPER_GRID.exponents) == 21  # (0, pi)
     assert len(PAPER_GRID.ab_pairs) == 484
     assert len(PAPER_GRID.cd_pairs) == 21 * 22 // 2
 
@@ -52,8 +62,8 @@ def test_candidate_count():
     assert candidate_count() == 111804
 
 
-_GRID_VALUES = ("order", "angles_2pi", "angles_pi", "exponents", "cosine_keys",
-                "ab_pairs", "cd_pairs", "zero_sum_tuples")
+_GRID_VALUES = ("order", "exponents", "cosine_keys", "ab_pairs", "cd_pairs",
+                "zero_sum_tuples")
 
 
 def test_the_searches_build_each_grid_value_once(monkeypatch):
@@ -99,50 +109,50 @@ def _join_output() -> frozenset:
 
 
 def test_confirm_zero_accepts_known_solution():
-    # cos pi + cos pi/3 + cos 3pi/5 + cos pi/5 = 0
-    hit = (angle(1), angle(1, 3), angle(3, 5), angle(1, 5))
+    # cos pi + cos pi/3 + cos 3pi/5 + cos pi/5 = 0, exponents over 420
+    hit = (210, 70, 126, 42)
     assert hit in _join_output()
 
 
 def test_confirm_zero_rejects_non_solution():
-    # cos pi/3 + cos pi/5 + cos pi/2 + cos pi/7 != 0
-    miss = (angle(1, 3), angle(1, 5), angle(1, 2), angle(1, 7))
+    # cos pi/3 + cos pi/5 + cos pi/2 + cos pi/7 != 0, exponents over 420
+    miss = (70, 42, 105, 30)
     assert miss not in _join_output()
     assert not any(sorted(t) == sorted(miss) for t in _join_output())
 
 
 @given(st.sampled_from(PAPER_GRID.ab_pairs), st.sampled_from(PAPER_GRID.cd_pairs))
 # b = 0: cos 2pi/3 + cos 0 + cos 2pi/3 + cos pi/2 = 0
-@example((angle(2, 3), angle(0)), (angle(2, 3), angle(1, 2)))
+@example((140, 0), (140, 105))
 @settings(max_examples=200)
 def test_prefilter_never_discards_exact_zeros(ab, cd):
     """A grid candidate is in the join's output exactly when its cosine
     sum, added up as CyclotomicNumbers, is zero."""
     a, b = ab
     c, d = cd
-    total = (cos_as_cyclotomic(a) + cos_as_cyclotomic(b)
-             + cos_as_cyclotomic(c) + cos_as_cyclotomic(d))
+    total = (cos_as_cyclotomic(_angle(a)) + cos_as_cyclotomic(_angle(b))
+             + cos_as_cyclotomic(_angle(c)) + cos_as_cyclotomic(_angle(d)))
     assert ((a, b, c, d) in _join_output()) == total.is_zero()
 
 
 def test_join_vectors_are_the_embedded_cosines():
     """Each join key packs 2 cos x embedded from Q(zeta_(2 den)) into
-    Q(zeta_420), for every angle of the paper's grid."""
+    Q(zeta_420), for 0 and every exponent of the paper's grid."""
     order = PAPER_GRID.order
-    for x, e in PAPER_GRID.exponents.items():
-        twice = (cos_as_cyclotomic(x) * 2).embed(order)
+    for e, key in PAPER_GRID.cosine_keys.items():
+        twice = (cos_as_cyclotomic(_angle(e)) * 2).embed(order)
         assert twice.den == 1
-        assert key_numerator(order, cosine_key(order, ((1, e),))) == twice.num, x
+        assert key_numerator(order, key) == twice.num, e
 
 
 def test_join_keys_are_the_keys_of_the_whole_sums():
     """The join keys a pair sum as the sum of its angles' keys; the
     packing is linear, so that is cosine_key of the whole sum."""
-    order, exp, keys = PAPER_GRID.order, PAPER_GRID.exponents, PAPER_GRID.cosine_keys
+    order, keys = PAPER_GRID.order, PAPER_GRID.cosine_keys
     for pairs, k in ((PAPER_GRID.ab_pairs, 1), (PAPER_GRID.cd_pairs, -1)):
         for x, y in pairs:
             assert (k * (keys[x] + keys[y])
-                    == cosine_key(order, ((k, exp[x]), (k, exp[y])))), (x, y)
+                    == cosine_key(order, ((k, x), (k, y)))), (x, y)
 
 
 def test_join_raises_where_the_whole_sum_has_no_key(request, monkeypatch):
@@ -160,7 +170,7 @@ def test_join_raises_where_the_whole_sum_has_no_key(request, monkeypatch):
     assert grid.zero_sum_tuples == expected
     monkeypatch.setattr(table, "row_max", 1 << (table.width - 3))
     grid = Grid(dens)
-    assert len(grid.cosine_keys) == len(grid.exponents)
+    assert len(grid.cosine_keys) == len(grid.exponents) + 1
     with pytest.raises(ArithmeticError):
         cosine_key(order, ((1, 1), (1, 2)))
     with pytest.raises(ArithmeticError):
@@ -174,8 +184,18 @@ def test_search_pipeline_counts(sporadic_report):
     assert rep.realizable_count == 208
     assert rep.family_member_count == 149
     assert rep.sporadic_count == 59
-    assert rep.length4_skip_verified
     assert rep.prefilter_hits >= rep.raw_solution_count
+
+
+def test_the_search_refuses_a_vanishing_length4_relation(monkeypatch):
+    """The startup check is live: with a relation that sums to zero,
+    cos pi/3 + cos 2pi/3, among the length-4 relations the search raises
+    before it scans anything."""
+    monkeypatch.setattr(search, "_LENGTH4_RELATIONS",
+                        (((1, (1, 3)), (1, (2, 3))),))
+    assert not verify_no_length4_solutions()
+    with pytest.raises(ArithmeticError, match="length-4"):
+        run_sporadic_search()
 
 
 def test_search_stages_are_nested(sporadic_report):
@@ -228,19 +248,21 @@ def test_the_search_decides_realizability_once_per_orbit(monkeypatch, sporadic_r
     assert rep.raw_solutions == sporadic_report.raw_solutions
     assert rep.realizable == sporadic_report.realizable
     # each orbit is decided at its first member in sorted order
-    assert calls == sorted(calls, key=lambda q: q.sort_key())
+    assert calls == sorted(calls, key=lambda q: q.angles)
     assert calls[0] == rep.raw_solutions[0]
 
 
-def test_exact_quadruples_canonicalize_and_deduplicate(sporadic_report):
+def test_solution_numerators_canonicalize_and_deduplicate(sporadic_report):
     """Repeated tuples count once, c < d is swapped, and a = b (q = 0)
     has no quadruple."""
+    order = PAPER_GRID.order
     tuples = PAPER_GRID.zero_sum_tuples
     swapped = [(a, b, d, c) for a, b, c, d in tuples]
-    degenerate = (angle(1, 2),) * 4
-    assert exact_quadruples(tuples) == sporadic_report.raw_solutions
-    assert (exact_quadruples([degenerate, *swapped[::-1], *tuples])
-            == sporadic_report.raw_solutions)
+    degenerate = (105,) * 4  # pi/2 four times
+    raw = list(sporadic_report.raw_solutions)
+    assert _quadruples(_solution_numerators(tuples, order), order) == raw
+    assert (_quadruples(_solution_numerators([degenerate, *swapped[::-1], *tuples],
+                                             order), order) == raw)
 
 
 def test_mann_grid_funnel(monkeypatch):
