@@ -315,8 +315,8 @@ def _require_tetrahedron(quad: PythagoreanQuadruple, caller: str) -> None:
             f"{caller}: residual of {quad} is not zero; the closed-form "
             "volume only applies to exact solutions"
         )
-    if not is_realizable(quad):
-        cert = realizability(quad)
+    cert = realizability(quad)
+    if not cert.realizable:
         raise PreconditionError(
             f"{caller}: {quad} has no realization (cosine-sum signs "
             f"{cert.signs})"

@@ -21,6 +21,8 @@ returns exactly two cubes.  No continuous family exists: the only
 parameter-bearing sub-sum available to a target of -1 with unit
 coefficients is the pair cos t + cos(pi - t) = 0, which would force a
 third cosine equal to -1 and hence an angle outside the open window.
+The search checks this exclusion on the slice itself: every tuple with
+y1 + y2 = pi has y3 = pi.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .angles import PI, RationalAngle
-from .cyclotomic import CyclotomicNumber, angle_exponents, cos_as_cyclotomic, cosine_sum
+from .angles import RationalAngle
+from .cyclotomic import CyclotomicNumber, angle_exponents, cosine_sum
 from .geometry import (
     PreconditionError,
     PythagoreanQuadruple,
@@ -104,16 +106,12 @@ def search_rational_lambert_cubes() -> LambertSearchReport:
     exponent y over n = PAPER_GRID.order is the angle x = (n - y)/n * pi.
     """
     n = PAPER_GRID.order
-    ys = [y for y in PAPER_GRID.exponents if 2 * y < n]
-    cubes = [
-        LambertCube(*(RationalAngle(n - y, n) for y in (y1, y2, y3)))
-        for y3, b, y1, y2 in PAPER_GRID.zero_sum_tuples if b == 0 and y3 <= y2
-    ]
+    slice_ = [(y3, y1, y2) for y3, b, y1, y2 in PAPER_GRID.zero_sum_tuples if b == 0]
+    cubes = [LambertCube(*(RationalAngle(n - y, n) for y in (y1, y2, y3)))
+             for y3, y1, y2 in slice_ if y3 <= y2]
     cubes.sort(key=lambda cu: tuple(x.frac for x in cu.angles), reverse=True)
-    # the would-be parametric pattern needs a third angle with cosine -1,
-    # i.e. y = pi, excluded by the open window; verified exactly:
-    no_family = n // 2 not in ys and (cos_as_cyclotomic(PI) + 1).is_zero()
-    k = len(ys)
+    no_family = all(2 * y3 == n for y3, y1, y2 in slice_ if 2 * (y1 + y2) == n)
+    k = sum(2 * y < n for y in PAPER_GRID.exponents)
     return LambertSearchReport(
         cubes=tuple(cubes),
         candidates_scanned=k * (k + 1) * (k + 2) // 6,

@@ -126,13 +126,18 @@ def _sporadic_row(no: int, values: Iterable, convert) -> dict:
     return {"no": no, **{c: convert(v) for c, v in zip(_SPORADIC_COLUMNS[1:], values)}}
 
 
+def _row_values(row: SporadicRow) -> tuple[Fraction, ...]:
+    """The nine fractions of a search row, in _SPORADIC_COLUMNS order."""
+    return (*row.quadruple.fractions, *(x.frac for x in row.lengths.lengths),
+            row.vol.value)
+
+
 def sporadic_records(report: SearchReport, provenance: dict
                      ) -> list[ResultRecord]:
     out = []
     for i, row in enumerate(report.sporadic, start=1):
-        values = (*row.quadruple.fractions, *(x.frac for x in row.lengths.lengths),
-                  row.vol.value)
-        out.append(ResultRecord("sporadic", _sporadic_row(i, values, frac_obj), provenance))
+        out.append(ResultRecord("sporadic", _sporadic_row(i, _row_values(row), frac_obj),
+                                provenance))
     return out
 
 
@@ -269,25 +274,13 @@ def load_coxeter_fixture() -> dict:
 def sporadic_comparison(report: SearchReport) -> dict:
     """Exact set comparison of a search result against the golden rows.
 
-    Returns a dict with `match` plus the differing quadruples, compared
-    as (angles, lengths, volume) tuples of Fractions.
+    Returns {"match": bool, "missing": [...], "extra": [...]}: the sorted
+    golden rows the search lacks and search rows the goldens lack, each a
+    flat 9-tuple of Fractions (p, q, r, s, lp, lq, lr, ls, vol), the
+    _SPORADIC_COLUMNS order.
     """
-    def row_key(row: SporadicRow):
-        return (
-            tuple(a.frac for a in row.quadruple.angles),
-            tuple(x.frac for x in row.lengths.lengths),
-            row.vol.value,
-        )
-
-    def fixture_key(row: dict):
-        return (
-            (row["p"], row["q"], row["r"], row["s"]),
-            (row["lp"], row["lq"], row["lr"], row["ls"]),
-            row["vol"],
-        )
-
-    ours = {row_key(r) for r in report.sporadic}
-    golden = {fixture_key(r) for r in load_sporadic_fixture()}
+    ours = {_row_values(r) for r in report.sporadic}
+    golden = {tuple(r[c] for c in _SPORADIC_COLUMNS[1:]) for r in load_sporadic_fixture()}
     return {
         "match": ours == golden,
         "missing": sorted(golden - ours),

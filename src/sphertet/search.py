@@ -60,7 +60,7 @@ from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .angles import RationalAngle
-from .cyclotomic import angle_exponents, common_order, cosine_key, cosine_numerator
+from .cyclotomic import common_order, cosine_key
 from .families import classify_quadruple
 from .geometry import (
     EdgeLengths,
@@ -182,11 +182,12 @@ class SearchConfig:
 
 
 def verify_no_length4_solutions() -> bool:
-    """The four length-4 relations each sum to 1/2 exactly, hence never 0."""
+    """The four length-4 relations each sum to 1/2 exactly, hence never 0:
+    each is keyed over its own order, where 1 is the key of 1/2."""
     for relation in _LENGTH4_RELATIONS:
-        order, exps = angle_exponents([RationalAngle(*x) for _, x in relation])
-        twice = cosine_numerator(order, [(k, e) for (k, _), e in zip(relation, exps)])
-        if twice[0] != 1 or any(twice[1:]):
+        order = common_order(*(2 * den for _, (_, den) in relation))
+        terms = [(k, num * (order // (2 * den))) for k, (num, den) in relation]
+        if cosine_key(order, terms) != 1:
             return False
     return True
 
@@ -355,7 +356,9 @@ def search_triples(cfg: Optional[SearchConfig] = None) -> TripleReport:
     family p = pi/2 (or q = pi/2), which forces r = pi/2, is counted but
     excluded from the nontrivial list; the others are folded by the
     symmetries (p, q, r) -> (pi-p, q, pi-r), (p, pi-q, pi-r) and p <-> q
-    to p >= q in (0, pi/2].
+    to p >= q in (0, pi/2].  At r = s these are geometry.gram_orbit's B,
+    (p <-> q) B (p <-> q) and p <-> q, so a solution's key is the least
+    member of its Gram orbit, cut to (p, q, r).
     """
     cfg = cfg or SearchConfig()
     t0 = time.monotonic()
@@ -363,15 +366,11 @@ def search_triples(cfg: Optional[SearchConfig] = None) -> TripleReport:
     tuples = [t for t in PAPER_GRID.zero_sum_tuples if t[2] == t[3]]
     orbits: Counter = Counter()
     trivial = 0
-    for p, q, r, _ in _solution_numerators(tuples, n):
-        if n in (2 * p, 2 * q):
+    for x in _solution_numerators(tuples, n):
+        if n in (2 * x[0], 2 * x[1]):
             trivial += 1
             continue
-        if 2 * p > n:
-            p, r = n - p, n - r
-        if 2 * q > n:
-            q, r = n - q, n - r
-        orbits[max(p, q), min(p, q), r] += 1
+        orbits[min(gram_orbit(x, n))[:3]] += 1
     return TripleReport(
         config=cfg,
         nontrivial=tuple(tuple(RationalAngle(x, n) for x in key)

@@ -605,23 +605,19 @@ def _endpoint_analysis(chain: list[TrigPoly], x0: Fraction,
 def _cover(poly: TrigPoly, lo: Fraction, hi: Fraction
            ) -> tuple[tuple[Fraction, Fraction], ...]:
     """Samples that _sample_holds whose pieces tile [lo, hi] in increasing
-    order, by bisection; a piece whose float estimate is not positive is
-    split with no exact sign.  A centre where poly is not positive, or a
-    piece past _COVER_DEPTH or MAX_ORDER, raises PositivityError."""
+    order, by bisection: a piece whose exact sample fails is split once
+    its centre is shown positive, and no float is involved.  A centre
+    where poly is not positive, or a piece past _COVER_DEPTH or
+    MAX_ORDER, raises PositivityError."""
     q = math.lcm(lo.denominator, hi.denominator)
-    d, m2, samples = poly.angle_den, _bound(poly, 2) / 2, []
+    samples = []
     stack = [(lo.numerator * (q // lo.denominator),
               hi.numerator * (q // hi.denominator), q, 0)]
     while stack:  # the piece [x1/q, x2/q]
         x1, x2, q, depth = stack.pop()
         c, h = Fraction(x1 + x2, 2 * q), Fraction(x2 - x1, 2 * q)
-        x, r = float(c), _PI_P * (x2 - x1) / (2 * _PI_Q * q * d)  # PI_UPPER*h/D
-        value = slope = 0.0
-        for a, b, _, k in poly.int_terms:
-            value += k * math.cos(math.pi * (a + b * x) / d)
-            slope += k * b * math.sin(math.pi * (a + b * x) / d)
         try:
-            if value - r * abs(slope) - r * r * m2 > 0 and _sample_holds(poly, c, h):
+            if _sample_holds(poly, c, h):
                 samples.append((c, h))
                 continue
             if _sign_at(poly, c) <= 0:

@@ -272,9 +272,11 @@ def test_a_full_pass_proves_each_distinct_sum_once(monkeypatch, cold_proofs):
     assert (positivity.misses, positivity.hits) == (67, 136 - 67)
     assert (product.misses, product.hits) == (12, 32 - 12)
     # 134 end values, 23 derivatives at the 21 vanishing ends and 4
-    # centres of pieces that were split; 71 samples and 21 strips add
-    # one exact row each
-    assert calls == {"eval_interval": 0, "_sign_at": 161, "_row_signs": 161 + 71 + 21}
+    # centres of pieces that were split; 71 samples that held, the 4
+    # samples that failed before those splits and 21 strips add one
+    # exact row each
+    assert calls == {"eval_interval": 0, "_sign_at": 161,
+                     "_row_signs": 161 + 71 + 4 + 21}
 
 
 def test_a_full_pass_runs_each_distinct_zero_test_once(cold_proofs):

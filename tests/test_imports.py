@@ -1,7 +1,9 @@
 """Every import in src/, tests/ and scripts/ is used, the package
 imports nothing beyond the standard library and mpmath's numpy-free core,
 only trigpoly imports mpmath, and only the code that calls mpmath loads
-it: every command runs with mpmath hidden from the import system.
+it: every command runs with mpmath hidden from the import system.  No
+result rests on libm: only certify's float centre scan and
+RationalAngle.__float__ read math.cos, math.sin or math.pi.
 
 A name bound by an import counts as used when the module reads it: as a
 name, as the root of an attribute chain, inside a string annotation, or
@@ -99,6 +101,56 @@ def test_the_package_does_not_import_numpy(path):
 def test_only_trigpoly_imports_mpmath(path):
     imported = "mpmath" in _imported_modules(ast.parse(path.read_text()))
     assert not imported or path.name in MPMATH_IMPORTERS
+
+
+# The float readers of libm's trigonometry: the centre scan ranks
+# candidate centres, each then certified exactly.
+LIBM_READERS = {("certify.py", "_float_vertices"), ("certify.py", "_longitudes"),
+                ("angles.py", "RationalAngle.__float__")}
+_LIBM = {"cos", "sin", "pi"}
+
+
+def libm_reads(source: str) -> list[tuple[str, int]]:
+    """(enclosing qualified name, line) of every read of math.cos,
+    math.sin or math.pi, under any alias of math or of the name."""
+    tree = ast.parse(source)
+    modules, names = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules |= {a.asname or a.name for a in node.names if a.name == "math"}
+        elif isinstance(node, ast.ImportFrom) and node.module == "math":
+            names |= {a.asname or a.name for a in node.names if a.name in _LIBM}
+    found = []
+
+    def visit(node: ast.AST, scope: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        if (isinstance(node, ast.Attribute) and node.attr in _LIBM
+                and isinstance(node.value, ast.Name) and node.value.id in modules
+                or isinstance(node, ast.Name) and node.id in names):
+            found.append((scope, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, "")
+    return found
+
+
+def test_the_libm_check_sees_every_form():
+    source = ("import math as m\nfrom math import cos as c, gcd\n"
+              "class A:\n    def f(self):\n        return m.pi + c(1) + gcd(2, 4)\n"
+              "x = m.sin(0) + m.tau\n")
+    assert libm_reads(source) == [("A.f", 5), ("A.f", 5), ("", 6)]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_result_reads_libm_trigonometry(path):
+    """A read counts as its reader's when it lies in the reader's body,
+    nested functions included."""
+    readers = {scope for name, scope in LIBM_READERS if name == path.name}
+    stray = [(scope, line) for scope, line in libm_reads(path.read_text())
+             if not any(f"{scope}.".startswith(f"{r}.") for r in readers)]
+    assert stray == []
 
 
 def _fresh(code: str, *args: str) -> list[str]:

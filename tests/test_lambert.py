@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from sphertet import lambert
 from sphertet.angles import RationalAngle, angle
 from sphertet.cyclotomic import CyclotomicNumber, cos_as_cyclotomic
 from sphertet.geometry import PreconditionError, is_pythagorean
@@ -86,6 +88,31 @@ def test_search_finds_exactly_the_two_cubes():
     assert {v.value for v in report.volumes} \
         == {g["vol"] for g in load_lambert_fixture()}
     assert report.no_continuous_family
+
+
+def test_the_family_pattern_tuples_of_the_slice_leave_cos_y3_minus_one():
+    """The b = 0 tuples (y3, 0, y1, y2) over 420 with y1 + y2 = pi: each
+    has y3 = pi, which is what no_continuous_family checks."""
+    grid = lambert.PAPER_GRID
+    pattern = [(y3, y1, y2) for y3, b, y1, y2 in grid.zero_sum_tuples
+               if b == 0 and y1 + y2 == 210]
+    assert grid.order == 420
+    assert pattern == [(210, 105, 105), (210, 112, 98), (210, 120, 90), (210, 126, 84),
+                       (210, 140, 70), (210, 150, 60), (210, 154, 56), (210, 168, 42),
+                       (210, 180, 30), (210, 182, 28), (210, 196, 14)]
+
+
+def test_a_pattern_tuple_with_another_y3_breaks_the_family_exclusion(monkeypatch):
+    """no_continuous_family is read off the slice: a stand-in grid whose
+    slice adds (196, 0, 140, 70), y1 + y2 = pi but y3 != pi, makes it
+    False and leaves the cubes alone."""
+    grid = lambert.PAPER_GRID
+    stand_in = SimpleNamespace(order=grid.order, exponents=grid.exponents,
+                               zero_sum_tuples=[*grid.zero_sum_tuples, (196, 0, 140, 70)])
+    monkeypatch.setattr(lambert, "PAPER_GRID", stand_in)
+    report = search_rational_lambert_cubes()
+    assert not report.no_continuous_family
+    assert len(report.cubes) == 2
 
 
 def test_companions_share_the_cube_volumes():
