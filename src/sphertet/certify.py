@@ -125,10 +125,6 @@ class LinkTriangle:
     def angles(self) -> tuple[RationalAngle, RationalAngle, RationalAngle]:
         return (self.alpha, self.beta, self.gamma)
 
-    def excess(self) -> Fraction:
-        """Area of the triangle as a coefficient of pi."""
-        return Fraction(*self._excess)
-
 
 # -- fixed-point enclosures ---------------------------------------------------
 #
@@ -216,22 +212,6 @@ def _side_cosines(trig: list[tuple[Enclosure, Enclosure]], w: int
 
 def _signed(e: Enclosure, w: int, bits: int) -> SignedInterval:
     return SignedInterval(Fraction(e[0], 1 << w), Fraction(e[1], 1 << w), bits)
-
-
-def link_triangle_sides(t: LinkTriangle, precision: int = 64
-                        ) -> tuple[SignedInterval, SignedInterval, SignedInterval]:
-    """Certified enclosures of the side cosines (opposite alpha, beta, gamma).
-
-    Cosine space is the native certified representation here: interval
-    arccosine is not available, and every comparison of sides against
-    rational-multiple-of-pi thresholds can be done through the strictly
-    decreasing cosine instead.  precision is an int of at least one bit
-    (ValueError otherwise).
-    """
-    _check_bits(precision, 1, "precision")
-    w = _working_bits(t, precision)
-    trig = [_cos_sin(x, w) for x in t.angles]
-    return tuple(_signed(c, w, precision) for c in _side_cosines(trig, w))
 
 
 def _vertices(t: LinkTriangle, w: int) -> tuple[tuple[Enclosure, Enclosure], ...]:
@@ -430,23 +410,26 @@ def _float_vertices(t: LinkTriangle):
             (cos_lb, sin_lb * ca, sin_lb * sa))
 
 
+# The centre scan's longitudes are pi*j/_SCAN_DEN, 0 <= j < _SCAN_DEN.
+_SCAN_DEN = 120
+
+
 @lru_cache(maxsize=None)
-def _longitudes(den: int, radius: RationalAngle
+def _longitudes(radius: RationalAngle
                 ) -> tuple[float, tuple[tuple[int, float, float], ...]]:
-    """(cos radius, the (j, cos, sin) of the longitudes pi*j/den,
-    0 <= j < den, whose cosine exceeds it), in floats."""
+    """(cos radius, the (j, cos, sin) of the scan's longitudes pi*j/_SCAN_DEN
+    whose cosine exceeds it), in floats."""
     cos_r = math.cos(float(radius))
     out = []
-    for j in range(den):
-        lam = math.pi * j / den
+    for j in range(_SCAN_DEN):
+        lam = math.pi * j / _SCAN_DEN
         cl = math.cos(lam)
         if cl > cos_r:
             out.append((j, cl, math.sin(lam)))
     return cos_r, tuple(out)
 
 
-def _center_candidates(t: LinkTriangle, radius: RationalAngle,
-                       den: int = 120) -> list[RationalAngle]:
+def _center_candidates(t: LinkTriangle, radius: RationalAngle) -> list[RationalAngle]:
     """Cheap float scan for promising equatorial center longitudes.
 
     Vertex A is (1, 0), so its term is the longitude's cosine itself: a
@@ -454,14 +437,14 @@ def _center_candidates(t: LinkTriangle, radius: RationalAngle,
     scan reads only the others (_longitudes).
     """
     _, (b0, b1, _), (c0, c1, _) = _float_vertices(t)
-    cos_r, longitudes = _longitudes(den, radius)
+    cos_r, longitudes = _longitudes(radius)
     out = []
     for j, cl, sl in longitudes:
         worst = min(cl, b0 * cl + b1 * sl, c0 * cl + c1 * sl)
         if worst > cos_r:
             out.append((worst - cos_r, j))
     out.sort(key=lambda pair: -pair[0])
-    return [RationalAngle(j, den) for _, j in out[:8]]
+    return [RationalAngle(j, _SCAN_DEN) for _, j in out[:8]]
 
 
 # The radius of the obstruction's ball: a link strictly inside a ball of

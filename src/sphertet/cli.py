@@ -20,10 +20,11 @@ writes its table as CSV.  The searches have no settings: each decides
 every point of the fixed grid exactly.
 
 Exit codes: 0 success, 2 verification mismatch against the golden
-fixtures or the paper, 3 internal invariant violation, 4 IO failure,
-5 usage error (a flag or argument the parser rejects, an empty --out,
-an unknown family id, certify without --paper-example or --lift, --lift
-below 3).
+fixtures or the paper, a family domain that fails to certify included
+(verify-families still checks and records every other family), 3
+internal invariant violation, 4 IO failure, 5 usage error (a flag or
+argument the parser rejects, an empty --out, an unknown family id,
+certify without --paper-example or --lift, --lift below 3).
 """
 
 from __future__ import annotations
@@ -159,21 +160,26 @@ def cmd_verify_families(args) -> int:
     for fam in fams:
         ok_id = families_mod.verify_identity(fam)
         ok_vol = families_mod.verify_volume_form(fam)
-        cert = families_mod.verify_domain(fam)
-        ok_dom = cert.valid
+        mode = fam.domain_mode
+        try:
+            cert = families_mod.verify_domain(fam)
+        except trigpoly_mod.PositivityError as exc:
+            ok_dom, detail = False, str(exc)
+        else:
+            ok_dom = cert.valid
+            detail = (f"segments={sum(w.bisection_segments for w in cert.witnesses)}"
+                      if mode == "interval-bisection" else "factored")
         status = "ok" if (ok_id and ok_vol and ok_dom) else "FAIL"
-        detail = (f"segments={sum(w.bisection_segments for w in cert.witnesses)}"
-                  if cert.mode == "interval-bisection" else "factored")
         print(f"family {fam.family_id:2d}: identity={'ok' if ok_id else 'FAIL'} "
               f"volume={'ok' if ok_vol else 'FAIL'} "
-              f"domain={'ok' if ok_dom else 'FAIL'} ({cert.mode}, {detail}) "
+              f"domain={'ok' if ok_dom else 'FAIL'} ({mode}, {detail}) "
               f"[{status}]")
         results.append({
             "id": fam.family_id,
             "identity": ok_id,
             "volume": ok_vol,
             "domain": ok_dom,
-            "mode": cert.mode,
+            "mode": mode,
         })
         if status == "FAIL":
             checks = [n for n, ok in (("identity", ok_id), ("volume", ok_vol),

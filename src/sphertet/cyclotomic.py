@@ -653,7 +653,7 @@ def cosine_key(order: int, terms: Terms) -> int:
     """The packed numerator over 2 of sum_i k_i cos(2*pi*e_i/order).
 
     Keys of one order are equal exactly when the sums are, and a sum is
-    zero exactly when its key is 0; key_numerator unpacks a key.  Raises
+    zero exactly when its key is 0.  Raises
     ArithmeticError when the coefficients are too large for the table's
     digits, as the packed sum would not be canonical.
     """
@@ -661,11 +661,6 @@ def cosine_key(order: int, terms: Terms) -> int:
     if value is None:
         raise ArithmeticError(f"cosine sum too large for a key of order {order}")
     return value
-
-
-def key_numerator(order: int, key: int) -> tuple[int, ...]:
-    """The power-basis numerator that a key of cosine_key packs."""
-    return tuple(_order_data(order).unpack(key))
 
 
 def cosine_sum(order: int, terms: Terms, den: int = 1) -> CyclotomicNumber:

@@ -164,6 +164,12 @@ class FamilySpec:
         return self.domain != DOMAIN_SEGMENT
 
     @property
+    def domain_mode(self) -> str:
+        """The proof verify_domain gives the domain, as families.jsonl
+        records it."""
+        return "sine-factorization" if self.two_param else "interval-bisection"
+
+    @property
     def angle_forms(self) -> tuple[AngleForm, AngleForm, AngleForm, AngleForm]:
         return (self.p, self.q, self.r, self.s)
 
@@ -354,7 +360,7 @@ class DomainCertificate:
     witness per sum of gram_sums that the sum is positive there."""
 
     family_id: int
-    mode: str  # "interval-bisection" or "sine-factorization", as families.jsonl records it
+    mode: str  # FamilySpec.domain_mode
     domain: str
     witnesses: tuple[Union[PositivityWitness, ProductWitness], ...]
     # Always None; kept because perfbench/workloads.py reads them.
@@ -433,12 +439,10 @@ def verify_domain(fam: FamilySpec) -> DomainCertificate:
     """
     sums = gram_sums(fam)
     if fam.two_param:
-        return DomainCertificate(
-            fam.family_id, "sine-factorization", fam.domain,
-            tuple(_proved_product(s.key, fam.domain) for s in sums))
-    return DomainCertificate(
-        fam.family_id, "interval-bisection", fam.domain,
-        tuple(positive_on_open_interval(s, 0, SEGMENT_END) for s in sums))
+        witnesses = tuple(_proved_product(s.key, fam.domain) for s in sums)
+    else:
+        witnesses = tuple(positive_on_open_interval(s, 0, SEGMENT_END) for s in sums)
+    return DomainCertificate(fam.family_id, fam.domain_mode, fam.domain, witnesses)
 
 
 # -- membership and instantiation -----------------------------------------

@@ -118,9 +118,6 @@ class VolumeCoefficient:
         if not (0 < self.value < 2):
             raise ValueError(f"volume coefficient {self.value} outside (0, 2)")
 
-    def __float__(self) -> float:
-        return float(self.value)
-
 
 @dataclass(frozen=True)
 class RealizabilityCertificate:

@@ -145,12 +145,9 @@ def stage_records(report: SearchReport, stage: str, provenance: dict
                   ) -> list[ResultRecord]:
     if stage == "sporadic":
         return sporadic_records(report, provenance)
-    out = []
-    for quad in report.stage_quadruples(stage):
-        out.append(ResultRecord("sporadic",
-                                dict(stage=stage, **quadruple_payload(quad)),
-                                provenance))
-    return out
+    quads = {"raw": report.raw_solutions, "realizable": report.realizable}[stage]
+    return [ResultRecord("sporadic", dict(stage=stage, **quadruple_payload(quad)), provenance)
+            for quad in quads]
 
 
 def triple_record(report: TripleReport, provenance: dict) -> ResultRecord:

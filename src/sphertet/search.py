@@ -91,10 +91,14 @@ class Grid:
 
     Every grid cosine lies in Q(zeta_order), order = lcm(2*den), and every
     value is an integer there: the angle 2*pi*e/order is the exponent e,
-    which lies in (0, pi) when 2e < order.
+    which lies in (0, pi) when 2e < order.  The denominators are kept
+    sorted and distinct, so grids of one set compare equal.
     """
 
     denominators: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "denominators", tuple(sorted(set(self.denominators))))
 
     @cached_property
     def order(self) -> int:
@@ -265,15 +269,6 @@ class SearchReport:
     @property
     def sporadic_count(self) -> int:
         return len(self.sporadic)
-
-    def stage_quadruples(self, stage: str) -> tuple[PythagoreanQuadruple, ...]:
-        if stage == "raw":
-            return self.raw_solutions
-        if stage == "realizable":
-            return self.realizable
-        if stage == "sporadic":
-            return tuple(row.quadruple for row in self.sporadic)
-        raise ValueError(f"unknown stage {stage!r}")
 
 
 def run_sporadic_search(cfg: Optional[SearchConfig] = None, *,

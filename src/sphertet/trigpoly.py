@@ -44,7 +44,8 @@ this rational data, and recheck_positivity rederives every sign from
 it.  A proof runs once per process, memoised under (poly.key, lo, hi),
 so equal polynomials (the Gram sums of twin family rows, for one) share
 one frozen witness; cache_clear is for tests.  eval_interval, an
-outward-rounded mpmath enclosure over a box, is on no proof path.
+outward-rounded mpmath enclosure over a box, is on no proof path and is
+the package's one reader of mpmath, which is not a dependency.
 """
 
 from __future__ import annotations
@@ -253,12 +254,6 @@ class TrigPoly:
         return cls([(form, coeff)])
 
     @classmethod
-    def sin_of(cls, form: AngleForm, coeff: Rat = 1) -> "TrigPoly":
-        """coeff*sin(X) = coeff*cos(X - pi/2)."""
-        shifted = _form(2 * form.a - form.d, 2 * form.b, 2 * form.c, 2 * form.d)
-        return cls([(shifted, coeff)])
-
-    @classmethod
     def constant(cls, value: Rat) -> "TrigPoly":
         return cls([(AngleForm(), value)])
 
@@ -359,8 +354,9 @@ class TrigPoly:
 
         A range must run from its lower to its upper end, and precision
         must be an int of at least one bit (ValueError otherwise), checked
-        before mpmath is imported.  No proof calls it; kept because
-        perfbench/layers.py traces it."""
+        before mpmath, which the package does not depend on, is imported.
+        No command or proof calls it; it stays only because
+        perfbench/layers.py traces it by name."""
         _check_bits(precision, 1, "precision")
         from mpmath.libmp import fzero, mpi_add, mpi_cos, mpi_mul, to_rational
         from mpmath.libmp.libmpi import mpi_pi
@@ -391,10 +387,6 @@ class TrigPoly:
         raise TypeError("evaluate with eval_exact or eval_interval")
 
     # -- structure ----------------------------------------------------------
-
-    @property
-    def is_constant(self) -> bool:
-        return all(b == 0 and c == 0 for _, b, c, _ in self.int_terms)
 
     def is_zero(self) -> bool:
         """Exact test for identical vanishing over all real t, u."""

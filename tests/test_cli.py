@@ -9,7 +9,9 @@ from pathlib import Path
 import pytest
 
 from sphertet import cli
+from sphertet import families as families_mod
 from sphertet import lambert as lambert_mod
+from sphertet import records as records_mod
 from sphertet.angles import angle
 from sphertet.cli import (
     EXIT_IO,
@@ -25,6 +27,7 @@ from sphertet.records import (
     read_records,
     sporadic_csv,
 )
+from sphertet.trigpoly import PositivityError
 
 SCRIPT = (Path(__file__).resolve().parent.parent / "scripts"
           / "reproduce_classification.py")
@@ -36,6 +39,50 @@ def test_verify_one_family(capsys):
     assert "family  3:" in out
     assert "identity=ok volume=ok domain=ok" in out
     assert "1/1 families verified" in out
+
+
+def test_a_family_domain_that_fails_to_certify_is_a_mismatch(tmp_path, monkeypatch,
+                                                             capsys):
+    """A domain proof that raises fails that family alone: the other 41
+    are still checked, every record is written, and the run exits 2."""
+    real = families_mod.verify_domain
+
+    def failing(fam):
+        if fam.family_id == 7:
+            raise PositivityError("no proof")
+        return real(fam)
+
+    monkeypatch.setattr(families_mod, "verify_domain", failing)
+    assert main(["verify-families", "--out", str(tmp_path)]) == EXIT_MISMATCH
+    out, err = capsys.readouterr()
+    lines = [line for line in out.splitlines() if line.startswith("family ")]
+    assert len(lines) == 42
+    assert [line for line in lines if "FAIL" in line] == [
+        "family  7: identity=ok volume=ok domain=FAIL (interval-bisection, no proof) [FAIL]"]
+    assert "family 7 failed: domain" in err
+    payloads = [r.payload for r in read_records(tmp_path / "families.jsonl")]
+    assert [p["id"] for p in payloads] == list(range(1, 43))
+    assert payloads[6] == {"id": 7, "identity": True, "volume": True, "domain": False,
+                           "mode": "interval-bisection"}
+    assert all(p["domain"] for p in payloads if p["id"] != 7)
+
+
+@pytest.mark.parametrize("stage, count", [("raw", 790), ("realizable", 208)])
+def test_the_earlier_stages_write_their_quadruples(stage, count, tmp_path, capsys):
+    assert main(["search-quadruples", "--stage", stage, "--out", str(tmp_path)]) == EXIT_OK
+    assert [p.name for p in tmp_path.iterdir()] == [f"{stage}.jsonl"]
+    recs = read_records(tmp_path / f"{stage}.jsonl")
+    assert len(recs) == count
+    assert {r.kind for r in recs} == {"sporadic"}
+    assert {tuple(sorted(r.payload)) for r in recs} == {("p", "q", "r", "s", "stage")}
+    assert {r.payload["stage"] for r in recs} == {stage}
+
+
+def test_a_sporadic_table_other_than_the_golden_is_a_mismatch(monkeypatch, capsys):
+    real = records_mod.load_sporadic_fixture
+    monkeypatch.setattr(records_mod, "load_sporadic_fixture", lambda: real()[1:])
+    assert main(["search-quadruples"]) == EXIT_MISMATCH
+    assert "fixture mismatch: 0 missing, 1 extra" in capsys.readouterr().err
 
 
 def test_search_lambert_writes_records(tmp_path, capsys):

@@ -1,9 +1,10 @@
-"""Every import in src/, tests/ and scripts/ is used, the package
-imports nothing beyond the standard library and mpmath's numpy-free core,
-only trigpoly imports mpmath, and only the code that calls mpmath loads
-it: every command runs with mpmath hidden from the import system.  No
-result rests on libm: only certify's float centre scan and
-RationalAngle.__float__ read math.cos, math.sin or math.pi.
+"""Every import in src/, tests/ and scripts/ is used, and the package has
+no run-time dependency: pyproject.toml lists none, every module-level
+import is of the standard library or of the package, mpmath is imported
+only inside trigpoly's function bodies, and every command runs with
+mpmath hidden from the import system.  No result rests on libm: only
+certify's float centre scan and RationalAngle.__float__ read math.cos,
+math.sin or math.pi.
 
 A name bound by an import counts as used when the module reads it: as a
 name, as the root of an attribute chain, inside a string annotation, or
@@ -74,7 +75,7 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
-def _imported_modules(tree: ast.Module) -> set[str]:
+def _imported_modules(tree: ast.AST) -> set[str]:
     """Top-level names of the absolute modules a module imports."""
     roots = set()
     for node in ast.walk(tree):
@@ -101,6 +102,45 @@ def test_the_package_does_not_import_numpy(path):
 def test_only_trigpoly_imports_mpmath(path):
     imported = "mpmath" in _imported_modules(ast.parse(path.read_text()))
     assert not imported or path.name in MPMATH_IMPORTERS
+
+
+def test_the_package_declares_no_run_time_dependency():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    assert project["dependencies"] == []
+    extras = project["optional-dependencies"]
+    assert all(any(d.startswith("mpmath") for d in extras[x]) for x in ("test", "bench"))
+
+
+def _module_level_roots(tree: ast.Module) -> set[str]:
+    """Top-level names of the absolute modules imported outside function
+    bodies."""
+    roots = set()
+    todo = list(tree.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            roots |= _imported_modules(node)
+        todo.extend(ast.iter_child_nodes(node))
+    return roots
+
+
+def test_the_module_level_check_skips_function_bodies():
+    source = ("import os\nfrom . import x\nif True:\n    import json.decoder\n"
+              "class A:\n    import re\n    def f(self):\n        import mpmath\n"
+              "def g():\n    from mpmath import iv\n")
+    assert _module_level_roots(ast.parse(source)) == {"os", "json", "re"}
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: str(p.relative_to(ROOT)))
+def test_module_level_imports_are_the_standard_library(path):
+    """Relative imports, the package's own, are not counted; mpmath may
+    only be imported where test_only_trigpoly_imports_mpmath allows, and
+    this keeps it inside function bodies there."""
+    roots = _module_level_roots(ast.parse(path.read_text()))
+    assert roots - set(sys.stdlib_module_names) - {"sphertet"} == set()
 
 
 # The float readers of libm's trigonometry: the centre scan ranks

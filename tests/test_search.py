@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from sphertet import cyclotomic, lambert, search
 from sphertet.angles import RationalAngle, angle
-from sphertet.cyclotomic import cos_as_cyclotomic, cosine_key, key_numerator
+from sphertet.cyclotomic import cos_as_cyclotomic, cosine_key
 from sphertet.geometry import realizability
 from sphertet.lambert import search_rational_lambert_cubes
 from sphertet.search import (
@@ -30,6 +30,10 @@ def test_union_denominators():
     assert PAPER_GRID.denominators == (1, 2, 3, 5, 7, 15)
     assert PAPER_GRID.order == 420
     assert SearchConfig().describe()["denominators"] == [1, 2, 3, 5, 7, 15]
+
+
+def test_grids_of_one_denominator_set_are_equal():
+    assert Grid((15, 7, 5, 3, 2, 1, 7)) == PAPER_GRID
 
 
 def _angle(e: int) -> RationalAngle:
@@ -142,7 +146,7 @@ def test_join_vectors_are_the_embedded_cosines():
     for e, key in PAPER_GRID.cosine_keys.items():
         twice = (cos_as_cyclotomic(_angle(e)) * 2).embed(order)
         assert twice.den == 1
-        assert key_numerator(order, key) == twice.num, e
+        assert tuple(cyclotomic._order_data(order).unpack(key)) == twice.num, e
 
 
 def test_join_keys_are_the_keys_of_the_whole_sums():
@@ -199,9 +203,9 @@ def test_the_search_refuses_a_vanishing_length4_relation(monkeypatch):
 
 
 def test_search_stages_are_nested(sporadic_report):
-    raw = set(sporadic_report.stage_quadruples("raw"))
-    realizable = set(sporadic_report.stage_quadruples("realizable"))
-    sporadic = set(sporadic_report.stage_quadruples("sporadic"))
+    raw = set(sporadic_report.raw_solutions)
+    realizable = set(sporadic_report.realizable)
+    sporadic = {row.quadruple for row in sporadic_report.sporadic}
     assert sporadic <= realizable <= raw
 
 

@@ -65,6 +65,11 @@ def f(pi_part, t_part=0, u_part=0):
     return AngleForm(Fraction(pi_part), Fraction(t_part), Fraction(u_part))
 
 
+def _sin(form):
+    """sin X = cos(X - pi/2)."""
+    return TrigPoly.cos_of(form - AngleForm(Fraction(1, 2)))
+
+
 def test_angle_form_evaluation():
     form = f(Fraction(1, 2), Fraction(-1), Fraction(2))
     assert form.value_in_pi_units(Fraction(1, 6), Fraction(1, 12)) == Fraction(1, 2)
@@ -99,7 +104,7 @@ def test_product_agrees_pointwise(x, y, tau):
 
 def test_pythagorean_polynomial_identity():
     x = f(Fraction(1, 3), 2)
-    c, s = TrigPoly.cos_of(x), TrigPoly.sin_of(x)
+    c, s = TrigPoly.cos_of(x), _sin(x)
     assert (c * c + s * s - TrigPoly.constant(1)).is_zero()
 
 
@@ -107,7 +112,7 @@ def test_angle_sum_identity():
     a, b = f(Fraction(1, 5), 1), f(Fraction(1, 7), -2)
     lhs = TrigPoly.cos_of(a + b)
     rhs = (TrigPoly.cos_of(a) * TrigPoly.cos_of(b)
-           - TrigPoly.sin_of(a) * TrigPoly.sin_of(b))
+           - _sin(a) * _sin(b))
     assert (lhs - rhs).is_zero()
 
 
@@ -129,7 +134,7 @@ def test_derivative_matches_difference_quotient_sign(form, tau):
     """d/dt cos(B t + A) = -B sin(B t + A), checked exactly."""
     poly = TrigPoly.cos_of(form)
     deriv = poly.derivative("t")
-    expected = TrigPoly.sin_of(form).scale(-form.t_part)
+    expected = _sin(form).scale(-form.t_part)
     assert (deriv - expected).is_zero()
 
 
@@ -150,12 +155,12 @@ def test_determinant_of_trig_matrix():
     m = [[one, c], [c, one]]
     d = det(m)
     # 1 - cos^2 t = sin^2 t
-    s = TrigPoly.sin_of(f(0, 1))
+    s = _sin(f(0, 1))
     assert (d - s * s).is_zero()
 
 
 def test_positivity_on_open_interval():
-    s = TrigPoly.sin_of(f(0, 1))  # sin(pi t) > 0 on (0, 1)
+    s = _sin(f(0, 1))  # sin(pi t) > 0 on (0, 1)
     witness = positive_on_open_interval(s, Fraction(0), Fraction(1))
     assert witness.left.method == "taylor-strip"
     assert witness.right.method == "taylor-strip"
@@ -178,7 +183,7 @@ def test_positive_value_endpoints():
 
 
 def test_positivity_memo_keys_on_the_polynomial_and_interval(cold_proofs):
-    poly = TrigPoly.sin_of(f(0, 1))
+    poly = _sin(f(0, 1))
     wide = positive_on_open_interval(poly, 0, Fraction(1, 6))
     narrow = positive_on_open_interval(poly, 0, Fraction(1, 12))
     inner = positive_on_open_interval(poly, Fraction(1, 12), Fraction(1, 6))
@@ -213,7 +218,7 @@ def test_both_ends_share_one_derivative_chain(monkeypatch, cold_proofs):
         return real(self, variable)
 
     monkeypatch.setattr(TrigPoly, "derivative", counted)
-    s = TrigPoly.sin_of(f(0, 1))
+    s = _sin(f(0, 1))
     witness = positive_on_open_interval(s * s, Fraction(0), Fraction(1))
     assert (witness.left.vanishing_order, witness.right.vanishing_order) == (2, 2)
     assert calls == ["t", "t"]
@@ -238,7 +243,7 @@ def test_a_cover_that_never_closes_raises(cold_proofs):
 
 
 def test_positivity_witnesses_recheck(cold_proofs):
-    s = TrigPoly.sin_of(f(0, 1))
+    s = _sin(f(0, 1))
     for poly in (s, s * s, TrigPoly.cos_of(f(0, 1)) + TrigPoly.constant(2)):
         witness = positive_on_open_interval(poly, 0, 1)
         assert witness.pi_upper == PI_UPPER
@@ -252,7 +257,7 @@ def test_positivity_witnesses_recheck(cold_proofs):
 def test_recheck_bounds_a_strip_by_taylor(cold_proofs, width, holds):
     """sin(pi t) on (0, 1): a strip of width w at 0 holds exactly while
     1 - PI_UPPER*w/2 > 0, i.e. w < 0.6366; one sample tiles the rest."""
-    poly = TrigPoly.sin_of(f(0, 1))
+    poly = _sin(f(0, 1))
     witness = positive_on_open_interval(poly, 0, 1)
     piece = ((width + Fraction(3, 4)) / 2, (Fraction(3, 4) - width) / 2)
     wide = replace(witness, left=replace(witness.left, strip_width=width), samples=(piece,))
@@ -295,11 +300,10 @@ def test_derivative_bounds_dominate_on_a_dense_grid(terms):
     lambda: AngleForm(0, 1).scale(0.5),
     lambda: TrigPoly([(AngleForm(0, 1), 0.5)]),
     lambda: TrigPoly.cos_of(AngleForm(0, 1), 0.25),
-    lambda: TrigPoly.sin_of(AngleForm(0, 1), 1.5),
     lambda: TrigPoly.constant(0.25),
     lambda: TrigPoly.cos_of(AngleForm(0, 1)).scale(0.5),
 ], ids=["pi_part", "t_part", "u_part", "form-scale", "terms", "cos_of",
-        "sin_of", "constant", "scale"])
+        "constant", "scale"])
 def test_floats_are_rejected(build):
     with pytest.raises(TypeError, match="must be an int or a Fraction"):
         build()
@@ -325,8 +329,8 @@ def test_positivity_rejects_a_polynomial_in_u():
 
 def test_derivative_rejects_an_unknown_variable():
     poly = TrigPoly.cos_of(f(0, 1)) + TrigPoly.cos_of(f(0, 0, 1))
-    assert poly.derivative("t") == TrigPoly.sin_of(f(0, 1)).scale(-1)
-    assert poly.derivative("u") == TrigPoly.sin_of(f(0, 0, 1)).scale(-1)
+    assert poly.derivative("t") == _sin(f(0, 1)).scale(-1)
+    assert poly.derivative("u") == _sin(f(0, 0, 1)).scale(-1)
     with pytest.raises(ValueError, match="no variable 'x'"):
         poly.derivative("x")
 
