@@ -38,7 +38,7 @@ from functools import lru_cache
 from typing import Optional
 
 from .angles import ZERO, RationalAngle, _fraction, frac_obj, obj_frac
-from .cyclotomic import SignedInterval, _check_bits, _root_fixed
+from .cyclotomic import SignedInterval, _root_fixed
 from .geometry import PreconditionError, PythagoreanQuadruple, vertex_links
 from .records import load_coxeter_fixture
 
@@ -264,22 +264,23 @@ class DiameterCertificate:
     precision: int
 
 
+# The precision cap of diameter_certificate, in bits.
+_MAX_BITS = 1024
+
+
 def diameter_certificate(t: LinkTriangle, center: RationalAngle,
-                         radius: RationalAngle, max_bits: int = 1024
-                         ) -> DiameterCertificate:
+                         radius: RationalAngle) -> DiameterCertificate:
     """Certify whether all three vertices lie within `radius` of `center`.
 
     The center is a point on the equator given by its longitude, any
     rational multiple of pi; the triangle is positioned canonically by
     :func:`_vertices`.  Strict distance comparisons happen in cosine
     space and are refined from 64 bits by doubling the precision until
-    decided; exhausting max_bits, an int of at least 64 (ValueError
-    otherwise), raises :class:`CertificationInconclusive`.
+    decided; exhausting _MAX_BITS raises :class:`CertificationInconclusive`.
 
     Success is monotone in the radius: a certificate at some radius
     implies one at every larger radius (cos(radius) only decreases).
     """
-    _check_bits(max_bits, 64, "max_bits")
     bits = 64
     while True:
         margins = _margins(t, center, radius, bits)
@@ -287,11 +288,11 @@ def diameter_certificate(t: LinkTriangle, center: RationalAngle,
             return DiameterCertificate(t, center, radius, True, margins, bits)
         if any(m.sign == -1 for m in margins):
             return DiameterCertificate(t, center, radius, False, margins, bits)
-        if bits >= max_bits:
+        if bits >= _MAX_BITS:
             raise CertificationInconclusive(
                 f"diameter check undecided at {bits} bits for {t}"
             )
-        bits = min(2 * bits, max_bits)
+        bits = min(2 * bits, _MAX_BITS)
 
 
 # -- the area Diophantine equation -------------------------------------------
@@ -394,32 +395,32 @@ class ObstructionCertificate:
         }
 
 
-def _float_vertices(t: LinkTriangle):
-    def cos_sides():
-        ca, cb, cg = (math.cos(float(x)) for x in t.angles)
-        sa, sb, sg = (math.sin(float(x)) for x in t.angles)
-        return ((ca + cb * cg) / (sb * sg),
-                (cb + cg * ca) / (sg * sa),
-                (cg + ca * cb) / (sa * sb))
+# The radius of the obstruction's ball: a link strictly inside a ball of
+# radius pi/4 has diameter < pi/2, so it contains no D(2,2,n).
+BALL_RADIUS = RationalAngle(1, 4)
 
-    _, cos_lb, cos_lg = cos_sides()
+
+def _float_vertices(t: LinkTriangle) -> tuple[tuple[float, float], tuple[float, float]]:
+    """The (x, y) of vertices B and C as :func:`_vertices` places them, in
+    floats."""
+    ca, cb, cg = (math.cos(float(x)) for x in t.angles)
+    sa, sb, sg = (math.sin(float(x)) for x in t.angles)
+    cos_lb = (cb + cg * ca) / (sg * sa)
+    cos_lg = (cg + ca * cb) / (sa * sb)
     sin_lg = math.sqrt(max(0.0, 1 - cos_lg ** 2))
     sin_lb = math.sqrt(max(0.0, 1 - cos_lb ** 2))
-    ca, sa = math.cos(float(t.alpha)), math.sin(float(t.alpha))
-    return ((1.0, 0.0, 0.0), (cos_lg, sin_lg, 0.0),
-            (cos_lb, sin_lb * ca, sin_lb * sa))
+    return (cos_lg, sin_lg), (cos_lb, sin_lb * ca)
 
 
 # The centre scan's longitudes are pi*j/_SCAN_DEN, 0 <= j < _SCAN_DEN.
 _SCAN_DEN = 120
 
 
-@lru_cache(maxsize=None)
-def _longitudes(radius: RationalAngle
-                ) -> tuple[float, tuple[tuple[int, float, float], ...]]:
-    """(cos radius, the (j, cos, sin) of the scan's longitudes pi*j/_SCAN_DEN
-    whose cosine exceeds it), in floats."""
-    cos_r = math.cos(float(radius))
+@lru_cache(maxsize=1)
+def _longitudes() -> tuple[float, tuple[tuple[int, float, float], ...]]:
+    """(cos BALL_RADIUS, the (j, cos, sin) of the scan's longitudes
+    pi*j/_SCAN_DEN whose cosine exceeds it), in floats."""
+    cos_r = math.cos(float(BALL_RADIUS))
     out = []
     for j in range(_SCAN_DEN):
         lam = math.pi * j / _SCAN_DEN
@@ -429,27 +430,33 @@ def _longitudes(radius: RationalAngle
     return cos_r, tuple(out)
 
 
-def _center_candidates(t: LinkTriangle, radius: RationalAngle) -> list[RationalAngle]:
-    """Cheap float scan for promising equatorial center longitudes.
+def _center_candidates(t: LinkTriangle) -> list[int]:
+    """Cheap float scan for promising centers of the ball of BALL_RADIUS:
+    up to 8 integers j, best first, each the longitude pi*j/_SCAN_DEN.
 
     Vertex A is (1, 0), so its term is the longitude's cosine itself: a
-    longitude whose cosine is at most cos radius never passes, and the
-    scan reads only the others (_longitudes).
+    longitude whose cosine is at most cos BALL_RADIUS never passes, and
+    the scan reads only the others (_longitudes).
     """
-    _, (b0, b1, _), (c0, c1, _) = _float_vertices(t)
-    cos_r, longitudes = _longitudes(radius)
+    (b0, b1), (c0, c1) = _float_vertices(t)
+    cos_r, longitudes = _longitudes()
     out = []
     for j, cl, sl in longitudes:
         worst = min(cl, b0 * cl + b1 * sl, c0 * cl + c1 * sl)
         if worst > cos_r:
             out.append((worst - cos_r, j))
     out.sort(key=lambda pair: -pair[0])
-    return [RationalAngle(j, _SCAN_DEN) for _, j in out[:8]]
+    return [j for _, j in out[:8]]
 
 
-# The radius of the obstruction's ball: a link strictly inside a ball of
-# radius pi/4 has diameter < pi/2, so it contains no D(2,2,n).
-BALL_RADIUS = RationalAngle(1, 4)
+def _centers(t: LinkTriangle, center: Optional[RationalAngle]):
+    """The centers to try on link t, lazily: `center` when given, then,
+    and only once it fails, the scan's proposals other than it."""
+    if center is not None:
+        yield center
+    for j in _center_candidates(t):
+        if center is None or j * center.den != center.num * _SCAN_DEN:
+            yield RationalAngle(j, _SCAN_DEN)
 
 
 def nondecomposability_certificate(
@@ -464,7 +471,8 @@ def nondecomposability_certificate(
     triangle, and a repeated angle triple would repeat the same verdicts,
     so it is skipped; a certificate keeps the index of the first vertex
     with its link.  A suggested center longitude is tried first when
-    provided, then the centers a coarse scan proposes, each once.
+    provided; only when it fails does a coarse scan run, and the
+    longitudes pi*j/_SCAN_DEN it proposes are tried, each once.
     Returns None when no link yields both obstructions.
     """
     weights = area_weights()
@@ -480,10 +488,7 @@ def nondecomposability_certificate(
         target = normalized_area(t)
         if area_diophantine(target) is not None:
             continue
-        candidates = _center_candidates(t, BALL_RADIUS)
-        if center is not None:
-            candidates = [center] + [c for c in candidates if c != center]
-        for c in candidates:
+        for c in _centers(t, center):
             try:
                 cert = diameter_certificate(t, c, BALL_RADIUS)
             except CertificationInconclusive:

@@ -167,7 +167,7 @@ def cmd_verify_families(args) -> int:
             ok_dom, detail = False, str(exc)
         else:
             ok_dom = cert.valid
-            detail = (f"segments={sum(w.bisection_segments for w in cert.witnesses)}"
+            detail = (f"segments={sum(len(w.samples) for w in cert.witnesses)}"
                       if mode == "interval-bisection" else "factored")
         status = "ok" if (ok_id and ok_vol and ok_dom) else "FAIL"
         print(f"family {fam.family_id:2d}: identity={'ok' if ok_id else 'FAIL'} "

@@ -594,8 +594,9 @@ class FamilyInstance:
 def instantiate(fam: FamilySpec, tau: Rat, mu: Rat = 0) -> FamilyInstance:
     """The family member at t = tau*pi, u = mu*pi (interior parameters).
 
-    Cross-checks the tabulated volume polynomial against the volume of
-    the instantiated quadruple before returning.
+    Its volume is computed from the quadruple; it equals the tabulated
+    form fam.vol at (tau, mu), since verify_volume_form proves the two
+    polynomials identical.
     """
     tau, mu = _parameters(tau, mu)
     if not fam.interior_parameters(tau, mu):
@@ -608,15 +609,9 @@ def instantiate(fam: FamilySpec, tau: Rat, mu: Rat = 0) -> FamilyInstance:
         for f in fam.angle_forms
     )
     quad = PythagoreanQuadruple.of(*angles)
-    vol_table = fam.vol.evaluate(tau, mu)
-    vol = volume(quad, checked=False)
-    if vol_table != vol.value:
-        raise ArithmeticError(
-            f"volume mismatch in family {fam.family_id} at ({tau}, {mu}): "
-            f"table {vol_table}, formula {vol.value}"
-        )
     return FamilyInstance(fam.family_id, RationalAngle.from_fraction(tau),
-                          RationalAngle.from_fraction(mu), quad, vol)
+                          RationalAngle.from_fraction(mu), quad,
+                          volume(quad, checked=False))
 
 
 # -- catalog export ---------------------------------------------------------

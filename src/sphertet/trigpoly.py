@@ -2,8 +2,8 @@
 
 A TrigPoly is a finite sum  sum_i  gamma_i * cos(pi*A_i + B_i*t + C_i*u)
 with rational gamma_i, A_i, B_i, C_i.  The class supports ring
-operations (products rewritten by the product-to-sum rule), partial
-derivatives, exact evaluation at rational multiples of pi, an exact
+operations (products rewritten by the product-to-sum rule), the
+derivative in t, exact evaluation at rational multiples of pi, an exact
 identically-zero test and proofs of positivity on an interval.
 
 Representation.  Everything is kept in Python ints.  An AngleForm is
@@ -309,19 +309,15 @@ class TrigPoly:
 
     # -- calculus --------------------------------------------------------
 
-    def derivative(self, variable: str = "t") -> "TrigPoly":
-        """Partial derivative in variable "t" or "u";
+    def derivative(self) -> "TrigPoly":
+        """Partial derivative in t;
         d/dt cos(X) = -B sin(X) = -B cos(X - pi/2), with
         X - pi/2 = ((2a - D)*pi + 2b*t + 2c*u)/(2D)."""
-        if variable not in ("t", "u"):
-            raise ValueError(f"no variable {variable!r}: differentiate in 't' or 'u'")
-        in_t = variable == "t"
         d = self.angle_den
         merged = defaultdict(int)
         for a, b, c, n in self.int_terms:
-            freq = b if in_t else c
-            if freq:
-                merged[_canonical(2 * a - d, 2 * b, 2 * c, 2 * d)] -= n * freq
+            if b:
+                merged[_canonical(2 * a - d, 2 * b, 2 * c, 2 * d)] -= n * b
         return TrigPoly._of(*_normal(2 * d, self.coeff_den * d, merged))
 
     # -- evaluation -------------------------------------------------------
@@ -578,7 +574,7 @@ def _endpoint_analysis(chain: list[TrigPoly], x0: Fraction,
         raise PositivityError(f"negative value at endpoint t = {x0}*pi")
     for m in range(1, _ENDPOINT_ORDER + 1):
         if m == len(chain):
-            chain.append(chain[-1].derivative("t"))
+            chain.append(chain[-1].derivative())
         s = _sign_at(chain[m], x0)
         if s != 0:
             break
@@ -659,7 +655,7 @@ def recheck_positivity(poly: TrigPoly, witness: PositivityWitness) -> bool:
     for end, x0, other in ((witness.left, lo, hi), (witness.right, hi, lo)):
         m, width = end.vanishing_order, end.strip_width
         while len(chain) <= m:
-            chain.append(chain[-1].derivative("t"))
+            chain.append(chain[-1].derivative())
         signs = [_sign_at(chain[j], x0) for j in range(m + 1)]
         value = end.method == "positive-value" and m == width == 0 and signs[0] > 0
         strip = (end.method == "taylor-strip" and m > 0 and width > 0

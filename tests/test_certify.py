@@ -176,14 +176,6 @@ def test_reference_link_sides_are_strictly_short():
         assert 0 < enc.lo and enc.hi * enc.hi < Fraction(3, 4)
 
 
-@pytest.mark.parametrize("bad", [8, 63, 0, True, 128.0])
-def test_the_precision_cap_is_an_int_of_at_least_64_bits(bad):
-    """The refinement starts at 64 bits, so a lower cap cannot hold."""
-    with pytest.raises(ValueError, match="max_bits must be an int >= 64"):
-        diameter_certificate(REFERENCE_LINK, RationalAngle(4, 25), BALL_RADIUS,
-                             max_bits=bad)
-
-
 # -- the integer enclosures against mpmath's ------------------------------------
 
 
@@ -244,6 +236,11 @@ def _oracle_links() -> list[LinkTriangle]:
     return list(links.values())
 
 
+def _scanned_centers(t):
+    """The centres the scan proposes on link t, as angles."""
+    return [RationalAngle(j, certify._SCAN_DEN) for j in certify._center_candidates(t)]
+
+
 # mpmath's own 256-bit enclosures are wider than the integer ones at 256
 # bits, so the oracle that every enclosure must contain runs at 512.
 ORACLE_BITS = 512
@@ -263,8 +260,7 @@ def test_integer_link_enclosures_contain_mpmaths_and_decide_as_it_does():
     assert REFERENCE_LINK in links and len(links) > 59
     verdicts = set()
     for t in links:
-        centers = [paper] + [c for c in certify._center_candidates(t, BALL_RADIUS)
-                             if c != paper]
+        centers = [paper] + [c for c in _scanned_centers(t) if c != paper]
         want_sides, want_margins = _iv_margins(t, centers, ORACLE_BITS)
         for bits in (64, 128, 256):
             _, iv_margins = _iv_margins(t, centers, bits)
@@ -323,14 +319,14 @@ def test_diameter_certificate_is_monotone_in_radius(larger):
     assert cert.holds
 
 
-def test_exact_boundary_distance_is_inconclusive():
+def test_exact_boundary_distance_is_inconclusive(monkeypatch):
     # for angles (pi/2, pi/2, pi/9) one vertex sits at the pole, exactly
     # pi/2 from every equatorial center: no precision can decide a strict
     # comparison against radius pi/2, and the failure must be explicit
+    monkeypatch.setattr(certify, "_MAX_BITS", 128)
     t = LinkTriangle(angle(1, 2), angle(1, 2), angle(1, 9))
-    with pytest.raises(CertificationInconclusive):
-        diameter_certificate(t, RationalAngle(1, 5), RationalAngle(1, 2),
-                             max_bits=128)
+    with pytest.raises(CertificationInconclusive, match="undecided at 128 bits"):
+        diameter_certificate(t, RationalAngle(1, 5), RationalAngle(1, 2))
 
 
 # -- the area Diophantine equation --------------------------------------------
@@ -567,20 +563,42 @@ def test_the_recheck_computes_its_own_roots(monkeypatch):
     assert {(order, k) for order, bits, k in roots if bits == w} >= _link_roots(cert.triangle)
 
 
+def _count_scans(monkeypatch) -> list[LinkTriangle]:
+    """The link of every centre scan certify runs."""
+    scans = []
+    real = certify._center_candidates
+
+    def counted(t):
+        scans.append(t)
+        return real(t)
+
+    monkeypatch.setattr(certify, "_center_candidates", counted)
+    return scans
+
+
+def test_a_given_center_that_certifies_runs_no_scan(monkeypatch):
+    """The paper's example with its centre 4/25, as `certify
+    --paper-example` asks: the ball holds at the first link tried."""
+    scans = _count_scans(monkeypatch)
+    cert = nondecomposability_certificate(REFERENCE_QUAD, center=RationalAngle(4, 25))
+    assert cert is not None and cert.center == RationalAngle(4, 25)
+    assert scans == []
+
+
 def test_a_given_center_is_tried_once_per_link(monkeypatch):
     # every diameter check is made to fail, so each candidate of the
     # link is tried; a suggested center the scan also proposes must not
     # be certified a second time
     t = REFERENCE_LINK
-    scanned = certify._center_candidates(t, RationalAngle(1, 4))
+    scanned = _scanned_centers(t)
     assert len(scanned) > 1
     given_center = scanned[-1]
     real = certify.diameter_certificate
     calls = []
 
-    def failing(tri, c, radius, **kw):
+    def failing(tri, c, radius):
         calls.append((tri, c))
-        return dataclasses.replace(real(tri, c, radius, **kw), holds=False)
+        return dataclasses.replace(real(tri, c, radius), holds=False)
 
     monkeypatch.setattr(certify, "diameter_certificate", failing)
     assert nondecomposability_certificate(REFERENCE_QUAD,
@@ -593,19 +611,20 @@ def test_a_given_center_is_tried_once_per_link(monkeypatch):
 # -- the search against the exhaustive loop -----------------------------------
 
 
-def _reference_candidates(t, radius, den=120):
-    """The float centre scan with its trigonometry evaluated per call."""
-    verts = certify._float_vertices(t)
-    cos_r = math.cos(float(radius))
+def _reference_candidates(t, den=120):
+    """The float centre scan over all longitudes pi*j/den, vertex A
+    included, with its trigonometry evaluated per call."""
+    verts = ((1.0, 0.0),) + certify._float_vertices(t)
+    cos_r = math.cos(float(BALL_RADIUS))
     out = []
     for j in range(den):
         lam = math.pi * j / den
         cl, sl = math.cos(lam), math.sin(lam)
         worst = min(v[0] * cl + v[1] * sl for v in verts)
         if worst > cos_r:
-            out.append((worst - cos_r, RationalAngle(j, den)))
+            out.append((worst - cos_r, j))
     out.sort(key=lambda pair: -pair[0])
-    return [c for _, c in out[:8]]
+    return [j for _, j in out[:8]]
 
 
 def test_the_center_scan_is_the_full_scan():
@@ -623,8 +642,7 @@ def test_the_center_scan_is_the_full_scan():
                     continue
     assert len(links) > 59 + 4 * 42
     for t in links:
-        for radius in (BALL_RADIUS, RationalAngle(1, 3)):
-            assert certify._center_candidates(t, radius) == _reference_candidates(t, radius), t
+        assert certify._center_candidates(t) == _reference_candidates(t), t
 
 
 def _reference_weights():
@@ -634,10 +652,11 @@ def _reference_weights():
     return weights
 
 
-def _reference_certificate(quad, radius=RationalAngle(1, 4)):
+def _reference_certificate(quad):
     """Every one of the four vertex links tried, repeats included, with
     the weights derived and the longitudes evaluated on every call."""
     weights = _reference_weights()
+    radius = RationalAngle(1, 4)
     for idx, angles in enumerate(vertex_links(quad)):
         try:
             t = LinkTriangle(*angles)
@@ -646,7 +665,8 @@ def _reference_certificate(quad, radius=RationalAngle(1, 4)):
         target = normalized_area(t)
         if area_diophantine(target) is not None:
             continue
-        for c in _reference_candidates(t, radius):
+        for j in _reference_candidates(t):
+            c = RationalAngle(j, 120)
             try:
                 cert = diameter_certificate(t, c, radius)
             except CertificationInconclusive:
@@ -692,14 +712,7 @@ def _oracle_quadruples():
 
 
 def test_each_distinct_link_gives_the_exhaustive_loop_certificates(monkeypatch):
-    scans = []
-    real_scan = certify._center_candidates
-
-    def counted(t, radius):
-        scans.append(t)
-        return real_scan(t, radius)
-
-    monkeypatch.setattr(certify, "_center_candidates", counted)
+    scans = _count_scans(monkeypatch)
     quads = _oracle_quadruples()
     assert len(quads) == 59 + 2 + 3 * 42
     found = 0

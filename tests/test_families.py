@@ -82,6 +82,19 @@ def test_volume_polynomial_matches_closed_form(fam_id):
     assert verify_volume_form(family_by_id(fam_id))
 
 
+@pytest.mark.parametrize("name", ["c_tt", "c_tu", "c_uu", "c_t", "c_u", "c_1"])
+@pytest.mark.parametrize("fam_id", [2, 35])
+def test_a_moved_volume_coefficient_fails_the_proof(fam_id, name):
+    """instantiate computes a member's volume from its quadruple and never
+    reads the table, so this proof is where a wrong table is caught."""
+    fam = family_by_id(fam_id)
+    moved = replace(fam, vol=replace(fam.vol, **{name: getattr(fam.vol, name)
+                                                 + Fraction(1, 144)}))
+    assert not verify_volume_form(moved)
+    point = _interior_point(fam, Fraction(1, 3), Fraction(1, 2))
+    assert instantiate(moved, *point).vol == instantiate(fam, *point).vol
+
+
 def test_volume_form_rejects_floats_and_keeps_fractions():
     with pytest.raises(TypeError, match="must be an int or a Fraction"):
         VolumeForm(c_t=0.5)

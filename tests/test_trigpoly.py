@@ -133,7 +133,7 @@ def test_constant_plus_irrational_frequency_mix():
 def test_derivative_matches_difference_quotient_sign(form, tau):
     """d/dt cos(B t + A) = -B sin(B t + A), checked exactly."""
     poly = TrigPoly.cos_of(form)
-    deriv = poly.derivative("t")
+    deriv = poly.derivative()
     expected = _sin(form).scale(-form.t_part)
     assert (deriv - expected).is_zero()
 
@@ -213,15 +213,15 @@ def test_both_ends_share_one_derivative_chain(monkeypatch, cold_proofs):
     calls = []
     real = TrigPoly.derivative
 
-    def counted(self, variable="t"):
-        calls.append(variable)
-        return real(self, variable)
+    def counted(self):
+        calls.append(self)
+        return real(self)
 
     monkeypatch.setattr(TrigPoly, "derivative", counted)
     s = _sin(f(0, 1))
     witness = positive_on_open_interval(s * s, Fraction(0), Fraction(1))
     assert (witness.left.vanishing_order, witness.right.vanishing_order) == (2, 2)
-    assert calls == ["t", "t"]
+    assert len(calls) == 2
 
 
 def test_a_non_positive_sample_raises(cold_proofs):
@@ -287,7 +287,7 @@ def test_derivative_bounds_dominate_on_a_dense_grid(terms):
                            for a, b, _, c in deriv.int_terms)) / k for x in grid),
                   default=0.0)
         assert top <= bound * (1 + 1e-12) + 1e-12, (n, top, bound)
-        deriv = deriv.derivative("t")
+        deriv = deriv.derivative()
 
 
 # -- input checks --------------------------------------------------------
@@ -328,11 +328,11 @@ def test_positivity_rejects_a_polynomial_in_u():
 
 
 def test_derivative_rejects_an_unknown_variable():
+    """The derivative is in t only, so it takes no variable at all."""
     poly = TrigPoly.cos_of(f(0, 1)) + TrigPoly.cos_of(f(0, 0, 1))
-    assert poly.derivative("t") == _sin(f(0, 1)).scale(-1)
-    assert poly.derivative("u") == _sin(f(0, 0, 1)).scale(-1)
-    with pytest.raises(ValueError, match="no variable 'x'"):
-        poly.derivative("x")
+    assert poly.derivative() == _sin(f(0, 1)).scale(-1)
+    with pytest.raises(TypeError):
+        poly.derivative("u")
 
 
 @pytest.mark.parametrize("precision", [0, -5, True, 64.0])
@@ -436,7 +436,7 @@ def test_endpoint_signs_match_the_per_term_sums():
                 assert poly.eval_exact(x) == oracle
                 assert _sign_at(poly, x) == sign(oracle)
                 checked += 1
-            poly = poly.derivative("t")
+            poly = poly.derivative()
     assert checked == 42 * 4 * 9 * 2
 
 
@@ -516,10 +516,9 @@ def _old_product(x, y):
     return _old_merged(out)
 
 
-def _old_derivative(x, variable):
-    i = 1 if variable == "t" else 2
-    return _old_merged([((form[0] - Fraction(1, 2), form[1], form[2]), -coeff * form[i])
-                        for form, coeff in x if form[i]])
+def _old_derivative(x):
+    return _old_merged([((form[0] - Fraction(1, 2), form[1], form[2]), -coeff * form[1])
+                        for form, coeff in x if form[1]])
 
 
 def _old_integer_coefficients(coeffs):
@@ -644,8 +643,7 @@ def test_integer_trigpoly_agrees_with_the_fraction_oracle(pair, tau, mu, k):
         (x + y, _old_merged(ox + oy)),
         (x - y, _old_merged(ox + tuple((f_, -c) for f_, c in oy))),
         (x * y, _old_product(ox, oy)),
-        (x.derivative("t"), _old_derivative(ox, "t")),
-        (x.derivative("u"), _old_derivative(ox, "u")),
+        (x.derivative(), _old_derivative(ox)),
         (x.scale(k), _old_merged((f_, c * k) for f_, c in ox)),
     ]
     t_range = (tau, tau + Fraction(1, 7))
